@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import io as lio
 from .coloring import check_edge_colors
@@ -44,8 +43,11 @@ def _write(path, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w") as f:
-            f.write(text)
+        try:
+            with open(path, "w") as f:
+                f.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc}")
 
 
 def _resolve_lists(g, file_lists, mode, where: str):
@@ -133,8 +135,7 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _bench_one(params):
-    seed, args = params
+def _bench_one(seed, args):
     g = lio.generate_random(
         args.n,
         args.max_degree,
@@ -151,9 +152,8 @@ def _bench_one(params):
 
 
 def cmd_bench(args) -> int:
-    jobs = [(args.seed_base + i, args) for i in range(args.seeds)]
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        results = list(pool.map(_bench_one, jobs))
+    seeds = range(args.seed_base, args.seed_base + args.seeds)
+    results = [_bench_one(seed, args) for seed in seeds]
     total_edges = total_content = 0
     max_chain = 0
     for seed, m, stats in results:
@@ -228,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-multiplicity", type=int, default=2)
     p.add_argument("--edges", type=int)
     p.add_argument("--bipartite", action="store_true")
-    p.add_argument("--jobs", type=int, default=None)
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -6,6 +6,9 @@ totals: the sum of available-set sizes and the degree-weighted count of
 uncolored incidences.  The pair of totals is the lexicographic potential
 that certifies progress of the augmenting engine, so both are maintained
 in O(1) per color change and re-derivable from scratch by ``verify``.
+A lazy min-heap of blank edge ids hands the engine its next edge in
+O(log m) amortized: colored entries are discarded only when they reach the
+top, and an edge is pushed again only when it goes blank while unqueued.
 
 One actor mutates a coloring at a time; ``copy`` produces an independent
 snapshot.
@@ -13,6 +16,7 @@ snapshot.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -55,6 +59,9 @@ class PartialColoring:
         "used_edge",
         "available",
         "uncolored",
+        "blank_heap",
+        "queued",
+        "weight",
         "a_total",
         "d_total",
         "ops",
@@ -67,8 +74,13 @@ class PartialColoring:
         self.used_edge: list[dict[int, int]] = [{} for _ in range(g.n)]
         self.available: list[set[int]] = [set(lists.common[x]) for x in range(g.n)]
         self.uncolored: set[int] = set(range(g.m))
+        self.blank_heap: list[int] = list(range(g.m))  # sorted, so a valid heap
+        self.queued: list[bool] = [True] * g.m  # e is in blank_heap
+        # deg(u) + deg(v) per edge: what coloring or blanking it moves d_total by
+        inc = g.incidence
+        self.weight = tuple(len(inc[u]) + len(inc[v]) for u, v in g.endpoints)
         self.a_total = sum(len(s) for s in self.available)
-        self.d_total = sum(g.degree(u) + g.degree(v) for u, v in g.endpoints)
+        self.d_total = sum(self.weight)
         self.ops = 0  # approximate count of elementary set operations
 
     def charge(self, k: int) -> None:
@@ -82,6 +94,9 @@ class PartialColoring:
         new.used_edge = [dict(d) for d in self.used_edge]
         new.available = [set(s) for s in self.available]
         new.uncolored = set(self.uncolored)
+        new.blank_heap = list(self.blank_heap)
+        new.queued = list(self.queued)
+        new.weight = self.weight
         new.a_total = self.a_total
         new.d_total = self.d_total
         new.ops = 0
@@ -112,7 +127,7 @@ class PartialColoring:
                 avail.remove(c)
                 self.a_total -= 1
         self.uncolored.remove(e)
-        self.d_total -= self.g.degree(u) + self.g.degree(v)
+        self.d_total -= self.weight[e]
         self.ops += 2
 
     def unassign(self, e: int) -> None:
@@ -127,8 +142,18 @@ class PartialColoring:
                 self.available[w].add(c)
                 self.a_total += 1
         self.uncolored.add(e)
-        self.d_total += self.g.degree(u) + self.g.degree(v)
+        if not self.queued[e]:
+            self.queued[e] = True
+            heapq.heappush(self.blank_heap, e)
+        self.d_total += self.weight[e]
         self.ops += 2
+
+    def first_blank(self) -> Optional[int]:
+        """Smallest blank edge id, ``min(self.uncolored)``; None if all colored."""
+        heap, color = self.blank_heap, self.color
+        while heap and color[heap[0]] is not None:
+            self.queued[heapq.heappop(heap)] = False
+        return heap[0] if heap else None
 
     def is_happy(self, e: int) -> Optional[int]:
         """Smallest color legally extendable onto blank edge e, or None."""
@@ -233,6 +258,13 @@ class PartialColoring:
         uncolored = {e for e, c in enumerate(self.color) if c is None}
         if uncolored != self.uncolored:
             findings.append(Finding("CacheMismatch", "uncolored edge set"))
+        unqueued = uncolored - set(self.blank_heap)
+        if unqueued:
+            findings.append(
+                Finding("CacheMismatch", f"blank edge {min(unqueued)} not in the heap")
+            )
+        if sorted(self.blank_heap) != [e for e, q in enumerate(self.queued) if q]:
+            findings.append(Finding("CacheMismatch", "heap entries and queued flags"))
         a = sum(len(set(lists.common[x]) - used[x].keys()) for x in range(g.n))
         d = sum(
             g.degree(x) * sum(1 for e in g.incidence[x] if self.color[e] is None)

@@ -226,7 +226,7 @@ def color_graph(
             raise StepBudgetExceededError(
                 f"steps {stats.steps} exceed budget {happy_budget} + {content_budget}"
             )
-        e = min(phi.uncolored)
+        e = phi.first_blank()
         augment_once(phi, e, effective, stats, trace)
     findings = phi.verify()
     if findings:

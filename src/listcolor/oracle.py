@@ -25,22 +25,30 @@ def exhaustive_color(
     order = [sorted(lists.lists[e]) for e in range(g.m)]
     colors: list[Optional[int]] = [None] * g.m
     used = [set() for _ in range(g.n)]
-
-    def extend(e: int) -> bool:
-        if e == g.m:
-            return True
+    # Depth-first search without recursion, so the depth is not capped by
+    # the interpreter's stack: edges 0..e-1 are colored, and tried[e] is
+    # how many of edge e's candidate colors have been used up.
+    tried = [0] * g.m
+    e = 0
+    while 0 <= e < g.m:
         u, v = g.endpoints[e]
-        for c in order[e]:
-            if c in used[u] or c in used[v]:
-                continue
-            colors[e] = c
-            used[u].add(c)
-            used[v].add(c)
-            if extend(e + 1):
-                return True
+        c = colors[e]
+        if c is not None:  # every later edge failed under c: take it off
             colors[e] = None
             used[u].remove(c)
             used[v].remove(c)
-        return False
-
-    return list(colors) if extend(0) else None
+        cands = order[e]
+        i = tried[e]
+        while i < len(cands) and (cands[i] in used[u] or cands[i] in used[v]):
+            i += 1
+        if i == len(cands):
+            tried[e] = 0
+            e -= 1
+            continue
+        c = cands[i]
+        tried[e] = i + 1
+        colors[e] = c
+        used[u].add(c)
+        used[v].add(c)
+        e += 1
+    return colors if e == g.m else None

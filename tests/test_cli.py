@@ -1,3 +1,5 @@
+import pytest
+
 import listcolor as lc
 from listcolor import io as lio
 from listcolor.cli import main
@@ -111,6 +113,38 @@ def test_oracle_reports_infeasible(tmp_path, capsys):
     assert "no coloring" in out
 
 
+def test_oracle_on_1500_edges_does_not_recurse(tmp_path, capsys):
+    # one stack frame per edge used to overflow on this path-like instance
+    inst = str(tmp_path / "long.txt")
+    code, _, _ = run(
+        capsys, "gen", "-n", "3000", "--max-degree", "2", "--edges", "1500",
+        "--seed", "1", "-o", inst,
+    )
+    assert code == 0
+    colf = str(tmp_path / "col.txt")
+    code, _, err = run(
+        capsys, "oracle", inst, "--mode", "vizing", "--limit", "5000", "-o", colf
+    )
+    assert code == 0, err
+    code, out, _ = run(capsys, "verify", inst, colf, "--mode", "vizing")
+    assert code == 0
+    assert "ok: 1500 edges" in out
+
+
+@pytest.mark.parametrize("command", [
+    ["color", "INST", "--mode", "shannon"],
+    ["oracle", "INST", "--mode", "shannon"],
+    ["gen", "-n", "5", "--max-degree", "2"],
+])
+def test_unwritable_output_exits_two(tmp_path, capsys, command):
+    inst = write(tmp_path, "tri.txt", TRIANGLE)
+    argv = [inst if a == "INST" else a for a in command]
+    missing = str(tmp_path / "no" / "such" / "dir" / "x.txt")
+    code, _, err = run(capsys, *argv, "-o", missing)
+    assert code == 2
+    assert "cannot write" in err
+
+
 def test_gen_writes_parseable_instance(tmp_path, capsys):
     out_path = str(tmp_path / "gen.txt")
     code, _, _ = run(
@@ -152,7 +186,7 @@ def test_trace_and_stats_flags(tmp_path, capsys):
 def test_bench_runs(capsys):
     code, out, _ = run(
         capsys, "bench", "--seeds", "3", "-n", "8", "--max-degree", "3",
-        "--mode", "koenig", "--jobs", "2",
+        "--mode", "koenig",
     )
     assert code == 0
     assert "total: runs=3" in out

@@ -174,6 +174,30 @@ def test_verify_reports_cache_mismatch(triangle):
     assert any(f.kind == "CacheMismatch" for f in findings)
 
 
+def test_verify_reports_blank_edge_missing_from_heap(triangle):
+    g, L = triangle
+    phi = lc.blank_coloring(g, L)
+    phi.assign(0, 1)
+    assert phi.first_blank() == 1
+    phi.blank_heap.remove(2)  # blank edge 2 can no longer be picked
+    details = [f.detail for f in phi.verify() if f.kind == "CacheMismatch"]
+    assert "blank edge 2 not in the heap" in details
+
+
+def test_first_blank_requeues_edges_blanked_again(triangle):
+    g, L = triangle
+    phi = lc.blank_coloring(g, L)
+    phi.assign(0, 1)
+    phi.assign(1, 2)
+    assert phi.first_blank() == 2  # pops the colored entries 0 and 1
+    assert phi.blank_heap == [2]
+    phi.unassign(1)
+    phi.unassign(0)
+    assert phi.first_blank() == 0
+    assert sorted(phi.blank_heap) == [0, 1, 2]
+    assert phi.verify() == []
+
+
 def test_verify_reports_improper_and_unlisted(triangle):
     g, L = triangle
     phi = lc.blank_coloring(g, L)
@@ -234,5 +258,7 @@ def test_copy_is_independent(triangle):
     phi.assign(0, 1)
     snap = phi.copy()
     phi.assign(1, 2)
+    assert phi.first_blank() == 2
     assert snap.color[1] is None
+    assert snap.first_blank() == 1
     assert snap.verify() == []

@@ -3,9 +3,9 @@ import random
 import pytest
 
 import listcolor as lc
-from listcolor.errors import BoundViolationError, NotBipartiteError
+from listcolor.errors import BoundViolationError, NotBipartiteError, NotShiftableError
 
-from conftest import recompute_potential
+from conftest import random_partial, recompute_potential
 
 S6 = frozenset(range(1, 7))
 
@@ -169,3 +169,58 @@ def test_explicit_mode_with_adversarial_lists():
     assert lc.check_bound(g, L, "vizing").ok
     phi, _ = lc.color_graph(g, L, "explicit", assume_bound="vizing")
     assert phi.verify() == []
+
+
+def _churn(phi, r, rounds):
+    """Random assigns, unassigns, chain shifts (half undone) and copies."""
+    g = phi.g
+    for _ in range(rounds):
+        op = r.random()
+        if op < 0.3 and phi.uncolored:
+            e = r.choice(sorted(phi.uncolored))
+            c = phi.is_happy(e)
+            if c is not None:
+                phi.assign(e, c)
+        elif op < 0.55 and len(phi.uncolored) < g.m:
+            phi.unassign(r.choice([e for e, c in enumerate(phi.color) if c is not None]))
+        elif op < 0.9 and phi.uncolored:
+            chain = [r.choice(sorted(phi.uncolored))]
+            for _ in range(r.randint(1, 3)):
+                x = r.choice(g.endpoints[chain[-1]])
+                colored = [f for f in g.incidence[x]
+                           if f not in chain and phi.color[f] is not None]
+                if not colored:
+                    break
+                chain.append(r.choice(colored))
+            try:
+                old = phi.apply_chain_shift(chain)
+            except NotShiftableError:
+                continue
+            if r.random() < 0.5:
+                phi.undo_chain_shift(chain, old)
+        else:
+            phi = phi.copy()
+        assert len(phi.blank_heap) <= g.m
+        if r.random() < 0.5:  # leave stale entries in the heap now and then
+            assert phi.first_blank() == min(phi.uncolored, default=None)
+    return phi
+
+
+@pytest.mark.parametrize("mode", ["shannon", "vizing", "koenig"])
+def test_first_blank_is_smallest_blank_edge(mode):
+    # the heap must hand out exactly min(uncolored) after arbitrary churn
+    # and through every augmentation, trial shifts included
+    for seed in range(12):
+        g = lc.generate_random(10, 5, 2, bipartite=mode == "koenig", seed=seed, edges=18)
+        L = lc.generate_from_bounds(g, mode)
+        r = random.Random(seed + 7)
+        phi = _churn(random_partial(g, L, r, fill=0.5), r, 60)
+        assert phi.verify() == []
+        stats = lc.RunStats()
+        while phi.uncolored:
+            e = phi.first_blank()
+            assert e == min(phi.uncolored)
+            lc.augment_once(phi, e, mode, stats)
+            assert len(phi.blank_heap) <= g.m
+        assert phi.first_blank() is None
+        assert phi.verify() == []
