@@ -2,7 +2,8 @@
 
 Subcommands: color, verify, oracle, gen, bench.  Exit codes: 0 success,
 1 bound violation or failed verification, 2 malformed input or infeasible
-request, 3 internal assertion (a bug in this package, never the input).
+request, 3 a bug in this package, never the input: an internal assertion
+or any other package error, such as a misused shift or assignment.
 """
 
 from __future__ import annotations
@@ -247,8 +248,9 @@ def main(argv=None) -> int:
         print(f"internal assertion: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except ListColorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        # engine misuse (shift, assign, precondition) is a bug here too
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -195,12 +195,11 @@ class PartialColoring:
         self.ops += len(edges)
         return None, None
 
-    def apply_chain_shift(self, edges) -> tuple:
-        """Move each chain edge's color one position back, blanking the last.
+    def shift_targets(self, edges) -> tuple[list, list]:
+        """(current colors, shifted colors) of the chain; does not mutate.
 
-        Returns the tuple of previous colors for ``undo_chain_shift``.
-        Raises NotShiftableError (state unchanged) if the start edge is
-        colored or the shifted coloring would be improper or escape a list.
+        Raises NotShiftableError if the start edge is colored or the
+        shifted coloring would be improper or escape a list.
         """
         old = [self.color[e] for e in edges]
         if old[0] is not None:
@@ -209,6 +208,15 @@ class PartialColoring:
         i, reason = self.shift_violation(edges, targets)
         if i is not None:
             raise NotShiftableError(i, reason)
+        return old, targets
+
+    def apply_chain_shift(self, edges) -> tuple:
+        """Move each chain edge's color one position back, blanking the last.
+
+        Returns the tuple of previous colors for ``undo_chain_shift``.
+        Raises NotShiftableError (state unchanged) as ``shift_targets`` does.
+        """
+        old, targets = self.shift_targets(edges)
         for e, c in zip(edges, old):
             if c is not None:
                 self.unassign(e)

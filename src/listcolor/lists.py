@@ -64,7 +64,11 @@ class ListAssignment:
         lists = [frozenset(s) for s in lists]
         if len(lists) != g.m:
             raise ValueError(f"expected {g.m} lists, got {len(lists)}")
+        checked = set()  # ids of list objects already validated
         for e, s in enumerate(lists):
+            if id(s) in checked:
+                continue
+            checked.add(id(s))
             for c in s:
                 if not isinstance(c, int) or c < 1:
                     raise ValueError(f"edge {e}: colors must be integers >= 1")
@@ -128,15 +132,22 @@ def check_bound(g: Multigraph, L: ListAssignment, mode: str) -> BoundReport:
 
 
 def generate_from_bounds(g: Multigraph, mode: str) -> ListAssignment:
-    """Lists {1..max(bound(u), bound(v))} per edge; always passes check_bound."""
+    """Lists {1..max(bound(u), bound(v))} per edge; always passes check_bound.
+
+    Edges with the same list length share one frozenset.
+    """
     _check_mode(mode)
     if mode == "koenig" and g.bipartition() is None:
         raise NotBipartiteError("koenig bound requires a bipartite graph")
     bounds = [local_bound(g, x, mode) for x in range(g.n)]
-    lists = [
-        frozenset(range(1, max(bounds[u], bounds[v]) + 1))
-        for u, v in g.endpoints
-    ]
+    by_length = {}
+    lists = []
+    for u, v in g.endpoints:
+        b = max(bounds[u], bounds[v])
+        s = by_length.get(b)
+        if s is None:
+            s = by_length[b] = frozenset(range(1, b + 1))
+        lists.append(s)
     return ListAssignment(g, lists)
 
 

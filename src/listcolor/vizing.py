@@ -8,11 +8,17 @@ index j.  Working sets start as the leaves' availability sets and shrink
 by one per poll; since each leaf has at least its multiplicity many
 available colors, a poll never sees an empty set.
 
-Dispatch compares potentials directly: shift the full fan, then the
-prefix ending at j, and commit whichever strictly improves; if neither
-does, the availability total is provably unchanged by both shifts and an
-alternating path from the shifted fan's end edge (full first, prefix as
-fallback) must satisfy the path-resolution conditions.
+A leaf's working set is copied from its availability set only when the
+leaf is first polled; a leaf reached again over a parallel edge keeps
+shrinking the same set.
+
+Dispatch computes the potential change of shifting the full fan, then the
+prefix ending at j, without touching the coloring, and commits whichever
+strictly improves; if neither does, the availability total is provably
+unchanged by both shifts and an alternating path from the shifted fan's
+end edge (full first, prefix as fallback) must satisfy the
+path-resolution conditions.  Only that path search shifts the live
+coloring, and it restores it before returning.
 """
 
 from __future__ import annotations
@@ -49,28 +55,29 @@ def vizing_fan(phi: PartialColoring, e: int, x: int) -> VizingFanResult:
     if x not in g.endpoints[e]:
         raise PreconditionViolatedError(f"pivot {x} is not an endpoint of edge {e}")
     y = g.other_end(e, x)
-    beta_sets = {}
-    for z in g.neighbors(x):
-        beta_sets[z] = set(phi.available[z])
-        phi.charge(len(beta_sets[z]))
-    nbr = dict(phi.used_edge[x])
-    phi.charge(g.degree(x))
+    used = phi.used_edge[x]
+    beta_sets = {}  # leaf -> working set, copied when the leaf is first polled
     index = {e: 0}
     edges = [e]
     leaves = [y]
     k = 0
-    while k < g.degree(x):
-        working = beta_sets[leaves[-1]]
+    deg = len(g.incidence[x])
+    while k < deg:
+        z = leaves[-1]
+        working = beta_sets.get(z)
+        if working is None:
+            working = beta_sets[z] = set(phi.available[z])
+            phi.charge(len(working))
         if not working:
-            raise BetaEmptyError(f"working set of leaf {leaves[-1]} ran out")
+            raise BetaEmptyError(f"working set of leaf {z} ran out")
         eta = min(working)
         working.remove(eta)
         phi.charge(len(working) + 1)
-        if eta not in phi.used_edge[x]:
+        if eta not in used:
             fan = FanChain(tuple(edges), x, tuple(leaves))
             return VizingFanResult(fan, eta, k + 1)
         k += 1
-        ek = nbr[eta]
+        ek = used[eta]
         if ek in index:
             fan = FanChain(tuple(edges), x, tuple(leaves))
             return VizingFanResult(fan, eta, index[ek])
@@ -80,25 +87,44 @@ def vizing_fan(phi: PartialColoring, e: int, x: int) -> VizingFanResult:
     raise LemmaViolationError("fan construction exhausted the pivot's degree")
 
 
+def _fan_shift_delta(phi: PartialColoring, fan: FanChain) -> tuple[int, int]:
+    """Potential change (da, dd) of shifting ``fan``; the coloring is not touched.
+
+    Raises NotShiftableError as ``apply_chain_shift`` would.  The pivot
+    keeps its used set; leaf y_i loses c_i and gains c_{i+1}.  A color lost
+    and gained at the same leaf over parallel edges counts +1 and -1, so
+    summing per edge nets it per leaf.  An edge that goes blank raises d by
+    its degree weight and one that gets colored lowers it; in a vizing fan
+    those are the end and the start edge.
+    """
+    edges = fan.edges
+    old, targets = phi.shift_targets(edges)
+    common, weight = phi.lists.common, phi.weight
+    da = dd = 0
+    for f, z, lost, gained in zip(edges, fan.leaves, old, targets):
+        cz = common[z]
+        da += (lost in cz) - (gained in cz)
+        dd += weight[f] * ((gained is None) - (lost is None))
+    return da, dd
+
+
 def classify_vizing(phi: PartialColoring, e: int, x: int):
     """Happy fan, content fan (full or prefix), or a path under the shift.
 
-    Mutate-and-restore: candidate shifts are applied to the live coloring
-    to read their potentials (and to build the fallback paths) and undone
-    before returning.
+    The content check computes each candidate shift's potential change
+    without mutating.  The path fallback applies each candidate shift to
+    the live coloring to walk the path under it and undoes it before
+    returning.
     """
     res = vizing_fan(phi, e, x)
     fan, beta = res.fan, res.beta
     if res.j == fan.length:
         return HappyFan(fan, beta, branch="happy-fan")
     prefix = fan.prefix(res.j)
-    before = phi.potential()
     for cand, branch in ((fan, "content-fan-full"), (prefix, "content-fan-prefix")):
-        undo = phi.apply_chain_shift(cand.edges)
-        better = phi.potential() < before
-        phi.undo_chain_shift(cand.edges, undo)
-        if better:
+        if _fan_shift_delta(phi, cand) < (0, 0):
             return ContentFan(cand, branch=branch)
+    before_a = phi.a_total
     if not phi.available[x]:
         raise LemmaViolationError("no available color at the pivot")
     alpha = min(phi.available[x])
@@ -106,7 +132,7 @@ def classify_vizing(phi: PartialColoring, e: int, x: int):
     for cand, branch in ((fan, "path-psi-full"), (prefix, "path-psi-prefix")):
         undo = phi.apply_chain_shift(cand.edges)
         try:
-            if phi.a_total != before.a:
+            if phi.a_total != before_a:
                 raise LemmaViolationError("fan shift changed the availability total")
             path = alternating_path(phi, cand.end, alpha, beta)
         finally:

@@ -12,6 +12,7 @@ import random
 import pytest
 
 import listcolor as lc
+from listcolor.lists import local_bound
 
 
 def recompute_used(g, colors):
@@ -98,6 +99,24 @@ def random_partial(g, L, rng, fill=0.6):
         if legal:
             phi.assign(e, rng.choice(legal))
     return phi
+
+
+def adversarial_lists(g, mode, rng, spread=4, extra=3):
+    """Random supersets of per-vertex target sets meeting the mode's bound."""
+    targets = []
+    for x in range(g.n):
+        b = local_bound(g, x, mode)
+        lo = rng.randint(1, spread)
+        pool = list(range(lo, lo + b + spread))
+        rng.shuffle(pool)
+        targets.append(frozenset(pool[:b]))
+    lists = []
+    for u, v in g.endpoints:
+        s = set(targets[u] | targets[v])
+        for _ in range(rng.randint(0, extra)):
+            s.add(rng.randint(1, 40))
+        lists.append(frozenset(s))
+    return lc.ListAssignment(g, lists)
 
 
 FULL6 = frozenset(range(1, 7))

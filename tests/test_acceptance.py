@@ -19,7 +19,7 @@ import pytest
 import listcolor as lc
 from listcolor.lists import local_bound
 
-from conftest import random_partial, setup_partial
+from conftest import adversarial_lists, random_partial, setup_partial
 
 SEED_SALT = {"shannon": 0, "vizing": 1_000_000, "koenig": 2_000_000, "adv": 3_000_000}
 
@@ -35,24 +35,6 @@ def sample_params(rng):
     mmax = rng.randint(1, 4)
     edges = rng.randint(1, max(1, n * dmax // 3))
     return n, dmax, mmax, edges
-
-
-def adversarial_lists(g, mode, rng, spread=4, extra=3):
-    """Random supersets of per-vertex target sets meeting the mode's bound."""
-    targets = []
-    for x in range(g.n):
-        b = local_bound(g, x, mode)
-        lo = rng.randint(1, spread)
-        pool = list(range(lo, lo + b + spread))
-        rng.shuffle(pool)
-        targets.append(frozenset(pool[:b]))
-    lists = []
-    for u, v in g.endpoints:
-        s = set(targets[u] | targets[v])
-        for _ in range(rng.randint(0, extra)):
-            s.add(rng.randint(1, 40))
-        lists.append(frozenset(s))
-    return lc.ListAssignment(g, lists)
 
 
 @dataclass

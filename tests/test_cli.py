@@ -2,7 +2,9 @@ import pytest
 
 import listcolor as lc
 from listcolor import io as lio
+from listcolor import vizing
 from listcolor.cli import main
+from listcolor.errors import COLOR_CLASH, EdgeNotBlankError, NotShiftableError
 
 TRIANGLE = "p edge 3 3\ne 0 1\ne 1 2\ne 0 2\n"
 PATH2 = "p edge 3 2\ne 0 1 1 2\ne 1 2 1 2\n"
@@ -91,6 +93,23 @@ def test_insufficient_explicit_lists_exit_one(tmp_path, capsys):
         capsys, "color", inst, "--mode", "explicit", "--assume-bound", "vizing"
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("error", [
+    NotShiftableError(1, COLOR_CLASH),
+    EdgeNotBlankError("edge 0 is not blank"),
+])
+def test_engine_misuse_inside_color_exits_three(tmp_path, capsys, monkeypatch, error):
+    # a misused engine call is a bug in the package, not bad input
+    def broken(phi, e, x):
+        raise error
+
+    monkeypatch.setattr(vizing, "classify_vizing", broken)
+    inst = write(tmp_path, "tri.txt", TRIANGLE)
+    code, out, err = run(capsys, "color", inst, "--mode", "vizing")
+    assert code == 3
+    assert type(error).__name__ in err
+    assert out == ""
 
 
 def test_oracle_agrees_with_color(tmp_path, capsys):

@@ -118,6 +118,23 @@ def test_generate_from_bounds_always_passes_check():
             assert lc.check_bound(g, L, mode).ok
 
 
+def test_generate_from_bounds_shares_one_list_per_length():
+    g = lc.generate_random(12, 6, 3, seed=3, edges=30)
+    L = lc.generate_from_bounds(g, "vizing")
+    by_length = {}
+    for s in L.lists:
+        assert by_length.setdefault(len(s), s) is s
+    assert len(by_length) < g.m
+
+
+@pytest.mark.parametrize("bad", [frozenset({1, 0}), frozenset({2, "3"})])
+def test_bad_color_names_first_edge_of_a_shared_list(bad):
+    g = lc.Multigraph(3, [(0, 1), (1, 2), (0, 2), (0, 1)])
+    good = frozenset({1, 2, 3})
+    with pytest.raises(ValueError, match="^edge 1: "):
+        lc.ListAssignment(g, [good, bad, good, bad])
+
+
 def test_truncate_identity_when_small():
     g = lc.Multigraph(3, [(0, 1), (1, 2), (0, 2)])
     L = lc.ListAssignment(g, [frozenset({1, 2, 3})] * 3)

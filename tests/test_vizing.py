@@ -1,9 +1,18 @@
 import random
 
-import listcolor as lc
-from listcolor.chain import ContentFan, HappyFan, PathUnderPsi
+import pytest
 
-from conftest import random_partial, recompute_potential, setup_partial
+import listcolor as lc
+from listcolor.chain import ContentFan, FanChain, HappyFan, PathUnderPsi
+from listcolor.errors import LemmaViolationError, NotShiftableError
+from listcolor.vizing import VizingFanResult, _fan_shift_delta
+
+from conftest import (
+    adversarial_lists,
+    random_partial,
+    recompute_potential,
+    setup_partial,
+)
 
 S6 = frozenset(range(1, 7))
 
@@ -144,3 +153,120 @@ def test_availability_total_never_rises_after_fan_shift(rng):
             a_before = recompute_potential(g, L, phi.color)[0]
             a_after = recompute_potential(g, L, shifted.color)[0]
             assert a_after <= a_before
+
+
+def random_vizing_partials(count):
+    """Random partials with mu up to 3, under bound and adversarial lists."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        g = lc.generate_random(
+            rng.randint(4, 10), rng.randint(2, 7), 3,
+            seed=seed, edges=rng.randint(4, 24),
+        )
+        for L in (lc.generate_from_bounds(g, "vizing"),
+                  adversarial_lists(g, "vizing", rng)):
+            yield g, L, random_partial(g, L, rng, fill=rng.choice((0.5, 0.8, 0.95)))
+
+
+def eager_vizing_fan(phi, e, x):
+    """The fan loop with every neighbour's working set copied up front."""
+    g = phi.g
+    y = g.other_end(e, x)
+    beta_sets = {}
+    for z in g.neighbors(x):
+        beta_sets[z] = set(phi.available[z])
+        phi.charge(len(beta_sets[z]))
+    nbr = dict(phi.used_edge[x])
+    phi.charge(g.degree(x))
+    index = {e: 0}
+    edges = [e]
+    leaves = [y]
+    k = 0
+    while k < g.degree(x):
+        working = beta_sets[leaves[-1]]
+        eta = min(working)
+        working.remove(eta)
+        phi.charge(len(working) + 1)
+        if eta not in phi.used_edge[x]:
+            return VizingFanResult(FanChain(tuple(edges), x, tuple(leaves)), eta, k + 1)
+        k += 1
+        ek = nbr[eta]
+        if ek in index:
+            fan = FanChain(tuple(edges), x, tuple(leaves))
+            return VizingFanResult(fan, eta, index[ek])
+        index[ek] = k
+        edges.append(ek)
+        leaves.append(g.other_end(ek, x))
+    raise LemmaViolationError("fan construction exhausted the pivot's degree")
+
+
+def test_lazy_fan_matches_eager_reference():
+    fans = saved = 0
+    for g, L, phi in random_vizing_partials(60):
+        for e in sorted(phi.uncolored):
+            for x in g.endpoints[e]:
+                ops = phi.ops
+                ref = eager_vizing_fan(phi, e, x)
+                ref_ops, ops = phi.ops - ops, phi.ops
+                res = lc.vizing_fan(phi, e, x)
+                assert (res.fan, res.beta, res.j) == (ref.fan, ref.beta, ref.j)
+                assert phi.ops - ops <= ref_ops
+                fans += 1
+                saved += phi.ops - ops < ref_ops
+    assert fans > 500 and saved > 0
+
+
+def measured_shift_change(phi, edges):
+    """Potential change of really applying the shift, undone afterwards."""
+    before = phi.potential()
+    undo = phi.apply_chain_shift(edges)
+    after = phi.potential()
+    phi.undo_chain_shift(edges, undo)
+    return after.a - before.a, after.d - before.d
+
+
+def test_fan_shift_delta_matches_applied_shift():
+    outside = 0  # shifts that move a color outside its leaf's common set
+    for g, L, phi in random_vizing_partials(60):
+        for e in sorted(phi.uncolored):
+            for x in g.endpoints[e]:
+                res = lc.vizing_fan(phi, e, x)
+                for cand in (res.fan, res.fan.prefix(res.j)):
+                    colors, before = list(phi.color), phi.potential()
+                    delta = _fan_shift_delta(phi, cand)
+                    assert phi.color == colors and phi.potential() == before
+                    assert phi.verify() == []
+                    assert delta == measured_shift_change(phi, cand.edges)
+                    outside += any(
+                        phi.color[f] is not None and phi.color[f] not in L.common[z]
+                        for f, z in zip(cand.edges, cand.leaves)
+                    )
+    assert outside > 0
+
+
+def test_fan_shift_delta_raises_like_apply_chain_shift():
+    # arbitrary edge orders around a pivot, shiftable or not; parallel
+    # edges may sit next to each other, which no vizing fan does
+    raised = 0
+    for g, L, phi in random_vizing_partials(40):
+        rng = random.Random(g.m)
+        for x in range(g.n):
+            inc = list(g.incidence[x])
+            if not inc:
+                continue
+            for _ in range(4):
+                edges = rng.sample(inc, rng.randint(1, len(inc)))
+                leaves = tuple(g.other_end(f, x) for f in edges)
+                fan = FanChain(tuple(edges), x, leaves)
+                colors = list(phi.color)
+                try:
+                    expected = measured_shift_change(phi, fan.edges)
+                except NotShiftableError as exc:
+                    with pytest.raises(NotShiftableError) as got:
+                        _fan_shift_delta(phi, fan)
+                    assert (got.value.index, got.value.reason) == (exc.index, exc.reason)
+                    raised += 1
+                else:
+                    assert _fan_shift_delta(phi, fan) == expected
+                assert phi.color == colors
+    assert raised > 0
