@@ -11,12 +11,9 @@ oracle provides ground truth at desk scale.
 from .bipartite import koenig_path
 from .chain import (
     Chain,
-    FanChain,
-    PathChain,
     ResolveOutcome,
     alternating_path,
     build_chain,
-    build_fan_chain,
     build_path_chain,
     max_shiftable_prefix,
     resolve_path,
@@ -26,11 +23,10 @@ from .coloring import (
     Finding,
     PartialColoring,
     Potential,
-    blank_coloring,
     check_edge_colors,
 )
 from .engine import RunStats, TraceRecord, augment_once, color_graph, step_budget
-from .graph import Multigraph, build
+from .graph import Multigraph
 from .io import (
     generate_random,
     parse_coloring,
@@ -42,7 +38,6 @@ from .lists import (
     BoundReport,
     ListAssignment,
     check_bound,
-    common_colors,
     generate_from_bounds,
     local_bound,
     truncate,
@@ -55,8 +50,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Chain",
-    "FanChain",
-    "PathChain",
     "ResolveOutcome",
     "Multigraph",
     "ListAssignment",
@@ -69,17 +62,13 @@ __all__ = [
     "VizingFanResult",
     "alternating_path",
     "augment_once",
-    "blank_coloring",
-    "build",
     "build_chain",
-    "build_fan_chain",
     "build_path_chain",
     "check_bound",
     "check_edge_colors",
     "classify_shannon",
     "classify_vizing",
     "color_graph",
-    "common_colors",
     "exhaustive_color",
     "generate_from_bounds",
     "generate_random",

@@ -10,7 +10,7 @@ parity argument is asserted on every constructed path.
 
 from __future__ import annotations
 
-from .chain import PathChain, alternating_path
+from .chain import Chain, alternating_path
 from .coloring import PartialColoring
 from .errors import (
     AvailabilityEmptyError,
@@ -20,7 +20,7 @@ from .errors import (
 )
 
 
-def koenig_path(phi: PartialColoring, e: int) -> PathChain:
+def koenig_path(phi: PartialColoring, e: int) -> Chain:
     g = phi.g
     if g.bipartition() is None:
         raise NotBipartiteError("koenig augmentation requires a bipartite graph")
@@ -33,7 +33,7 @@ def koenig_path(phi: PartialColoring, e: int) -> PathChain:
     alpha = min(phi.available[u])
     beta = min(phi.available[v])
     if alpha == beta:
-        return PathChain((e,), (u, v))
+        return Chain((e,), (u, v))
     path = alternating_path(phi, e, alpha, beta)
     if path.vstart == path.vend:
         raise LemmaViolationError("bipartite parity violated: path returned home")

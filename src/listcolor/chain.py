@@ -2,10 +2,13 @@
 
 A chain is a sequence of distinct edges in which consecutive edges share
 exactly one vertex.  Shifting moves each edge's color one position toward
-the front and blanks the last edge; the front edge must be blank.  Path
-chains additionally walk distinct vertices after the first edge (the start
-vertex may only reappear as the final vertex), and two-colored alternating
-path chains are the repair tool of the whole engine:
+the front and blanks the last edge; the front edge must be blank.  One
+``Chain`` type serves every shape: it may carry vertices x_0..x_k with
+x_{i+1} the far end of edge i, where x_0 is the start vertex of a path or
+the pivot of a fan (whose leaves are then x_1..x_k).  A path walks
+distinct vertices after the first edge (the start vertex may only
+reappear as the final vertex), and two-colored alternating paths are the
+repair tool of the whole engine:
 
 ``resolve_path`` takes an alternating path whose start edge misses one
 path color at each endpoint and whose end vertex differs from its start
@@ -19,7 +22,6 @@ raises an internal assertion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .coloring import PartialColoring
 from .errors import (
@@ -34,55 +36,17 @@ from .graph import Multigraph
 
 @dataclass(frozen=True)
 class Chain:
-    edges: tuple[int, ...]
+    """Edges whose colors a shift moves one place toward the front.
 
-    @property
-    def start(self) -> int:
-        return self.edges[0]
-
-    @property
-    def end(self) -> int:
-        return self.edges[-1]
-
-    @property
-    def length(self) -> int:
-        return len(self.edges)
-
-    def prefix(self, j: int) -> "Chain":
-        if not 1 <= j <= len(self.edges):
-            raise ValueError(f"prefix length {j} out of range")
-        return Chain(self.edges[:j])
-
-
-def _check_chain_edges(g: Multigraph, edges) -> None:
-    if not edges:
-        raise ValueError("chain must contain at least one edge")
-    if len(set(edges)) != len(edges):
-        raise ValueError("chain edges must be distinct")
-    for a, b in zip(edges, edges[1:]):
-        shared = set(g.endpoints[a]) & set(g.endpoints[b])
-        if len(shared) != 1:
-            raise ValueError(
-                f"consecutive chain edges {a}, {b} share {len(shared)} vertices"
-            )
-
-
-def build_chain(g: Multigraph, edges) -> Chain:
-    edges = tuple(edges)
-    _check_chain_edges(g, edges)
-    return Chain(edges)
-
-
-@dataclass(frozen=True)
-class PathChain:
-    """Chain whose edges after the first form a path.
-
-    ``vertices`` is x_0..x_k with edge i joining x_i and x_{i+1}; x_1..x_k
-    are distinct, and x_0 may coincide only with a later x_i.
+    ``vertices`` is empty for a bare chain; otherwise it is x_0..x_k with
+    ``vertices[i + 1]`` the far end of ``edges[i]``.  On a path x_0 is the
+    start vertex and edge i joins x_i and x_{i+1}; x_1..x_k are distinct,
+    and x_0 may coincide only with a later x_i.  On a fan x_0 is the pivot
+    shared by every edge, so the leaves are ``vertices[1:]``.
     """
 
     edges: tuple[int, ...]
-    vertices: tuple[int, ...]
+    vertices: tuple[int, ...] = ()
 
     @property
     def start(self) -> int:
@@ -104,13 +68,32 @@ class PathChain:
     def vend(self) -> int:
         return self.vertices[-1]
 
-    def prefix(self, j: int) -> "PathChain":
+    def prefix(self, j: int) -> "Chain":
         if not 1 <= j <= len(self.edges):
             raise ValueError(f"prefix length {j} out of range")
-        return PathChain(self.edges[:j], self.vertices[: j + 1])
+        return Chain(self.edges[:j], self.vertices[: j + 1])
 
 
-def build_path_chain(g: Multigraph, edges, vstart: int) -> PathChain:
+def _check_chain_edges(g: Multigraph, edges) -> None:
+    if not edges:
+        raise ValueError("chain must contain at least one edge")
+    if len(set(edges)) != len(edges):
+        raise ValueError("chain edges must be distinct")
+    for a, b in zip(edges, edges[1:]):
+        shared = set(g.endpoints[a]) & set(g.endpoints[b])
+        if len(shared) != 1:
+            raise ValueError(
+                f"consecutive chain edges {a}, {b} share {len(shared)} vertices"
+            )
+
+
+def build_chain(g: Multigraph, edges) -> Chain:
+    edges = tuple(edges)
+    _check_chain_edges(g, edges)
+    return Chain(edges)
+
+
+def build_path_chain(g: Multigraph, edges, vstart: int) -> Chain:
     edges = tuple(edges)
     _check_chain_edges(g, edges)
     u, v = g.endpoints[edges[0]]
@@ -124,52 +107,7 @@ def build_path_chain(g: Multigraph, edges, vstart: int) -> PathChain:
         raise ValueError("path chain vertices after the first must be distinct")
     if len(vertices) >= 3 and vertices[0] in vertices[1:3]:
         raise ValueError("start vertex may only coincide with a later vertex")
-    return PathChain(edges, tuple(vertices))
-
-
-@dataclass(frozen=True)
-class FanChain:
-    """Chain whose edges all share the pivot vertex."""
-
-    edges: tuple[int, ...]
-    pivot: int
-    leaves: tuple[int, ...]
-
-    @property
-    def start(self) -> int:
-        return self.edges[0]
-
-    @property
-    def end(self) -> int:
-        return self.edges[-1]
-
-    @property
-    def length(self) -> int:
-        return len(self.edges)
-
-    @property
-    def vstart(self) -> int:
-        return self.leaves[0]
-
-    @property
-    def vend(self) -> int:
-        return self.leaves[-1]
-
-    def prefix(self, j: int) -> "FanChain":
-        if not 1 <= j <= len(self.edges):
-            raise ValueError(f"prefix length {j} out of range")
-        return FanChain(self.edges[:j], self.pivot, self.leaves[:j])
-
-
-def build_fan_chain(g: Multigraph, edges, pivot: int) -> FanChain:
-    edges = tuple(edges)
-    _check_chain_edges(g, edges)
-    leaves = []
-    for e in edges:
-        if pivot not in g.endpoints[e]:
-            raise ValueError(f"edge {e} does not contain the pivot {pivot}")
-        leaves.append(g.other_end(e, pivot))
-    return FanChain(edges, pivot, tuple(leaves))
+    return Chain(edges, tuple(vertices))
 
 
 # -- dispatch outcomes shared by the fan modules and the engine ---------------
@@ -178,26 +116,24 @@ def build_fan_chain(g: Multigraph, edges, pivot: int) -> FanChain:
 @dataclass(frozen=True)
 class HappyEdge:
     edge: int
-    color: int  # witness from the availability check; a valid extension
     branch: str = "happy-edge"
 
 
 @dataclass(frozen=True)
 class HappyFan:
-    fan: FanChain
-    color: int  # witness; the edge is recolorable after shifting the fan
+    fan: Chain  # the end edge is recolorable after shifting the fan
     branch: str = "happy-fan"
 
 
 @dataclass(frozen=True)
 class ContentFan:
-    fan: FanChain
+    fan: Chain
     branch: str = "content-fan"
 
 
 @dataclass(frozen=True)
 class PathUnderPhi:
-    path: PathChain
+    path: Chain
     alpha: int
     beta: int
     branch: str = "path-phi"
@@ -205,8 +141,8 @@ class PathUnderPhi:
 
 @dataclass(frozen=True)
 class PathUnderPsi:
-    fan: FanChain
-    path: PathChain  # computed in the coloring obtained by shifting the fan
+    fan: Chain
+    path: Chain  # computed in the coloring obtained by shifting the fan
     alpha: int
     beta: int
     branch: str = "path-psi"
@@ -215,8 +151,7 @@ class PathUnderPsi:
 @dataclass(frozen=True)
 class ResolveOutcome:
     kind: str  # "happy" | "content"
-    chain: PathChain  # full path (happy) or the shifted prefix (content)
-    color: Optional[int] = None  # color given to the path's end edge if happy
+    chain: Chain  # full path (happy) or the shifted prefix (content)
 
 
 # -- operations ----------------------------------------------------------------
@@ -231,7 +166,7 @@ def shift(phi: PartialColoring, chain) -> PartialColoring:
 
 def alternating_path(
     phi: PartialColoring, e: int, alpha: int, beta: int
-) -> PathChain:
+) -> Chain:
     """Maximal two-colored path chain out of blank edge e.
 
     The endpoint missing ``alpha`` is the start vertex; the walk leaves the
@@ -273,10 +208,10 @@ def alternating_path(
     if len(set(interior)) != len(interior):
         raise LemmaViolationError("alternating walk revisited a vertex")
     phi.charge(len(edges))
-    return PathChain(tuple(edges), tuple(vertices))
+    return Chain(tuple(edges), tuple(vertices))
 
 
-def max_shiftable_prefix(phi: PartialColoring, path: PathChain) -> int:
+def max_shiftable_prefix(phi: PartialColoring, path: Chain) -> int:
     """Largest j such that shifting the first j edges stays proper and listed."""
     edges = path.edges
     if phi.color[edges[0]] is not None:
@@ -289,7 +224,7 @@ def max_shiftable_prefix(phi: PartialColoring, path: PathChain) -> int:
     return 1  # shifting a single blank edge is the identity
 
 
-def resolve_path(phi: PartialColoring, path: PathChain) -> ResolveOutcome:
+def resolve_path(phi: PartialColoring, path: Chain) -> ResolveOutcome:
     """Apply the happy-or-content dichotomy to an alternating path, in place.
 
     Requires the start edge blank and the path's start and end vertices
@@ -317,7 +252,7 @@ def resolve_path(phi: PartialColoring, path: PathChain) -> ResolveOutcome:
             phi.assign(path.end, c)
             if len(phi.uncolored) != blanks - 1:
                 raise LemmaViolationError("happy path did not reduce blank count")
-            return ResolveOutcome("happy", path, c)
+            return ResolveOutcome("happy", path)
     # The full shift left the end edge stuck, or a strict prefix was the
     # longest valid shift; the availability total must have dropped.
     if phi.potential() < before and len(phi.uncolored) == blanks:

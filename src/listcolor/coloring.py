@@ -105,10 +105,6 @@ class PartialColoring:
     def potential(self) -> Potential:
         return Potential(self.a_total, self.d_total)
 
-    def used(self, x: int):
-        """View of the used-color set at x."""
-        return self.used_edge[x].keys()
-
     # -- single-edge updates ------------------------------------------------
 
     def assign(self, e: int, c: int) -> None:
@@ -287,11 +283,6 @@ class PartialColoring:
                 )
             )
         return findings
-
-
-def blank_coloring(g: Multigraph, lists: ListAssignment) -> PartialColoring:
-    """All edges blank; every common color available at its vertex."""
-    return PartialColoring(g, lists)
 
 
 def check_edge_colors(g: Multigraph, lists, colors) -> list[Finding]:

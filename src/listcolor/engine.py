@@ -24,7 +24,7 @@ from .chain import (
     PathUnderPsi,
     resolve_path,
 )
-from .coloring import PartialColoring, Potential, blank_coloring
+from .coloring import PartialColoring, Potential
 from .errors import (
     BoundViolationError,
     InternalAssertionError,
@@ -217,7 +217,7 @@ def color_graph(
         worst = report.failures()[0]
         raise BoundViolationError(worst.vertex, worst.required, worst.actual)
 
-    phi = blank_coloring(g, lists)
+    phi = PartialColoring(g, lists)
     stats = RunStats()
     stats.potential_trace.append(phi.potential())
     content_budget, happy_budget = step_budget(g, lists)

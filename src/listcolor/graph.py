@@ -122,8 +122,3 @@ class Multigraph:
         self._bipartition = side if ok else None
         self._bipartition_done = True
         return self._bipartition
-
-
-def build(n: int, edge_list) -> Multigraph:
-    """Construct a multigraph, preserving input order as edge ids."""
-    return Multigraph(n, edge_list)

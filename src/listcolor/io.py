@@ -24,7 +24,6 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from .engine import TraceRecord
 from .errors import (
     InfeasibleParamsError,
     LoopEdgeError,
@@ -152,7 +151,8 @@ def write_coloring(colors) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def format_trace_record(rec: TraceRecord) -> str:
+def format_trace_record(rec) -> str:
+    """One trace line for an ``engine.TraceRecord``, in the format above."""
     chain = ",".join(str(e) for e in rec.chain)
     return (
         f"{rec.step} {rec.kind} {rec.branch} {chain} "

@@ -70,7 +70,7 @@ class ListAssignment:
                 continue
             checked.add(id(s))
             for c in s:
-                if not isinstance(c, int) or c < 1:
+                if type(c) is not int or c < 1:  # bool is an int subclass
                     raise ValueError(f"edge {e}: colors must be integers >= 1")
         common = []
         for x in range(g.n):
@@ -87,12 +87,6 @@ class ListAssignment:
 
     def max_common(self) -> int:
         return max((len(s) for s in self.common), default=0)
-
-
-def common_colors(g: Multigraph, L: ListAssignment, x: int) -> frozenset:
-    """Colors shared by every list of an edge at x; empty when isolated."""
-    g._check_vertex(x)
-    return L.common[x]
 
 
 @dataclass(frozen=True)

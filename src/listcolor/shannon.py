@@ -21,8 +21,8 @@ Case 4's fallback disjunction is validated at run time, not assumed.
 from __future__ import annotations
 
 from .chain import (
+    Chain,
     ContentFan,
-    FanChain,
     HappyEdge,
     HappyFan,
     PathUnderPhi,
@@ -45,7 +45,7 @@ def _orient(phi: PartialColoring, e: int) -> tuple[int, int]:
     return v, u
 
 
-def shannon_fan(phi: PartialColoring, e: int) -> FanChain:
+def shannon_fan(phi: PartialColoring, e: int) -> Chain:
     """The fan the dispatcher works on: (e) if the quick happy check fires,
     else (e, f) with f the pivot's edge colored min available at y."""
     if phi.color[e] is not None:
@@ -54,7 +54,7 @@ def shannon_fan(phi: PartialColoring, e: int) -> FanChain:
     avail_y = phi.available[y]
     phi.charge(len(avail_y))
     if any(c not in phi.used_edge[x] for c in avail_y):
-        return FanChain((e,), x, (y,))
+        return Chain((e,), (x, y))
     if not avail_y:
         raise AvailabilityEmptyError(
             f"no available color at vertex {y}; the degree bound cannot hold"
@@ -65,7 +65,7 @@ def shannon_fan(phi: PartialColoring, e: int) -> FanChain:
     if f is None:
         raise LemmaViolationError("available color at y not used at x after check")
     z = phi.g.other_end(f, x)
-    return FanChain((e, f), x, (y, z))
+    return Chain((e, f), (x, y, z))
 
 
 def classify_shannon(phi: PartialColoring, e: int):
@@ -75,18 +75,15 @@ def classify_shannon(phi: PartialColoring, e: int):
     the fan shifted, so it is applied to the live coloring and undone.
     """
     fan = shannon_fan(phi, e)
-    x = fan.pivot
-    y = fan.leaves[0]
+    x, y = fan.vertices[:2]
     if fan.length == 1:
-        witness = min(c for c in phi.available[y] if c not in phi.used_edge[x])
-        return HappyEdge(e, witness, branch="happy-edge")
+        return HappyEdge(e, branch="happy-edge")
     f = fan.edges[1]
-    z = fan.leaves[1]
+    z = fan.vertices[2]
     eta = phi.color[f]
     phi.charge(len(phi.available[z]))
-    outside = [c for c in phi.available[z] if c not in phi.used_edge[x]]
-    if outside:
-        return HappyFan(fan, min(outside), branch="case1-happy-fan")
+    if any(c not in phi.used_edge[x] for c in phi.available[z]):
+        return HappyFan(fan, branch="case1-happy-fan")
     if eta not in phi.lists.common[z]:
         return ContentFan(fan, branch="case2-content-fan")
     if phi.g.degree(z) < phi.g.degree(y):

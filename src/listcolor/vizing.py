@@ -26,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chain import (
+    Chain,
     ContentFan,
-    FanChain,
     HappyFan,
     PathUnderPsi,
     alternating_path,
@@ -43,7 +43,7 @@ from .errors import (
 
 @dataclass(frozen=True)
 class VizingFanResult:
-    fan: FanChain
+    fan: Chain
     beta: int  # available at both the fan's end leaf and the prefix's end leaf
     j: int  # == fan.length exactly when the happy return fired
 
@@ -59,11 +59,11 @@ def vizing_fan(phi: PartialColoring, e: int, x: int) -> VizingFanResult:
     beta_sets = {}  # leaf -> working set, copied when the leaf is first polled
     index = {e: 0}
     edges = [e]
-    leaves = [y]
+    vertices = [x, y]
     k = 0
     deg = len(g.incidence[x])
     while k < deg:
-        z = leaves[-1]
+        z = vertices[-1]
         working = beta_sets.get(z)
         if working is None:
             working = beta_sets[z] = set(phi.available[z])
@@ -74,20 +74,20 @@ def vizing_fan(phi: PartialColoring, e: int, x: int) -> VizingFanResult:
         working.remove(eta)
         phi.charge(len(working) + 1)
         if eta not in used:
-            fan = FanChain(tuple(edges), x, tuple(leaves))
+            fan = Chain(tuple(edges), tuple(vertices))
             return VizingFanResult(fan, eta, k + 1)
         k += 1
         ek = used[eta]
         if ek in index:
-            fan = FanChain(tuple(edges), x, tuple(leaves))
+            fan = Chain(tuple(edges), tuple(vertices))
             return VizingFanResult(fan, eta, index[ek])
         index[ek] = k
         edges.append(ek)
-        leaves.append(g.other_end(ek, x))
+        vertices.append(g.other_end(ek, x))
     raise LemmaViolationError("fan construction exhausted the pivot's degree")
 
 
-def _fan_shift_delta(phi: PartialColoring, fan: FanChain) -> tuple[int, int]:
+def _fan_shift_delta(phi: PartialColoring, fan: Chain) -> tuple[int, int]:
     """Potential change (da, dd) of shifting ``fan``; the coloring is not touched.
 
     Raises NotShiftableError as ``apply_chain_shift`` would.  The pivot
@@ -101,7 +101,7 @@ def _fan_shift_delta(phi: PartialColoring, fan: FanChain) -> tuple[int, int]:
     old, targets = phi.shift_targets(edges)
     common, weight = phi.lists.common, phi.weight
     da = dd = 0
-    for f, z, lost, gained in zip(edges, fan.leaves, old, targets):
+    for f, z, lost, gained in zip(edges, fan.vertices[1:], old, targets):
         cz = common[z]
         da += (lost in cz) - (gained in cz)
         dd += weight[f] * ((gained is None) - (lost is None))
@@ -119,7 +119,7 @@ def classify_vizing(phi: PartialColoring, e: int, x: int):
     res = vizing_fan(phi, e, x)
     fan, beta = res.fan, res.beta
     if res.j == fan.length:
-        return HappyFan(fan, beta, branch="happy-fan")
+        return HappyFan(fan, branch="happy-fan")
     prefix = fan.prefix(res.j)
     for cand, branch in ((fan, "content-fan-full"), (prefix, "content-fan-prefix")):
         if _fan_shift_delta(phi, cand) < (0, 0):

@@ -74,7 +74,7 @@ def setup_partial(n, edge_specs):
     """Build (g, L, phi) from (u, v, color-or-None, list) tuples."""
     g = lc.Multigraph(n, [(u, v) for u, v, _, _ in edge_specs])
     L = lc.ListAssignment(g, [s for *_, s in edge_specs])
-    phi = lc.blank_coloring(g, L)
+    phi = lc.PartialColoring(g, L)
     for e, (_, _, c, _) in enumerate(edge_specs):
         if c is not None:
             phi.assign(e, c)
@@ -84,7 +84,7 @@ def setup_partial(n, edge_specs):
 
 def random_partial(g, L, rng, fill=0.6):
     """A random proper partial coloring, built through legal assigns only."""
-    phi = lc.blank_coloring(g, L)
+    phi = lc.PartialColoring(g, L)
     order = list(range(g.m))
     rng.shuffle(order)
     for e in order:

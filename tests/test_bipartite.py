@@ -50,7 +50,7 @@ def test_star_center_forces_two_edge_path():
 def test_rejects_non_bipartite():
     g = lc.Multigraph(3, [(0, 1), (1, 2), (0, 2)])
     L = lc.ListAssignment(g, [ABC] * 3)
-    phi = lc.blank_coloring(g, L)
+    phi = lc.PartialColoring(g, L)
     with pytest.raises(NotBipartiteError):
         lc.koenig_path(phi, 0)
 
@@ -60,7 +60,7 @@ def test_rejects_empty_availability():
     specs = [(0, 1, None, AB), (0, 2, 1, frozenset({1})), (0, 3, 2, AB)]
     g = lc.Multigraph(4, [(u, v) for u, v, *_ in specs])
     L = lc.ListAssignment(g, [s for *_, s in specs])
-    phi = lc.blank_coloring(g, L)
+    phi = lc.PartialColoring(g, L)
     phi.assign(1, 1)
     phi.assign(2, 2)
     assert phi.available[0] == set()

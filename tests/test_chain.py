@@ -47,7 +47,7 @@ def test_shift_seven_edge_chain_exact():
 
 def test_shift_single_blank_edge_is_identity(triangle):
     g, L = triangle
-    phi = lc.blank_coloring(g, L)
+    phi = lc.PartialColoring(g, L)
     shifted = lc.shift(phi, lc.build_chain(g, [0]))
     assert shifted.color == phi.color
 
@@ -63,7 +63,7 @@ def test_shift_rejects_color_outside_start_list():
 
 def test_shift_rejects_colored_start(triangle):
     g, L = triangle
-    phi = lc.blank_coloring(g, L)
+    phi = lc.PartialColoring(g, L)
     phi.assign(0, 1)
     with pytest.raises(NotShiftableError) as exc:
         lc.shift(phi, lc.build_chain(g, [0, 1]))
@@ -320,3 +320,34 @@ def test_path_chain_builder_validates():
     assert p.prefix(2).vertices == (0, 1, 2)
     with pytest.raises(ValueError):
         lc.build_path_chain(g, [0, 1, 2], vstart=3)
+
+
+def shannon_two_edge_fan():
+    # only color 1 is available at vertex 1, and the pivot 0 uses it on (0, 2)
+    _, _, phi = setup_partial(4, [(0, 1, None, AB), (0, 2, 1, AB), (1, 3, 2, AB)])
+    return lc.shannon_fan(phi, 0)
+
+
+def vizing_three_edge_fan():
+    _, _, phi = setup_partial(4, [(0, 1, None, S6), (0, 2, 1, S6), (0, 3, 2, S6)])
+    return lc.vizing_fan(phi, 0, 0).fan
+
+
+@pytest.mark.parametrize("make_fan", [shannon_two_edge_fan, vizing_three_edge_fan])
+def test_fan_prefix_keeps_the_pivot_and_its_first_leaves(make_fan):
+    fan = make_fan()
+    pivot, leaves = fan.vertices[0], fan.vertices[1:]
+    assert fan.length == len(leaves) >= 2
+    for j in range(1, fan.length + 1):
+        pre = fan.prefix(j)
+        assert pre.edges == fan.edges[:j]
+        assert pre.vertices == (pivot, *leaves[:j])
+        assert pre.vend == leaves[j - 1]
+
+
+def test_bare_chain_prefix_has_no_vertices():
+    g = lc.Multigraph(4, [(0, 1), (1, 2), (2, 3)])
+    chain = lc.build_chain(g, [0, 1, 2])
+    assert chain.vertices == ()
+    assert chain.prefix(1).edges == (0,)
+    assert chain.prefix(1).vertices == ()

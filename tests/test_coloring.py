@@ -22,7 +22,7 @@ from conftest import (
 
 def test_blank_triangle_potential(triangle):
     g, L = triangle
-    phi = lc.blank_coloring(g, L)
+    phi = lc.PartialColoring(g, L)
     # A = 3 vertices * 3 common colors, D = sum deg(x) * blank incidences = 3 * (2*2)
     assert phi.potential() == (9, 12)
     assert phi.uncolored == {0, 1, 2}
@@ -30,30 +30,30 @@ def test_blank_triangle_potential(triangle):
 
 def test_blank_digon_potential(digon):
     g, L = digon
-    phi = lc.blank_coloring(g, L)
+    phi = lc.PartialColoring(g, L)
     assert phi.potential() == (8, 8)
 
 
 def test_blank_empty_graph_potential():
     g = lc.Multigraph(3, [])
     L = lc.ListAssignment(g, [])
-    phi = lc.blank_coloring(g, L)
+    phi = lc.PartialColoring(g, L)
     assert phi.potential() == (0, 0)
 
 
 def test_assign_updates_both_endpoints(triangle):
     g, L = triangle
-    phi = lc.blank_coloring(g, L)
+    phi = lc.PartialColoring(g, L)
     phi.assign(0, 1)
-    assert set(phi.used(0)) == {1}
+    assert set(phi.used_edge[0].keys()) == {1}
     assert phi.available[0] == {2, 3}
-    assert set(phi.used(1)) == {1}
+    assert set(phi.used_edge[1].keys()) == {1}
     assert phi.uncolored == {1, 2}
 
 
 def test_assign_clash_rejected(triangle):
     g, L = triangle
-    phi = lc.blank_coloring(g, L)
+    phi = lc.PartialColoring(g, L)
     phi.assign(0, 1)
     with pytest.raises(ImproperAssignmentError):
         phi.assign(1, 1)  # shares vertex 1 with edge 0
@@ -61,14 +61,14 @@ def test_assign_clash_rejected(triangle):
 
 def test_assign_color_not_in_list(triangle):
     g, L = triangle
-    phi = lc.blank_coloring(g, L)
+    phi = lc.PartialColoring(g, L)
     with pytest.raises(ColorNotInListError):
         phi.assign(0, 9)
 
 
 def test_assign_requires_blank_unassign_requires_colored(triangle):
     g, L = triangle
-    phi = lc.blank_coloring(g, L)
+    phi = lc.PartialColoring(g, L)
     with pytest.raises(EdgeBlankError):
         phi.unassign(0)
     phi.assign(0, 1)
@@ -78,7 +78,7 @@ def test_assign_requires_blank_unassign_requires_colored(triangle):
 
 def test_assign_unassign_roundtrip(triangle):
     g, L = triangle
-    phi = lc.blank_coloring(g, L)
+    phi = lc.PartialColoring(g, L)
     before = (
         list(phi.color),
         [dict(d) for d in phi.used_edge],
@@ -102,7 +102,7 @@ def test_assign_moves_potential_monotonically(rng):
     for seed in range(20):
         g = lc.generate_random(8, 4, 2, seed=seed, edges=12)
         L = lc.generate_from_bounds(g, "vizing")
-        phi = lc.blank_coloring(g, L)
+        phi = lc.PartialColoring(g, L)
         for e in range(g.m):
             c = phi.is_happy(e)
             if c is None:
@@ -116,13 +116,13 @@ def test_assign_moves_potential_monotonically(rng):
 
 def test_is_happy_blank_triangle(triangle):
     g, L = triangle
-    phi = lc.blank_coloring(g, L)
+    phi = lc.PartialColoring(g, L)
     assert phi.is_happy(0) == 1
 
 
 def test_is_happy_requires_blank(triangle):
     g, L = triangle
-    phi = lc.blank_coloring(g, L)
+    phi = lc.PartialColoring(g, L)
     phi.assign(0, 1)
     with pytest.raises(EdgeNotBlankError):
         phi.is_happy(0)
@@ -167,7 +167,7 @@ def test_verify_clean_and_after_operations(rng):
 
 def test_verify_reports_cache_mismatch(triangle):
     g, L = triangle
-    phi = lc.blank_coloring(g, L)
+    phi = lc.PartialColoring(g, L)
     phi.assign(0, 1)
     phi.available[2].discard(3)  # corrupt one cached available set
     findings = phi.verify()
@@ -176,7 +176,7 @@ def test_verify_reports_cache_mismatch(triangle):
 
 def test_verify_reports_blank_edge_missing_from_heap(triangle):
     g, L = triangle
-    phi = lc.blank_coloring(g, L)
+    phi = lc.PartialColoring(g, L)
     phi.assign(0, 1)
     assert phi.first_blank() == 1
     phi.blank_heap.remove(2)  # blank edge 2 can no longer be picked
@@ -186,7 +186,7 @@ def test_verify_reports_blank_edge_missing_from_heap(triangle):
 
 def test_first_blank_requeues_edges_blanked_again(triangle):
     g, L = triangle
-    phi = lc.blank_coloring(g, L)
+    phi = lc.PartialColoring(g, L)
     phi.assign(0, 1)
     phi.assign(1, 2)
     assert phi.first_blank() == 2  # pops the colored entries 0 and 1
@@ -200,7 +200,7 @@ def test_first_blank_requeues_edges_blanked_again(triangle):
 
 def test_verify_reports_improper_and_unlisted(triangle):
     g, L = triangle
-    phi = lc.blank_coloring(g, L)
+    phi = lc.PartialColoring(g, L)
     phi.assign(0, 1)
     phi.color[1] = 1  # bypass assign to plant a clash at vertex 1
     kinds = {f.kind for f in phi.verify()}
@@ -230,7 +230,7 @@ def test_cache_coherence_under_shift_churn(rng):
         assert phi.verify() == []
         used = recompute_used(g, phi.color)
         for x in range(g.n):
-            assert set(phi.used(x)) == used[x]
+            assert set(phi.used_edge[x].keys()) == used[x]
 
 
 def test_potential_bounds_hold(rng):
@@ -246,7 +246,7 @@ def test_potential_bounds_hold(rng):
 def test_fully_colored_d_zero():
     g = lc.Multigraph(2, [(0, 1)])
     L = lc.ListAssignment(g, [frozenset({1})])
-    phi = lc.blank_coloring(g, L)
+    phi = lc.PartialColoring(g, L)
     phi.assign(0, 1)
     assert phi.potential().d == 0
     assert phi.uncolored == set()
@@ -254,7 +254,7 @@ def test_fully_colored_d_zero():
 
 def test_copy_is_independent(triangle):
     g, L = triangle
-    phi = lc.blank_coloring(g, L)
+    phi = lc.PartialColoring(g, L)
     phi.assign(0, 1)
     snap = phi.copy()
     phi.assign(1, 2)

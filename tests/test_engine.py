@@ -22,7 +22,7 @@ def test_triangle_shannon_total():
 def test_first_augment_colors_first_edge():
     g = lc.Multigraph(3, [(0, 1), (1, 2), (0, 2)])
     L = lc.generate_from_bounds(g, "shannon")
-    phi = lc.blank_coloring(g, L)
+    phi = lc.PartialColoring(g, L)
     stats = lc.RunStats()
     kind = lc.augment_once(phi, 0, "shannon", stats)
     assert kind == "happy"
@@ -104,7 +104,7 @@ def test_edge_order_does_not_affect_success():
         g = lc.generate_random(9, 5, 2, seed=seed, edges=15)
         L = lc.generate_from_bounds(g, "vizing")
         rng = random.Random(seed * 31)
-        phi = lc.blank_coloring(g, L)
+        phi = lc.PartialColoring(g, L)
         stats = lc.RunStats()
         guard = 0
         while phi.uncolored:
@@ -119,7 +119,7 @@ def test_edge_order_does_not_affect_success():
 def test_intermediate_colorings_stay_proper():
     g = lc.generate_random(10, 6, 3, seed=5, edges=20)
     L = lc.generate_from_bounds(g, "vizing")
-    phi = lc.blank_coloring(g, L)
+    phi = lc.PartialColoring(g, L)
     stats = lc.RunStats()
     while phi.uncolored:
         lc.augment_once(phi, min(phi.uncolored), "vizing", stats)

@@ -7,7 +7,7 @@ from listcolor.errors import LoopEdgeError, VertexOutOfRangeError
 
 
 def test_build_triangle():
-    g = lc.build(3, [(0, 1), (1, 2), (0, 2)])
+    g = lc.Multigraph(3, [(0, 1), (1, 2), (0, 2)])
     assert g.m == 3
     assert [g.degree(x) for x in range(3)] == [2, 2, 2]
     assert g.multiplicity(0, 1) == 1
@@ -16,7 +16,7 @@ def test_build_triangle():
 
 
 def test_build_digon():
-    g = lc.build(2, [(0, 1), (0, 1)])
+    g = lc.Multigraph(2, [(0, 1), (0, 1)])
     assert g.multiplicity(0, 1) == 2
     assert g.multiplicity(1, 0) == 2
     assert g.degree(0) == g.degree(1) == 2
@@ -26,56 +26,56 @@ def test_build_digon():
 
 def test_loop_rejected():
     with pytest.raises(LoopEdgeError):
-        lc.build(2, [(0, 0)])
+        lc.Multigraph(2, [(0, 0)])
 
 
 def test_vertex_out_of_range():
     with pytest.raises(VertexOutOfRangeError):
-        lc.build(2, [(0, 2)])
-    g = lc.build(2, [(0, 1)])
+        lc.Multigraph(2, [(0, 2)])
+    g = lc.Multigraph(2, [(0, 1)])
     with pytest.raises(VertexOutOfRangeError):
         g.degree(5)
 
 
 def test_isolated_vertex():
-    g = lc.build(1, [])
+    g = lc.Multigraph(1, [])
     assert g.degree(0) == 0
     assert g.mu_vertex(0) == 0
     assert g.max_degree() == 0
 
 
 def test_self_multiplicity_zero():
-    g = lc.build(3, [(0, 1), (1, 2), (0, 2)])
+    g = lc.Multigraph(3, [(0, 1), (1, 2), (0, 2)])
     assert g.multiplicity(1, 1) == 0
 
 
 def test_edge_order_is_identity():
     edges = [(2, 0), (0, 1), (2, 1), (0, 1)]
-    g = lc.build(3, edges)
+    g = lc.Multigraph(3, edges)
     assert g.endpoints == tuple(edges)
     assert sorted(g.incidence[0]) == [0, 1, 3]
 
 
 def test_bipartition_even_cycle():
-    g = lc.build(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    g = lc.Multigraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     side = g.bipartition()
     assert side is not None
     assert side[0] == side[2] != side[1] == side[3]
 
 
 def test_bipartition_triangle_absent():
-    g = lc.build(3, [(0, 1), (1, 2), (0, 2)])
+    g = lc.Multigraph(3, [(0, 1), (1, 2), (0, 2)])
     assert g.bipartition() is None
 
 
 def test_bipartition_digon():
-    g = lc.build(2, [(0, 1), (0, 1)])
+    g = lc.Multigraph(2, [(0, 1), (0, 1)])
     side = g.bipartition()
     assert side is not None and side[0] != side[1]
 
 
 def test_bipartition_disconnected():
-    g = lc.build(5, [(0, 1), (3, 4)])
+    g = lc.Multigraph(5, [(0, 1), (3, 4)])
     side = g.bipartition()
     assert side is not None
     assert side[0] != side[1] and side[3] != side[4]

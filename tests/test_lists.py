@@ -15,21 +15,21 @@ def test_common_colors_triangle():
         g, [frozenset({1, 2, 3}), frozenset({1, 2, 3}), frozenset({2, 3, 4})]
     )
     # vertex 0 is on edges 0 and 2
-    assert lc.common_colors(g, L, 0) == {2, 3}
-    assert lc.common_colors(g, L, 1) == {1, 2, 3}
+    assert L.common[0] == {2, 3}
+    assert L.common[1] == {1, 2, 3}
 
 
 def test_common_colors_uniform():
     g = lc.Multigraph(3, [(0, 1), (1, 2), (0, 2)])
     L = lc.ListAssignment(g, [frozenset({1, 2, 3})] * 3)
     for x in range(3):
-        assert lc.common_colors(g, L, x) == {1, 2, 3}
+        assert L.common[x] == {1, 2, 3}
 
 
 def test_common_colors_isolated_empty():
     g = lc.Multigraph(2, [])
     L = lc.ListAssignment(g, [])
-    assert lc.common_colors(g, L, 0) == frozenset()
+    assert L.common[0] == frozenset()
 
 
 def test_common_subset_of_incident_lists():
@@ -127,7 +127,9 @@ def test_generate_from_bounds_shares_one_list_per_length():
     assert len(by_length) < g.m
 
 
-@pytest.mark.parametrize("bad", [frozenset({1, 0}), frozenset({2, "3"})])
+@pytest.mark.parametrize(
+    "bad", [frozenset({1, 0}), frozenset({2, "3"}), frozenset({True, 2})]
+)
 def test_bad_color_names_first_edge_of_a_shared_list(bad):
     g = lc.Multigraph(3, [(0, 1), (1, 2), (0, 2), (0, 1)])
     good = frozenset({1, 2, 3})

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import listcolor as lc
-from listcolor.chain import ContentFan, FanChain, HappyFan, PathUnderPsi
+from listcolor.chain import Chain, ContentFan, HappyFan, PathUnderPsi
 from listcolor.errors import LemmaViolationError, NotShiftableError
 from listcolor.vizing import VizingFanResult, _fan_shift_delta
 
@@ -19,7 +19,7 @@ S6 = frozenset(range(1, 7))
 
 def test_blank_digon_single_edge_happy(digon):
     g, L = digon
-    phi = lc.blank_coloring(g, L)
+    phi = lc.PartialColoring(g, L)
     res = lc.vizing_fan(phi, 0, 0)
     assert res.fan.edges == (0,)
     assert res.beta == 1
@@ -34,7 +34,7 @@ def test_fan_closes_on_earlier_index():
     assert lc.check_bound(g, L, "vizing").ok
     res = lc.vizing_fan(phi, 0, 0)
     assert res.fan.edges == (0, 1, 2)
-    assert res.fan.leaves == (1, 2, 3)
+    assert res.fan.vertices == (0, 1, 2, 3)
     assert res.beta == 1
     assert res.j == 1
     # output contract: beta available at the end leaf of both fan and prefix
@@ -60,7 +60,6 @@ def test_classify_happy_two_edge_fan():
     g, L, phi = setup_partial(3, [(0, 1, None, S6), (0, 2, 1, S6)])
     out = lc.classify_vizing(phi, 0, 0)
     assert isinstance(out, HappyFan)
-    assert out.color == 2
     phi.apply_chain_shift(out.fan.edges)
     c = phi.is_happy(out.fan.end)
     assert c == 2
@@ -188,11 +187,12 @@ def eager_vizing_fan(phi, e, x):
         working.remove(eta)
         phi.charge(len(working) + 1)
         if eta not in phi.used_edge[x]:
-            return VizingFanResult(FanChain(tuple(edges), x, tuple(leaves)), eta, k + 1)
+            fan = Chain(tuple(edges), (x, *leaves))
+            return VizingFanResult(fan, eta, k + 1)
         k += 1
         ek = nbr[eta]
         if ek in index:
-            fan = FanChain(tuple(edges), x, tuple(leaves))
+            fan = Chain(tuple(edges), (x, *leaves))
             return VizingFanResult(fan, eta, index[ek])
         index[ek] = k
         edges.append(ek)
@@ -239,7 +239,7 @@ def test_fan_shift_delta_matches_applied_shift():
                     assert delta == measured_shift_change(phi, cand.edges)
                     outside += any(
                         phi.color[f] is not None and phi.color[f] not in L.common[z]
-                        for f, z in zip(cand.edges, cand.leaves)
+                        for f, z in zip(cand.edges, cand.vertices[1:])
                     )
     assert outside > 0
 
@@ -257,7 +257,7 @@ def test_fan_shift_delta_raises_like_apply_chain_shift():
             for _ in range(4):
                 edges = rng.sample(inc, rng.randint(1, len(inc)))
                 leaves = tuple(g.other_end(f, x) for f in edges)
-                fan = FanChain(tuple(edges), x, leaves)
+                fan = Chain(tuple(edges), (x, *leaves))
                 colors = list(phi.color)
                 try:
                     expected = measured_shift_change(phi, fan.edges)
