@@ -212,16 +212,35 @@ def alternating_path(
 
 
 def max_shiftable_prefix(phi: PartialColoring, path: Chain) -> int:
-    """Largest j such that shifting the first j edges stays proper and listed."""
+    """Largest j such that shifting the first j edges stays proper and listed.
+
+    ``path`` is a two-colored path out of a blank edge whose start vertex
+    misses the first path color, as ``alternating_path`` builds it.  Every
+    prefix shift of such a path is proper: the start vertex gains the color
+    it missed and each later vertex only trades one path color for the
+    other.  So a prefix fails only where edge i would take the color of
+    edge i + 1 outside its own list, and one scan finds the first such i;
+    the answer is i + 1, or the whole length when every list admits its new
+    color.  ``apply_chain_shift`` still checks the shift it commits.
+
+    Raises NotShiftableError if the start edge is colored and
+    PreconditionViolatedError if the colors after it do not alternate
+    between two values.
+    """
     edges = path.edges
-    if phi.color[edges[0]] is not None:
+    color = phi.color
+    if color[edges[0]] is not None:
         raise NotShiftableError(0, START_NOT_BLANK)
-    colors = [phi.color[e] for e in edges]
-    for j in range(len(edges), 1, -1):
-        targets = colors[1:j] + [None]
-        if phi.shift_violation(edges[:j], targets) == (None, None):
-            return j
-    return 1  # shifting a single blank edge is the identity
+    shifted = [color[e] for e in edges[1:]]  # edge i's color after the shift
+    head = shifted[:2]
+    if None in head or len(set(head)) != len(head) or shifted[2:] != shifted[:-2]:
+        raise PreconditionViolatedError("path colors do not alternate between two")
+    phi.charge(len(edges))
+    lists = phi.lists.lists
+    for i, c in enumerate(shifted):
+        if c not in lists[edges[i]]:
+            return i + 1
+    return len(edges)
 
 
 def resolve_path(phi: PartialColoring, path: Chain) -> ResolveOutcome:

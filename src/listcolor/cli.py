@@ -1,14 +1,19 @@
 """Command-line interface.
 
 Subcommands: color, verify, oracle, gen, bench.  Exit codes: 0 success,
-1 bound violation or failed verification, 2 malformed input or infeasible
-request, 3 a bug in this package, never the input: an internal assertion
-or any other package error, such as a misused shift or assignment.
+1 bound violation or failed verification, 2 malformed input (non-UTF-8
+text included) or infeasible request, 3 a bug in this package, never the
+input: an internal assertion or any other package error, such as a
+misused shift or assignment.
+
+``main(argv)`` may be called repeatedly in one process; the argument
+parser is built once, on the first call, and reused.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import io as lio
@@ -31,12 +36,12 @@ EXIT_INTERNAL = 3
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path) as f:
             return f.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}")
 
 
@@ -172,6 +177,7 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="listcolor",

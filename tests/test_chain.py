@@ -228,6 +228,55 @@ def test_max_shiftable_matches_brute_on_random(rng):
     assert checked > 100
 
 
+def test_max_shiftable_matches_brute_on_thinned_lists(rng):
+    # each colored edge loses one other color from its list, so paths stop
+    # at strict prefixes that bound-derived lists almost never produce
+    checked = strict = 0
+    for seed in range(120):
+        g = lc.generate_random(30, 4, 1, seed=seed, edges=58)
+        L = lc.generate_from_bounds(g, "vizing")
+        r = random.Random(seed)
+        colors = random_partial(g, L, r, fill=0.9).color
+        lists = [
+            s if c is None else s - {r.choice(sorted(s - {c}))}
+            for s, c in zip(L.lists, colors)
+        ]
+        L = lc.ListAssignment(g, lists)
+        phi = lc.PartialColoring(g, L)
+        for e, c in enumerate(colors):
+            if c is not None:
+                phi.assign(e, c)
+        for e in sorted(phi.uncolored):
+            u, v = g.endpoints[e]
+            for alpha in sorted(phi.available[u]):
+                for beta in sorted(phi.available[v]):
+                    if alpha == beta:
+                        continue
+                    path = lc.alternating_path(phi, e, alpha, beta)
+                    got = lc.max_shiftable_prefix(phi, path)
+                    want = brute_max_prefix(g, L, phi.color, list(path.edges))
+                    assert got == want
+                    checked += 1
+                    strict += got < path.length
+    assert checked > 100
+    assert strict >= 50
+
+
+def test_max_shiftable_prefix_rejects_non_alternating_colors():
+    specs = [
+        (0, 1, None, S6),
+        (1, 2, 1, S6),
+        (2, 3, 2, S6),
+        (3, 4, 3, S6),
+    ]
+    g, L, phi = setup_partial(5, specs)
+    path = lc.build_path_chain(g, range(4), vstart=0)
+    with pytest.raises(PreconditionViolatedError):
+        lc.max_shiftable_prefix(phi, path)
+    with pytest.raises(NotShiftableError):
+        lc.max_shiftable_prefix(phi, lc.build_path_chain(g, [1, 2], vstart=1))
+
+
 def test_resolve_single_edge_happy():
     g, L, phi = setup_partial(2, [(0, 1, None, AB)])
     path = lc.alternating_path(phi, 0, 1, 2)

@@ -1,9 +1,13 @@
+import io
+import sys
+from pathlib import Path
+
 import pytest
 
 import listcolor as lc
 from listcolor import io as lio
 from listcolor import vizing
-from listcolor.cli import main
+from listcolor.cli import build_parser, main
 from listcolor.errors import COLOR_CLASH, EdgeNotBlankError, NotShiftableError
 
 TRIANGLE = "p edge 3 3\ne 0 1\ne 1 2\ne 0 2\n"
@@ -37,7 +41,7 @@ def test_verify_rejects_clash(tmp_path, capsys):
     colf = str(tmp_path / "col.txt")
     code, _, _ = run(capsys, "color", inst, "--mode", "vizing", "-o", colf)
     assert code == 0
-    colors = lio.parse_coloring(open(colf).read(), 3)
+    colors = lio.parse_coloring(Path(colf).read_text(), 3)
     colors[1] = colors[0]  # edges 0 and 1 share vertex 1
     bad = write(tmp_path, "bad.txt", lio.write_coloring(colors))
     code, out, err = run(capsys, "verify", inst, bad, "--mode", "vizing")
@@ -171,7 +175,7 @@ def test_gen_writes_parseable_instance(tmp_path, capsys):
         "--seed", "5", "--edges", "10", "-o", out_path,
     )
     assert code == 0
-    g, L = lio.parse_instance(open(out_path).read())
+    g, L = lio.parse_instance(Path(out_path).read_text())
     assert g.n == 8 and L is None
 
 
@@ -197,7 +201,7 @@ def test_trace_and_stats_flags(tmp_path, capsys):
     )
     assert code == 0
     assert "happy=3" in err
-    lines = open(trace_path).read().splitlines()
+    lines = Path(trace_path).read_text().splitlines()
     assert len(lines) == 3
     assert all(len(line.split()) == 6 for line in lines)
 
@@ -209,3 +213,83 @@ def test_bench_runs(capsys):
     )
     assert code == 0
     assert "total: runs=3" in out
+
+
+# The argv of each subcommand that reads files; BAD marks the bad input.
+# verify reads two files, so the bad one goes in each slot in turn.
+READERS = {
+    "color": ["color", "BAD", "--mode", "vizing"],
+    "verify": ["verify", "TRI", "BAD", "--mode", "vizing"],
+    "verify-instance": ["verify", "BAD", "TRI", "--mode", "vizing"],
+    "oracle": ["oracle", "BAD", "--mode", "vizing"],
+}
+
+
+def reader_argv(command, tri, bad):
+    return [{"TRI": tri, "BAD": bad}.get(a, a) for a in READERS[command]]
+
+
+@pytest.mark.parametrize("command", sorted(READERS))
+def test_non_utf8_stdin_exits_two(tmp_path, capsys, monkeypatch, command):
+    # a non-UTF-8 file is one of the cases of the test below
+    tri = write(tmp_path, "tri.txt", TRIANGLE)
+    stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), "utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, out, err = run(capsys, *reader_argv(command, tri, "-"))
+    assert code == 2
+    assert err.startswith("error: cannot read -")
+    assert out == ""
+
+
+def make_bad_input(tmp_path, kind):
+    p = tmp_path / kind
+    if kind == "non-utf8":
+        p.write_bytes(b"\xff\xfe")
+    elif kind == "empty":
+        p.write_text("")
+    elif kind == "directory":
+        p.mkdir()
+    elif kind == "garbage-header":
+        p.write_text("p graph three\ne 0 1\n")
+    elif kind == "malformed-coloring-line":
+        p.write_text("0 1\n1 one\n2 2\n")
+    return str(p)  # "missing" is never created
+
+
+@pytest.mark.parametrize("kind", [
+    "non-utf8", "empty", "missing", "directory", "garbage-header",
+    "malformed-coloring-line",
+])
+@pytest.mark.parametrize("command", sorted(READERS))
+def test_bad_input_never_escapes_main(tmp_path, capsys, command, kind):
+    # every bad file ends in exit 2 with an error line, never an exception
+    tri = write(tmp_path, "tri.txt", TRIANGLE)
+    bad = make_bad_input(tmp_path, kind)
+    code, out, err = run(capsys, *reader_argv(command, tri, bad))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert out == ""
+
+
+def test_cached_parser_carries_no_state_between_calls(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    tri = write(tmp_path, "tri.txt", TRIANGLE)
+    code, _, err = run(capsys, "color", tri, "--mode", "shannon", "--stats")
+    assert code == 0 and "happy=3" in err
+    code, _, err = run(capsys, "color", tri, "--mode", "shannon")
+    assert code == 0 and err == ""
+
+    path2 = write(tmp_path, "p.txt", PATH2)
+    code, _, _ = run(
+        capsys, "color", path2, "--mode", "explicit", "--assume-bound", "koenig"
+    )
+    assert code == 0
+    code, _, err = run(capsys, "color", path2, "--mode", "explicit")
+    assert code == 2 and "requires --assume-bound" in err
+
+    colf = str(tmp_path / "col.txt")
+    code, out, _ = run(capsys, "color", tri, "--mode", "shannon", "-o", colf)
+    assert code == 0 and out == ""
+    code, out, _ = run(capsys, "color", tri, "--mode", "shannon")
+    assert code == 0
+    assert out == Path(colf).read_text()
