@@ -165,7 +165,7 @@ def shift(phi: PartialColoring, chain) -> PartialColoring:
 
 
 def alternating_path(
-    phi: PartialColoring, e: int, alpha: int, beta: int
+    phi: PartialColoring, e: int, alpha: int, beta: int, shifted: Chain | None = None
 ) -> Chain:
     """Maximal two-colored path chain out of blank edge e.
 
@@ -175,16 +175,33 @@ def alternating_path(
     every continuation unique and keeps the walked vertices distinct
     (checked, not assumed); the walk can return to the start vertex only as
     its final stop, since the start vertex has no alpha-colored edge.
+
+    Given a chain as ``shifted``, the walk reads the coloring psi that
+    shifting it would give, without touching ``phi``: psi differs from phi
+    only in the at most 2k (vertex, color) entries that
+    ``PartialColoring.shift_targets`` returns, so every lookup goes through
+    that overlay.  It raises NotShiftableError as the shift would.
     """
     if alpha == beta:
         raise PreconditionViolatedError("alternating colors must differ")
-    if phi.color[e] is not None:
-        raise EdgeNotBlankError(f"edge {e} is not blank")
     g = phi.g
+    used, common = phi.used_edge, phi.lists.common
+    over = {}  # (vertex, color) -> edge carrying it in psi, None if absent
+    e_color = phi.color[e]
+    if shifted is not None:
+        _, targets, over = phi.shift_targets(shifted.edges)
+        if e in shifted.edges:
+            e_color = targets[shifted.edges.index(e)]
+    if e_color is not None:
+        raise EdgeNotBlankError(f"edge {e} is not blank")
+
+    def free(w, c):
+        return c in common[w] and over.get((w, c), used[w].get(c)) is None
+
     u, v = g.endpoints[e]
-    if alpha in phi.available[u] and beta in phi.available[v]:
+    if free(u, alpha) and free(v, beta):
         x, y = u, v
-    elif alpha in phi.available[v] and beta in phi.available[u]:
+    elif free(v, alpha) and free(u, beta):
         x, y = v, u
     else:
         raise PreconditionViolatedError(
@@ -194,20 +211,21 @@ def alternating_path(
     vertices = [x, y]
     cur, need, follow = y, alpha, beta
     while True:
-        nxt = phi.used_edge[cur].get(need)
+        nxt = used[cur].get(need)
+        if over:
+            nxt = over.get((cur, need), nxt)
         if nxt is None:
             break
         cur = g.other_end(nxt, cur)
         edges.append(nxt)
         vertices.append(cur)
         need, follow = follow, need
-        phi.charge(1)
         if len(edges) > g.m:
             raise LemmaViolationError("alternating walk revisited an edge")
     interior = vertices[1:]
     if len(set(interior)) != len(interior):
         raise LemmaViolationError("alternating walk revisited a vertex")
-    phi.charge(len(edges))
+    phi.ops += 2 * len(edges) - 1  # one per step taken, one per edge returned
     return Chain(tuple(edges), tuple(vertices))
 
 
@@ -235,7 +253,7 @@ def max_shiftable_prefix(phi: PartialColoring, path: Chain) -> int:
     head = shifted[:2]
     if None in head or len(set(head)) != len(head) or shifted[2:] != shifted[:-2]:
         raise PreconditionViolatedError("path colors do not alternate between two")
-    phi.charge(len(edges))
+    phi.ops += len(edges)
     lists = phi.lists.lists
     for i, c in enumerate(shifted):
         if c not in lists[edges[i]]:
@@ -263,7 +281,7 @@ def resolve_path(phi: PartialColoring, path: Chain) -> ResolveOutcome:
         )
     before = phi.potential()
     blanks = len(phi.uncolored)
-    prefix = path.prefix(j)
+    prefix = path if j == k else path.prefix(j)
     phi.apply_chain_shift(prefix.edges)
     if j == k:
         c = phi.is_happy(path.end)

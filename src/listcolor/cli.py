@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: color, verify, oracle, gen, bench.  Exit codes: 0 success,
+Subcommands: color, verify, oracle, gen.  Exit codes: 0 success,
 1 bound violation or failed verification, 2 malformed input (non-UTF-8
 text included) or infeasible request, 3 a bug in this package, never the
 input: an internal assertion or any other package error, such as a
@@ -26,7 +26,7 @@ from .errors import (
     ListColorError,
     NotBipartiteError,
 )
-from .lists import check_bound, generate_from_bounds
+from .lists import generate_from_bounds
 from .oracle import DEFAULT_LIMIT, exhaustive_color
 
 EXIT_OK = 0
@@ -141,42 +141,6 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _bench_one(seed, args):
-    g = lio.generate_random(
-        args.n,
-        args.max_degree,
-        args.max_multiplicity,
-        bipartite=args.bipartite or args.mode == "koenig",
-        seed=seed,
-        edges=args.edges,
-    )
-    lists = generate_from_bounds(g, args.mode)
-    phi, stats = color_graph(g, lists, args.mode)
-    if not check_bound(g, lists, args.mode).ok or phi.verify():
-        raise InternalAssertionError(f"bench seed {seed} produced a bad run")
-    return seed, g.m, stats
-
-
-def cmd_bench(args) -> int:
-    seeds = range(args.seed_base, args.seed_base + args.seeds)
-    results = [_bench_one(seed, args) for seed in seeds]
-    total_edges = total_content = 0
-    max_chain = 0
-    for seed, m, stats in results:
-        total_edges += m
-        total_content += stats.content_steps
-        max_chain = max(max_chain, stats.max_chain_length)
-        print(
-            f"seed={seed} edges={m} happy={stats.happy_steps}"
-            f" content={stats.content_steps} max_chain={stats.max_chain_length}"
-        )
-    print(
-        f"total: runs={len(results)} edges={total_edges}"
-        f" content={total_content} max_chain={max_chain}"
-    )
-    return EXIT_OK
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -224,18 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="embed bound-derived lists as explicit lists")
     p.add_argument("-o", "--output", help="instance output file (default stdout)")
     p.set_defaults(func=cmd_gen)
-
-    p = sub.add_parser("bench", help="color many seeded random instances")
-    p.add_argument("--seeds", type=int, required=True, help="number of runs")
-    p.add_argument("--seed-base", type=int, default=0)
-    p.add_argument("--mode", default="vizing",
-                   choices=["shannon", "vizing", "koenig"])
-    p.add_argument("-n", type=int, default=24)
-    p.add_argument("--max-degree", type=int, default=8)
-    p.add_argument("--max-multiplicity", type=int, default=2)
-    p.add_argument("--edges", type=int)
-    p.add_argument("--bipartite", action="store_true")
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

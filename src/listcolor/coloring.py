@@ -83,9 +83,6 @@ class PartialColoring:
         self.d_total = sum(self.weight)
         self.ops = 0  # approximate count of elementary set operations
 
-    def charge(self, k: int) -> None:
-        self.ops += k
-
     def copy(self) -> "PartialColoring":
         new = object.__new__(PartialColoring)
         new.g = self.g
@@ -168,57 +165,95 @@ class PartialColoring:
 
     # -- chain shifts ---------------------------------------------------------
 
-    def shift_violation(self, edges, targets):
+    def shift_violation(self, edges, targets, changes: dict):
         """First (index, reason) making the shift improper, else (None, None).
 
         ``targets[i]`` is the color edge ``edges[i]`` would receive (None for
-        blank).  Does not mutate.
+        blank).  Fills ``changes`` with every entry of the shifted coloring
+        that differs from this one: (vertex, color) -> the edge carrying the
+        color there afterwards, or None where the color leaves the vertex.
+        Does not mutate the coloring.
         """
-        eset = set(edges)
-        seen = set()
+        ends, used, lists = self.g.endpoints, self.used_edge, self.lists.lists
+        color = self.color
+        for e in edges:
+            c = color[e]
+            if c is not None:
+                u, v = ends[e]
+                changes[u, c] = changes[v, c] = None
         for i, (e, c) in enumerate(zip(edges, targets)):
             if c is None:
                 continue
-            if c not in self.lists.lists[e]:
+            if c not in lists[e]:
                 return i, COLOR_NOT_IN_LIST
-            for w in self.g.endpoints[e]:
-                if (w, c) in seen:
+            for w in ends[e]:
+                key = (w, c)
+                if key in changes:
+                    if changes[key] is not None:  # an earlier chain edge takes c
+                        return i, COLOR_CLASH
+                elif c in used[w]:  # an edge outside the chain keeps c
                     return i, COLOR_CLASH
-                seen.add((w, c))
-                f = self.used_edge[w].get(c)
-                if f is not None and f not in eset:
-                    return i, COLOR_CLASH
+                changes[key] = e
         self.ops += len(edges)
         return None, None
 
-    def shift_targets(self, edges) -> tuple[list, list]:
-        """(current colors, shifted colors) of the chain; does not mutate.
+    def shift_targets(self, edges) -> tuple[list, list, dict]:
+        """(current colors, shifted colors, changed entries) of the chain.
 
-        Raises NotShiftableError if the start edge is colored or the
-        shifted coloring would be improper or escape a list.
+        The changed entries are those ``shift_violation`` records.  Does not
+        mutate.  Raises NotShiftableError if the start edge is colored or
+        the shifted coloring would be improper or escape a list.
         """
         old = [self.color[e] for e in edges]
         if old[0] is not None:
             raise NotShiftableError(0, START_NOT_BLANK)
         targets = old[1:] + [None]
-        i, reason = self.shift_violation(edges, targets)
+        changes = {}
+        i, reason = self.shift_violation(edges, targets, changes)
         if i is not None:
             raise NotShiftableError(i, reason)
-        return old, targets
+        return old, targets, changes
 
     def apply_chain_shift(self, edges) -> tuple:
         """Move each chain edge's color one position back, blanking the last.
 
-        Returns the tuple of previous colors for ``undo_chain_shift``.
-        Raises NotShiftableError (state unchanged) as ``shift_targets`` does.
+        The shift is checked once by ``shift_targets`` and then written in
+        place from its changed entries.  A vertex keeps a color while some
+        chain edge at it still carries it, so availability and its total
+        move only where a color appears or leaves (a path's two ends, a
+        fan's leaves), and the blank-edge bookkeeping only for edges whose
+        blank status flips.  Returns the tuple of previous colors.  Raises
+        NotShiftableError (state unchanged) as ``shift_targets`` does.
         """
-        old, targets = self.shift_targets(edges)
-        for e, c in zip(edges, old):
-            if c is not None:
-                self.unassign(e)
-        for e, c in zip(edges, targets):
-            if c is not None:
-                self.assign(e, c)
+        old, targets, changes = self.shift_targets(edges)
+        used, available, common = self.used_edge, self.available, self.lists.common
+        da = 0
+        for (w, c), e in changes.items():
+            if e is None:
+                del used[w][c]
+                if c in common[w]:
+                    available[w].add(c)
+                    da += 1
+            else:
+                if c in available[w]:
+                    available[w].remove(c)
+                    da -= 1
+                used[w][c] = e
+        self.a_total += da
+        color, moved = self.color, 0
+        for e, was, now in zip(edges, old, targets):
+            color[e] = now
+            moved += (was is not None) + (now is not None)
+            if was is None and now is not None:
+                self.uncolored.remove(e)
+                self.d_total -= self.weight[e]
+            elif was is not None and now is None:
+                self.uncolored.add(e)
+                self.d_total += self.weight[e]
+                if not self.queued[e]:
+                    self.queued[e] = True
+                    heapq.heappush(self.blank_heap, e)
+        self.ops += 2 * moved
         return tuple(old)
 
     def undo_chain_shift(self, edges, old: tuple) -> None:

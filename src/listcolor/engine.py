@@ -12,7 +12,7 @@ trip means a bug, not a hard instance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import shannon, vizing
 from .bipartite import koenig_path
@@ -65,8 +65,9 @@ class RunStats:
             self._content_since_happy += 1
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
+    """One shift event; the engine builds records only when a sink is set."""
+
     step: int
     kind: str  # happy-edge | fan-shift | path-shift-happy | path-shift-content
     branch: str
@@ -78,19 +79,19 @@ class TraceRecord:
 TraceSink = Optional[Callable[[TraceRecord], None]]
 
 
-def _emit(trace: TraceSink, step, kind, branch, chain, before, after):
+def _emit(trace: TraceSink, step, kind, mode, branch, chain, before, phi):
     if trace is not None:
-        trace(TraceRecord(step, kind, branch, tuple(chain), before, after))
+        trace(TraceRecord(step, kind, f"{mode}-{branch}", chain, before,
+                          phi.potential()))
 
 
-def _resolve_and_trace(phi, path, mode, branch, stats, trace, step, setup_note=""):
-    before = phi.potential()
+def _resolve_and_trace(phi, path, mode, branch, stats, trace, step):
+    before = None if trace is None else phi.potential()
     outcome = resolve_path(phi, path)
     stats.path_shifts += 1
     stats._saw_chain(outcome.chain.length)
     kind = "path-shift-happy" if outcome.kind == "happy" else "path-shift-content"
-    _emit(trace, step, kind, f"{mode}-{branch}{setup_note}", outcome.chain.edges,
-          before, phi.potential())
+    _emit(trace, step, kind, mode, branch, outcome.chain.edges, before, phi)
     return outcome.kind == "happy"
 
 
@@ -146,8 +147,7 @@ def _apply_outcome(phi, out, mode, stats, trace, step, before) -> bool:
     if isinstance(out, HappyEdge):
         phi.assign(out.edge, phi.is_happy(out.edge))
         stats._saw_chain(1)
-        _emit(trace, step, "happy-edge", f"{mode}-{out.branch}", (out.edge,),
-              before, phi.potential())
+        _emit(trace, step, "happy-edge", mode, out.branch, (out.edge,), before, phi)
         return True
     if isinstance(out, HappyFan):
         phi.apply_chain_shift(out.fan.edges)
@@ -157,18 +157,15 @@ def _apply_outcome(phi, out, mode, stats, trace, step, before) -> bool:
         if c is None:
             raise LemmaViolationError("fan end not recolorable after happy shift")
         phi.assign(out.fan.end, c)
-        _emit(trace, step, "fan-shift", f"{mode}-{out.branch}", out.fan.edges,
-              before, phi.potential())
+        _emit(trace, step, "fan-shift", mode, out.branch, out.fan.edges, before, phi)
         return True
     if isinstance(out, ContentFan):
         phi.apply_chain_shift(out.fan.edges)
         stats.fan_shifts += 1
         stats._saw_chain(out.fan.length)
-        after = phi.potential()
-        if not after < before:
+        if not phi.potential() < before:
             raise LemmaViolationError("content fan did not drop the potential")
-        _emit(trace, step, "fan-shift", f"{mode}-{out.branch}", out.fan.edges,
-              before, after)
+        _emit(trace, step, "fan-shift", mode, out.branch, out.fan.edges, before, phi)
         return False
     if isinstance(out, PathUnderPhi):
         return _resolve_and_trace(phi, out.path, mode, out.branch, stats, trace, step)
@@ -176,11 +173,10 @@ def _apply_outcome(phi, out, mode, stats, trace, step, before) -> bool:
         phi.apply_chain_shift(out.fan.edges)
         stats.fan_shifts += 1
         stats._saw_chain(out.fan.length)
-        mid = phi.potential()
-        if mid.a != before.a:
+        if phi.a_total != before.a:
             raise LemmaViolationError("setup fan shift changed the availability total")
-        _emit(trace, step, "fan-shift", f"{mode}-{out.branch}-setup", out.fan.edges,
-              before, mid)
+        _emit(trace, step, "fan-shift", mode, f"{out.branch}-setup", out.fan.edges,
+              before, phi)
         return _resolve_and_trace(phi, out.path, mode, out.branch, stats, trace, step)
     raise InternalAssertionError(f"unknown outcome {out!r}")
 

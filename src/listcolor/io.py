@@ -140,7 +140,7 @@ def parse_coloring(text: str, m: int) -> list[Optional[int]]:
             colors[e] = c
     if not all(seen):
         missing = seen.index(False)
-        raise ParseError(line_no if m else 1, f"no line for edge {missing}")
+        raise ParseError(max(line_no, 1), f"no line for edge {missing}")
     return colors
 
 

@@ -52,7 +52,7 @@ def shannon_fan(phi: PartialColoring, e: int) -> Chain:
         raise EdgeNotBlankError(f"edge {e} is not blank")
     x, y = _orient(phi, e)
     avail_y = phi.available[y]
-    phi.charge(len(avail_y))
+    phi.ops += len(avail_y)
     if any(c not in phi.used_edge[x] for c in avail_y):
         return Chain((e,), (x, y))
     if not avail_y:
@@ -60,7 +60,7 @@ def shannon_fan(phi: PartialColoring, e: int) -> Chain:
             f"no available color at vertex {y}; the degree bound cannot hold"
         )
     eta = min(avail_y)
-    phi.charge(len(avail_y))
+    phi.ops += len(avail_y)
     f = phi.used_edge[x].get(eta)
     if f is None:
         raise LemmaViolationError("available color at y not used at x after check")
@@ -71,8 +71,9 @@ def shannon_fan(phi: PartialColoring, e: int) -> Chain:
 def classify_shannon(phi: PartialColoring, e: int):
     """Dispatch the fan into one of the outcome kinds described above.
 
-    Pure up to mutate-and-restore: building the case-4 fallback path needs
-    the fan shifted, so it is applied to the live coloring and undone.
+    Does not mutate: the case-4 fallback path is walked in the coloring
+    the fan's shift would give, after checking that shift, through an
+    overlay of the fan's changed entries.
     """
     fan = shannon_fan(phi, e)
     x, y = fan.vertices[:2]
@@ -81,7 +82,7 @@ def classify_shannon(phi: PartialColoring, e: int):
     f = fan.edges[1]
     z = fan.vertices[2]
     eta = phi.color[f]
-    phi.charge(len(phi.available[z]))
+    phi.ops += len(phi.available[z])
     if any(c not in phi.used_edge[x] for c in phi.available[z]):
         return HappyFan(fan, branch="case1-happy-fan")
     if eta not in phi.lists.common[z]:
@@ -90,7 +91,7 @@ def classify_shannon(phi: PartialColoring, e: int):
         return ContentFan(fan, branch="case3-content-fan")
     # Final case: both availabilities inside used(x), so they intersect.
     inter = phi.available[y] & phi.available[z]
-    phi.charge(min(len(phi.available[y]), len(phi.available[z])))
+    phi.ops += min(len(phi.available[y]), len(phi.available[z]))
     if not inter:
         raise LemmaViolationError("final-case availability intersection is empty")
     if not phi.available[x]:
@@ -100,11 +101,7 @@ def classify_shannon(phi: PartialColoring, e: int):
     p1 = alternating_path(phi, e, alpha, beta)
     if p1.vstart != p1.vend:
         return PathUnderPhi(p1, alpha, beta, branch="final-path-phi")
-    undo = phi.apply_chain_shift(fan.edges)
-    try:
-        p2 = alternating_path(phi, f, alpha, beta)
-    finally:
-        phi.undo_chain_shift(fan.edges, undo)
+    p2 = alternating_path(phi, f, alpha, beta, shifted=fan)
     if p2.vstart == p2.vend:
         raise LemmaViolationError("both fallback path candidates are circular")
     return PathUnderPsi(fan, p2, alpha, beta, branch="final-path-psi")

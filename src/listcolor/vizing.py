@@ -17,8 +17,9 @@ prefix ending at j, without touching the coloring, and commits whichever
 strictly improves; if neither does, the availability total is provably
 unchanged by both shifts and an alternating path from the shifted fan's
 end edge (full first, prefix as fallback) must satisfy the
-path-resolution conditions.  Only that path search shifts the live
-coloring, and it restores it before returning.
+path-resolution conditions.  That path is walked in the shifted coloring
+through an overlay of the fan's changed entries; classification never
+mutates the coloring.
 """
 
 from __future__ import annotations
@@ -67,12 +68,12 @@ def vizing_fan(phi: PartialColoring, e: int, x: int) -> VizingFanResult:
         working = beta_sets.get(z)
         if working is None:
             working = beta_sets[z] = set(phi.available[z])
-            phi.charge(len(working))
+            phi.ops += len(working)
         if not working:
             raise BetaEmptyError(f"working set of leaf {z} ran out")
         eta = min(working)
         working.remove(eta)
-        phi.charge(len(working) + 1)
+        phi.ops += len(working) + 1
         if eta not in used:
             fan = Chain(tuple(edges), tuple(vertices))
             return VizingFanResult(fan, eta, k + 1)
@@ -98,7 +99,7 @@ def _fan_shift_delta(phi: PartialColoring, fan: Chain) -> tuple[int, int]:
     those are the end and the start edge.
     """
     edges = fan.edges
-    old, targets = phi.shift_targets(edges)
+    old, targets, _ = phi.shift_targets(edges)
     common, weight = phi.lists.common, phi.weight
     da = dd = 0
     for f, z, lost, gained in zip(edges, fan.vertices[1:], old, targets):
@@ -111,32 +112,32 @@ def _fan_shift_delta(phi: PartialColoring, fan: Chain) -> tuple[int, int]:
 def classify_vizing(phi: PartialColoring, e: int, x: int):
     """Happy fan, content fan (full or prefix), or a path under the shift.
 
-    The content check computes each candidate shift's potential change
-    without mutating.  The path fallback applies each candidate shift to
-    the live coloring to walk the path under it and undoes it before
-    returning.
+    Each candidate shift is checked and its potential change computed
+    without mutating.  The path fallback walks the alternating path in the
+    coloring the candidate's shift would give, read through an overlay, so
+    the live coloring is never touched.
     """
     res = vizing_fan(phi, e, x)
     fan, beta = res.fan, res.beta
     if res.j == fan.length:
         return HappyFan(fan, branch="happy-fan")
     prefix = fan.prefix(res.j)
-    for cand, branch in ((fan, "content-fan-full"), (prefix, "content-fan-prefix")):
-        if _fan_shift_delta(phi, cand) < (0, 0):
+    candidates = ((fan, "content-fan-full", "path-psi-full"),
+                  (prefix, "content-fan-prefix", "path-psi-prefix"))
+    delta_a = []
+    for cand, branch, _ in candidates:
+        da, dd = _fan_shift_delta(phi, cand)
+        if (da, dd) < (0, 0):
             return ContentFan(cand, branch=branch)
-    before_a = phi.a_total
+        delta_a.append(da)
     if not phi.available[x]:
         raise LemmaViolationError("no available color at the pivot")
     alpha = min(phi.available[x])
     last_error = None
-    for cand, branch in ((fan, "path-psi-full"), (prefix, "path-psi-prefix")):
-        undo = phi.apply_chain_shift(cand.edges)
-        try:
-            if phi.a_total != before_a:
-                raise LemmaViolationError("fan shift changed the availability total")
-            path = alternating_path(phi, cand.end, alpha, beta)
-        finally:
-            phi.undo_chain_shift(cand.edges, undo)
+    for (cand, _, branch), da in zip(candidates, delta_a):
+        if da != 0:
+            raise LemmaViolationError("fan shift changed the availability total")
+        path = alternating_path(phi, cand.end, alpha, beta, shifted=cand)
         if path.vstart != path.vend:
             return PathUnderPsi(cand, path, alpha, beta, branch=branch)
         last_error = branch

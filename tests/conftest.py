@@ -119,6 +119,40 @@ def adversarial_lists(g, mode, rng, spread=4, extra=3):
     return lc.ListAssignment(g, lists)
 
 
+def random_vizing_partials(count):
+    """Random partials with mu up to 3, under bound and adversarial lists."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        g = lc.generate_random(
+            rng.randint(4, 10), rng.randint(2, 7), 3,
+            seed=seed, edges=rng.randint(4, 24),
+        )
+        for L in (lc.generate_from_bounds(g, "vizing"),
+                  adversarial_lists(g, "vizing", rng)):
+            yield g, L, random_partial(g, L, rng, fill=rng.choice((0.5, 0.8, 0.95)))
+
+
+def random_chain(g, rng, colors, max_len=6):
+    """A random chain (``build_chain`` rules) from a mostly blank start edge.
+
+    Its edges may be blank anywhere and may be parallel to one another, as
+    long as consecutive edges share exactly one vertex.
+    """
+    blanks = [e for e, c in enumerate(colors) if c is None]
+    pool = blanks if blanks and rng.random() < 0.9 else range(g.m)
+    edges = [rng.choice(pool)]
+    for _ in range(rng.randint(0, max_len - 1)):
+        ends = set(g.endpoints[edges[-1]])
+        nxt = [
+            f for w in ends for f in g.incidence[w]
+            if f not in edges and len(ends & set(g.endpoints[f])) == 1
+        ]
+        if not nxt:
+            break
+        edges.append(rng.choice(nxt))
+    return lc.build_chain(g, edges)
+
+
 FULL6 = frozenset(range(1, 7))
 
 

@@ -3,8 +3,11 @@ import random
 import pytest
 
 import listcolor as lc
+from listcolor.chain import PathUnderPsi
 from listcolor.errors import (
     COLOR_NOT_IN_LIST,
+    EdgeNotBlankError,
+    LemmaViolationError,
     NotShiftableError,
     PreconditionViolatedError,
 )
@@ -12,7 +15,9 @@ from listcolor.errors import (
 from conftest import (
     brute_max_prefix,
     brute_shift_ok,
+    random_chain,
     random_partial,
+    random_vizing_partials,
     recompute_potential,
     recompute_used,
     setup_partial,
@@ -400,3 +405,92 @@ def test_bare_chain_prefix_has_no_vertices():
     assert chain.vertices == ()
     assert chain.prefix(1).edges == (0,)
     assert chain.prefix(1).vertices == ()
+
+
+def live_state(phi):
+    return (
+        list(phi.color),
+        [dict(d) for d in phi.used_edge],
+        [set(s) for s in phi.available],
+        phi.potential(),
+        list(phi.blank_heap),
+        list(phi.queued),
+    )
+
+
+def walk_or_error(walk):
+    try:
+        return walk()
+    except (EdgeNotBlankError, LemmaViolationError, PreconditionViolatedError) as exc:
+        return type(exc), str(exc)
+
+
+def psi_walks(g, phi, rng):
+    """(chain, alpha, beta): each vizing fan candidate with the colors the
+    classifier would walk, and random shiftable chains with colors free at
+    the ends of their end edge after the shift."""
+    for e in sorted(phi.uncolored):
+        for x in g.endpoints[e]:
+            res = lc.vizing_fan(phi, e, x)
+            if res.j == res.fan.length or not phi.available[x]:
+                continue
+            for cand in (res.fan, res.fan.prefix(res.j)):
+                yield cand, min(phi.available[x]), res.beta
+    for _ in range(10):
+        chain = random_chain(g, rng, phi.color)
+        try:
+            psi = lc.shift(phi, chain)
+        except NotShiftableError:
+            continue
+        u, v = g.endpoints[chain.end]
+        for alpha in sorted(psi.available[u])[:2]:
+            for beta in sorted(psi.available[v])[:2]:
+                yield chain, alpha, beta
+
+
+def test_psi_walk_matches_walk_in_shifted_copy():
+    # the overlay walk finds the path (or the error) the walk in a shifted
+    # copy finds, and leaves the live coloring, potential and heap alone
+    paths = 0
+    for g, L, phi in random_vizing_partials(50):
+        for chain, alpha, beta in psi_walks(g, phi, random.Random(g.m)):
+            expected = walk_or_error(
+                lambda: lc.alternating_path(lc.shift(phi, chain), chain.end, alpha, beta)
+            )
+            before = live_state(phi)
+            got = walk_or_error(
+                lambda: lc.alternating_path(phi, chain.end, alpha, beta, shifted=chain)
+            )
+            assert got == expected
+            assert live_state(phi) == before
+            paths += isinstance(got, lc.Chain)
+    assert paths > 1000
+
+
+def vizing_engine_states(seeds):
+    """(phi, e) before every step of the vizing engine on small instances."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        g = lc.generate_random(
+            rng.randint(3, 10), rng.randint(2, 10), rng.randint(1, 5),
+            seed=seed, edges=rng.randint(2, 30),
+        )
+        phi = lc.PartialColoring(g, lc.generate_from_bounds(g, "vizing"))
+        stats = lc.RunStats()
+        while phi.uncolored:
+            e = phi.first_blank()
+            yield phi, e
+            lc.augment_once(phi, e, "vizing", stats)
+
+
+def test_classified_psi_paths_match_walk_in_shifted_copy():
+    branches = []
+    for phi, e in vizing_engine_states(range(80)):
+        before = live_state(phi)
+        out = lc.classify_vizing(phi, e, min(phi.g.endpoints[e]))
+        assert live_state(phi) == before
+        if isinstance(out, PathUnderPsi):
+            psi = lc.shift(phi, out.fan)
+            assert out.path == lc.alternating_path(psi, out.fan.end, out.alpha, out.beta)
+            branches.append(out.branch)
+    assert len(branches) > 20 and set(branches) == {"path-psi-full", "path-psi-prefix"}

@@ -57,6 +57,14 @@ def test_verify_rejects_incomplete(tmp_path, capsys):
     assert "incomplete" in err
 
 
+def test_empty_coloring_file_is_reported_at_line_one(tmp_path, capsys):
+    inst = write(tmp_path, "tri.txt", TRIANGLE)
+    empty = write(tmp_path, "empty.col", "")
+    code, out, err = run(capsys, "verify", inst, empty, "--mode", "vizing")
+    assert code == 2
+    assert "line 1:" in err
+
+
 def test_explicit_mode_flow(tmp_path, capsys):
     inst = write(tmp_path, "p.txt", PATH2)
     code, out, err = run(
@@ -204,15 +212,6 @@ def test_trace_and_stats_flags(tmp_path, capsys):
     lines = Path(trace_path).read_text().splitlines()
     assert len(lines) == 3
     assert all(len(line.split()) == 6 for line in lines)
-
-
-def test_bench_runs(capsys):
-    code, out, _ = run(
-        capsys, "bench", "--seeds", "3", "-n", "8", "--max-degree", "3",
-        "--mode", "koenig",
-    )
-    assert code == 0
-    assert "total: runs=3" in out
 
 
 # The argv of each subcommand that reads files; BAD marks the bad input.

@@ -4,15 +4,23 @@ import pytest
 
 import listcolor as lc
 from listcolor.errors import (
+    COLOR_CLASH,
+    COLOR_NOT_IN_LIST,
+    START_NOT_BLANK,
+    AvailabilityEmptyError,
     ColorNotInListError,
     EdgeBlankError,
     EdgeNotBlankError,
     ImproperAssignmentError,
+    NotShiftableError,
+    PreconditionViolatedError,
 )
 
 from conftest import (
     FULL6,
+    random_chain,
     random_partial,
+    random_vizing_partials,
     recompute_available,
     recompute_potential,
     recompute_used,
@@ -262,3 +270,108 @@ def test_copy_is_independent(triangle):
     assert snap.color[1] is None
     assert snap.first_blank() == 1
     assert snap.verify() == []
+
+
+def reference_violation(phi, edges, targets):
+    """The shift check as a plain scan: first (index, reason), else (None, None)."""
+    eset = set(edges)
+    seen = set()
+    for i, (e, c) in enumerate(zip(edges, targets)):
+        if c is None:
+            continue
+        if c not in phi.lists.lists[e]:
+            return i, COLOR_NOT_IN_LIST
+        for w in phi.g.endpoints[e]:
+            if (w, c) in seen:
+                return i, COLOR_CLASH
+            seen.add((w, c))
+            f = phi.used_edge[w].get(c)
+            if f is not None and f not in eset:
+                return i, COLOR_CLASH
+    return None, None
+
+
+def replay_shift(phi, edges):
+    """The shift replayed edge by edge: unassign every colored chain edge,
+    then assign every target."""
+    old = [phi.color[e] for e in edges]
+    if old[0] is not None:
+        raise NotShiftableError(0, START_NOT_BLANK)
+    targets = old[1:] + [None]
+    i, reason = reference_violation(phi, edges, targets)
+    if i is not None:
+        raise NotShiftableError(i, reason)
+    for e, c in zip(edges, old):
+        if c is not None:
+            phi.unassign(e)
+    for e, c in zip(edges, targets):
+        if c is not None:
+            phi.assign(e, c)
+    return tuple(old)
+
+
+def coloring_state(phi):
+    return (
+        list(phi.color),
+        [dict(d) for d in phi.used_edge],
+        [set(s) for s in phi.available],
+        phi.a_total,
+        phi.d_total,
+        set(phi.uncolored),
+        phi.first_blank(),
+    )
+
+
+def chains_to_shift(g, phi, rng):
+    """Fans, alternating paths and their prefixes, and arbitrary chains."""
+    for e in sorted(phi.uncolored):
+        for x in g.endpoints[e]:
+            res = lc.vizing_fan(phi, e, x)
+            yield res.fan
+            yield res.fan.prefix(res.j)
+        try:
+            yield lc.shannon_fan(phi, e)
+        except AvailabilityEmptyError:
+            pass
+        u, v = g.endpoints[e]
+        for alpha in sorted(phi.available[u])[:2]:
+            for beta in sorted(phi.available[v])[:2]:
+                try:
+                    path = lc.alternating_path(phi, e, alpha, beta)
+                except PreconditionViolatedError:
+                    continue
+                for j in range(1, path.length + 1):
+                    yield path.prefix(j)
+    for _ in range(12):
+        yield random_chain(g, rng, phi.color)
+
+
+def test_one_pass_commit_matches_edge_by_edge_replay():
+    # the committed shift leaves exactly the state the old replay left, and
+    # a refused one raises the same index and reason and changes nothing
+    reasons = set()
+    interior_blank = parallel = committed = 0
+    for g, L, phi in random_vizing_partials(50):
+        rng = random.Random(g.m * 7 + g.n)
+        for chain in chains_to_shift(g, phi, rng):
+            edges = chain.edges
+            expected, got = phi.copy(), phi.copy()
+            try:
+                old = replay_shift(expected, edges)
+            except NotShiftableError as exc:
+                before = coloring_state(got)
+                with pytest.raises(NotShiftableError) as raised:
+                    got.apply_chain_shift(edges)
+                assert (raised.value.index, raised.value.reason) == (exc.index, exc.reason)
+                assert coloring_state(got) == before
+                reasons.add(exc.reason)
+                continue
+            assert got.apply_chain_shift(edges) == old
+            assert coloring_state(got) == coloring_state(expected)
+            assert got.verify() == []
+            committed += 1
+            interior_blank += any(c is None for c in old[1:-1])
+            ends = [frozenset(g.endpoints[f]) for f in edges]
+            parallel += len(set(ends)) < len(ends)
+    assert {COLOR_CLASH, COLOR_NOT_IN_LIST} <= reasons
+    assert committed > 1000 and interior_blank > 20 and parallel > 20

@@ -3,9 +3,10 @@ import random
 import pytest
 
 import listcolor as lc
+from listcolor import engine
 from listcolor.errors import BoundViolationError, NotBipartiteError, NotShiftableError
 
-from conftest import random_partial, recompute_potential
+from conftest import adversarial_lists, random_partial, recompute_potential
 
 S6 = frozenset(range(1, 7))
 
@@ -143,6 +144,41 @@ def test_trace_records_consistent():
         last_by_step[rec.step] = rec.phi_after
     for step, pot in last_by_step.items():
         assert pot == stats.potential_trace[step + 1]
+
+
+def traced_instance(mode, seed):
+    rng = random.Random(seed)
+    g = lc.generate_random(12, 6, 3, bipartite=mode == "koenig", seed=seed,
+                           edges=rng.randint(10, 30))
+    if mode == "explicit":
+        return g, adversarial_lists(g, "shannon", rng), "shannon"
+    return g, lc.generate_from_bounds(g, mode), None
+
+
+@pytest.mark.parametrize("mode", ["shannon", "vizing", "koenig", "explicit"])
+def test_tracing_changes_nothing(mode, monkeypatch):
+    for seed in range(8):
+        g, L, assume = traced_instance(mode, seed)
+        plain, plain_stats = lc.color_graph(g, L, mode, assume_bound=assume)
+        records = []
+        traced, stats = lc.color_graph(g, L, mode, assume_bound=assume,
+                                       trace=records.append)
+        assert traced.color == plain.color
+        assert stats == plain_stats
+        by_step = {}
+        for rec in records:
+            by_step.setdefault(rec.step, []).append(rec)
+        assert sorted(by_step) == list(range(stats.steps))
+        for step, recs in by_step.items():
+            assert recs[0].phi_before == stats.potential_trace[step]
+            assert recs[-1].phi_after == stats.potential_trace[step + 1]
+
+    def no_records(*args):
+        raise AssertionError("an untraced run built a trace record")
+
+    monkeypatch.setattr(engine, "TraceRecord", no_records)
+    phi, _ = lc.color_graph(g, L, mode, assume_bound=assume)
+    assert phi.color == plain.color
 
 
 def test_stats_content_runs_logged():

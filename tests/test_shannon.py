@@ -166,6 +166,25 @@ def test_classify_final_path_under_shifted_coloring():
     assert len(phi.uncolored) == 0
 
 
+def test_final_path_under_shifted_coloring_leaves_phi_untouched():
+    # the case-4 fallback walks the shifted coloring through an overlay: it
+    # finds the path a walk in a shifted copy finds, and mutates nothing
+    g, L, phi = final_case_instance(cyclic=True)
+
+    def state():
+        return (list(phi.color), [dict(d) for d in phi.used_edge],
+                [set(s) for s in phi.available], phi.potential(),
+                list(phi.blank_heap), list(phi.queued))
+
+    before = state()
+    out = lc.classify_shannon(phi, 0)
+    assert isinstance(out, PathUnderPsi) and out.branch == "final-path-psi"
+    assert state() == before
+    psi = lc.shift(phi, out.fan)
+    assert out.path == lc.alternating_path(psi, out.fan.end, out.alpha, out.beta)
+    assert psi.color != phi.color
+
+
 def test_intersection_claim_on_random_final_cases(rng):
     # wherever the dispatcher reaches the final case, the claim held
     # (classify raises otherwise); count that runs do exercise the dispatcher

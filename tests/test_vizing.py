@@ -8,8 +8,8 @@ from listcolor.errors import LemmaViolationError, NotShiftableError
 from listcolor.vizing import VizingFanResult, _fan_shift_delta
 
 from conftest import (
-    adversarial_lists,
     random_partial,
+    random_vizing_partials,
     recompute_potential,
     setup_partial,
 )
@@ -154,19 +154,6 @@ def test_availability_total_never_rises_after_fan_shift(rng):
             assert a_after <= a_before
 
 
-def random_vizing_partials(count):
-    """Random partials with mu up to 3, under bound and adversarial lists."""
-    for seed in range(count):
-        rng = random.Random(seed)
-        g = lc.generate_random(
-            rng.randint(4, 10), rng.randint(2, 7), 3,
-            seed=seed, edges=rng.randint(4, 24),
-        )
-        for L in (lc.generate_from_bounds(g, "vizing"),
-                  adversarial_lists(g, "vizing", rng)):
-            yield g, L, random_partial(g, L, rng, fill=rng.choice((0.5, 0.8, 0.95)))
-
-
 def eager_vizing_fan(phi, e, x):
     """The fan loop with every neighbour's working set copied up front."""
     g = phi.g
@@ -174,9 +161,9 @@ def eager_vizing_fan(phi, e, x):
     beta_sets = {}
     for z in g.neighbors(x):
         beta_sets[z] = set(phi.available[z])
-        phi.charge(len(beta_sets[z]))
+        phi.ops += len(beta_sets[z])
     nbr = dict(phi.used_edge[x])
-    phi.charge(g.degree(x))
+    phi.ops += g.degree(x)
     index = {e: 0}
     edges = [e]
     leaves = [y]
@@ -185,7 +172,7 @@ def eager_vizing_fan(phi, e, x):
         working = beta_sets[leaves[-1]]
         eta = min(working)
         working.remove(eta)
-        phi.charge(len(working) + 1)
+        phi.ops += len(working) + 1
         if eta not in phi.used_edge[x]:
             fan = Chain(tuple(edges), (x, *leaves))
             return VizingFanResult(fan, eta, k + 1)
