@@ -22,8 +22,9 @@ raises an internal assertion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
-from .coloring import PartialColoring
+from .coloring import PartialColoring, Shift
 from .errors import (
     START_NOT_BLANK,
     EdgeNotBlankError,
@@ -113,39 +114,19 @@ def build_path_chain(g: Multigraph, edges, vstart: int) -> Chain:
 # -- dispatch outcomes shared by the fan modules and the engine ---------------
 
 
-@dataclass(frozen=True)
-class HappyEdge:
-    edge: int
-    branch: str = "happy-edge"
+class Step(NamedTuple):
+    """A classifier's verdict on one step, which the engine carries out.
 
+    The engine commits ``shift``, a checked fan shift, if there is one;
+    then, if ``happy``, it colors the shifted fan's end edge (the blank
+    edge itself when there is no shift), or it resolves ``path``, which
+    was walked in the shifted coloring.  A shift alone is a content step.
+    """
 
-@dataclass(frozen=True)
-class HappyFan:
-    fan: Chain  # the end edge is recolorable after shifting the fan
-    branch: str = "happy-fan"
-
-
-@dataclass(frozen=True)
-class ContentFan:
-    fan: Chain
-    branch: str = "content-fan"
-
-
-@dataclass(frozen=True)
-class PathUnderPhi:
-    path: Chain
-    alpha: int
-    beta: int
-    branch: str = "path-phi"
-
-
-@dataclass(frozen=True)
-class PathUnderPsi:
-    fan: Chain
-    path: Chain  # computed in the coloring obtained by shifting the fan
-    alpha: int
-    beta: int
-    branch: str = "path-psi"
+    branch: str
+    shift: Optional[Shift] = None
+    path: Optional[Chain] = None
+    happy: bool = False
 
 
 @dataclass(frozen=True)
@@ -160,12 +141,12 @@ class ResolveOutcome:
 def shift(phi: PartialColoring, chain) -> PartialColoring:
     """A fresh coloring with the chain shifted; the input is untouched."""
     new = phi.copy()
-    new.apply_chain_shift(chain.edges)
+    new.apply_chain_shift(new.check_shift(chain.edges))
     return new
 
 
 def alternating_path(
-    phi: PartialColoring, e: int, alpha: int, beta: int, shifted: Chain | None = None
+    phi: PartialColoring, e: int, alpha: int, beta: int, shifted: Shift | None = None
 ) -> Chain:
     """Maximal two-colored path chain out of blank edge e.
 
@@ -176,11 +157,11 @@ def alternating_path(
     (checked, not assumed); the walk can return to the start vertex only as
     its final stop, since the start vertex has no alpha-colored edge.
 
-    Given a chain as ``shifted``, the walk reads the coloring psi that
-    shifting it would give, without touching ``phi``: psi differs from phi
-    only in the at most 2k (vertex, color) entries that
-    ``PartialColoring.shift_targets`` returns, so every lookup goes through
-    that overlay.  It raises NotShiftableError as the shift would.
+    Given a ``Shift`` from ``PartialColoring.check_shift`` as ``shifted``,
+    the walk reads the coloring psi that committing it would give, without
+    touching ``phi`` or checking the shift again: psi differs from phi only
+    in the at most 2k (vertex, color) entries of ``shifted.changes``, so
+    every lookup goes through that overlay.
     """
     if alpha == beta:
         raise PreconditionViolatedError("alternating colors must differ")
@@ -189,9 +170,9 @@ def alternating_path(
     over = {}  # (vertex, color) -> edge carrying it in psi, None if absent
     e_color = phi.color[e]
     if shifted is not None:
-        _, targets, over = phi.shift_targets(shifted.edges)
+        over = shifted.changes
         if e in shifted.edges:
-            e_color = targets[shifted.edges.index(e)]
+            e_color = shifted.targets[shifted.edges.index(e)]
     if e_color is not None:
         raise EdgeNotBlankError(f"edge {e} is not blank")
 
@@ -239,7 +220,8 @@ def max_shiftable_prefix(phi: PartialColoring, path: Chain) -> int:
     other.  So a prefix fails only where edge i would take the color of
     edge i + 1 outside its own list, and one scan finds the first such i;
     the answer is i + 1, or the whole length when every list admits its new
-    color.  ``apply_chain_shift`` still checks the shift it commits.
+    color.  ``resolve_path`` checks the prefix once, with
+    ``PartialColoring.check_shift``, before committing it.
 
     Raises NotShiftableError if the start edge is colored and
     PreconditionViolatedError if the colors after it do not alternate
@@ -279,10 +261,10 @@ def resolve_path(phi: PartialColoring, path: Chain) -> ResolveOutcome:
         raise LemmaViolationError(
             f"shiftable prefix {j} below guaranteed minimum {min(3, k)}"
         )
-    before = phi.potential()
     blanks = len(phi.uncolored)
     prefix = path if j == k else path.prefix(j)
-    phi.apply_chain_shift(prefix.edges)
+    shift = phi.check_shift(prefix.edges)
+    phi.apply_chain_shift(shift)
     if j == k:
         c = phi.is_happy(path.end)
         if c is not None:
@@ -292,6 +274,6 @@ def resolve_path(phi: PartialColoring, path: Chain) -> ResolveOutcome:
             return ResolveOutcome("happy", path)
     # The full shift left the end edge stuck, or a strict prefix was the
     # longest valid shift; the availability total must have dropped.
-    if phi.potential() < before and len(phi.uncolored) == blanks:
+    if shift.delta < (0, 0) and len(phi.uncolored) == blanks:
         return ResolveOutcome("content", prefix)
     raise LemmaViolationError("path neither happy nor content")

@@ -26,7 +26,7 @@ from .errors import (
     ListColorError,
     NotBipartiteError,
 )
-from .lists import generate_from_bounds
+from .lists import BOUND_MODES, MODES, generate_from_bounds
 from .oracle import DEFAULT_LIMIT, exhaustive_color
 
 EXIT_OK = 0
@@ -152,9 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("color", help="color an instance")
     p.add_argument("instance")
-    p.add_argument("--mode", required=True,
-                   choices=["shannon", "vizing", "koenig", "explicit"])
-    p.add_argument("--assume-bound", choices=["shannon", "vizing", "koenig"],
+    p.add_argument("--mode", required=True, choices=MODES)
+    p.add_argument("--assume-bound", choices=BOUND_MODES,
                    help="guarantee the explicit lists satisfy")
     p.add_argument("--trace", help="write per-shift trace records to this file")
     p.add_argument("--stats", action="store_true", help="print run counters to stderr")
@@ -164,13 +163,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a coloring against an instance")
     p.add_argument("instance")
     p.add_argument("coloring")
-    p.add_argument("--mode", choices=["shannon", "vizing", "koenig"],
+    p.add_argument("--mode", choices=BOUND_MODES,
                    help="derive bound lists when the instance has none")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", help="exhaustive search on a small instance")
     p.add_argument("instance")
-    p.add_argument("--mode", choices=["shannon", "vizing", "koenig"],
+    p.add_argument("--mode", choices=BOUND_MODES,
                    help="derive bound lists when the instance has none")
     p.add_argument("--limit", type=int, default=DEFAULT_LIMIT,
                    help=f"edge-count cap (default {DEFAULT_LIMIT})")
@@ -184,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges", type=int, help="target edge count")
     p.add_argument("--bipartite", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lists", choices=["shannon", "vizing", "koenig"],
+    p.add_argument("--lists", choices=BOUND_MODES,
                    help="embed bound-derived lists as explicit lists")
     p.add_argument("-o", "--output", help="instance output file (default stdout)")
     p.set_defaults(func=cmd_gen)

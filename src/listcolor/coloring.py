@@ -29,6 +29,7 @@ from .errors import (
     EdgeNotBlankError,
     ImproperAssignmentError,
     NotShiftableError,
+    PreconditionViolatedError,
 )
 from .graph import Multigraph
 from .lists import ListAssignment
@@ -43,6 +44,23 @@ class Potential(NamedTuple):
 
     a: int
     d: int
+
+
+class Shift(NamedTuple):
+    """A chain shift checked by ``PartialColoring.check_shift``.
+
+    ``old`` and ``targets`` are the chain's colors before and after (None
+    for blank), ``changes`` the (vertex, color) -> edge entries of the
+    shifted coloring that differ from the current one (None where the
+    color leaves the vertex), and ``delta`` the exact potential change.
+    A shift is valid only until the coloring next changes.
+    """
+
+    edges: tuple
+    old: tuple
+    targets: tuple
+    changes: dict
+    delta: Potential
 
 
 @dataclass(frozen=True)
@@ -197,64 +215,76 @@ class PartialColoring:
         self.ops += len(edges)
         return None, None
 
-    def shift_targets(self, edges) -> tuple[list, list, dict]:
-        """(current colors, shifted colors, changed entries) of the chain.
+    def check_shift(self, edges) -> Shift:
+        """Check the shift of a chain once and compute what it would change.
 
-        The changed entries are those ``shift_violation`` records.  Does not
-        mutate.  Raises NotShiftableError if the start edge is colored or
-        the shifted coloring would be improper or escape a list.
+        Does not mutate.  Raises NotShiftableError if the start edge is
+        colored or the shifted coloring would be improper or escape a list.
+        A color freed at a vertex where it is common, or taken from an
+        availability set, moves a by one; a blank edge that is colored, or
+        a colored one that goes blank, moves d by the edge's weight.
         """
-        old = [self.color[e] for e in edges]
+        old = tuple(map(self.color.__getitem__, edges))
         if old[0] is not None:
             raise NotShiftableError(0, START_NOT_BLANK)
-        targets = old[1:] + [None]
+        targets = old[1:] + (None,)
         changes = {}
         i, reason = self.shift_violation(edges, targets, changes)
         if i is not None:
             raise NotShiftableError(i, reason)
-        return old, targets, changes
-
-    def apply_chain_shift(self, edges) -> tuple:
-        """Move each chain edge's color one position back, blanking the last.
-
-        The shift is checked once by ``shift_targets`` and then written in
-        place from its changed entries.  A vertex keeps a color while some
-        chain edge at it still carries it, so availability and its total
-        move only where a color appears or leaves (a path's two ends, a
-        fan's leaves), and the blank-edge bookkeeping only for edges whose
-        blank status flips.  Returns the tuple of previous colors.  Raises
-        NotShiftableError (state unchanged) as ``shift_targets`` does.
-        """
-        old, targets, changes = self.shift_targets(edges)
-        used, available, common = self.used_edge, self.available, self.lists.common
+        common, available, weight = self.lists.common, self.available, self.weight
         da = 0
-        for (w, c), e in changes.items():
+        for (w, c), f in changes.items():
+            if f is None:
+                da += c in common[w]
+            elif c in available[w]:
+                da -= 1
+        dd = weight[edges[-1]] - weight[edges[0]]
+        if old.count(None) > 1:  # each later blank edge i passes its blank to i - 1
+            for i in range(1, len(edges)):
+                if old[i] is None:
+                    dd += weight[edges[i - 1]] - weight[edges[i]]
+        return Shift(tuple(edges), old, targets, changes, Potential(da, dd))
+
+    def apply_chain_shift(self, shift: Shift) -> tuple:
+        """Commit a checked shift: each chain edge takes the next one's color.
+
+        Writes ``shift.changes`` in place without checking it again.  A
+        vertex keeps a color while some chain edge at it still carries it,
+        so availability moves only where a color appears or leaves (a
+        path's two ends, a fan's leaves), the totals move by ``shift.delta``
+        and the blank-edge bookkeeping only for edges whose blank status
+        flips.  Returns the tuple of previous colors.  Raises
+        PreconditionViolatedError, with the state unchanged, if a chain
+        edge no longer has the color the shift was checked against.
+        """
+        edges, old, targets = shift.edges, shift.old, shift.targets
+        color = self.color
+        if tuple(map(color.__getitem__, edges)) != old:
+            raise PreconditionViolatedError("stale shift: chain colors changed")
+        used, available, common = self.used_edge, self.available, self.lists.common
+        for (w, c), e in shift.changes.items():
             if e is None:
                 del used[w][c]
                 if c in common[w]:
                     available[w].add(c)
-                    da += 1
             else:
                 if c in available[w]:
                     available[w].remove(c)
-                    da -= 1
                 used[w][c] = e
-        self.a_total += da
-        color, moved = self.color, 0
+        self.a_total += shift.delta.a
+        self.d_total += shift.delta.d
         for e, was, now in zip(edges, old, targets):
             color[e] = now
-            moved += (was is not None) + (now is not None)
             if was is None and now is not None:
                 self.uncolored.remove(e)
-                self.d_total -= self.weight[e]
             elif was is not None and now is None:
                 self.uncolored.add(e)
-                self.d_total += self.weight[e]
                 if not self.queued[e]:
                     self.queued[e] = True
                     heapq.heappush(self.blank_heap, e)
-        self.ops += 2 * moved
-        return tuple(old)
+        self.ops += 4 * (len(old) - old.count(None))  # each color moves off and on
+        return old
 
     def undo_chain_shift(self, edges, old: tuple) -> None:
         for e in edges:

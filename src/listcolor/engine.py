@@ -16,14 +16,7 @@ from typing import Callable, NamedTuple, Optional
 
 from . import shannon, vizing
 from .bipartite import koenig_path
-from .chain import (
-    ContentFan,
-    HappyEdge,
-    HappyFan,
-    PathUnderPhi,
-    PathUnderPsi,
-    resolve_path,
-)
+from .chain import resolve_path
 from .coloring import PartialColoring, Potential
 from .errors import (
     BoundViolationError,
@@ -32,7 +25,7 @@ from .errors import (
     StepBudgetExceededError,
 )
 from .graph import Multigraph
-from .lists import ListAssignment, check_bound, MODES
+from .lists import BOUND_MODES, MODES, ListAssignment, check_bound
 
 
 @dataclass
@@ -108,7 +101,7 @@ def augment_once(
     count is unchanged and the potential strictly dropped.  In both cases
     the potential strictly drops.
     """
-    if mode not in ("shannon", "vizing", "koenig"):
+    if mode not in BOUND_MODES:
         raise ValueError(f"augment mode must name a guarantee, got {mode!r}")
     step = stats.steps
     before = phi.potential()
@@ -124,7 +117,7 @@ def augment_once(
         else:
             u, v = phi.g.endpoints[e]
             out = vizing.classify_vizing(phi, e, min(u, v))
-        happy = _apply_outcome(phi, out, mode, stats, trace, step, before)
+        happy = _apply_outcome(phi, e, out, mode, stats, trace, step, before)
 
     after = phi.potential()
     if not after < before:
@@ -143,42 +136,28 @@ def augment_once(
     return "happy" if happy else "content"
 
 
-def _apply_outcome(phi, out, mode, stats, trace, step, before) -> bool:
-    if isinstance(out, HappyEdge):
-        phi.assign(out.edge, phi.is_happy(out.edge))
-        stats._saw_chain(1)
-        _emit(trace, step, "happy-edge", mode, out.branch, (out.edge,), before, phi)
-        return True
-    if isinstance(out, HappyFan):
-        phi.apply_chain_shift(out.fan.edges)
+def _apply_outcome(phi, e, out, mode, stats, trace, step, before) -> bool:
+    """Commit a classified step: its checked fan shift, then a happy color
+    for the end edge or the resolution of its path."""
+    branch, shift, path, happy = out
+    chain = (e,) if shift is None else shift.edges
+    if shift is not None:
+        phi.apply_chain_shift(shift)
         stats.fan_shifts += 1
-        stats._saw_chain(out.fan.length)
-        c = phi.is_happy(out.fan.end)
+    if happy:
+        c = phi.is_happy(chain[-1])
         if c is None:
-            raise LemmaViolationError("fan end not recolorable after happy shift")
-        phi.assign(out.fan.end, c)
-        _emit(trace, step, "fan-shift", mode, out.branch, out.fan.edges, before, phi)
-        return True
-    if isinstance(out, ContentFan):
-        phi.apply_chain_shift(out.fan.edges)
-        stats.fan_shifts += 1
-        stats._saw_chain(out.fan.length)
-        if not phi.potential() < before:
-            raise LemmaViolationError("content fan did not drop the potential")
-        _emit(trace, step, "fan-shift", mode, out.branch, out.fan.edges, before, phi)
-        return False
-    if isinstance(out, PathUnderPhi):
-        return _resolve_and_trace(phi, out.path, mode, out.branch, stats, trace, step)
-    if isinstance(out, PathUnderPsi):
-        phi.apply_chain_shift(out.fan.edges)
-        stats.fan_shifts += 1
-        stats._saw_chain(out.fan.length)
-        if phi.a_total != before.a:
-            raise LemmaViolationError("setup fan shift changed the availability total")
-        _emit(trace, step, "fan-shift", mode, f"{out.branch}-setup", out.fan.edges,
-              before, phi)
-        return _resolve_and_trace(phi, out.path, mode, out.branch, stats, trace, step)
-    raise InternalAssertionError(f"unknown outcome {out!r}")
+            raise LemmaViolationError(f"edge {chain[-1]} not recolorable after its shift")
+        phi.assign(chain[-1], c)
+    if shift is not None or happy:
+        stats._saw_chain(len(chain))
+        if trace is not None:
+            kind = "happy-edge" if shift is None else "fan-shift"
+            label = branch if path is None else f"{branch}-setup"
+            _emit(trace, step, kind, mode, label, chain, before, phi)
+    if path is None:
+        return happy
+    return _resolve_and_trace(phi, path, mode, branch, stats, trace, step)
 
 
 def step_budget(g: Multigraph, lists: ListAssignment) -> tuple[int, int]:
@@ -203,7 +182,7 @@ def color_graph(
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if mode == "explicit":
-        if assume_bound not in ("shannon", "vizing", "koenig"):
+        if assume_bound not in BOUND_MODES:
             raise ValueError("explicit mode requires assume_bound")
         effective = assume_bound
     else:

@@ -175,7 +175,7 @@ def generate_random(
     caps leave no room, so the result may be smaller but never violates a
     cap.
     """
-    if n < 0 or max_degree < 0 or max_multiplicity < 0:
+    if min(n, max_degree, max_multiplicity, edges or 0) < 0:
         raise InfeasibleParamsError("counts and caps must be nonnegative")
     if n < 2 and (edges or 0) > 0:
         raise InfeasibleParamsError("need at least two vertices to place edges")

@@ -49,10 +49,9 @@ def local_bound(g: Multigraph, x: int, mode: str) -> int:
     return _BOUNDS[mode](g, x)
 
 
-def _check_mode(mode: str, allow_explicit: bool = False) -> None:
-    allowed = MODES if allow_explicit else BOUND_MODES
-    if mode not in allowed:
-        raise ValueError(f"mode must be one of {allowed}, got {mode!r}")
+def _check_mode(mode: str) -> None:
+    if mode not in BOUND_MODES:
+        raise ValueError(f"mode must be one of {BOUND_MODES}, got {mode!r}")
 
 
 class ListAssignment:

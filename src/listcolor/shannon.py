@@ -20,21 +20,15 @@ Case 4's fallback disjunction is validated at run time, not assumed.
 
 from __future__ import annotations
 
-from .chain import (
-    Chain,
-    ContentFan,
-    HappyEdge,
-    HappyFan,
-    PathUnderPhi,
-    PathUnderPsi,
-    alternating_path,
-)
+from .chain import Chain, Step, alternating_path
 from .coloring import PartialColoring
 from .errors import (
     AvailabilityEmptyError,
     EdgeNotBlankError,
     LemmaViolationError,
 )
+
+HAPPY_EDGE = Step("happy-edge", happy=True)  # the engine colors the blank edge
 
 
 def _orient(phi: PartialColoring, e: int) -> tuple[int, int]:
@@ -68,27 +62,28 @@ def shannon_fan(phi: PartialColoring, e: int) -> Chain:
     return Chain((e, f), (x, y, z))
 
 
-def classify_shannon(phi: PartialColoring, e: int):
+def classify_shannon(phi: PartialColoring, e: int) -> Step:
     """Dispatch the fan into one of the outcome kinds described above.
 
-    Does not mutate: the case-4 fallback path is walked in the coloring
-    the fan's shift would give, after checking that shift, through an
-    overlay of the fan's changed entries.
+    Does not mutate.  A returned fan shift is checked once, with
+    ``PartialColoring.check_shift``, and the engine commits it without
+    checking it again; the case-4 fallback path is walked in the coloring
+    that checked shift would give, through its overlay of changed entries.
     """
     fan = shannon_fan(phi, e)
     x, y = fan.vertices[:2]
     if fan.length == 1:
-        return HappyEdge(e, branch="happy-edge")
+        return HAPPY_EDGE
     f = fan.edges[1]
     z = fan.vertices[2]
     eta = phi.color[f]
     phi.ops += len(phi.available[z])
     if any(c not in phi.used_edge[x] for c in phi.available[z]):
-        return HappyFan(fan, branch="case1-happy-fan")
+        return Step("case1-happy-fan", phi.check_shift(fan.edges), happy=True)
     if eta not in phi.lists.common[z]:
-        return ContentFan(fan, branch="case2-content-fan")
+        return Step("case2-content-fan", phi.check_shift(fan.edges))
     if phi.g.degree(z) < phi.g.degree(y):
-        return ContentFan(fan, branch="case3-content-fan")
+        return Step("case3-content-fan", phi.check_shift(fan.edges))
     # Final case: both availabilities inside used(x), so they intersect.
     inter = phi.available[y] & phi.available[z]
     phi.ops += min(len(phi.available[y]), len(phi.available[z]))
@@ -100,8 +95,11 @@ def classify_shannon(phi: PartialColoring, e: int):
     alpha = min(phi.available[x])
     p1 = alternating_path(phi, e, alpha, beta)
     if p1.vstart != p1.vend:
-        return PathUnderPhi(p1, alpha, beta, branch="final-path-phi")
-    p2 = alternating_path(phi, f, alpha, beta, shifted=fan)
+        return Step("final-path-phi", path=p1)
+    shift = phi.check_shift(fan.edges)
+    if shift.delta.a != 0:
+        raise LemmaViolationError("fan shift changed the availability total")
+    p2 = alternating_path(phi, f, alpha, beta, shifted=shift)
     if p2.vstart == p2.vend:
         raise LemmaViolationError("both fallback path candidates are circular")
-    return PathUnderPsi(fan, p2, alpha, beta, branch="final-path-psi")
+    return Step("final-path-psi", shift, p2)

@@ -12,27 +12,23 @@ A leaf's working set is copied from its availability set only when the
 leaf is first polled; a leaf reached again over a parallel edge keeps
 shrinking the same set.
 
-Dispatch computes the potential change of shifting the full fan, then the
-prefix ending at j, without touching the coloring, and commits whichever
-strictly improves; if neither does, the availability total is provably
-unchanged by both shifts and an alternating path from the shifted fan's
-end edge (full first, prefix as fallback) must satisfy the
+Dispatch checks the shift of the full fan, then of the prefix ending at
+j, with ``PartialColoring.check_shift``, which computes each shift's
+exact potential change without touching the coloring, and returns
+whichever strictly improves; if neither does, the availability total is
+provably unchanged by both shifts and an alternating path from the
+shifted fan's end edge (full first, prefix as fallback) must satisfy the
 path-resolution conditions.  That path is walked in the shifted coloring
-through an overlay of the fan's changed entries; classification never
-mutates the coloring.
+through the checked shift's overlay of changed entries; classification
+never mutates the coloring.  Every returned step carries its checked
+shift, which the engine commits without checking it again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chain import (
-    Chain,
-    ContentFan,
-    HappyFan,
-    PathUnderPsi,
-    alternating_path,
-)
+from .chain import Chain, Step, alternating_path
 from .coloring import PartialColoring
 from .errors import (
     BetaEmptyError,
@@ -88,59 +84,35 @@ def vizing_fan(phi: PartialColoring, e: int, x: int) -> VizingFanResult:
     raise LemmaViolationError("fan construction exhausted the pivot's degree")
 
 
-def _fan_shift_delta(phi: PartialColoring, fan: Chain) -> tuple[int, int]:
-    """Potential change (da, dd) of shifting ``fan``; the coloring is not touched.
-
-    Raises NotShiftableError as ``apply_chain_shift`` would.  The pivot
-    keeps its used set; leaf y_i loses c_i and gains c_{i+1}.  A color lost
-    and gained at the same leaf over parallel edges counts +1 and -1, so
-    summing per edge nets it per leaf.  An edge that goes blank raises d by
-    its degree weight and one that gets colored lowers it; in a vizing fan
-    those are the end and the start edge.
-    """
-    edges = fan.edges
-    old, targets, _ = phi.shift_targets(edges)
-    common, weight = phi.lists.common, phi.weight
-    da = dd = 0
-    for f, z, lost, gained in zip(edges, fan.vertices[1:], old, targets):
-        cz = common[z]
-        da += (lost in cz) - (gained in cz)
-        dd += weight[f] * ((gained is None) - (lost is None))
-    return da, dd
-
-
-def classify_vizing(phi: PartialColoring, e: int, x: int):
+def classify_vizing(phi: PartialColoring, e: int, x: int) -> Step:
     """Happy fan, content fan (full or prefix), or a path under the shift.
 
-    Each candidate shift is checked and its potential change computed
-    without mutating.  The path fallback walks the alternating path in the
-    coloring the candidate's shift would give, read through an overlay, so
+    Each candidate shift is checked once, with its exact potential change,
+    and the returned step carries the checked shift to the engine's
+    commit.  The path fallback walks the alternating path in the coloring
+    the candidate's shift would give, read through the shift's overlay, so
     the live coloring is never touched.
     """
     res = vizing_fan(phi, e, x)
     fan, beta = res.fan, res.beta
     if res.j == fan.length:
-        return HappyFan(fan, branch="happy-fan")
-    prefix = fan.prefix(res.j)
-    candidates = ((fan, "content-fan-full", "path-psi-full"),
-                  (prefix, "content-fan-prefix", "path-psi-prefix"))
-    delta_a = []
-    for cand, branch, _ in candidates:
-        da, dd = _fan_shift_delta(phi, cand)
-        if (da, dd) < (0, 0):
-            return ContentFan(cand, branch=branch)
-        delta_a.append(da)
+        return Step("happy-fan", phi.check_shift(fan.edges), happy=True)
+    shifts = []
+    for cand, branch in ((fan, "content-fan-full"),
+                         (fan.prefix(res.j), "content-fan-prefix")):
+        shift = phi.check_shift(cand.edges)
+        if shift.delta < (0, 0):
+            return Step(branch, shift)
+        shifts.append(shift)
     if not phi.available[x]:
         raise LemmaViolationError("no available color at the pivot")
     alpha = min(phi.available[x])
-    last_error = None
-    for (cand, _, branch), da in zip(candidates, delta_a):
-        if da != 0:
+    for shift, branch in zip(shifts, ("path-psi-full", "path-psi-prefix")):
+        if shift.delta.a != 0:
             raise LemmaViolationError("fan shift changed the availability total")
-        path = alternating_path(phi, cand.end, alpha, beta, shifted=cand)
+        path = alternating_path(phi, shift.edges[-1], alpha, beta, shifted=shift)
         if path.vstart != path.vend:
-            return PathUnderPsi(cand, path, alpha, beta, branch=branch)
-        last_error = branch
+            return Step(branch, shift, path)
     raise LemmaViolationError(
-        f"both fan path candidates are circular (last tried {last_error})"
+        "both fan path candidates are circular (last tried path-psi-prefix)"
     )

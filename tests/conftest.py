@@ -12,6 +12,13 @@ import random
 import pytest
 
 import listcolor as lc
+from listcolor import engine
+from listcolor.errors import (
+    COLOR_CLASH,
+    COLOR_NOT_IN_LIST,
+    START_NOT_BLANK,
+    NotShiftableError,
+)
 from listcolor.lists import local_bound
 
 
@@ -41,13 +48,27 @@ def recompute_potential(g, L, colors):
     return a, d
 
 
+def shifted_colors(colors, edges):
+    """The color vector after shifting the chain: each edge takes the next
+    edge's color and the last goes blank."""
+    new = list(colors)
+    for i, e in enumerate(edges):
+        new[e] = colors[edges[i + 1]] if i + 1 < len(edges) else None
+    return new
+
+
+def shift_change(g, L, colors, edges):
+    """Potential change (da, dd) of shifting the chain, by definition."""
+    a0, d0 = recompute_potential(g, L, colors)
+    a1, d1 = recompute_potential(g, L, shifted_colors(colors, edges))
+    return a1 - a0, d1 - d0
+
+
 def brute_shift_ok(g, L, colors, edges):
     """Is shifting this chain proper and list-valid?  Plain simulation."""
     if colors[edges[0]] is not None:
         return False
-    new = list(colors)
-    for i, e in enumerate(edges):
-        new[e] = colors[edges[i + 1]] if i + 1 < len(edges) else None
+    new = shifted_colors(colors, edges)
     for e, c in enumerate(new):
         if c is not None and c not in L.lists[e]:
             return False
@@ -62,12 +83,101 @@ def brute_shift_ok(g, L, colors, edges):
     return True
 
 
+def reference_violation(phi, edges, targets):
+    """The shift check as a plain scan: first (index, reason), else (None, None)."""
+    eset = set(edges)
+    seen = set()
+    for i, (e, c) in enumerate(zip(edges, targets)):
+        if c is None:
+            continue
+        if c not in phi.lists.lists[e]:
+            return i, COLOR_NOT_IN_LIST
+        for w in phi.g.endpoints[e]:
+            if (w, c) in seen:
+                return i, COLOR_CLASH
+            seen.add((w, c))
+            f = phi.used_edge[w].get(c)
+            if f is not None and f not in eset:
+                return i, COLOR_CLASH
+    return None, None
+
+
+def replay_shift(phi, edges):
+    """The shift replayed edge by edge: unassign every colored chain edge,
+    then assign every target.  Raises NotShiftableError as a refused
+    shift does, before touching ``phi``."""
+    old = [phi.color[e] for e in edges]
+    if old[0] is not None:
+        raise NotShiftableError(0, START_NOT_BLANK)
+    targets = old[1:] + [None]
+    i, reason = reference_violation(phi, edges, targets)
+    if i is not None:
+        raise NotShiftableError(i, reason)
+    for e, c in zip(edges, old):
+        if c is not None:
+            phi.unassign(e)
+    for e, c in zip(edges, targets):
+        if c is not None:
+            phi.assign(e, c)
+    return tuple(old)
+
+
 def brute_max_prefix(g, L, colors, edges):
     best = 1
     for j in range(1, len(edges) + 1):
         if brute_shift_ok(g, L, colors, edges[:j]):
             best = j
     return best
+
+
+# (has a shift, has a path, happy) -> the kind of step a classifier returned
+STEP_KINDS = {
+    (False, False, True): "happy-edge",
+    (True, False, True): "happy-fan",
+    (True, False, False): "content-fan",
+    (False, True, False): "path-phi",
+    (True, True, False): "path-psi",
+}
+
+
+def step_kind(out):
+    """The kind of a classifier's step; KeyError for a combination no
+    classifier may return."""
+    return STEP_KINDS[out.shift is not None, out.path is not None, out.happy]
+
+
+class ShiftLog:
+    """Counts shift checks and commits while ``engine.augment_once`` runs.
+
+    Records the chain of every ``PartialColoring.shift_violation`` call in
+    a step and fails the step if it checked one chain twice.
+    """
+
+    def __init__(self, monkeypatch):
+        self.checks = self.commits = 0
+        self.step = []
+        check = lc.PartialColoring.shift_violation
+        commit = lc.PartialColoring.apply_chain_shift
+        augment = engine.augment_once
+
+        def counted_check(phi, edges, *args):
+            self.step.append(tuple(edges))
+            return check(phi, edges, *args)
+
+        def counted_commit(phi, *args):
+            self.commits += 1
+            return commit(phi, *args)
+
+        def one_step(*args, **kwargs):
+            self.step = []
+            kind = augment(*args, **kwargs)
+            assert len(set(self.step)) == len(self.step), self.step
+            self.checks += len(self.step)
+            return kind
+
+        monkeypatch.setattr(lc.PartialColoring, "shift_violation", counted_check)
+        monkeypatch.setattr(lc.PartialColoring, "apply_chain_shift", counted_commit)
+        monkeypatch.setattr(engine, "augment_once", one_step)
 
 
 def setup_partial(n, edge_specs):

@@ -3,7 +3,6 @@ import random
 import pytest
 
 import listcolor as lc
-from listcolor.chain import PathUnderPsi
 from listcolor.errors import (
     COLOR_NOT_IN_LIST,
     EdgeNotBlankError,
@@ -21,6 +20,7 @@ from conftest import (
     recompute_potential,
     recompute_used,
     setup_partial,
+    step_kind,
 )
 
 S6 = frozenset(range(1, 7))
@@ -459,7 +459,8 @@ def test_psi_walk_matches_walk_in_shifted_copy():
             )
             before = live_state(phi)
             got = walk_or_error(
-                lambda: lc.alternating_path(phi, chain.end, alpha, beta, shifted=chain)
+                lambda: lc.alternating_path(phi, chain.end, alpha, beta,
+                                            shifted=phi.check_shift(chain.edges))
             )
             assert got == expected
             assert live_state(phi) == before
@@ -487,10 +488,12 @@ def test_classified_psi_paths_match_walk_in_shifted_copy():
     branches = []
     for phi, e in vizing_engine_states(range(80)):
         before = live_state(phi)
-        out = lc.classify_vizing(phi, e, min(phi.g.endpoints[e]))
+        x = min(phi.g.endpoints[e])
+        out = lc.classify_vizing(phi, e, x)
         assert live_state(phi) == before
-        if isinstance(out, PathUnderPsi):
-            psi = lc.shift(phi, out.fan)
-            assert out.path == lc.alternating_path(psi, out.fan.end, out.alpha, out.beta)
+        if step_kind(out) == "path-psi":
+            psi = lc.shift(phi, lc.build_chain(phi.g, out.shift.edges))
+            alpha, beta = min(phi.available[x]), lc.vizing_fan(phi, e, x).beta
+            assert out.path == lc.alternating_path(psi, out.shift.edges[-1], alpha, beta)
             branches.append(out.branch)
     assert len(branches) > 20 and set(branches) == {"path-psi-full", "path-psi-prefix"}

@@ -187,6 +187,13 @@ def test_gen_writes_parseable_instance(tmp_path, capsys):
     assert g.n == 8 and L is None
 
 
+def test_gen_rejects_negative_edge_count(capsys):
+    code, out, err = run(capsys, "gen", "-n", "5", "--max-degree", "2", "--edges", "-3")
+    assert code == 2
+    assert out == ""
+    assert "nonnegative" in err
+
+
 def test_gen_with_lists_then_color(tmp_path, capsys):
     out_path = str(tmp_path / "gen.txt")
     code, _, _ = run(

@@ -6,7 +6,6 @@ import listcolor as lc
 from listcolor.errors import (
     COLOR_CLASH,
     COLOR_NOT_IN_LIST,
-    START_NOT_BLANK,
     AvailabilityEmptyError,
     ColorNotInListError,
     EdgeBlankError,
@@ -19,6 +18,7 @@ from listcolor.errors import (
 from conftest import (
     FULL6,
     random_chain,
+    replay_shift,
     random_partial,
     random_vizing_partials,
     recompute_available,
@@ -272,44 +272,6 @@ def test_copy_is_independent(triangle):
     assert snap.verify() == []
 
 
-def reference_violation(phi, edges, targets):
-    """The shift check as a plain scan: first (index, reason), else (None, None)."""
-    eset = set(edges)
-    seen = set()
-    for i, (e, c) in enumerate(zip(edges, targets)):
-        if c is None:
-            continue
-        if c not in phi.lists.lists[e]:
-            return i, COLOR_NOT_IN_LIST
-        for w in phi.g.endpoints[e]:
-            if (w, c) in seen:
-                return i, COLOR_CLASH
-            seen.add((w, c))
-            f = phi.used_edge[w].get(c)
-            if f is not None and f not in eset:
-                return i, COLOR_CLASH
-    return None, None
-
-
-def replay_shift(phi, edges):
-    """The shift replayed edge by edge: unassign every colored chain edge,
-    then assign every target."""
-    old = [phi.color[e] for e in edges]
-    if old[0] is not None:
-        raise NotShiftableError(0, START_NOT_BLANK)
-    targets = old[1:] + [None]
-    i, reason = reference_violation(phi, edges, targets)
-    if i is not None:
-        raise NotShiftableError(i, reason)
-    for e, c in zip(edges, old):
-        if c is not None:
-            phi.unassign(e)
-    for e, c in zip(edges, targets):
-        if c is not None:
-            phi.assign(e, c)
-    return tuple(old)
-
-
 def coloring_state(phi):
     return (
         list(phi.color),
@@ -361,12 +323,12 @@ def test_one_pass_commit_matches_edge_by_edge_replay():
             except NotShiftableError as exc:
                 before = coloring_state(got)
                 with pytest.raises(NotShiftableError) as raised:
-                    got.apply_chain_shift(edges)
+                    got.check_shift(edges)
                 assert (raised.value.index, raised.value.reason) == (exc.index, exc.reason)
                 assert coloring_state(got) == before
                 reasons.add(exc.reason)
                 continue
-            assert got.apply_chain_shift(edges) == old
+            assert got.apply_chain_shift(got.check_shift(edges)) == old
             assert coloring_state(got) == coloring_state(expected)
             assert got.verify() == []
             committed += 1
@@ -375,3 +337,24 @@ def test_one_pass_commit_matches_edge_by_edge_replay():
             parallel += len(set(ends)) < len(ends)
     assert {COLOR_CLASH, COLOR_NOT_IN_LIST} <= reasons
     assert committed > 1000 and interior_blank > 20 and parallel > 20
+
+
+def test_stale_shift_is_refused():
+    # a checked shift is valid only until the coloring next changes: once a
+    # chain edge has another color, committing it raises and changes nothing
+    g, L, phi = setup_partial(3, [(0, 1, None, FULL6), (1, 2, 1, FULL6)])
+    stale = phi.check_shift((0, 1))
+    phi.unassign(1)
+    phi.assign(1, 2)
+    before = coloring_state(phi)
+    with pytest.raises(PreconditionViolatedError):
+        phi.apply_chain_shift(stale)
+    assert coloring_state(phi) == before
+    # committing one shift twice is the same mistake
+    shift = phi.check_shift((0, 1))
+    assert phi.apply_chain_shift(shift) == (None, 2)
+    after = coloring_state(phi)
+    with pytest.raises(PreconditionViolatedError):
+        phi.apply_chain_shift(shift)
+    assert coloring_state(phi) == after
+    assert phi.verify() == []

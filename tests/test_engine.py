@@ -6,7 +6,7 @@ import listcolor as lc
 from listcolor import engine
 from listcolor.errors import BoundViolationError, NotBipartiteError, NotShiftableError
 
-from conftest import adversarial_lists, random_partial, recompute_potential
+from conftest import ShiftLog, adversarial_lists, random_partial, recompute_potential
 
 S6 = frozenset(range(1, 7))
 
@@ -229,7 +229,7 @@ def _churn(phi, r, rounds):
                     break
                 chain.append(r.choice(colored))
             try:
-                old = phi.apply_chain_shift(chain)
+                old = phi.apply_chain_shift(phi.check_shift(chain))
             except NotShiftableError:
                 continue
             if r.random() < 0.5:
@@ -260,3 +260,36 @@ def test_first_blank_is_smallest_blank_edge(mode):
             assert len(phi.blank_heap) <= g.m
         assert phi.first_blank() is None
         assert phi.verify() == []
+
+
+@pytest.mark.parametrize("mode, assume", [
+    ("shannon", None), ("vizing", None), ("explicit", "vizing"),
+])
+def test_each_shift_is_checked_once(mode, assume, monkeypatch):
+    # a classifier checks each candidate shift once and the commit trusts
+    # that check: no step checks one chain twice, and every check leads to
+    # a commit except a vizing full fan passed over for its prefix (a
+    # content-fan-prefix step) or for a path (a path-psi step, whose fan
+    # shift and path shift are both committed); random shannon runs take
+    # the happy-edge branch, and test_shannon covers its deeper cases
+    log = ShiftLog(monkeypatch)
+    branches = []
+    bound = assume or mode
+    for seed in range(150):
+        rng = random.Random(seed)
+        g = lc.generate_random(rng.randint(3, 10), rng.randint(2, 10), rng.randint(1, 5),
+                               seed=seed, edges=rng.randint(2, 30))
+        if mode == "explicit":
+            L = adversarial_lists(g, bound, rng)
+        else:
+            L = lc.generate_from_bounds(g, mode)
+        lc.color_graph(g, L, mode, assume_bound=assume,
+                       trace=lambda r: branches.append(r.branch))
+    passed_over = sum(
+        b in (f"{bound}-content-fan-prefix", f"{bound}-path-psi-full",
+              f"{bound}-path-psi-prefix")
+        for b in branches
+    )
+    assert log.checks == log.commits + passed_over
+    if bound == "vizing":
+        assert log.commits > 1000 and passed_over > 20

@@ -1,9 +1,18 @@
 import random
 
-import listcolor as lc
-from listcolor.chain import ContentFan, HappyEdge, HappyFan, PathUnderPhi, PathUnderPsi
+import pytest
 
-from conftest import random_partial, recompute_potential, setup_partial
+import listcolor as lc
+from listcolor import engine
+from listcolor.chain import Step
+
+from conftest import (
+    ShiftLog,
+    random_partial,
+    recompute_potential,
+    setup_partial,
+    step_kind,
+)
 
 S6 = frozenset(range(1, 7))
 S7 = frozenset({1, 2, 4, 5, 6, 7})
@@ -52,7 +61,7 @@ def test_classify_blank_is_happy_edge(triangle):
     g, L = triangle
     phi = lc.PartialColoring(g, L)
     out = lc.classify_shannon(phi, 0)
-    assert isinstance(out, HappyEdge)
+    assert out == Step("happy-edge", happy=True)
     assert phi.is_happy(0) == 1
 
 
@@ -63,13 +72,14 @@ def test_classify_case1_happy_fan():
     )
     assert lc.check_bound(g, L, "shannon").ok
     out = lc.classify_shannon(phi, 0)
-    assert isinstance(out, HappyFan)
+    assert step_kind(out) == "happy-fan"
     assert out.branch == "case1-happy-fan"
     # applying the fan and coloring its end keeps everything consistent
-    phi.apply_chain_shift(out.fan.edges)
-    c = phi.is_happy(out.fan.end)
+    end = out.shift.edges[-1]
+    phi.apply_chain_shift(out.shift)
+    c = phi.is_happy(end)
     assert c == 3
-    phi.assign(out.fan.end, c)
+    phi.assign(end, c)
     assert phi.verify() == []
 
 
@@ -82,10 +92,10 @@ def test_classify_case2_content():
     assert lc.check_bound(g, L, "shannon").ok
     assert 4 not in L.common[2]
     out = lc.classify_shannon(phi, 0)
-    assert isinstance(out, ContentFan)
+    assert step_kind(out) == "content-fan"
     assert out.branch == "case2-content-fan"
     before = recompute_potential(g, L, phi.color)
-    phi.apply_chain_shift(out.fan.edges)
+    phi.apply_chain_shift(out.shift)
     after = recompute_potential(g, L, phi.color)
     assert after[0] == before[0] - 1  # availability total drops by one
     assert after < before
@@ -105,10 +115,10 @@ def test_classify_case3_content_degree_drop():
     assert 4 in L.common[2]
     assert g.degree(2) == 3 < g.degree(1) == 4
     out = lc.classify_shannon(phi, 0)
-    assert isinstance(out, ContentFan)
+    assert step_kind(out) == "content-fan"
     assert out.branch == "case3-content-fan"
     before = recompute_potential(g, L, phi.color)
-    phi.apply_chain_shift(out.fan.edges)
+    phi.apply_chain_shift(out.shift)
     after = recompute_potential(g, L, phi.color)
     assert after[0] == before[0]  # availability unchanged
     assert after[1] == before[1] - 1  # degree-weighted blanks drop
@@ -140,8 +150,9 @@ def test_classify_final_path_under_current_coloring():
     # claim: the two availability sets intersect
     assert phi.available[1] & phi.available[2] == {5, 6}
     out = lc.classify_shannon(phi, 0)
-    assert isinstance(out, PathUnderPhi)
-    assert (out.alpha, out.beta) == (1, 5)
+    assert step_kind(out) == "path-phi"
+    # the path alternates alpha = 1 and beta = 5 in the current coloring
+    assert out.path == lc.alternating_path(phi, 0, 1, 5)
     assert out.path.edges == (0, 4)
     assert out.path.vstart != out.path.vend
     res = lc.resolve_path(phi, out.path)
@@ -153,12 +164,14 @@ def test_classify_final_path_under_shifted_coloring():
     g, L, phi = final_case_instance(cyclic=True)
     assert lc.check_bound(g, L, "shannon").ok
     out = lc.classify_shannon(phi, 0)
-    assert isinstance(out, PathUnderPsi)
-    assert (out.alpha, out.beta) == (1, 5)
-    assert out.fan.edges == (0, 1)
+    assert step_kind(out) == "path-psi"
+    assert out.shift.edges == (0, 1)
+    # the path alternates alpha = 1 and beta = 5 in the shifted coloring
+    psi = lc.shift(phi, lc.build_chain(g, out.shift.edges))
+    assert out.path == lc.alternating_path(psi, 1, 1, 5)
     assert out.path.edges == (1, 7)  # built in the shifted coloring
     before = phi.potential()
-    phi.apply_chain_shift(out.fan.edges)
+    phi.apply_chain_shift(out.shift)
     assert phi.potential().a == before.a
     res = lc.resolve_path(phi, out.path)
     assert res.kind == "happy"
@@ -178,11 +191,33 @@ def test_final_path_under_shifted_coloring_leaves_phi_untouched():
 
     before = state()
     out = lc.classify_shannon(phi, 0)
-    assert isinstance(out, PathUnderPsi) and out.branch == "final-path-psi"
+    assert step_kind(out) == "path-psi" and out.branch == "final-path-psi"
     assert state() == before
-    psi = lc.shift(phi, out.fan)
-    assert out.path == lc.alternating_path(psi, out.fan.end, out.alpha, out.beta)
+    psi = lc.shift(phi, lc.build_chain(g, out.shift.edges))
+    assert out.path == lc.alternating_path(psi, out.shift.edges[-1], 1, 5)
     assert psi.color != phi.color
+
+
+@pytest.mark.parametrize("make, branch, commits", [
+    (lambda: blocked_pivot_instance([(8, 1), (9, 2)], [S6, S6]), "case1-happy-fan", 1),
+    (lambda: blocked_pivot_instance([(8, 1), (9, 2)], [frozenset({1, 2, 5, 6})] * 2),
+     "case2-content-fan", 1),
+    (lambda: blocked_pivot_instance([(8, 1), (9, 2)], [frozenset({1, 2, 4, 5})] * 2,
+                                    x_lists=S7, y_colors=(1, 2, 7)),
+     "case3-content-fan", 1),
+    (lambda: final_case_instance(cyclic=False), "final-path-phi", 1),
+    (lambda: final_case_instance(cyclic=True), "final-path-psi", 2),
+])
+def test_deep_cases_check_each_shift_once(make, branch, commits, monkeypatch):
+    # the fan or path each case commits is checked once, by the classifier
+    # or by resolve_path, and committed without a second check
+    g, L, phi = make()
+    log = ShiftLog(monkeypatch)
+    branches = []
+    engine.augment_once(phi, 0, "shannon", lc.RunStats(), trace=branches.append)
+    assert branches[-1].branch == f"shannon-{branch}"
+    assert log.checks == log.commits == commits
+    assert phi.verify() == []
 
 
 def test_intersection_claim_on_random_final_cases(rng):
@@ -196,9 +231,8 @@ def test_intersection_claim_on_random_final_cases(rng):
         for e in sorted(phi.uncolored):
             out = lc.classify_shannon(phi, e)
             dispatched += 1
-            assert isinstance(
-                out, (HappyEdge, HappyFan, ContentFan, PathUnderPhi, PathUnderPsi)
-            )
+            assert isinstance(out, Step)
+            step_kind(out)  # one of the five kinds
     assert dispatched > 200
 
 

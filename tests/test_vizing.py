@@ -3,15 +3,19 @@ import random
 import pytest
 
 import listcolor as lc
-from listcolor.chain import Chain, ContentFan, HappyFan, PathUnderPsi
+from listcolor.chain import Chain
 from listcolor.errors import LemmaViolationError, NotShiftableError
-from listcolor.vizing import VizingFanResult, _fan_shift_delta
+from listcolor.vizing import VizingFanResult
 
 from conftest import (
+    random_chain,
     random_partial,
     random_vizing_partials,
     recompute_potential,
+    replay_shift,
     setup_partial,
+    shift_change,
+    step_kind,
 )
 
 S6 = frozenset(range(1, 7))
@@ -59,11 +63,12 @@ def test_fan_never_returns_index_zero(rng):
 def test_classify_happy_two_edge_fan():
     g, L, phi = setup_partial(3, [(0, 1, None, S6), (0, 2, 1, S6)])
     out = lc.classify_vizing(phi, 0, 0)
-    assert isinstance(out, HappyFan)
-    phi.apply_chain_shift(out.fan.edges)
-    c = phi.is_happy(out.fan.end)
+    assert step_kind(out) == "happy-fan"
+    end = out.shift.edges[-1]
+    phi.apply_chain_shift(out.shift)
+    c = phi.is_happy(end)
     assert c == 2
-    phi.assign(out.fan.end, c)
+    phi.assign(end, c)
     assert phi.verify() == []
 
 
@@ -78,10 +83,10 @@ def test_classify_content_full_fan_derived():
     assert lc.check_bound(g, L, "vizing").ok
     assert 2 not in L.common[3]
     out = lc.classify_vizing(phi, 0, 0)
-    assert isinstance(out, ContentFan)
+    assert step_kind(out) == "content-fan"
     assert out.branch == "content-fan-full"
     before = recompute_potential(g, L, phi.color)
-    phi.apply_chain_shift(out.fan.edges)
+    phi.apply_chain_shift(out.shift)
     after = recompute_potential(g, L, phi.color)
     assert after[0] == before[0] - 1
     assert phi.verify() == []
@@ -92,11 +97,13 @@ def test_classify_path_under_shifted_fan():
         4, [(0, 1, None, S6), (0, 2, 1, S6), (0, 3, 2, S6)]
     )
     out = lc.classify_vizing(phi, 0, 0)
-    assert isinstance(out, PathUnderPsi)
+    assert step_kind(out) == "path-psi"
     assert out.branch == "path-psi-full"
-    assert (out.alpha, out.beta) == (3, 1)
+    # the path alternates alpha = 3 and beta = 1 in the shifted coloring
+    psi = lc.shift(phi, lc.build_chain(g, out.shift.edges))
+    assert out.path == lc.alternating_path(psi, out.shift.edges[-1], 3, 1)
     before = phi.potential()
-    phi.apply_chain_shift(out.fan.edges)
+    phi.apply_chain_shift(out.shift)
     assert phi.potential().a == before.a
     res = lc.resolve_path(phi, out.path)
     assert res.kind == "happy"
@@ -203,40 +210,57 @@ def test_lazy_fan_matches_eager_reference():
     assert fans > 500 and saved > 0
 
 
-def measured_shift_change(phi, edges):
-    """Potential change of really applying the shift, undone afterwards."""
-    before = phi.potential()
-    undo = phi.apply_chain_shift(edges)
-    after = phi.potential()
-    phi.undo_chain_shift(edges, undo)
-    return after.a - before.a, after.d - before.d
+def shift_candidates(g, phi, rng):
+    """Vizing fans and their prefixes, then random chains (paths, interior
+    blank edges, parallel edges)."""
+    for e in sorted(phi.uncolored):
+        for x in g.endpoints[e]:
+            res = lc.vizing_fan(phi, e, x)
+            yield res.fan
+            yield res.fan.prefix(res.j)
+    for _ in range(12):
+        yield random_chain(g, rng, phi.color)
 
 
-def test_fan_shift_delta_matches_applied_shift():
-    outside = 0  # shifts that move a color outside its leaf's common set
+def test_shift_delta_matches_applied_shift():
+    outside = 0  # fan shifts that move a color outside its leaf's common set
+    interior_blank = parallel = checked = 0
     for g, L, phi in random_vizing_partials(60):
-        for e in sorted(phi.uncolored):
-            for x in g.endpoints[e]:
-                res = lc.vizing_fan(phi, e, x)
-                for cand in (res.fan, res.fan.prefix(res.j)):
-                    colors, before = list(phi.color), phi.potential()
-                    delta = _fan_shift_delta(phi, cand)
-                    assert phi.color == colors and phi.potential() == before
-                    assert phi.verify() == []
-                    assert delta == measured_shift_change(phi, cand.edges)
-                    outside += any(
-                        phi.color[f] is not None and phi.color[f] not in L.common[z]
-                        for f, z in zip(cand.edges, cand.vertices[1:])
-                    )
-    assert outside > 0
+        for cand in shift_candidates(g, phi, random.Random(g.m)):
+            colors, before = list(phi.color), phi.potential()
+            try:
+                shift = phi.check_shift(cand.edges)
+            except NotShiftableError:
+                assert cand.vertices == ()  # every vizing fan shifts
+                continue
+            assert phi.color == colors and phi.potential() == before
+            assert phi.verify() == []
+            assert shift.delta == shift_change(g, L, colors, cand.edges)
+            applied = phi.copy()
+            applied.apply_chain_shift(shift)
+            assert applied.verify() == []
+            assert applied.potential() == (before.a + shift.delta.a,
+                                           before.d + shift.delta.d)
+            checked += 1
+            interior_blank += None in shift.old[1:-1]
+            ends = [frozenset(g.endpoints[f]) for f in cand.edges]
+            parallel += len(set(ends)) < len(ends)
+            outside += any(
+                phi.color[f] is not None and phi.color[f] not in L.common[z]
+                for f, z in zip(cand.edges, cand.vertices[1:])
+            )
+    assert outside > 0 and checked > 1000
+    assert interior_blank > 20 and parallel > 20
 
 
-def test_fan_shift_delta_raises_like_apply_chain_shift():
+def test_check_shift_raises_like_replay():
     # arbitrary edge orders around a pivot, shiftable or not; parallel
-    # edges may sit next to each other, which no vizing fan does
+    # edges may sit next to each other, which no vizing fan does; and
+    # random chains
     raised = 0
     for g, L, phi in random_vizing_partials(40):
         rng = random.Random(g.m)
+        chains = [random_chain(g, rng, phi.color) for _ in range(8)]
         for x in range(g.n):
             inc = list(g.incidence[x])
             if not inc:
@@ -244,16 +268,18 @@ def test_fan_shift_delta_raises_like_apply_chain_shift():
             for _ in range(4):
                 edges = rng.sample(inc, rng.randint(1, len(inc)))
                 leaves = tuple(g.other_end(f, x) for f in edges)
-                fan = Chain(tuple(edges), (x, *leaves))
-                colors = list(phi.color)
-                try:
-                    expected = measured_shift_change(phi, fan.edges)
-                except NotShiftableError as exc:
-                    with pytest.raises(NotShiftableError) as got:
-                        _fan_shift_delta(phi, fan)
-                    assert (got.value.index, got.value.reason) == (exc.index, exc.reason)
-                    raised += 1
-                else:
-                    assert _fan_shift_delta(phi, fan) == expected
-                assert phi.color == colors
+                chains.append(Chain(tuple(edges), (x, *leaves)))
+        for chain in chains:
+            colors = list(phi.color)
+            try:
+                replay_shift(phi.copy(), chain.edges)
+            except NotShiftableError as exc:
+                with pytest.raises(NotShiftableError) as got:
+                    phi.check_shift(chain.edges)
+                assert (got.value.index, got.value.reason) == (exc.index, exc.reason)
+                raised += 1
+            else:
+                delta = phi.check_shift(chain.edges).delta
+                assert delta == shift_change(g, L, colors, chain.edges)
+            assert phi.color == colors
     assert raised > 0
