@@ -35,7 +35,7 @@ from .errors import (
 from .graph import Multigraph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Chain:
     """Edges whose colors a shift moves one place toward the front.
 
@@ -129,7 +129,7 @@ class Step(NamedTuple):
     happy: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResolveOutcome:
     kind: str  # "happy" | "content"
     chain: Chain  # full path (happy) or the shifted prefix (content)

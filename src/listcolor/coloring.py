@@ -11,12 +11,14 @@ O(log m) amortized: colored entries are discarded only when they reach the
 top, and an edge is pushed again only when it goes blank while unqueued.
 
 One actor mutates a coloring at a time; ``copy`` produces an independent
-snapshot.
+snapshot.  Each state has its own ``stamp``, so committing a chain shift
+checked on another state is refused in O(1).
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -33,6 +35,8 @@ from .errors import (
 )
 from .graph import Multigraph
 from .lists import ListAssignment
+
+_STAMPS = itertools.count()  # process-wide: no two coloring states share a stamp
 
 
 class Potential(NamedTuple):
@@ -52,8 +56,9 @@ class Shift(NamedTuple):
     ``old`` and ``targets`` are the chain's colors before and after (None
     for blank), ``changes`` the (vertex, color) -> edge entries of the
     shifted coloring that differ from the current one (None where the
-    color leaves the vertex), and ``delta`` the exact potential change.
-    A shift is valid only until the coloring next changes.
+    color leaves the vertex), ``delta`` the exact potential change, and
+    ``stamp`` the coloring's stamp at the check: a shift is valid only
+    until that coloring next changes, and never on a copy.
     """
 
     edges: tuple
@@ -61,9 +66,10 @@ class Shift(NamedTuple):
     targets: tuple
     changes: dict
     delta: Potential
+    stamp: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Finding:
     kind: str  # "ImproperAssignment" | "ColorNotInList" | "CacheMismatch"
     detail: str
@@ -83,6 +89,7 @@ class PartialColoring:
         "a_total",
         "d_total",
         "ops",
+        "stamp",
     )
 
     def __init__(self, g: Multigraph, lists: ListAssignment):
@@ -100,6 +107,7 @@ class PartialColoring:
         self.a_total = sum(len(s) for s in self.available)
         self.d_total = sum(self.weight)
         self.ops = 0  # approximate count of elementary set operations
+        self.stamp = next(_STAMPS)
 
     def copy(self) -> "PartialColoring":
         new = object.__new__(PartialColoring)
@@ -115,6 +123,7 @@ class PartialColoring:
         new.a_total = self.a_total
         new.d_total = self.d_total
         new.ops = 0
+        new.stamp = next(_STAMPS)
         return new
 
     def potential(self) -> Potential:
@@ -140,6 +149,7 @@ class PartialColoring:
         self.uncolored.remove(e)
         self.d_total -= self.weight[e]
         self.ops += 2
+        self.stamp = next(_STAMPS)
 
     def unassign(self, e: int) -> None:
         c = self.color[e]
@@ -158,6 +168,7 @@ class PartialColoring:
             heapq.heappush(self.blank_heap, e)
         self.d_total += self.weight[e]
         self.ops += 2
+        self.stamp = next(_STAMPS)
 
     def first_blank(self) -> Optional[int]:
         """Smallest blank edge id, ``min(self.uncolored)``; None if all colored."""
@@ -184,67 +195,65 @@ class PartialColoring:
     # -- chain shifts ---------------------------------------------------------
 
     def shift_violation(self, edges, targets, changes: dict):
-        """First (index, reason) making the shift improper, else (None, None).
+        """(index, reason, None) for the first edge making the shift improper,
+        else (None, None, da) with da the availability total's change.
 
         ``targets[i]`` is the color edge ``edges[i]`` would receive (None for
         blank).  Fills ``changes`` with every entry of the shifted coloring
         that differs from this one: (vertex, color) -> the edge carrying the
         color there afterwards, or None where the color leaves the vertex.
+        The same walk counts da: a freed color +1 where it is common, a taken
+        one -1 where it was available; freed then retaken cancels out.
         Does not mutate the coloring.
         """
         ends, used, lists = self.g.endpoints, self.used_edge, self.lists.lists
-        color = self.color
+        common, color = self.lists.common, self.color
+        da = 0
         for e in edges:
             c = color[e]
             if c is not None:
                 u, v = ends[e]
                 changes[u, c] = changes[v, c] = None
+                da += (c in common[u]) + (c in common[v])
         for i, (e, c) in enumerate(zip(edges, targets)):
             if c is None:
                 continue
             if c not in lists[e]:
-                return i, COLOR_NOT_IN_LIST
+                return i, COLOR_NOT_IN_LIST, None
             for w in ends[e]:
                 key = (w, c)
-                if key in changes:
-                    if changes[key] is not None:  # an earlier chain edge takes c
-                        return i, COLOR_CLASH
-                elif c in used[w]:  # an edge outside the chain keeps c
-                    return i, COLOR_CLASH
+                f = changes.get(key, -1)  # -1: no chain edge has c at w
+                if f is not None and (f != -1 or c in used[w]):
+                    return i, COLOR_CLASH, None  # a chain edge or one outside has c
                 changes[key] = e
+                da -= c in common[w]  # c was available, or freed above, iff common
         self.ops += len(edges)
-        return None, None
+        return None, None, da
 
     def check_shift(self, edges) -> Shift:
         """Check the shift of a chain once and compute what it would change.
 
         Does not mutate.  Raises NotShiftableError if the start edge is
         colored or the shifted coloring would be improper or escape a list.
-        A color freed at a vertex where it is common, or taken from an
-        availability set, moves a by one; a blank edge that is colored, or
-        a colored one that goes blank, moves d by the edge's weight.
+        ``shift_violation`` counts a's change in its walk; d moves by the
+        weight of each edge that gets colored or goes blank.  The shift is
+        valid only until the coloring's stamp next changes.
         """
         old = tuple(map(self.color.__getitem__, edges))
         if old[0] is not None:
             raise NotShiftableError(0, START_NOT_BLANK)
         targets = old[1:] + (None,)
         changes = {}
-        i, reason = self.shift_violation(edges, targets, changes)
+        i, reason, da = self.shift_violation(edges, targets, changes)
         if i is not None:
             raise NotShiftableError(i, reason)
-        common, available, weight = self.lists.common, self.available, self.weight
-        da = 0
-        for (w, c), f in changes.items():
-            if f is None:
-                da += c in common[w]
-            elif c in available[w]:
-                da -= 1
+        weight = self.weight
         dd = weight[edges[-1]] - weight[edges[0]]
         if old.count(None) > 1:  # each later blank edge i passes its blank to i - 1
             for i in range(1, len(edges)):
                 if old[i] is None:
                     dd += weight[edges[i - 1]] - weight[edges[i]]
-        return Shift(tuple(edges), old, targets, changes, Potential(da, dd))
+        return Shift(tuple(edges), old, targets, changes, Potential(da, dd), self.stamp)
 
     def apply_chain_shift(self, shift: Shift) -> tuple:
         """Commit a checked shift: each chain edge takes the next one's color.
@@ -254,14 +263,14 @@ class PartialColoring:
         so availability moves only where a color appears or leaves (a
         path's two ends, a fan's leaves), the totals move by ``shift.delta``
         and the blank-edge bookkeeping only for edges whose blank status
-        flips.  Returns the tuple of previous colors.  Raises
-        PreconditionViolatedError, with the state unchanged, if a chain
-        edge no longer has the color the shift was checked against.
+        flips.  Returns the tuple of previous colors and renews the stamp.
+        Raises PreconditionViolatedError, with the state unchanged, if the
+        shift was checked at another stamp: on another coloring (a copy
+        too), or on this one before its last color change.
         """
-        edges, old, targets = shift.edges, shift.old, shift.targets
-        color = self.color
-        if tuple(map(color.__getitem__, edges)) != old:
-            raise PreconditionViolatedError("stale shift: chain colors changed")
+        if shift.stamp != self.stamp:
+            raise PreconditionViolatedError("stale shift: the coloring changed since")
+        edges, old, targets, color = shift.edges, shift.old, shift.targets, self.color
         used, available, common = self.used_edge, self.available, self.lists.common
         for (w, c), e in shift.changes.items():
             if e is None:
@@ -284,6 +293,7 @@ class PartialColoring:
                     self.queued[e] = True
                     heapq.heappush(self.blank_heap, e)
         self.ops += 4 * (len(old) - old.count(None))  # each color moves off and on
+        self.stamp = next(_STAMPS)
         return old
 
     def undo_chain_shift(self, edges, old: tuple) -> None:

@@ -74,7 +74,7 @@ TraceSink = Optional[Callable[[TraceRecord], None]]
 
 def _emit(trace: TraceSink, step, kind, mode, branch, chain, before, phi):
     if trace is not None:
-        trace(TraceRecord(step, kind, f"{mode}-{branch}", chain, before,
+        trace(TraceRecord(step, kind, f"{mode}-{branch}", chain, Potential(*before),
                           phi.potential()))
 
 
@@ -104,7 +104,7 @@ def augment_once(
     if mode not in BOUND_MODES:
         raise ValueError(f"augment mode must name a guarantee, got {mode!r}")
     step = stats.steps
-    before = phi.potential()
+    before = (phi.a_total, phi.d_total)  # a Potential only for a trace record
     blanks = len(phi.uncolored)
     ops_before = phi.ops
 
@@ -121,7 +121,7 @@ def augment_once(
 
     after = phi.potential()
     if not after < before:
-        raise LemmaViolationError(f"potential did not drop: {before} -> {after}")
+        raise LemmaViolationError(f"potential did not drop: {Potential(*before)} -> {after}")
     if happy:
         if len(phi.uncolored) != blanks - 1:
             raise LemmaViolationError("happy step did not color exactly one edge")

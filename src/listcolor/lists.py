@@ -88,7 +88,7 @@ class ListAssignment:
         return max((len(s) for s in self.common), default=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VertexBound:
     vertex: int
     required: int
@@ -99,7 +99,7 @@ class VertexBound:
         return self.actual >= self.required
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundReport:
     mode: str
     entries: tuple[VertexBound, ...]

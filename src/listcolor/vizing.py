@@ -6,11 +6,9 @@ color the fan is immediately recolorable (happy), otherwise the pivot's
 edge carrying it either extends the fan or closes it onto an earlier
 index j.  Working sets start as the leaves' availability sets and shrink
 by one per poll; since each leaf has at least its multiplicity many
-available colors, a poll never sees an empty set.
-
-A leaf's working set is copied from its availability set only when the
-leaf is first polled; a leaf reached again over a parallel edge keeps
-shrinking the same set.
+available colors, a poll never sees an empty set.  A first poll reads
+the availability set in place; only a leaf polled again, over a parallel
+edge, gets a working set: a copy less the color its first poll took.
 
 Dispatch checks the shift of the full fan, then of the prefix ending at
 j, with ``PartialColoring.check_shift``, which computes each shift's
@@ -38,7 +36,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VizingFanResult:
     fan: Chain
     beta: int  # available at both the fan's end leaf and the prefix's end leaf
@@ -52,8 +50,8 @@ def vizing_fan(phi: PartialColoring, e: int, x: int) -> VizingFanResult:
     if x not in g.endpoints[e]:
         raise PreconditionViolatedError(f"pivot {x} is not an endpoint of edge {e}")
     y = g.other_end(e, x)
-    used = phi.used_edge[x]
-    beta_sets = {}  # leaf -> working set, copied when the leaf is first polled
+    used, available = phi.used_edge[x], phi.available
+    first, beta_sets = {}, {}  # leaf -> its first poll's color, its working set
     index = {e: 0}
     edges = [e]
     vertices = [x, y]
@@ -61,15 +59,19 @@ def vizing_fan(phi: PartialColoring, e: int, x: int) -> VizingFanResult:
     deg = len(g.incidence[x])
     while k < deg:
         z = vertices[-1]
-        working = beta_sets.get(z)
-        if working is None:
-            working = beta_sets[z] = set(phi.available[z])
-            phi.ops += len(working)
+        eta = first.get(z)
+        working = available[z] if eta is None else beta_sets.get(z)
+        if working is None:  # polled again: copy, less the first poll's color
+            working = beta_sets[z] = available[z] - {eta}
         if not working:
             raise BetaEmptyError(f"working set of leaf {z} ran out")
-        eta = min(working)
-        working.remove(eta)
-        phi.ops += len(working) + 1
+        if eta is None:  # first poll, in place: charged as a copy plus a poll
+            eta = first[z] = min(working)
+            phi.ops += 2 * len(working)
+        else:
+            eta = min(working)
+            working.remove(eta)
+            phi.ops += len(working) + 1
         if eta not in used:
             fan = Chain(tuple(edges), tuple(vertices))
             return VizingFanResult(fan, eta, k + 1)

@@ -358,3 +358,26 @@ def test_stale_shift_is_refused():
         phi.apply_chain_shift(shift)
     assert coloring_state(phi) == after
     assert phi.verify() == []
+
+
+def test_shift_is_stale_after_a_change_off_the_chain():
+    # the chain keeps its colors, but an edge beside it takes the color the
+    # shift would move onto vertex 0: the commit must refuse it
+    g, L, phi = setup_partial(
+        4, [(0, 1, None, FULL6), (1, 2, 1, FULL6), (0, 3, None, FULL6)]
+    )
+    stale = phi.check_shift((0, 1))
+    phi.assign(2, 1)
+    before = coloring_state(phi)
+    with pytest.raises(PreconditionViolatedError):
+        phi.apply_chain_shift(stale)
+    assert coloring_state(phi) == before
+    assert phi.color == [None, 1, 1]
+    assert phi.verify() == []
+    # a copy is another coloring: it refuses a shift checked on the original
+    shift = phi.check_shift((0,))
+    copy = phi.copy()
+    with pytest.raises(PreconditionViolatedError):
+        copy.apply_chain_shift(shift)
+    assert coloring_state(copy) == coloring_state(phi)
+    assert phi.apply_chain_shift(shift) == (None,)

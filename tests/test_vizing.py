@@ -8,6 +8,7 @@ from listcolor.errors import LemmaViolationError, NotShiftableError
 from listcolor.vizing import VizingFanResult
 
 from conftest import (
+    adversarial_lists,
     random_chain,
     random_partial,
     random_vizing_partials,
@@ -210,6 +211,64 @@ def test_lazy_fan_matches_eager_reference():
     assert fans > 500 and saved > 0
 
 
+def copying_vizing_fan(phi, e, x, polls):
+    """The fan loop that copies each leaf's availability set at its first
+    poll; ``polls`` counts the polls per leaf."""
+    g = phi.g
+    y = g.other_end(e, x)
+    used = phi.used_edge[x]
+    beta_sets = {}
+    index = {e: 0}
+    edges = [e]
+    vertices = [x, y]
+    k = 0
+    while k < len(g.incidence[x]):
+        z = vertices[-1]
+        working = beta_sets.get(z)
+        if working is None:
+            working = beta_sets[z] = set(phi.available[z])
+            phi.ops += len(working)
+        eta = min(working)
+        working.remove(eta)
+        phi.ops += len(working) + 1
+        polls[z] = polls.get(z, 0) + 1
+        if eta not in used:
+            return VizingFanResult(Chain(tuple(edges), tuple(vertices)), eta, k + 1)
+        k += 1
+        ek = used[eta]
+        if ek in index:
+            return VizingFanResult(Chain(tuple(edges), tuple(vertices)), eta, index[ek])
+        index[ek] = k
+        edges.append(ek)
+        vertices.append(g.other_end(ek, x))
+    raise LemmaViolationError("fan construction exhausted the pivot's degree")
+
+
+def test_copy_free_polls_match_copying_reference():
+    # reading a leaf's first poll in place charges the ops the copy did and
+    # finds the same fan, also where parallel edges bring a leaf back
+    fans = repolled = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        g = lc.generate_random(rng.randint(3, 6), rng.randint(4, 10), 4,
+                               seed=seed, edges=rng.randint(8, 24))
+        for L in (lc.generate_from_bounds(g, "vizing"),
+                  adversarial_lists(g, "vizing", rng)):
+            phi = random_partial(g, L, rng, fill=rng.choice((0.5, 0.8, 0.95)))
+            for e in sorted(phi.uncolored):
+                for x in g.endpoints[e]:
+                    polls = {}
+                    ops = phi.ops
+                    ref = copying_vizing_fan(phi, e, x, polls)
+                    ref_ops, ops = phi.ops - ops, phi.ops
+                    res = lc.vizing_fan(phi, e, x)
+                    assert (res.fan, res.beta, res.j) == (ref.fan, ref.beta, ref.j)
+                    assert phi.ops - ops == ref_ops
+                    fans += 1
+                    repolled += sum(n > 1 for n in polls.values())
+    assert fans > 500 and repolled >= 50
+
+
 def shift_candidates(g, phi, rng):
     """Vizing fans and their prefixes, then random chains (paths, interior
     blank edges, parallel edges)."""
@@ -236,8 +295,8 @@ def test_shift_delta_matches_applied_shift():
             assert phi.color == colors and phi.potential() == before
             assert phi.verify() == []
             assert shift.delta == shift_change(g, L, colors, cand.edges)
-            applied = phi.copy()
-            applied.apply_chain_shift(shift)
+            applied = phi.copy()  # a copy refuses phi's shift: check it there
+            applied.apply_chain_shift(applied.check_shift(cand.edges))
             assert applied.verify() == []
             assert applied.potential() == (before.a + shift.delta.a,
                                            before.d + shift.delta.d)
