@@ -206,7 +206,6 @@ def alternating_path(
     interior = vertices[1:]
     if len(set(interior)) != len(interior):
         raise LemmaViolationError("alternating walk revisited a vertex")
-    phi.ops += 2 * len(edges) - 1  # one per step taken, one per edge returned
     return Chain(tuple(edges), tuple(vertices))
 
 
@@ -235,7 +234,6 @@ def max_shiftable_prefix(phi: PartialColoring, path: Chain) -> int:
     head = shifted[:2]
     if None in head or len(set(head)) != len(head) or shifted[2:] != shifted[:-2]:
         raise PreconditionViolatedError("path colors do not alternate between two")
-    phi.ops += len(edges)
     lists = phi.lists.lists
     for i, c in enumerate(shifted):
         if c not in lists[edges[i]]:

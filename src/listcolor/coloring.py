@@ -88,9 +88,10 @@ class PartialColoring:
         "weight",
         "a_total",
         "d_total",
-        "ops",
         "stamp",
     )
+
+    ops = 0  # a constant; only bench/tracer.py reads it
 
     def __init__(self, g: Multigraph, lists: ListAssignment):
         self.g = g
@@ -106,7 +107,6 @@ class PartialColoring:
         self.weight = tuple(len(inc[u]) + len(inc[v]) for u, v in g.endpoints)
         self.a_total = sum(len(s) for s in self.available)
         self.d_total = sum(self.weight)
-        self.ops = 0  # approximate count of elementary set operations
         self.stamp = next(_STAMPS)
 
     def copy(self) -> "PartialColoring":
@@ -122,7 +122,6 @@ class PartialColoring:
         new.weight = self.weight
         new.a_total = self.a_total
         new.d_total = self.d_total
-        new.ops = 0
         new.stamp = next(_STAMPS)
         return new
 
@@ -148,7 +147,6 @@ class PartialColoring:
                 self.a_total -= 1
         self.uncolored.remove(e)
         self.d_total -= self.weight[e]
-        self.ops += 2
         self.stamp = next(_STAMPS)
 
     def unassign(self, e: int) -> None:
@@ -167,7 +165,6 @@ class PartialColoring:
             self.queued[e] = True
             heapq.heappush(self.blank_heap, e)
         self.d_total += self.weight[e]
-        self.ops += 2
         self.stamp = next(_STAMPS)
 
     def first_blank(self) -> Optional[int]:
@@ -189,7 +186,6 @@ class PartialColoring:
         for c in self.available[v]:
             if c not in self.used_edge[u] and (best is None or c < best):
                 best = c
-        self.ops += len(self.available[u]) + len(self.available[v])
         return best
 
     # -- chain shifts ---------------------------------------------------------
@@ -227,7 +223,6 @@ class PartialColoring:
                     return i, COLOR_CLASH, None  # a chain edge or one outside has c
                 changes[key] = e
                 da -= c in common[w]  # c was available, or freed above, iff common
-        self.ops += len(edges)
         return None, None, da
 
     def check_shift(self, edges) -> Shift:
@@ -292,7 +287,6 @@ class PartialColoring:
                 if not self.queued[e]:
                     self.queued[e] = True
                     heapq.heappush(self.blank_heap, e)
-        self.ops += 4 * (len(old) - old.count(None))  # each color moves off and on
         self.stamp = next(_STAMPS)
         return old
 

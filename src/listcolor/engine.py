@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Optional
 
 from . import shannon, vizing
 from .bipartite import koenig_path
-from .chain import resolve_path
+from .chain import Step, resolve_path
 from .coloring import PartialColoring, Potential
 from .errors import (
     BoundViolationError,
@@ -37,7 +37,6 @@ class RunStats:
     potential_trace: list[Potential] = field(default_factory=list)
     max_chain_length: int = 0
     content_runs: list[int] = field(default_factory=list)  # lengths between happy steps
-    max_augment_ops: int = 0
     _content_since_happy: int = 0
 
     @property
@@ -78,16 +77,6 @@ def _emit(trace: TraceSink, step, kind, mode, branch, chain, before, phi):
                           phi.potential()))
 
 
-def _resolve_and_trace(phi, path, mode, branch, stats, trace, step):
-    before = None if trace is None else phi.potential()
-    outcome = resolve_path(phi, path)
-    stats.path_shifts += 1
-    stats._saw_chain(outcome.chain.length)
-    kind = "path-shift-happy" if outcome.kind == "happy" else "path-shift-content"
-    _emit(trace, step, kind, mode, branch, outcome.chain.edges, before, phi)
-    return outcome.kind == "happy"
-
-
 def augment_once(
     phi: PartialColoring,
     e: int,
@@ -106,18 +95,15 @@ def augment_once(
     step = stats.steps
     before = (phi.a_total, phi.d_total)  # a Potential only for a trace record
     blanks = len(phi.uncolored)
-    ops_before = phi.ops
 
     if mode == "koenig":
-        path = koenig_path(phi, e)
-        happy = _resolve_and_trace(phi, path, mode, "path", stats, trace, step)
+        out = Step("path", path=koenig_path(phi, e))
+    elif mode == "shannon":
+        out = shannon.classify_shannon(phi, e)
     else:
-        if mode == "shannon":
-            out = shannon.classify_shannon(phi, e)
-        else:
-            u, v = phi.g.endpoints[e]
-            out = vizing.classify_vizing(phi, e, min(u, v))
-        happy = _apply_outcome(phi, e, out, mode, stats, trace, step, before)
+        u, v = phi.g.endpoints[e]
+        out = vizing.classify_vizing(phi, e, min(u, v))
+    happy = _apply_outcome(phi, e, out, mode, stats, trace, step, before)
 
     after = phi.potential()
     if not after < before:
@@ -130,15 +116,12 @@ def augment_once(
             raise LemmaViolationError("content step changed the blank count")
     stats._finish(happy)
     stats.potential_trace.append(after)
-    ops = phi.ops - ops_before
-    if ops > stats.max_augment_ops:
-        stats.max_augment_ops = ops
     return "happy" if happy else "content"
 
 
 def _apply_outcome(phi, e, out, mode, stats, trace, step, before) -> bool:
-    """Commit a classified step: its checked fan shift, then a happy color
-    for the end edge or the resolution of its path."""
+    """Commit a step of any mode: its checked fan shift, then a happy color
+    for the end edge or the resolution of its path (koenig's only part)."""
     branch, shift, path, happy = out
     chain = (e,) if shift is None else shift.edges
     if shift is not None:
@@ -157,7 +140,14 @@ def _apply_outcome(phi, e, out, mode, stats, trace, step, before) -> bool:
             _emit(trace, step, kind, mode, label, chain, before, phi)
     if path is None:
         return happy
-    return _resolve_and_trace(phi, path, mode, branch, stats, trace, step)
+    mid = None if trace is None else phi.potential()
+    outcome = resolve_path(phi, path)
+    stats.path_shifts += 1
+    stats._saw_chain(outcome.chain.length)
+    happy = outcome.kind == "happy"
+    kind = "path-shift-happy" if happy else "path-shift-content"
+    _emit(trace, step, kind, mode, branch, outcome.chain.edges, mid, phi)
+    return happy
 
 
 def step_budget(g: Multigraph, lists: ListAssignment) -> tuple[int, int]:

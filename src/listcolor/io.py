@@ -171,9 +171,10 @@ def generate_random(
     """Deterministic random multigraph respecting degree and multiplicity caps.
 
     Vertices split into even/odd sides when ``bipartite``.  ``edges`` is a
-    target count (default n * max_degree // 3); sampling stops early if the
-    caps leave no room, so the result may be smaller but never violates a
-    cap.
+    target count (default n * max_degree // 3).  Sampling gives up after
+    50 * target + 100 draws, and stops as soon as the caps leave no vertex
+    pair room for another edge, so the result may be smaller but never
+    violates a cap.
     """
     if min(n, max_degree, max_multiplicity, edges or 0) < 0:
         raise InfeasibleParamsError("counts and caps must be nonnegative")
@@ -186,21 +187,31 @@ def generate_random(
     deg = [0] * n
     mult: dict[tuple[int, int], int] = {}
     chosen: list[tuple[int, int]] = []
-    attempts = 0
+
+    def fits(u, v):
+        return (
+            u != v
+            and not (bipartite and u % 2 == v % 2)
+            and deg[u] < max_degree
+            and deg[v] < max_degree
+            and mult.get((u, v) if u < v else (v, u), 0) < max_multiplicity
+        )
+
+    attempts = misses = 0
     cap = 50 * max(target, 1) + 100
     while len(chosen) < target and attempts < cap:
         attempts += 1
         u = rng.randrange(n)
         v = rng.randrange(n)
-        if u == v:
+        if not fits(u, v):
+            misses += 1
+            if misses == n * n:  # that many misses in a row: is any pair left?
+                if not any(fits(a, b) for a in range(n) for b in range(a + 1, n)):
+                    break
+                misses = 0
             continue
-        if bipartite and u % 2 == v % 2:
-            continue
-        if deg[u] >= max_degree or deg[v] >= max_degree:
-            continue
+        misses = 0
         key = (u, v) if u < v else (v, u)
-        if mult.get(key, 0) >= max_multiplicity:
-            continue
         mult[key] = mult.get(key, 0) + 1
         deg[u] += 1
         deg[v] += 1

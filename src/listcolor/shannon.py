@@ -46,7 +46,6 @@ def shannon_fan(phi: PartialColoring, e: int) -> Chain:
         raise EdgeNotBlankError(f"edge {e} is not blank")
     x, y = _orient(phi, e)
     avail_y = phi.available[y]
-    phi.ops += len(avail_y)
     if any(c not in phi.used_edge[x] for c in avail_y):
         return Chain((e,), (x, y))
     if not avail_y:
@@ -54,7 +53,6 @@ def shannon_fan(phi: PartialColoring, e: int) -> Chain:
             f"no available color at vertex {y}; the degree bound cannot hold"
         )
     eta = min(avail_y)
-    phi.ops += len(avail_y)
     f = phi.used_edge[x].get(eta)
     if f is None:
         raise LemmaViolationError("available color at y not used at x after check")
@@ -77,7 +75,6 @@ def classify_shannon(phi: PartialColoring, e: int) -> Step:
     f = fan.edges[1]
     z = fan.vertices[2]
     eta = phi.color[f]
-    phi.ops += len(phi.available[z])
     if any(c not in phi.used_edge[x] for c in phi.available[z]):
         return Step("case1-happy-fan", phi.check_shift(fan.edges), happy=True)
     if eta not in phi.lists.common[z]:
@@ -86,7 +83,6 @@ def classify_shannon(phi: PartialColoring, e: int) -> Step:
         return Step("case3-content-fan", phi.check_shift(fan.edges))
     # Final case: both availabilities inside used(x), so they intersect.
     inter = phi.available[y] & phi.available[z]
-    phi.ops += min(len(phi.available[y]), len(phi.available[z]))
     if not inter:
         raise LemmaViolationError("final-case availability intersection is empty")
     if not phi.available[x]:

@@ -65,13 +65,11 @@ def vizing_fan(phi: PartialColoring, e: int, x: int) -> VizingFanResult:
             working = beta_sets[z] = available[z] - {eta}
         if not working:
             raise BetaEmptyError(f"working set of leaf {z} ran out")
-        if eta is None:  # first poll, in place: charged as a copy plus a poll
+        if eta is None:  # first poll, in place
             eta = first[z] = min(working)
-            phi.ops += 2 * len(working)
         else:
             eta = min(working)
             working.remove(eta)
-            phi.ops += len(working) + 1
         if eta not in used:
             fan = Chain(tuple(edges), tuple(vertices))
             return VizingFanResult(fan, eta, k + 1)

@@ -7,7 +7,9 @@ for their expected values.
 
 from __future__ import annotations
 
+import functools
 import random
+import sys
 
 import pytest
 
@@ -177,6 +179,71 @@ class ShiftLog:
 
         monkeypatch.setattr(lc.PartialColoring, "shift_violation", counted_check)
         monkeypatch.setattr(lc.PartialColoring, "apply_chain_shift", counted_commit)
+        monkeypatch.setattr(engine, "augment_once", one_step)
+
+
+def _fan_leaves(phi, fan):
+    """Availability entries at a fan's leaves, one term per leaf position."""
+    return sum(len(phi.available[z]) for z in fan.vertices[1:])
+
+
+# layer boundary -> the work one call did, from (result, *args)
+WORK = {
+    "is_happy": lambda _, phi, e: sum(len(phi.available[w]) for w in phi.g.endpoints[e]),
+    "assign": lambda *_: 1,
+    "shift_violation": lambda _, phi, edges, *rest: len(edges),
+    "apply_chain_shift": lambda _, phi, shift: len(shift.edges),
+    "alternating_path": lambda path, *_: len(path.edges),
+    "max_shiftable_prefix": lambda _, phi, path: len(path.edges),
+    "vizing_fan": lambda res, phi, *_: _fan_leaves(phi, res.fan),
+    "shannon_fan": lambda fan, phi, *_: _fan_leaves(phi, fan),
+}
+
+
+class WorkLog:
+    """Counts the work of each ``engine.augment_once`` step at layer boundaries.
+
+    A step's count adds, per call made inside it: the availability entries
+    at both ends that ``is_happy`` reads, one per ``assign``, the edges of
+    every checked shift, committed shift, walked alternating path and
+    prefix search, and the availability entries at every leaf of each fan
+    built.  ``steps`` holds one count per finished step.  Module-level
+    functions are patched in every listcolor module that imported them by
+    name, methods on ``PartialColoring``.
+    """
+
+    def __init__(self, monkeypatch):
+        self.steps = []
+        self.count = 0
+        augment = engine.augment_once
+
+        def counted(fn, cost):
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                self.count += cost(result, *args)
+                return result
+
+            return wrapper
+
+        def one_step(*args, **kwargs):
+            self.count = 0
+            kind = augment(*args, **kwargs)
+            self.steps.append(self.count)
+            return kind
+
+        modules = [m for name, m in sys.modules.items()
+                   if name == "listcolor" or name.startswith("listcolor.")]
+        for name, cost in WORK.items():
+            method = getattr(lc.PartialColoring, name, None)
+            if method is not None:
+                monkeypatch.setattr(lc.PartialColoring, name, counted(method, cost))
+                continue
+            fn = getattr(lc, name)
+            wrapped = counted(fn, cost)
+            for mod in modules:
+                if getattr(mod, name, None) is fn:
+                    monkeypatch.setattr(mod, name, wrapped)
         monkeypatch.setattr(engine, "augment_once", one_step)
 
 

@@ -19,7 +19,7 @@ import pytest
 import listcolor as lc
 from listcolor.lists import local_bound
 
-from conftest import adversarial_lists, random_partial, setup_partial
+from conftest import WorkLog, adversarial_lists, random_partial, setup_partial
 
 SEED_SALT = {"shannon": 0, "vizing": 1_000_000, "koenig": 2_000_000, "adv": 3_000_000}
 
@@ -328,7 +328,8 @@ def test_criterion_8_shift_and_path_properties():
     )
 
 
-def test_criterion_9_complexity_smoke():
+def test_criterion_9_complexity_smoke(monkeypatch):
+    work = WorkLog(monkeypatch)
     slopes = {}
     details = []
     for mode in ("vizing", "shannon"):
@@ -340,10 +341,11 @@ def test_criterion_9_complexity_smoke():
                     24, delta, max(1, delta // 4), seed=seed, edges=24 * delta // 3
                 )
                 L = lc.generate_from_bounds(g, mode)
-                _, stats = lc.color_graph(g, L, mode)
-                # counters are bounded by c * delta * (max common + n); divide
-                # the non-delta factors out and fit the remaining power
-                vals.append(stats.max_augment_ops / (L.max_common() + g.n))
+                work.steps = []
+                lc.color_graph(g, L, mode)
+                # a step's work is bounded by c * delta * (max common + n);
+                # divide the non-delta factors out and fit the remaining power
+                vals.append(max(work.steps) / (L.max_common() + g.n))
             points.append((delta, sum(vals) / len(vals)))
         xs = [math.log(d) for d, _ in points]
         ys = [math.log(v) for _, v in points]
@@ -354,4 +356,4 @@ def test_criterion_9_complexity_smoke():
         slopes[mode] = slope
         details.append(f"{mode} exponent {slope:.2f}")
     ok = all(s <= 1.3 for s in slopes.values())
-    verdict(9, ok, f"normalized augment op counters vs max degree: {', '.join(details)}")
+    verdict(9, ok, f"normalized per-step work vs max degree: {', '.join(details)}")

@@ -293,3 +293,43 @@ def test_each_shift_is_checked_once(mode, assume, monkeypatch):
     assert log.checks == log.commits + passed_over
     if bound == "vizing":
         assert log.commits > 1000 and passed_over > 20
+
+
+def relabellings(g, L, rng):
+    """Three relabelled copies of (g, L): vertices permuted (within each
+    parity side, the generator's bipartition), edges reordered, and every
+    color c mapped to 3c + 2."""
+    perm = list(range(g.n))
+    for side in (perm[0::2], perm[1::2]):
+        shuffled = rng.sample(side, len(side))
+        for x, y in zip(side, shuffled):
+            perm[x] = y
+    h = lc.Multigraph(g.n, [(perm[u], perm[v]) for u, v in g.endpoints])
+    yield h, lc.ListAssignment(h, L.lists)
+    order = rng.sample(range(g.m), g.m)
+    h = lc.Multigraph(g.n, [g.endpoints[e] for e in order])
+    yield h, lc.ListAssignment(h, [L.lists[e] for e in order])
+    yield g, lc.ListAssignment(g, [frozenset(3 * c + 2 for c in s) for s in L.lists])
+
+
+@pytest.mark.parametrize("mode", ["shannon", "vizing", "koenig", "explicit"])
+def test_relabelled_instances_are_colored(mode):
+    # relabelling vertices, edges or colors keeps the guarantee, so each
+    # relabelled instance is colored completely and properly from its lists
+    runs = 0
+    for seed in range(50):
+        rng = random.Random(seed)
+        bound = ("shannon", "vizing", "koenig")[seed % 3] if mode == "explicit" else mode
+        g = lc.generate_random(rng.randint(3, 12), rng.randint(2, 8), rng.randint(1, 4),
+                               bipartite=bound == "koenig", seed=seed,
+                               edges=rng.randint(2, 30))
+        if mode == "explicit":
+            L = adversarial_lists(g, bound, rng)
+        else:
+            L = lc.generate_from_bounds(g, mode)
+        for h, M in [(g, L), *relabellings(g, L, rng)]:
+            phi, _ = lc.color_graph(h, M, mode, assume_bound=bound)
+            assert None not in phi.color
+            assert lc.check_edge_colors(h, M, phi.color) == []
+            runs += 1
+    assert runs == 200

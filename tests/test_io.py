@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import listcolor as lc
@@ -103,6 +105,33 @@ def test_generate_random_multiplicity():
     )
     assert max(g.mu_vertex(x) for x in range(g.n)) <= 3
     assert g.max_degree() <= 6
+
+
+@pytest.mark.parametrize(
+    "n, max_degree, mu, bipartite, edges, full",
+    [
+        (3, 300_000, 1, False, None, 3),  # each of the three pairs once
+        (4, 100_000, 2, True, None, 8),  # each of the four cross pairs twice
+        (5, 1, 3, False, 100_000, 2),  # a maximal matching leaves one vertex
+        (1, 300_000, 1, False, None, 0),  # no pair at all
+    ],
+)
+def test_generate_random_stops_when_no_pair_has_room(
+    monkeypatch, n, max_degree, mu, bipartite, edges, full
+):
+    # the target is far out of reach; the draw cap alone would allow
+    # 100 * target + 200 draws
+    draws = []
+
+    class CountingRandom(random.Random):
+        def randrange(self, *args):
+            draws.append(args)
+            return super().randrange(*args)
+
+    monkeypatch.setattr(lio.random, "Random", CountingRandom)
+    g = lc.generate_random(n, max_degree, mu, bipartite=bipartite, seed=1, edges=edges)
+    assert g.m == full
+    assert 0 < len(draws) <= 1000
 
 
 def test_generate_random_infeasible():

@@ -234,15 +234,3 @@ def test_intersection_claim_on_random_final_cases(rng):
             assert isinstance(out, Step)
             step_kind(out)  # one of the five kinds
     assert dispatched > 200
-
-
-def test_fan_operation_count_scales_with_degree():
-    # the fan step itself is cheap: its op count stays within a small
-    # multiple of deg(x) + |common| at the endpoints
-    for delta in (4, 8, 16):
-        g = lc.generate_random(12, delta, max(1, delta // 2), seed=1, edges=4 * delta)
-        L = lc.generate_from_bounds(g, "shannon")
-        phi = lc.PartialColoring(g, L)
-        phi.ops = 0
-        lc.shannon_fan(phi, 0)
-        assert phi.ops <= 4 * (g.max_degree() + L.max_common() + 2)
