@@ -6,9 +6,8 @@ totals: the sum of available-set sizes and the degree-weighted count of
 uncolored incidences.  The pair of totals is the lexicographic potential
 that certifies progress of the augmenting engine, so both are maintained
 in O(1) per color change and re-derivable from scratch by ``verify``.
-A lazy min-heap of blank edge ids hands the engine its next edge in
-O(log m) amortized: colored entries are discarded only when they reach the
-top, and an edge is pushed again only when it goes blank while unqueued.
+The set of blank edges is kept too; which blank edge to repair next is
+the engine's choice alone.
 
 One actor mutates a coloring at a time; ``copy`` produces an independent
 snapshot.  Each state has its own ``stamp``, so committing a chain shift
@@ -17,7 +16,6 @@ checked on another state is refused in O(1).
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -83,8 +81,6 @@ class PartialColoring:
         "used_edge",
         "available",
         "uncolored",
-        "blank_heap",
-        "queued",
         "weight",
         "a_total",
         "d_total",
@@ -100,8 +96,6 @@ class PartialColoring:
         self.used_edge: list[dict[int, int]] = [{} for _ in range(g.n)]
         self.available: list[set[int]] = [set(lists.common[x]) for x in range(g.n)]
         self.uncolored: set[int] = set(range(g.m))
-        self.blank_heap: list[int] = list(range(g.m))  # sorted, so a valid heap
-        self.queued: list[bool] = [True] * g.m  # e is in blank_heap
         # deg(u) + deg(v) per edge: what coloring or blanking it moves d_total by
         inc = g.incidence
         self.weight = tuple(len(inc[u]) + len(inc[v]) for u, v in g.endpoints)
@@ -117,8 +111,6 @@ class PartialColoring:
         new.used_edge = [dict(d) for d in self.used_edge]
         new.available = [set(s) for s in self.available]
         new.uncolored = set(self.uncolored)
-        new.blank_heap = list(self.blank_heap)
-        new.queued = list(self.queued)
         new.weight = self.weight
         new.a_total = self.a_total
         new.d_total = self.d_total
@@ -161,18 +153,8 @@ class PartialColoring:
                 self.available[w].add(c)
                 self.a_total += 1
         self.uncolored.add(e)
-        if not self.queued[e]:
-            self.queued[e] = True
-            heapq.heappush(self.blank_heap, e)
         self.d_total += self.weight[e]
         self.stamp = next(_STAMPS)
-
-    def first_blank(self) -> Optional[int]:
-        """Smallest blank edge id, ``min(self.uncolored)``; None if all colored."""
-        heap, color = self.blank_heap, self.color
-        while heap and color[heap[0]] is not None:
-            self.queued[heapq.heappop(heap)] = False
-        return heap[0] if heap else None
 
     def is_happy(self, e: int) -> Optional[int]:
         """Smallest color legally extendable onto blank edge e, or None."""
@@ -228,12 +210,15 @@ class PartialColoring:
     def check_shift(self, edges) -> Shift:
         """Check the shift of a chain once and compute what it would change.
 
-        Does not mutate.  Raises NotShiftableError if the start edge is
+        Does not mutate.  Raises PreconditionViolatedError if the chain is
+        empty or repeats an edge, and NotShiftableError if the start edge is
         colored or the shifted coloring would be improper or escape a list.
         ``shift_violation`` counts a's change in its walk; d moves by the
         weight of each edge that gets colored or goes blank.  The shift is
         valid only until the coloring's stamp next changes.
         """
+        if not edges or len(set(edges)) != len(edges):
+            raise PreconditionViolatedError(f"chain {tuple(edges)} empty or repeats an edge")
         old = tuple(map(self.color.__getitem__, edges))
         if old[0] is not None:
             raise NotShiftableError(0, START_NOT_BLANK)
@@ -284,9 +269,6 @@ class PartialColoring:
                 self.uncolored.remove(e)
             elif was is not None and now is None:
                 self.uncolored.add(e)
-                if not self.queued[e]:
-                    self.queued[e] = True
-                    heapq.heappush(self.blank_heap, e)
         self.stamp = next(_STAMPS)
         return old
 
@@ -302,26 +284,13 @@ class PartialColoring:
 
     def verify(self) -> list[Finding]:
         """Recompute everything from the assignment alone; report mismatches."""
-        findings = []
         g, lists = self.g, self.lists
+        findings = check_edge_colors(g, lists, self.color)
         used = [dict() for _ in range(g.n)]
         for e, c in enumerate(self.color):
-            if c is None:
-                continue
-            if c not in lists.lists[e]:
-                findings.append(
-                    Finding("ColorNotInList", f"edge {e} colored {c} outside its list")
-                )
-            for w in g.endpoints[e]:
-                if c in used[w]:
-                    findings.append(
-                        Finding(
-                            "ImproperAssignment",
-                            f"color {c} on edges {used[w][c]} and {e} at vertex {w}",
-                        )
-                    )
-                else:
-                    used[w][c] = e
+            if c is not None:
+                for w in g.endpoints[e]:
+                    used[w].setdefault(c, e)  # the first edge, as check_edge_colors
         for x in range(g.n):
             if used[x] != self.used_edge[x]:
                 findings.append(Finding("CacheMismatch", f"used set at vertex {x}"))
@@ -331,13 +300,6 @@ class PartialColoring:
         uncolored = {e for e, c in enumerate(self.color) if c is None}
         if uncolored != self.uncolored:
             findings.append(Finding("CacheMismatch", "uncolored edge set"))
-        unqueued = uncolored - set(self.blank_heap)
-        if unqueued:
-            findings.append(
-                Finding("CacheMismatch", f"blank edge {min(unqueued)} not in the heap")
-            )
-        if sorted(self.blank_heap) != [e for e, q in enumerate(self.queued) if q]:
-            findings.append(Finding("CacheMismatch", "heap entries and queued flags"))
         a = sum(len(set(lists.common[x]) - used[x].keys()) for x in range(g.n))
         d = sum(
             g.degree(x) * sum(1 for e in g.incidence[x] if self.color[e] is None)
@@ -358,8 +320,8 @@ def check_edge_colors(g: Multigraph, lists, colors) -> list[Finding]:
     """Validate a plain color vector (None = blank) without building caches.
 
     ``lists`` may be None to skip list-membership checks.  Used by the CLI
-    verifier and the oracle tests, so it shares no code with the engine's
-    incremental bookkeeping.
+    verifier, the oracle tests and ``PartialColoring.verify``, so it shares
+    no code with the engine's incremental bookkeeping.
     """
     findings = []
     used: list[dict[int, int]] = [dict() for _ in range(g.n)]

@@ -1,4 +1,9 @@
-"""Top-level coloring procedure: pick a blank edge, compute a chain, repair.
+"""Top-level coloring procedure: repair each edge in id order until it is colored.
+
+``color_graph`` takes the edges 0..m-1 in turn and repairs each one until
+it is colored.  A step's chain uses only colored edges besides its blank
+start, so a content step blanks one edge with a smaller id, and that edge
+is repaired next: the edge under repair is always the smallest blank id.
 
 Each augmentation ends in exactly one of two ways: a happy outcome colors
 one more edge, a content outcome keeps the blank count and strictly
@@ -83,12 +88,14 @@ def augment_once(
     mode: str,
     stats: RunStats,
     trace: TraceSink = None,
-) -> str:
-    """One repair step on blank edge e; returns "happy" or "content".
+) -> Optional[int]:
+    """One repair step on blank edge e of any partial coloring.
 
-    Postcondition, asserted: either one more edge is colored or the blank
-    count is unchanged and the potential strictly dropped.  In both cases
-    the potential strictly drops.
+    Returns None after a happy step and, after a content step, the edge
+    it left blank: the end of the last chain it committed.  Postcondition,
+    asserted: either one more edge is colored or the blank count is
+    unchanged and that end edge is blank.  In both cases the potential
+    strictly drops.
     """
     if mode not in BOUND_MODES:
         raise ValueError(f"augment mode must name a guarantee, got {mode!r}")
@@ -103,25 +110,27 @@ def augment_once(
     else:
         u, v = phi.g.endpoints[e]
         out = vizing.classify_vizing(phi, e, min(u, v))
-    happy = _apply_outcome(phi, e, out, mode, stats, trace, step, before)
+    left = _apply_outcome(phi, e, out, mode, stats, trace, step, before)
 
     after = phi.potential()
     if not after < before:
         raise LemmaViolationError(f"potential did not drop: {Potential(*before)} -> {after}")
-    if happy:
+    if left is None:
         if len(phi.uncolored) != blanks - 1:
             raise LemmaViolationError("happy step did not color exactly one edge")
-    else:
-        if len(phi.uncolored) != blanks:
-            raise LemmaViolationError("content step changed the blank count")
-    stats._finish(happy)
+    elif len(phi.uncolored) != blanks or phi.color[left] is not None:
+        raise LemmaViolationError(
+            f"content step changed the blank count or left its end edge {left} colored"
+        )
+    stats._finish(left is None)
     stats.potential_trace.append(after)
-    return "happy" if happy else "content"
+    return left
 
 
-def _apply_outcome(phi, e, out, mode, stats, trace, step, before) -> bool:
+def _apply_outcome(phi, e, out, mode, stats, trace, step, before) -> Optional[int]:
     """Commit a step of any mode: its checked fan shift, then a happy color
-    for the end edge or the resolution of its path (koenig's only part)."""
+    for the end edge or the resolution of its path (koenig's only part).
+    Returns None if happy, else the end edge of the last committed chain."""
     branch, shift, path, happy = out
     chain = (e,) if shift is None else shift.edges
     if shift is not None:
@@ -139,7 +148,7 @@ def _apply_outcome(phi, e, out, mode, stats, trace, step, before) -> bool:
             label = branch if path is None else f"{branch}-setup"
             _emit(trace, step, kind, mode, label, chain, before, phi)
     if path is None:
-        return happy
+        return None if happy else chain[-1]
     mid = None if trace is None else phi.potential()
     outcome = resolve_path(phi, path)
     stats.path_shifts += 1
@@ -147,7 +156,7 @@ def _apply_outcome(phi, e, out, mode, stats, trace, step, before) -> bool:
     happy = outcome.kind == "happy"
     kind = "path-shift-happy" if happy else "path-shift-content"
     _emit(trace, step, kind, mode, branch, outcome.chain.edges, mid, phi)
-    return happy
+    return None if happy else outcome.chain.end
 
 
 def step_budget(g: Multigraph, lists: ListAssignment) -> tuple[int, int]:
@@ -186,13 +195,13 @@ def color_graph(
     stats = RunStats()
     stats.potential_trace.append(phi.potential())
     content_budget, happy_budget = step_budget(g, lists)
-    while phi.uncolored:
-        if stats.content_steps > content_budget or stats.happy_steps > happy_budget:
-            raise StepBudgetExceededError(
-                f"steps {stats.steps} exceed budget {happy_budget} + {content_budget}"
-            )
-        e = phi.first_blank()
-        augment_once(phi, e, effective, stats, trace)
+    for e in range(g.m):
+        while e is not None:
+            if stats.content_steps > content_budget or stats.happy_steps > happy_budget:
+                raise StepBudgetExceededError(
+                    f"steps {stats.steps} exceed budget {happy_budget} + {content_budget}"
+                )
+            e = augment_once(phi, e, effective, stats, trace)
     findings = phi.verify()
     if findings:
         raise InternalAssertionError(f"final verification failed: {findings[0]}")

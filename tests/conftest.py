@@ -172,10 +172,10 @@ class ShiftLog:
 
         def one_step(*args, **kwargs):
             self.step = []
-            kind = augment(*args, **kwargs)
+            left = augment(*args, **kwargs)
             assert len(set(self.step)) == len(self.step), self.step
             self.checks += len(self.step)
-            return kind
+            return left
 
         monkeypatch.setattr(lc.PartialColoring, "shift_violation", counted_check)
         monkeypatch.setattr(lc.PartialColoring, "apply_chain_shift", counted_commit)
@@ -228,9 +228,9 @@ class WorkLog:
 
         def one_step(*args, **kwargs):
             self.count = 0
-            kind = augment(*args, **kwargs)
+            left = augment(*args, **kwargs)
             self.steps.append(self.count)
-            return kind
+            return left
 
         modules = [m for name, m in sys.modules.items()
                    if name == "listcolor" or name.startswith("listcolor.")]

@@ -413,8 +413,7 @@ def live_state(phi):
         [dict(d) for d in phi.used_edge],
         [set(s) for s in phi.available],
         phi.potential(),
-        list(phi.blank_heap),
-        list(phi.queued),
+        set(phi.uncolored),
     )
 
 
@@ -450,7 +449,7 @@ def psi_walks(g, phi, rng):
 
 def test_psi_walk_matches_walk_in_shifted_copy():
     # the overlay walk finds the path (or the error) the walk in a shifted
-    # copy finds, and leaves the live coloring, potential and heap alone
+    # copy finds, and leaves the live coloring, potential and blank set alone
     paths = 0
     for g, L, phi in random_vizing_partials(50):
         for chain, alpha, beta in psi_walks(g, phi, random.Random(g.m)):
@@ -478,10 +477,10 @@ def vizing_engine_states(seeds):
         )
         phi = lc.PartialColoring(g, lc.generate_from_bounds(g, "vizing"))
         stats = lc.RunStats()
-        while phi.uncolored:
-            e = phi.first_blank()
-            yield phi, e
-            lc.augment_once(phi, e, "vizing", stats)
+        for e in range(g.m):
+            while e is not None:
+                yield phi, e
+                e = lc.augment_once(phi, e, "vizing", stats)
 
 
 def test_classified_psi_paths_match_walk_in_shifted_copy():

@@ -182,30 +182,6 @@ def test_verify_reports_cache_mismatch(triangle):
     assert any(f.kind == "CacheMismatch" for f in findings)
 
 
-def test_verify_reports_blank_edge_missing_from_heap(triangle):
-    g, L = triangle
-    phi = lc.PartialColoring(g, L)
-    phi.assign(0, 1)
-    assert phi.first_blank() == 1
-    phi.blank_heap.remove(2)  # blank edge 2 can no longer be picked
-    details = [f.detail for f in phi.verify() if f.kind == "CacheMismatch"]
-    assert "blank edge 2 not in the heap" in details
-
-
-def test_first_blank_requeues_edges_blanked_again(triangle):
-    g, L = triangle
-    phi = lc.PartialColoring(g, L)
-    phi.assign(0, 1)
-    phi.assign(1, 2)
-    assert phi.first_blank() == 2  # pops the colored entries 0 and 1
-    assert phi.blank_heap == [2]
-    phi.unassign(1)
-    phi.unassign(0)
-    assert phi.first_blank() == 0
-    assert sorted(phi.blank_heap) == [0, 1, 2]
-    assert phi.verify() == []
-
-
 def test_verify_reports_improper_and_unlisted(triangle):
     g, L = triangle
     phi = lc.PartialColoring(g, L)
@@ -266,9 +242,9 @@ def test_copy_is_independent(triangle):
     phi.assign(0, 1)
     snap = phi.copy()
     phi.assign(1, 2)
-    assert phi.first_blank() == 2
+    assert phi.uncolored == {2}
     assert snap.color[1] is None
-    assert snap.first_blank() == 1
+    assert snap.uncolored == {1, 2}
     assert snap.verify() == []
 
 
@@ -280,7 +256,6 @@ def coloring_state(phi):
         phi.a_total,
         phi.d_total,
         set(phi.uncolored),
-        phi.first_blank(),
     )
 
 
@@ -381,3 +356,29 @@ def test_shift_is_stale_after_a_change_off_the_chain():
         copy.apply_chain_shift(shift)
     assert coloring_state(copy) == coloring_state(phi)
     assert phi.apply_chain_shift(shift) == (None,)
+
+
+def test_check_shift_refuses_empty_and_repeating_chains():
+    # on the path 0-1-2 the chain (0, 1, 0) once passed the check and its
+    # commit blanked both edges while vertex 0 kept color 1 in its cache;
+    # a chain must be nonempty with distinct edges, or nothing is computed
+    L12 = frozenset({1, 2})
+    g, L, phi = setup_partial(3, [(0, 1, None, L12), (1, 2, 1, L12)])
+    before = coloring_state(phi)
+    for edges in ([0, 1, 0], (), [0, 0], [0, 1, 1]):
+        with pytest.raises(PreconditionViolatedError):
+            phi.check_shift(edges)
+        assert coloring_state(phi) == before
+        assert phi.verify() == []
+    refused = 0
+    for g, L, phi in random_vizing_partials(30):
+        rng = random.Random(g.m)
+        before = coloring_state(phi)
+        for _ in range(10):
+            edges = list(random_chain(g, rng, phi.color).edges)
+            edges.insert(rng.randint(0, len(edges)), rng.choice(edges))
+            with pytest.raises(PreconditionViolatedError):
+                phi.check_shift(edges)
+            refused += 1
+        assert coloring_state(phi) == before
+    assert refused >= 300

@@ -25,8 +25,7 @@ def test_first_augment_colors_first_edge():
     L = lc.generate_from_bounds(g, "shannon")
     phi = lc.PartialColoring(g, L)
     stats = lc.RunStats()
-    kind = lc.augment_once(phi, 0, "shannon", stats)
-    assert kind == "happy"
+    assert lc.augment_once(phi, 0, "shannon", stats) is None
     assert phi.color[0] == 1
 
 
@@ -236,16 +235,39 @@ def _churn(phi, r, rounds):
                 phi.undo_chain_shift(chain, old)
         else:
             phi = phi.copy()
-        assert len(phi.blank_heap) <= g.m
-        if r.random() < 0.5:  # leave stale entries in the heap now and then
-            assert phi.first_blank() == min(phi.uncolored, default=None)
     return phi
 
 
 @pytest.mark.parametrize("mode", ["shannon", "vizing", "koenig"])
 def test_first_blank_is_smallest_blank_edge(mode):
-    # the heap must hand out exactly min(uncolored) after arbitrary churn
-    # and through every augmentation, trial shifts included
+    # color_graph's order: each edge in id order, repaired until colored,
+    # driven by augment_once's return value.  The edge under repair is
+    # always the smallest blank id, and the edge a content step leaves
+    # blank was colored before, so it lies below every never-colored edge
+    content = 0
+    for seed in range(30):
+        g = lc.generate_random(16, 8, 2, bipartite=mode == "koenig", seed=seed, edges=48)
+        r = random.Random(seed + 7)
+        for L in (lc.generate_from_bounds(g, mode), adversarial_lists(g, mode, r)):
+            phi = lc.PartialColoring(g, L)
+            stats = lc.RunStats()
+            fresh = set(range(g.m))  # edges never colored
+            for e in range(g.m):
+                while e is not None:
+                    assert e == min(phi.uncolored)
+                    e = lc.augment_once(phi, e, mode, stats)
+                    fresh -= {f for f in fresh if phi.color[f] is not None}
+                    if e is not None:
+                        assert phi.color[e] is None and e < min(fresh, default=g.m)
+            assert not phi.uncolored and phi.verify() == []
+            content += stats.content_steps
+    assert content > 0 or mode == "shannon"  # shannon's random runs are all happy
+
+
+@pytest.mark.parametrize("mode", ["shannon", "vizing", "koenig"])
+def test_augment_repairs_arbitrary_partial_colorings(mode):
+    # augment_once works on any proper partial coloring, reached here by
+    # churn, and the edge a content step returns is blank
     for seed in range(12):
         g = lc.generate_random(10, 5, 2, bipartite=mode == "koenig", seed=seed, edges=18)
         L = lc.generate_from_bounds(g, mode)
@@ -254,11 +276,8 @@ def test_first_blank_is_smallest_blank_edge(mode):
         assert phi.verify() == []
         stats = lc.RunStats()
         while phi.uncolored:
-            e = phi.first_blank()
-            assert e == min(phi.uncolored)
-            lc.augment_once(phi, e, mode, stats)
-            assert len(phi.blank_heap) <= g.m
-        assert phi.first_blank() is None
+            left = lc.augment_once(phi, min(phi.uncolored), mode, stats)
+            assert left is None or phi.color[left] is None
         assert phi.verify() == []
 
 

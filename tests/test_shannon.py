@@ -186,8 +186,7 @@ def test_final_path_under_shifted_coloring_leaves_phi_untouched():
 
     def state():
         return (list(phi.color), [dict(d) for d in phi.used_edge],
-                [set(s) for s in phi.available], phi.potential(),
-                list(phi.blank_heap), list(phi.queued))
+                [set(s) for s in phi.available], phi.potential(), set(phi.uncolored))
 
     before = state()
     out = lc.classify_shannon(phi, 0)
