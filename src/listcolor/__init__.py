@@ -9,16 +9,7 @@ oracle provides ground truth at desk scale.
 """
 
 from .bipartite import koenig_path
-from .chain import (
-    Chain,
-    ResolveOutcome,
-    alternating_path,
-    build_chain,
-    build_path_chain,
-    max_shiftable_prefix,
-    resolve_path,
-    shift,
-)
+from .chain import Chain, alternating_path, max_shiftable_prefix, resolve_path
 from .coloring import (
     Finding,
     PartialColoring,
@@ -50,7 +41,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Chain",
-    "ResolveOutcome",
     "Multigraph",
     "ListAssignment",
     "BoundReport",
@@ -62,8 +52,6 @@ __all__ = [
     "VizingFanResult",
     "alternating_path",
     "augment_once",
-    "build_chain",
-    "build_path_chain",
     "check_bound",
     "check_edge_colors",
     "classify_shannon",
@@ -79,7 +67,6 @@ __all__ = [
     "parse_instance",
     "resolve_path",
     "shannon_fan",
-    "shift",
     "step_budget",
     "truncate",
     "vizing_fan",

@@ -1,8 +1,10 @@
-"""Chains, the Shift operation, alternating path chains, and their resolution.
+"""Chains, alternating path chains, and their resolution.
 
 A chain is a sequence of distinct edges in which consecutive edges share
 exactly one vertex.  Shifting moves each edge's color one position toward
-the front and blanks the last edge; the front edge must be blank.  One
+the front and blanks the last edge; the front edge must be blank.  The fan
+and walk functions that make chains keep that shape, and
+``PartialColoring.check_shift`` refuses an empty or repeating chain.  One
 ``Chain`` type serves every shape: it may carry vertices x_0..x_k with
 x_{i+1} the far end of edge i, where x_0 is the start vertex of a path or
 the pivot of a fan (whose leaves are then x_1..x_k).  A path walks
@@ -32,7 +34,6 @@ from .errors import (
     NotShiftableError,
     PreconditionViolatedError,
 )
-from .graph import Multigraph
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,42 +76,6 @@ class Chain:
         return Chain(self.edges[:j], self.vertices[: j + 1])
 
 
-def _check_chain_edges(g: Multigraph, edges) -> None:
-    if not edges:
-        raise ValueError("chain must contain at least one edge")
-    if len(set(edges)) != len(edges):
-        raise ValueError("chain edges must be distinct")
-    for a, b in zip(edges, edges[1:]):
-        shared = set(g.endpoints[a]) & set(g.endpoints[b])
-        if len(shared) != 1:
-            raise ValueError(
-                f"consecutive chain edges {a}, {b} share {len(shared)} vertices"
-            )
-
-
-def build_chain(g: Multigraph, edges) -> Chain:
-    edges = tuple(edges)
-    _check_chain_edges(g, edges)
-    return Chain(edges)
-
-
-def build_path_chain(g: Multigraph, edges, vstart: int) -> Chain:
-    edges = tuple(edges)
-    _check_chain_edges(g, edges)
-    u, v = g.endpoints[edges[0]]
-    if vstart not in (u, v):
-        raise ValueError("vstart must be an endpoint of the first edge")
-    vertices = [vstart, g.other_end(edges[0], vstart)]
-    for e in edges[1:]:
-        vertices.append(g.other_end(e, vertices[-1]))
-    interior = vertices[1:]
-    if len(set(interior)) != len(interior):
-        raise ValueError("path chain vertices after the first must be distinct")
-    if len(vertices) >= 3 and vertices[0] in vertices[1:3]:
-        raise ValueError("start vertex may only coincide with a later vertex")
-    return Chain(edges, tuple(vertices))
-
-
 # -- dispatch outcomes shared by the fan modules and the engine ---------------
 
 
@@ -129,20 +94,7 @@ class Step(NamedTuple):
     happy: bool = False
 
 
-@dataclass(frozen=True, slots=True)
-class ResolveOutcome:
-    kind: str  # "happy" | "content"
-    chain: Chain  # full path (happy) or the shifted prefix (content)
-
-
 # -- operations ----------------------------------------------------------------
-
-
-def shift(phi: PartialColoring, chain) -> PartialColoring:
-    """A fresh coloring with the chain shifted; the input is untouched."""
-    new = phi.copy()
-    new.apply_chain_shift(new.check_shift(chain.edges))
-    return new
 
 
 def alternating_path(
@@ -241,13 +193,15 @@ def max_shiftable_prefix(phi: PartialColoring, path: Chain) -> int:
     return len(edges)
 
 
-def resolve_path(phi: PartialColoring, path: Chain) -> ResolveOutcome:
+def resolve_path(phi: PartialColoring, path: Chain) -> Chain:
     """Apply the happy-or-content dichotomy to an alternating path, in place.
 
     Requires the start edge blank and the path's start and end vertices
     distinct (the callers establish the availability conditions when they
     build the path).  Either the full path shifts and its end edge gets a
     color, or a proper prefix shifts and the potential strictly drops.
+    Returns the chain it committed: the full path when happy, the shifted
+    prefix when content, whose end edge is then the one left blank.
     """
     if phi.color[path.start] is not None:
         raise EdgeNotBlankError(f"edge {path.start} is not blank")
@@ -269,9 +223,9 @@ def resolve_path(phi: PartialColoring, path: Chain) -> ResolveOutcome:
             phi.assign(path.end, c)
             if len(phi.uncolored) != blanks - 1:
                 raise LemmaViolationError("happy path did not reduce blank count")
-            return ResolveOutcome("happy", path)
+            return path
     # The full shift left the end edge stuck, or a strict prefix was the
     # longest valid shift; the availability total must have dropped.
     if shift.delta < (0, 0) and len(phi.uncolored) == blanks:
-        return ResolveOutcome("content", prefix)
+        return prefix
     raise LemmaViolationError("path neither happy nor content")

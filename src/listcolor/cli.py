@@ -13,6 +13,7 @@ parser is built once, on the first call, and reused.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 
@@ -56,6 +57,17 @@ def _write(path, text: str) -> None:
             raise InputError(f"cannot write {path}: {exc}")
 
 
+@contextlib.contextmanager
+def _trace_lines(path: str):
+    """A trace sink writing each record's line to ``path`` (stdout for ``-``)
+    as it arrives; the file opens first, so a bad path fails before the run."""
+    try:
+        with contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w") as f:
+            yield lambda rec: f.write(lio.format_trace_record(rec) + "\n")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}")
+
+
 def _resolve_lists(g, file_lists, mode, where: str):
     """Lists for a run: explicit instances carry them, bound modes derive them."""
     if mode == "explicit":
@@ -74,15 +86,11 @@ def cmd_color(args) -> int:
     if args.mode == "explicit" and args.assume_bound is None:
         raise InputError("--mode explicit requires --assume-bound")
     lists = _resolve_lists(g, file_lists, args.mode, args.instance)
-    records = []
-    sink = records.append if args.trace else None
-    phi, stats = color_graph(
-        g, lists, args.mode, assume_bound=args.assume_bound, trace=sink
-    )
+    with _trace_lines(args.trace) if args.trace else contextlib.nullcontext() as sink:
+        phi, stats = color_graph(
+            g, lists, args.mode, assume_bound=args.assume_bound, trace=sink
+        )
     _write(args.output, lio.write_coloring(phi.color))
-    if args.trace:
-        text = "".join(lio.format_trace_record(r) + "\n" for r in records)
-        _write(args.trace, text)
     if args.stats:
         print(
             f"edges={g.m} happy={stats.happy_steps} content={stats.content_steps}"

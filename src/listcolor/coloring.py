@@ -283,28 +283,34 @@ class PartialColoring:
     # -- verification ---------------------------------------------------------
 
     def verify(self) -> list[Finding]:
-        """Recompute everything from the assignment alone; report mismatches."""
-        g, lists = self.g, self.lists
-        findings = check_edge_colors(g, lists, self.color)
+        """Recompute everything from the assignment alone; report mismatches.
+
+        One walk over the colors rebuilds used, the blank set and d (deg(u) +
+        deg(v) per blank edge), one over the vertices each available set and
+        a; the caches are read only to be compared against."""
+        g, common = self.g, self.lists.common
+        findings = check_edge_colors(g, self.lists, self.color)
+        inc = g.incidence
         used = [dict() for _ in range(g.n)]
-        for e, c in enumerate(self.color):
-            if c is not None:
-                for w in g.endpoints[e]:
-                    used[w].setdefault(c, e)  # the first edge, as check_edge_colors
+        uncolored = set()
+        d = 0
+        for e, (c, (u, v)) in enumerate(zip(self.color, g.endpoints)):
+            if c is None:
+                uncolored.add(e)
+                d += len(inc[u]) + len(inc[v])
+            else:  # the first edge keeps c, as in check_edge_colors
+                used[u].setdefault(c, e)
+                used[v].setdefault(c, e)
+        a = 0
         for x in range(g.n):
             if used[x] != self.used_edge[x]:
                 findings.append(Finding("CacheMismatch", f"used set at vertex {x}"))
-            avail = set(lists.common[x]) - used[x].keys()
+            avail = common[x] - used[x].keys()
+            a += len(avail)
             if avail != self.available[x]:
                 findings.append(Finding("CacheMismatch", f"available set at vertex {x}"))
-        uncolored = {e for e, c in enumerate(self.color) if c is None}
         if uncolored != self.uncolored:
             findings.append(Finding("CacheMismatch", "uncolored edge set"))
-        a = sum(len(set(lists.common[x]) - used[x].keys()) for x in range(g.n))
-        d = sum(
-            g.degree(x) * sum(1 for e in g.incidence[x] if self.color[e] is None)
-            for x in range(g.n)
-        )
         if (a, d) != (self.a_total, self.d_total):
             findings.append(
                 Finding(

@@ -16,7 +16,7 @@ trip means a bug, not a hard instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from . import shannon, vizing
@@ -39,27 +39,11 @@ class RunStats:
     content_steps: int = 0
     fan_shifts: int = 0
     path_shifts: int = 0
-    potential_trace: list[Potential] = field(default_factory=list)
     max_chain_length: int = 0
-    content_runs: list[int] = field(default_factory=list)  # lengths between happy steps
-    _content_since_happy: int = 0
 
     @property
     def steps(self) -> int:
         return self.happy_steps + self.content_steps
-
-    def _saw_chain(self, length: int) -> None:
-        if length > self.max_chain_length:
-            self.max_chain_length = length
-
-    def _finish(self, happy: bool) -> None:
-        if happy:
-            self.happy_steps += 1
-            self.content_runs.append(self._content_since_happy)
-            self._content_since_happy = 0
-        else:
-            self.content_steps += 1
-            self._content_since_happy += 1
 
 
 class TraceRecord(NamedTuple):
@@ -100,7 +84,7 @@ def augment_once(
     if mode not in BOUND_MODES:
         raise ValueError(f"augment mode must name a guarantee, got {mode!r}")
     step = stats.steps
-    before = (phi.a_total, phi.d_total)  # a Potential only for a trace record
+    before = (phi.a_total, phi.d_total)  # a Potential only for a message or a record
     blanks = len(phi.uncolored)
 
     if mode == "koenig":
@@ -112,18 +96,21 @@ def augment_once(
         out = vizing.classify_vizing(phi, e, min(u, v))
     left = _apply_outcome(phi, e, out, mode, stats, trace, step, before)
 
-    after = phi.potential()
+    after = (phi.a_total, phi.d_total)
     if not after < before:
-        raise LemmaViolationError(f"potential did not drop: {Potential(*before)} -> {after}")
+        raise LemmaViolationError(
+            f"potential did not drop: {Potential(*before)} -> {Potential(*after)}"
+        )
     if left is None:
         if len(phi.uncolored) != blanks - 1:
             raise LemmaViolationError("happy step did not color exactly one edge")
+        stats.happy_steps += 1
     elif len(phi.uncolored) != blanks or phi.color[left] is not None:
         raise LemmaViolationError(
             f"content step changed the blank count or left its end edge {left} colored"
         )
-    stats._finish(left is None)
-    stats.potential_trace.append(after)
+    else:
+        stats.content_steps += 1
     return left
 
 
@@ -142,7 +129,7 @@ def _apply_outcome(phi, e, out, mode, stats, trace, step, before) -> Optional[in
             raise LemmaViolationError(f"edge {chain[-1]} not recolorable after its shift")
         phi.assign(chain[-1], c)
     if shift is not None or happy:
-        stats._saw_chain(len(chain))
+        stats.max_chain_length = max(stats.max_chain_length, len(chain))
         if trace is not None:
             kind = "happy-edge" if shift is None else "fan-shift"
             label = branch if path is None else f"{branch}-setup"
@@ -150,13 +137,13 @@ def _apply_outcome(phi, e, out, mode, stats, trace, step, before) -> Optional[in
     if path is None:
         return None if happy else chain[-1]
     mid = None if trace is None else phi.potential()
-    outcome = resolve_path(phi, path)
+    done = resolve_path(phi, path)  # the whole path if happy, else a prefix
     stats.path_shifts += 1
-    stats._saw_chain(outcome.chain.length)
-    happy = outcome.kind == "happy"
+    stats.max_chain_length = max(stats.max_chain_length, done.length)
+    happy = phi.color[done.end] is not None
     kind = "path-shift-happy" if happy else "path-shift-content"
-    _emit(trace, step, kind, mode, branch, outcome.chain.edges, mid, phi)
-    return None if happy else outcome.chain.end
+    _emit(trace, step, kind, mode, branch, done.edges, mid, phi)
+    return None if happy else done.end
 
 
 def step_budget(g: Multigraph, lists: ListAssignment) -> tuple[int, int]:
@@ -193,7 +180,6 @@ def color_graph(
 
     phi = PartialColoring(g, lists)
     stats = RunStats()
-    stats.potential_trace.append(phi.potential())
     content_budget, happy_budget = step_budget(g, lists)
     for e in range(g.m):
         while e is not None:

@@ -24,34 +24,24 @@ MODES = ("shannon", "vizing", "koenig", "explicit")
 BOUND_MODES = ("shannon", "vizing", "koenig")
 
 
-def shannon_bound(g: Multigraph, x: int) -> int:
-    d = g.degree(x)
-    return d + d // 2
-
-
-def vizing_bound(g: Multigraph, x: int) -> int:
-    return g.degree(x) + g.mu_vertex(x)
-
-
-def koenig_bound(g: Multigraph, x: int) -> int:
-    return g.degree(x)
-
-
-_BOUNDS = {
-    "shannon": shannon_bound,
-    "vizing": vizing_bound,
-    "koenig": koenig_bound,
-}
-
-
 def local_bound(g: Multigraph, x: int, mode: str) -> int:
     """The mode's required common-color count at vertex x."""
-    return _BOUNDS[mode](g, x)
+    d = g.degree(x)
+    if mode == "shannon":
+        return d + d // 2
+    if mode == "vizing":
+        return d + g.mu_vertex(x)
+    if mode == "koenig":
+        return d
+    raise ValueError(f"mode must be one of {BOUND_MODES}, got {mode!r}")
 
 
-def _check_mode(mode: str) -> None:
+def _check_mode(g: Multigraph, mode: str) -> None:
+    """Raise unless ``mode`` names a guarantee that can hold on g."""
     if mode not in BOUND_MODES:
         raise ValueError(f"mode must be one of {BOUND_MODES}, got {mode!r}")
+    if mode == "koenig" and g.bipartition() is None:
+        raise NotBipartiteError("koenig bound requires a bipartite graph")
 
 
 class ListAssignment:
@@ -114,9 +104,7 @@ class BoundReport:
 
 def check_bound(g: Multigraph, L: ListAssignment, mode: str) -> BoundReport:
     """Per-vertex report of whether the common sets meet the mode's bound."""
-    _check_mode(mode)
-    if mode == "koenig" and g.bipartition() is None:
-        raise NotBipartiteError("koenig bound requires a bipartite graph")
+    _check_mode(g, mode)
     entries = tuple(
         VertexBound(x, local_bound(g, x, mode), len(L.common[x]))
         for x in range(g.n)
@@ -129,9 +117,7 @@ def generate_from_bounds(g: Multigraph, mode: str) -> ListAssignment:
 
     Edges with the same list length share one frozenset.
     """
-    _check_mode(mode)
-    if mode == "koenig" and g.bipartition() is None:
-        raise NotBipartiteError("koenig bound requires a bipartite graph")
+    _check_mode(g, mode)
     bounds = [local_bound(g, x, mode) for x in range(g.n)]
     by_length = {}
     lists = []

@@ -59,6 +59,13 @@ def shifted_colors(colors, edges):
     return new
 
 
+def shifted_copy(phi, chain):
+    """A fresh coloring with the chain shifted; phi is untouched."""
+    new = phi.copy()
+    new.apply_chain_shift(new.check_shift(chain.edges))
+    return new
+
+
 def shift_change(g, L, colors, edges):
     """Potential change (da, dd) of shifting the chain, by definition."""
     a0, d0 = recompute_potential(g, L, colors)
@@ -310,7 +317,7 @@ def random_vizing_partials(count):
 
 
 def random_chain(g, rng, colors, max_len=6):
-    """A random chain (``build_chain`` rules) from a mostly blank start edge.
+    """A random bare chain from a mostly blank start edge.
 
     Its edges may be blank anywhere and may be parallel to one another, as
     long as consecutive edges share exactly one vertex.
@@ -327,7 +334,7 @@ def random_chain(g, rng, colors, max_len=6):
         if not nxt:
             break
         edges.append(rng.choice(nxt))
-    return lc.build_chain(g, edges)
+    return lc.Chain(tuple(edges))
 
 
 FULL6 = frozenset(range(1, 7))

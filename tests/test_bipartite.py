@@ -15,8 +15,8 @@ def test_equal_minima_single_edge_path():
     g, L, phi = setup_partial(3, [(0, 1, None, AB), (1, 2, None, AB)])
     p = lc.koenig_path(phi, 0)
     assert p.edges == (0,)
-    out = lc.resolve_path(phi, p)
-    assert out.kind == "happy"
+    assert lc.resolve_path(phi, p) == p  # happy: the whole path
+    assert phi.color[p.end] is not None
     assert phi.color[0] == 1
 
 
@@ -29,8 +29,8 @@ def test_four_cycle_path_ends_on_start_side():
     assert p.vend == 2
     side = g.bipartition()
     assert side[p.vend] == side[0] and p.vend != 0
-    out = lc.resolve_path(phi, p)
-    assert out.kind == "happy"
+    assert lc.resolve_path(phi, p) == p  # happy: the whole path
+    assert phi.color[p.end] is not None
     assert phi.verify() == []
 
 
@@ -41,8 +41,8 @@ def test_star_center_forces_two_edge_path():
     g, L, phi = setup_partial(4, specs)
     p = lc.koenig_path(phi, 0)
     assert p.edges == (0, 1)
-    out = lc.resolve_path(phi, p)
-    assert out.kind == "happy"
+    assert lc.resolve_path(phi, p) == p  # happy: the whole path
+    assert phi.color[p.end] is not None
     assert phi.verify() == []
     assert len(phi.uncolored) == 0  # the only blank edge got colored
 

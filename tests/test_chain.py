@@ -20,6 +20,7 @@ from conftest import (
     recompute_potential,
     recompute_used,
     setup_partial,
+    shifted_copy,
     step_kind,
 )
 
@@ -43,8 +44,8 @@ def fig_shift_instance():
 
 def test_shift_seven_edge_chain_exact():
     g, L, phi = fig_shift_instance()
-    chain = lc.build_chain(g, range(7))
-    shifted = lc.shift(phi, chain)
+    chain = lc.Chain(tuple(range(7)))
+    shifted = shifted_copy(phi, chain)
     assert shifted.color == [1, 2, 3, 4, 5, 6, None]
     assert phi.color == [None, 1, 2, 3, 4, 5, 6]  # input untouched
     assert shifted.verify() == []
@@ -53,7 +54,7 @@ def test_shift_seven_edge_chain_exact():
 def test_shift_single_blank_edge_is_identity(triangle):
     g, L = triangle
     phi = lc.PartialColoring(g, L)
-    shifted = lc.shift(phi, lc.build_chain(g, [0]))
+    shifted = shifted_copy(phi, lc.Chain((0,)))
     assert shifted.color == phi.color
 
 
@@ -61,7 +62,7 @@ def test_shift_rejects_color_outside_start_list():
     specs = [(0, 1, None, frozenset({2, 3})), (1, 2, 1, frozenset({1, 2}))]
     g, L, phi = setup_partial(3, specs)
     with pytest.raises(NotShiftableError) as exc:
-        lc.shift(phi, lc.build_chain(g, [0, 1]))
+        shifted_copy(phi, lc.Chain((0, 1)))
     assert exc.value.index == 0
     assert exc.value.reason == COLOR_NOT_IN_LIST
 
@@ -71,7 +72,7 @@ def test_shift_rejects_colored_start(triangle):
     phi = lc.PartialColoring(g, L)
     phi.assign(0, 1)
     with pytest.raises(NotShiftableError) as exc:
-        lc.shift(phi, lc.build_chain(g, [0, 1]))
+        shifted_copy(phi, lc.Chain((0, 1)))
     assert exc.value.index == 0
 
 
@@ -92,7 +93,7 @@ def test_shift_preserves_colors_away_from_ends(rng):
                     path = lc.alternating_path(phi, e, alpha, beta)
                     j = lc.max_shiftable_prefix(phi, path)
                     pref = path.prefix(j)
-                    shifted = lc.shift(phi, pref)
+                    shifted = shifted_copy(phi, pref)
                     before = recompute_used(g, phi.color)
                     after = recompute_used(g, shifted.color)
                     ends = set(g.endpoints[pref.start]) | set(g.endpoints[pref.end])
@@ -105,18 +106,6 @@ def test_shift_preserves_colors_away_from_ends(rng):
                     break
             if hit:
                 break
-
-
-def test_chain_validation_rejects_garbage(triangle):
-    g, L = triangle
-    with pytest.raises(ValueError):
-        lc.build_chain(g, [0, 0])  # repeated edge
-    g2 = lc.Multigraph(4, [(0, 1), (2, 3)])
-    with pytest.raises(ValueError):
-        lc.build_chain(g2, [0, 1])  # disjoint edges
-    g3 = lc.Multigraph(2, [(0, 1), (0, 1)])
-    with pytest.raises(ValueError):
-        lc.build_chain(g3, [0, 1])  # parallel edges share two vertices
 
 
 def fig_two_a_instance():
@@ -275,18 +264,17 @@ def test_max_shiftable_prefix_rejects_non_alternating_colors():
         (3, 4, 3, S6),
     ]
     g, L, phi = setup_partial(5, specs)
-    path = lc.build_path_chain(g, range(4), vstart=0)
+    path = lc.Chain((0, 1, 2, 3), (0, 1, 2, 3, 4))
     with pytest.raises(PreconditionViolatedError):
         lc.max_shiftable_prefix(phi, path)
     with pytest.raises(NotShiftableError):
-        lc.max_shiftable_prefix(phi, lc.build_path_chain(g, [1, 2], vstart=1))
+        lc.max_shiftable_prefix(phi, lc.Chain((1, 2), (1, 2, 3)))
 
 
 def test_resolve_single_edge_happy():
     g, L, phi = setup_partial(2, [(0, 1, None, AB)])
     path = lc.alternating_path(phi, 0, 1, 2)
-    out = lc.resolve_path(phi, path)
-    assert out.kind == "happy"
+    assert lc.resolve_path(phi, path) == path  # happy: the whole path
     assert phi.color[0] == 1
     assert phi.verify() == []
 
@@ -297,8 +285,7 @@ def test_resolve_two_edge_happy_colors_beta():
     g, L, phi = setup_partial(3, [(0, 1, None, AB), (1, 2, 1, AB)])
     path = lc.alternating_path(phi, 0, 1, 2)
     assert path.edges == (0, 1)
-    out = lc.resolve_path(phi, path)
-    assert out.kind == "happy"
+    assert lc.resolve_path(phi, path) == path
     assert phi.color[0] == 1 and phi.color[1] == 2
     assert phi.verify() == []
 
@@ -309,8 +296,8 @@ def test_resolve_prefix_content_derived():
     before = recompute_potential(g, L, phi.color)
     blanks = len(phi.uncolored)
     out = lc.resolve_path(phi, path)
-    assert out.kind == "content"
-    assert out.chain.edges == (0, 1, 2)
+    assert out == path.prefix(3)  # content: the shifted prefix, its end left blank
+    assert phi.color[out.end] is None
     after = recompute_potential(g, L, phi.color)
     assert after < before
     assert after[0] <= before[0] - 1  # availability total drops
@@ -359,21 +346,13 @@ def test_resolve_random_postconditions(rng):
         out = lc.resolve_path(phi, path)
         assert phi.verify() == []
         assert phi.potential() < before
-        if out.kind == "happy":
+        if out == path and phi.color[out.end] is not None:
             assert len(phi.uncolored) == count - 1
         else:
+            assert out == path.prefix(out.length) and phi.color[out.end] is None
             assert len(phi.uncolored) == count
         resolved += 1
     assert resolved > 20
-
-
-def test_path_chain_builder_validates():
-    g = lc.Multigraph(4, [(0, 1), (1, 2), (2, 3)])
-    p = lc.build_path_chain(g, [0, 1, 2], vstart=0)
-    assert p.vertices == (0, 1, 2, 3)
-    assert p.prefix(2).vertices == (0, 1, 2)
-    with pytest.raises(ValueError):
-        lc.build_path_chain(g, [0, 1, 2], vstart=3)
 
 
 def shannon_two_edge_fan():
@@ -400,8 +379,7 @@ def test_fan_prefix_keeps_the_pivot_and_its_first_leaves(make_fan):
 
 
 def test_bare_chain_prefix_has_no_vertices():
-    g = lc.Multigraph(4, [(0, 1), (1, 2), (2, 3)])
-    chain = lc.build_chain(g, [0, 1, 2])
+    chain = lc.Chain((0, 1, 2))
     assert chain.vertices == ()
     assert chain.prefix(1).edges == (0,)
     assert chain.prefix(1).vertices == ()
@@ -438,7 +416,7 @@ def psi_walks(g, phi, rng):
     for _ in range(10):
         chain = random_chain(g, rng, phi.color)
         try:
-            psi = lc.shift(phi, chain)
+            psi = shifted_copy(phi, chain)
         except NotShiftableError:
             continue
         u, v = g.endpoints[chain.end]
@@ -454,7 +432,7 @@ def test_psi_walk_matches_walk_in_shifted_copy():
     for g, L, phi in random_vizing_partials(50):
         for chain, alpha, beta in psi_walks(g, phi, random.Random(g.m)):
             expected = walk_or_error(
-                lambda: lc.alternating_path(lc.shift(phi, chain), chain.end, alpha, beta)
+                lambda: lc.alternating_path(shifted_copy(phi, chain), chain.end, alpha, beta)
             )
             before = live_state(phi)
             got = walk_or_error(
@@ -491,7 +469,7 @@ def test_classified_psi_paths_match_walk_in_shifted_copy():
         out = lc.classify_vizing(phi, e, x)
         assert live_state(phi) == before
         if step_kind(out) == "path-psi":
-            psi = lc.shift(phi, lc.build_chain(phi.g, out.shift.edges))
+            psi = shifted_copy(phi, lc.Chain(out.shift.edges))
             alpha, beta = min(phi.available[x]), lc.vizing_fan(phi, e, x).beta
             assert out.path == lc.alternating_path(psi, out.shift.edges[-1], alpha, beta)
             branches.append(out.branch)

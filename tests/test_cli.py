@@ -221,6 +221,18 @@ def test_trace_and_stats_flags(tmp_path, capsys):
     assert all(len(line.split()) == 6 for line in lines)
 
 
+def test_unwritable_trace_exits_two_before_any_output(tmp_path, capsys):
+    # the trace opens before the run, so a directory fails it before -o is written
+    inst = write(tmp_path, "tri.txt", TRIANGLE)
+    colf = tmp_path / "c.txt"
+    code, out, err = run(
+        capsys, "color", inst, "--mode", "shannon", "--trace", str(tmp_path), "-o", str(colf),
+    )
+    assert code == 2
+    assert err.startswith(f"error: cannot write {tmp_path}")
+    assert out == "" and not colf.exists()
+
+
 # The argv of each subcommand that reads files; BAD marks the bad input.
 # verify reads two files, so the bad one goes in each slot in turn.
 READERS = {

@@ -182,6 +182,29 @@ def test_verify_reports_cache_mismatch(triangle):
     assert any(f.kind == "CacheMismatch" for f in findings)
 
 
+# cache -> (corrupt it alone, the one detail verify must report)
+CORRUPTIONS = {
+    "used_edge": (lambda phi: phi.used_edge[2].update({3: 1}), "used set at vertex 2"),
+    "available": (lambda phi: phi.available[2].discard(3), "available set at vertex 2"),
+    "uncolored": (lambda phi: phi.uncolored.discard(1), "uncolored edge set"),
+    "a_total": (lambda phi: setattr(phi, "a_total", phi.a_total + 1),
+                "potential totals cached (8, 8) recomputed (7, 8)"),
+    "d_total": (lambda phi: setattr(phi, "d_total", phi.d_total + 1),
+                "potential totals cached (7, 9) recomputed (7, 8)"),
+}
+
+
+@pytest.mark.parametrize("cache", sorted(CORRUPTIONS))
+def test_verify_catches_each_cache_corrupted_alone(triangle, cache):
+    g, L = triangle
+    phi = lc.PartialColoring(g, L)
+    phi.assign(0, 1)
+    assert recompute_potential(g, L, phi.color) == (7, 8)
+    corrupt, detail = CORRUPTIONS[cache]
+    corrupt(phi)
+    assert phi.verify() == [lc.Finding("CacheMismatch", detail)]
+
+
 def test_verify_reports_improper_and_unlisted(triangle):
     g, L = triangle
     phi = lc.PartialColoring(g, L)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -79,12 +80,18 @@ def test_potential_strictly_decreases_every_step():
         rng = random.Random(seed)
         g = lc.generate_random(12, 6, 3, seed=seed, edges=rng.randint(4, 24))
         L = lc.generate_from_bounds(g, "vizing")
-        phi, stats = lc.color_graph(g, L, "vizing")
-        trace = stats.potential_trace
-        assert len(trace) == stats.steps + 1
-        for prev, cur in zip(trace, trace[1:]):
-            assert cur < prev
-        assert recompute_potential(g, L, phi.color) == tuple(trace[-1])
+        records = []
+        phi, stats = lc.color_graph(g, L, "vizing", trace=records.append)
+        # from the empty coloring's potential, each step's records start where
+        # the last step's ended and end strictly lower, at the final coloring's
+        pot, steps = lc.PartialColoring(g, L).potential(), 0
+        for step, recs in itertools.groupby(records, lambda r: r.step):
+            recs = list(recs)
+            assert step == steps and recs[0].phi_before == pot
+            assert recs[-1].phi_after < pot
+            pot, steps = recs[-1].phi_after, steps + 1
+        assert steps == stats.steps
+        assert pot == recompute_potential(g, L, phi.color)
 
 
 def test_step_budget_formula():
@@ -137,12 +144,16 @@ def test_trace_records_consistent():
         assert rec.kind in kinds
         assert rec.branch.startswith("vizing-")
         assert rec.chain
-    # each step's last record lands on the step's potential trace entry
-    last_by_step = {}
-    for rec in records:
-        last_by_step[rec.step] = rec.phi_after
-    for step, pot in last_by_step.items():
-        assert pot == stats.potential_trace[step + 1]
+    # the records certify the run: steps chain from the empty coloring's
+    # potential to the final one, each strictly lowering it
+    pot, steps = lc.PartialColoring(g, L).potential(), 0
+    for step, recs in itertools.groupby(records, lambda r: r.step):
+        recs = list(recs)
+        assert step == steps and recs[0].phi_before == pot
+        assert recs[-1].phi_after < pot
+        pot, steps = recs[-1].phi_after, steps + 1
+    assert steps == stats.steps
+    assert pot == recompute_potential(g, L, phi.color)
 
 
 def traced_instance(mode, seed):
@@ -164,13 +175,14 @@ def test_tracing_changes_nothing(mode, monkeypatch):
                                        trace=records.append)
         assert traced.color == plain.color
         assert stats == plain_stats
-        by_step = {}
-        for rec in records:
-            by_step.setdefault(rec.step, []).append(rec)
-        assert sorted(by_step) == list(range(stats.steps))
-        for step, recs in by_step.items():
-            assert recs[0].phi_before == stats.potential_trace[step]
-            assert recs[-1].phi_after == stats.potential_trace[step + 1]
+        pot, steps = lc.PartialColoring(g, L).potential(), 0
+        for step, recs in itertools.groupby(records, lambda r: r.step):
+            recs = list(recs)
+            assert step == steps and recs[0].phi_before == pot
+            assert recs[-1].phi_after < pot
+            pot, steps = recs[-1].phi_after, steps + 1
+        assert steps == stats.steps
+        assert pot == recompute_potential(g, L, traced.color)
 
     def no_records(*args):
         raise AssertionError("an untraced run built a trace record")
@@ -178,15 +190,6 @@ def test_tracing_changes_nothing(mode, monkeypatch):
     monkeypatch.setattr(engine, "TraceRecord", no_records)
     phi, _ = lc.color_graph(g, L, mode, assume_bound=assume)
     assert phi.color == plain.color
-
-
-def test_stats_content_runs_logged():
-    g = lc.generate_random(12, 8, 4, seed=21, edges=30)
-    L = lc.generate_from_bounds(g, "vizing")
-    _, stats = lc.color_graph(g, L, "vizing")
-    assert len(stats.content_runs) == stats.happy_steps
-    assert sum(stats.content_runs) == stats.content_steps
-    assert all(r >= 0 for r in stats.content_runs)
 
 
 def test_explicit_mode_with_adversarial_lists():

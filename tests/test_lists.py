@@ -87,6 +87,19 @@ def test_check_bound_rejects_explicit_mode():
         lc.check_bound(g, L, "explicit")
 
 
+def test_every_bound_entry_point_rejects_an_unknown_mode():
+    g = lc.Multigraph(2, [(0, 1)])
+    L = lc.ListAssignment(g, [frozenset({1})])
+    calls = (
+        lambda: local_bound(g, 0, "nope"),
+        lambda: lc.check_bound(g, L, "nope"),
+        lambda: lc.generate_from_bounds(g, "nope"),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="^mode must be one of"):
+            call()
+
+
 def test_generate_from_bounds_digon_vizing():
     g = lc.Multigraph(2, [(0, 1), (0, 1)])
     L = lc.generate_from_bounds(g, "vizing")

@@ -11,6 +11,7 @@ from conftest import (
     random_partial,
     recompute_potential,
     setup_partial,
+    shifted_copy,
     step_kind,
 )
 
@@ -155,8 +156,8 @@ def test_classify_final_path_under_current_coloring():
     assert out.path == lc.alternating_path(phi, 0, 1, 5)
     assert out.path.edges == (0, 4)
     assert out.path.vstart != out.path.vend
-    res = lc.resolve_path(phi, out.path)
-    assert res.kind == "happy"
+    assert lc.resolve_path(phi, out.path) == out.path  # happy: the whole path
+    assert phi.color[out.path.end] is not None
     assert phi.verify() == []
 
 
@@ -167,14 +168,14 @@ def test_classify_final_path_under_shifted_coloring():
     assert step_kind(out) == "path-psi"
     assert out.shift.edges == (0, 1)
     # the path alternates alpha = 1 and beta = 5 in the shifted coloring
-    psi = lc.shift(phi, lc.build_chain(g, out.shift.edges))
+    psi = shifted_copy(phi, lc.Chain(out.shift.edges))
     assert out.path == lc.alternating_path(psi, 1, 1, 5)
     assert out.path.edges == (1, 7)  # built in the shifted coloring
     before = phi.potential()
     phi.apply_chain_shift(out.shift)
     assert phi.potential().a == before.a
-    res = lc.resolve_path(phi, out.path)
-    assert res.kind == "happy"
+    assert lc.resolve_path(phi, out.path) == out.path  # happy: the whole path
+    assert phi.color[out.path.end] is not None
     assert phi.verify() == []
     assert len(phi.uncolored) == 0
 
@@ -192,7 +193,7 @@ def test_final_path_under_shifted_coloring_leaves_phi_untouched():
     out = lc.classify_shannon(phi, 0)
     assert step_kind(out) == "path-psi" and out.branch == "final-path-psi"
     assert state() == before
-    psi = lc.shift(phi, lc.build_chain(g, out.shift.edges))
+    psi = shifted_copy(phi, lc.Chain(out.shift.edges))
     assert out.path == lc.alternating_path(psi, out.shift.edges[-1], 1, 5)
     assert psi.color != phi.color
 

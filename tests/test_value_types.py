@@ -5,7 +5,6 @@ import dataclasses
 import pytest
 
 import listcolor as lc
-from listcolor.chain import ResolveOutcome
 from listcolor.coloring import Finding
 from listcolor.lists import BoundReport, VertexBound
 from listcolor.vizing import VizingFanResult
@@ -19,7 +18,6 @@ def _chain():
 VALUES = {
     "Chain": (_chain, "edges"),
     "VizingFanResult": (lambda: VizingFanResult(_chain(), 2, 1), "beta"),
-    "ResolveOutcome": (lambda: ResolveOutcome("content", _chain()), "kind"),
     "Finding": (lambda: Finding("CacheMismatch", "uncolored edge set"), "detail"),
     "VertexBound": (lambda: VertexBound(4, 6, 7), "actual"),
     "BoundReport": (

@@ -17,6 +17,7 @@ from conftest import (
     replay_shift,
     setup_partial,
     shift_change,
+    shifted_copy,
     step_kind,
 )
 
@@ -102,13 +103,13 @@ def test_classify_path_under_shifted_fan():
     assert step_kind(out) == "path-psi"
     assert out.branch == "path-psi-full"
     # the path alternates alpha = 3 and beta = 1 in the shifted coloring
-    psi = lc.shift(phi, lc.build_chain(g, out.shift.edges))
+    psi = shifted_copy(phi, lc.Chain(out.shift.edges))
     assert out.path == lc.alternating_path(psi, out.shift.edges[-1], 3, 1)
     before = phi.potential()
     phi.apply_chain_shift(out.shift)
     assert phi.potential().a == before.a
-    res = lc.resolve_path(phi, out.path)
-    assert res.kind == "happy"
+    assert lc.resolve_path(phi, out.path) == out.path  # happy: the whole path
+    assert phi.color[out.path.end] is not None
     assert phi.verify() == []
 
 
@@ -144,7 +145,7 @@ def test_fan_shifts_always_proper(rng):
             u, _ = g.endpoints[e]
             res = lc.vizing_fan(phi, e, u)
             for cand in (res.fan, res.fan.prefix(res.j)):
-                snap = lc.shift(phi, cand)  # raises NotShiftableError if improper
+                snap = shifted_copy(phi, cand)  # raises NotShiftableError if improper
                 assert snap.verify() == []
                 assert snap.potential().a <= phi.potential().a
 
@@ -157,7 +158,7 @@ def test_availability_total_never_rises_after_fan_shift(rng):
         for e in sorted(phi.uncolored):
             u, _ = g.endpoints[e]
             res = lc.vizing_fan(phi, e, u)
-            shifted = lc.shift(phi, res.fan)
+            shifted = shifted_copy(phi, res.fan)
             a_before = recompute_potential(g, L, phi.color)[0]
             a_after = recompute_potential(g, L, shifted.color)[0]
             assert a_after <= a_before
