@@ -213,7 +213,7 @@ def resolve_path(phi: PartialColoring, path: Chain) -> Chain:
         raise LemmaViolationError(
             f"shiftable prefix {j} below guaranteed minimum {min(3, k)}"
         )
-    blanks = len(phi.uncolored)
+    blanks = phi.blanks
     prefix = path if j == k else path.prefix(j)
     shift = phi.check_shift(prefix.edges)
     phi.apply_chain_shift(shift)
@@ -221,11 +221,11 @@ def resolve_path(phi: PartialColoring, path: Chain) -> Chain:
         c = phi.is_happy(path.end)
         if c is not None:
             phi.assign(path.end, c)
-            if len(phi.uncolored) != blanks - 1:
+            if phi.blanks != blanks - 1:
                 raise LemmaViolationError("happy path did not reduce blank count")
             return path
     # The full shift left the end edge stuck, or a strict prefix was the
     # longest valid shift; the availability total must have dropped.
-    if shift.delta < (0, 0) and len(phi.uncolored) == blanks:
+    if shift.delta < (0, 0) and phi.blanks == blanks:
         return prefix
     raise LemmaViolationError("path neither happy nor content")

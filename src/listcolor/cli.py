@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
+import json
 import sys
 
 from . import io as lio
@@ -46,26 +48,21 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}")
 
 
-def _write(path, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(path, "w") as f:
-                f.write(text)
-        except OSError as exc:
-            raise InputError(f"cannot write {path}: {exc}")
-
-
 @contextlib.contextmanager
-def _trace_lines(path: str):
-    """A trace sink writing each record's line to ``path`` (stdout for ``-``)
-    as it arrives; the file opens first, so a bad path fails before the run."""
+def _output(path):
+    """``path`` opened for writing (stdout for None or ``-``); opened on
+    entry, so a bad path fails before any work done inside."""
+    std = path is None or path == "-"
     try:
-        with contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w") as f:
-            yield lambda rec: f.write(lio.format_trace_record(rec) + "\n")
+        with contextlib.nullcontext(sys.stdout) if std else open(path, "w") as f:
+            yield f
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}")
+
+
+def _write(path, text: str) -> None:
+    with _output(path) as f:
+        f.write(text)
 
 
 def _resolve_lists(g, file_lists, mode, where: str):
@@ -85,19 +82,24 @@ def cmd_color(args) -> int:
     g, file_lists = lio.parse_instance(_read(args.instance))
     if args.mode == "explicit" and args.assume_bound is None:
         raise InputError("--mode explicit requires --assume-bound")
+    if args.mode != "explicit" and args.assume_bound is not None:
+        raise InputError("--assume-bound applies only to --mode explicit")
+    if args.trace not in (None, "-") and args.trace == args.output:
+        raise InputError("--trace and -o name the same file")
     lists = _resolve_lists(g, file_lists, args.mode, args.instance)
-    with _trace_lines(args.trace) if args.trace else contextlib.nullcontext() as sink:
+    # the trace opens first, then -o, both before the run: a bad path fails
+    # before any work and leaves no coloring file behind a bad trace path
+    with (
+        _output(args.trace) if args.trace else contextlib.nullcontext() as tf,
+        _output(args.output) as out,
+    ):
+        sink = tf and (lambda rec: tf.write(lio.format_trace_record(rec) + "\n"))
         phi, stats = color_graph(
             g, lists, args.mode, assume_bound=args.assume_bound, trace=sink
         )
-    _write(args.output, lio.write_coloring(phi.color))
+        out.write(lio.write_coloring(phi.color))
     if args.stats:
-        print(
-            f"edges={g.m} happy={stats.happy_steps} content={stats.content_steps}"
-            f" fan_shifts={stats.fan_shifts} path_shifts={stats.path_shifts}"
-            f" max_chain={stats.max_chain_length}",
-            file=sys.stderr,
-        )
+        print(json.dumps({"edges": g.m, **dataclasses.asdict(stats)}), file=sys.stderr)
     return EXIT_OK
 
 

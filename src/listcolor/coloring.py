@@ -6,12 +6,12 @@ totals: the sum of available-set sizes and the degree-weighted count of
 uncolored incidences.  The pair of totals is the lexicographic potential
 that certifies progress of the augmenting engine, so both are maintained
 in O(1) per color change and re-derivable from scratch by ``verify``.
-The set of blank edges is kept too; which blank edge to repair next is
-the engine's choice alone.
+The number of blank edges is kept too: a chain shift never changes it, so
+only ``assign`` and ``unassign`` move it.  Which blank edge to repair next
+is the engine's choice alone.
 
-One actor mutates a coloring at a time; ``copy`` produces an independent
-snapshot.  Each state has its own ``stamp``, so committing a chain shift
-checked on another state is refused in O(1).
+One actor mutates a coloring at a time.  Each state has its own ``stamp``,
+so committing a chain shift checked on another state is refused in O(1).
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class Shift(NamedTuple):
     shifted coloring that differ from the current one (None where the
     color leaves the vertex), ``delta`` the exact potential change, and
     ``stamp`` the coloring's stamp at the check: a shift is valid only
-    until that coloring next changes, and never on a copy.
+    until that coloring next changes, and never on any other coloring.
     """
 
     edges: tuple
@@ -80,7 +80,7 @@ class PartialColoring:
         "color",
         "used_edge",
         "available",
-        "uncolored",
+        "blanks",
         "weight",
         "a_total",
         "d_total",
@@ -95,27 +95,13 @@ class PartialColoring:
         self.color: list[Optional[int]] = [None] * g.m
         self.used_edge: list[dict[int, int]] = [{} for _ in range(g.n)]
         self.available: list[set[int]] = [set(lists.common[x]) for x in range(g.n)]
-        self.uncolored: set[int] = set(range(g.m))
+        self.blanks = g.m
         # deg(u) + deg(v) per edge: what coloring or blanking it moves d_total by
         inc = g.incidence
         self.weight = tuple(len(inc[u]) + len(inc[v]) for u, v in g.endpoints)
         self.a_total = sum(len(s) for s in self.available)
         self.d_total = sum(self.weight)
         self.stamp = next(_STAMPS)
-
-    def copy(self) -> "PartialColoring":
-        new = object.__new__(PartialColoring)
-        new.g = self.g
-        new.lists = self.lists
-        new.color = list(self.color)
-        new.used_edge = [dict(d) for d in self.used_edge]
-        new.available = [set(s) for s in self.available]
-        new.uncolored = set(self.uncolored)
-        new.weight = self.weight
-        new.a_total = self.a_total
-        new.d_total = self.d_total
-        new.stamp = next(_STAMPS)
-        return new
 
     def potential(self) -> Potential:
         return Potential(self.a_total, self.d_total)
@@ -137,7 +123,7 @@ class PartialColoring:
             if c in avail:
                 avail.remove(c)
                 self.a_total -= 1
-        self.uncolored.remove(e)
+        self.blanks -= 1
         self.d_total -= self.weight[e]
         self.stamp = next(_STAMPS)
 
@@ -152,7 +138,7 @@ class PartialColoring:
             if c in self.lists.common[w]:
                 self.available[w].add(c)
                 self.a_total += 1
-        self.uncolored.add(e)
+        self.blanks += 1
         self.d_total += self.weight[e]
         self.stamp = next(_STAMPS)
 
@@ -241,17 +227,18 @@ class PartialColoring:
         Writes ``shift.changes`` in place without checking it again.  A
         vertex keeps a color while some chain edge at it still carries it,
         so availability moves only where a color appears or leaves (a
-        path's two ends, a fan's leaves), the totals move by ``shift.delta``
-        and the blank-edge bookkeeping only for edges whose blank status
-        flips.  Returns the tuple of previous colors and renews the stamp.
-        Raises PreconditionViolatedError, with the state unchanged, if the
-        shift was checked at another stamp: on another coloring (a copy
-        too), or on this one before its last color change.
+        path's two ends, a fan's leaves) and the totals move by
+        ``shift.delta``.  The blank count stays: the start edge is blank and
+        the targets hold exactly as many blanks as the old colors.  Returns
+        the tuple of previous colors and renews the stamp.  Raises
+        PreconditionViolatedError, with the state unchanged, if the shift was
+        checked at another stamp: on another coloring, or on this one before
+        its last color change.
         """
         if shift.stamp != self.stamp:
             raise PreconditionViolatedError("stale shift: the coloring changed since")
-        edges, old, targets, color = shift.edges, shift.old, shift.targets, self.color
-        used, available, common = self.used_edge, self.available, self.lists.common
+        color, used, available = self.color, self.used_edge, self.available
+        common = self.lists.common
         for (w, c), e in shift.changes.items():
             if e is None:
                 del used[w][c]
@@ -263,14 +250,10 @@ class PartialColoring:
                 used[w][c] = e
         self.a_total += shift.delta.a
         self.d_total += shift.delta.d
-        for e, was, now in zip(edges, old, targets):
+        for e, now in zip(shift.edges, shift.targets):
             color[e] = now
-            if was is None and now is not None:
-                self.uncolored.remove(e)
-            elif was is not None and now is None:
-                self.uncolored.add(e)
         self.stamp = next(_STAMPS)
-        return old
+        return shift.old
 
     def undo_chain_shift(self, edges, old: tuple) -> None:
         for e in edges:
@@ -285,18 +268,17 @@ class PartialColoring:
     def verify(self) -> list[Finding]:
         """Recompute everything from the assignment alone; report mismatches.
 
-        One walk over the colors rebuilds used, the blank set and d (deg(u) +
+        One walk over the colors rebuilds used, the blank count and d (deg(u) +
         deg(v) per blank edge), one over the vertices each available set and
         a; the caches are read only to be compared against."""
         g, common = self.g, self.lists.common
         findings = check_edge_colors(g, self.lists, self.color)
         inc = g.incidence
         used = [dict() for _ in range(g.n)]
-        uncolored = set()
-        d = 0
+        blanks = d = 0
         for e, (c, (u, v)) in enumerate(zip(self.color, g.endpoints)):
             if c is None:
-                uncolored.add(e)
+                blanks += 1
                 d += len(inc[u]) + len(inc[v])
             else:  # the first edge keeps c, as in check_edge_colors
                 used[u].setdefault(c, e)
@@ -309,8 +291,8 @@ class PartialColoring:
             a += len(avail)
             if avail != self.available[x]:
                 findings.append(Finding("CacheMismatch", f"available set at vertex {x}"))
-        if uncolored != self.uncolored:
-            findings.append(Finding("CacheMismatch", "uncolored edge set"))
+        if blanks != self.blanks:
+            findings.append(Finding("CacheMismatch", "blank edge count"))
         if (a, d) != (self.a_total, self.d_total):
             findings.append(
                 Finding(

@@ -85,7 +85,7 @@ def augment_once(
         raise ValueError(f"augment mode must name a guarantee, got {mode!r}")
     step = stats.steps
     before = (phi.a_total, phi.d_total)  # a Potential only for a message or a record
-    blanks = len(phi.uncolored)
+    blanks = phi.blanks
 
     if mode == "koenig":
         out = Step("path", path=koenig_path(phi, e))
@@ -102,10 +102,10 @@ def augment_once(
             f"potential did not drop: {Potential(*before)} -> {Potential(*after)}"
         )
     if left is None:
-        if len(phi.uncolored) != blanks - 1:
+        if phi.blanks != blanks - 1:
             raise LemmaViolationError("happy step did not color exactly one edge")
         stats.happy_steps += 1
-    elif len(phi.uncolored) != blanks or phi.color[left] is not None:
+    elif phi.blanks != blanks or phi.color[left] is not None:
         raise LemmaViolationError(
             f"content step changed the blank count or left its end edge {left} colored"
         )

@@ -26,10 +26,8 @@ from typing import Optional
 
 from .errors import (
     InfeasibleParamsError,
-    LoopEdgeError,
     MixedListPresenceError,
     ParseError,
-    VertexOutOfRangeError,
 )
 from .graph import Multigraph
 from .lists import ListAssignment
@@ -216,7 +214,4 @@ def generate_random(
         deg[u] += 1
         deg[v] += 1
         chosen.append((u, v))
-    try:
-        return Multigraph(n, chosen)
-    except (LoopEdgeError, VertexOutOfRangeError) as exc:  # pragma: no cover
-        raise InfeasibleParamsError(str(exc))
+    return Multigraph(n, chosen)

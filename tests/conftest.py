@@ -59,9 +59,23 @@ def shifted_colors(colors, edges):
     return new
 
 
+def blank_edges(phi):
+    """The blank edges of a coloring, in id order, read off its colors."""
+    return [e for e, c in enumerate(phi.color) if c is None]
+
+
+def rebuilt(phi):
+    """A fresh coloring with phi's colors, built by assigning each one."""
+    new = lc.PartialColoring(phi.g, phi.lists)
+    for e, c in enumerate(phi.color):
+        if c is not None:
+            new.assign(e, c)
+    return new
+
+
 def shifted_copy(phi, chain):
     """A fresh coloring with the chain shifted; phi is untouched."""
-    new = phi.copy()
+    new = rebuilt(phi)
     new.apply_chain_shift(new.check_shift(chain.edges))
     return new
 

@@ -23,6 +23,7 @@ from listcolor.lists import local_bound
 from conftest import (
     WorkLog,
     adversarial_lists,
+    blank_edges,
     random_partial,
     recompute_potential,
     setup_partial,
@@ -82,7 +83,7 @@ def run_batch(mode: str, count: int, adversarial: bool = False) -> BatchSummary:
             s.failures.append((seed, repr(exc)))
             continue
         s.runs += 1
-        if phi.uncolored or phi.verify() or lc.check_edge_colors(g, L, phi.color):
+        if phi.blanks or phi.verify() or lc.check_edge_colors(g, L, phi.color):
             s.verify_failures += 1
         if not adversarial:
             bounds = [local_bound(g, x, mode) for x in range(g.n)]
@@ -211,7 +212,7 @@ def test_criterion_6_oracle_equivalence():
         assert lc.check_bound(g, L, mode).ok
         oracle = lc.exhaustive_color(g, L, limit=9)
         phi, _ = lc.color_graph(g, L, run_mode, assume_bound=assume)
-        engine_ok = not phi.uncolored and not lc.check_edge_colors(g, L, phi.color)
+        engine_ok = not phi.blanks and not lc.check_edge_colors(g, L, phi.color)
         oracle_ok = oracle is not None and not lc.check_edge_colors(g, L, oracle)
         if engine_ok and oracle_ok:
             agree += 1
@@ -298,7 +299,7 @@ def test_criterion_8_shift_and_path_properties():
         )
         L = lc.generate_from_bounds(g, "shannon")
         phi = random_partial(g, L, rng, fill=0.75)
-        for e in sorted(phi.uncolored):
+        for e in blank_edges(phi):
             u, v = g.endpoints[e]
             pairs = [
                 (a, b)

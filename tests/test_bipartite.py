@@ -5,7 +5,7 @@ import pytest
 import listcolor as lc
 from listcolor.errors import AvailabilityEmptyError, NotBipartiteError
 
-from conftest import random_partial, setup_partial
+from conftest import blank_edges, random_partial, setup_partial
 
 AB = frozenset({1, 2})
 ABC = frozenset({1, 2, 3})
@@ -44,7 +44,7 @@ def test_star_center_forces_two_edge_path():
     assert lc.resolve_path(phi, p) == p  # happy: the whole path
     assert phi.color[p.end] is not None
     assert phi.verify() == []
-    assert len(phi.uncolored) == 0  # the only blank edge got colored
+    assert phi.blanks == 0  # the only blank edge got colored
 
 
 def test_rejects_non_bipartite():
@@ -76,7 +76,7 @@ def test_parity_guarantee_random(rng):
         g = lc.generate_random(10, 5, 2, bipartite=True, seed=seed, edges=16)
         L = lc.generate_from_bounds(g, "koenig")
         phi = random_partial(g, L, random.Random(seed), fill=0.7)
-        for e in sorted(phi.uncolored):
+        for e in blank_edges(phi):
             u, v = g.endpoints[e]
             if not phi.available[u] or not phi.available[v]:
                 continue

@@ -12,6 +12,7 @@ from listcolor.errors import (
 )
 
 from conftest import (
+    blank_edges,
     brute_max_prefix,
     brute_shift_ok,
     random_chain,
@@ -82,7 +83,7 @@ def test_shift_preserves_colors_away_from_ends(rng):
         g = lc.generate_random(10, 4, 2, seed=seed, edges=16)
         L = lc.generate_from_bounds(g, "koenig" if g.bipartition() else "vizing")
         phi = random_partial(g, L, random.Random(seed), fill=0.75)
-        blanks = sorted(phi.uncolored)
+        blanks = blank_edges(phi)
         hit = False
         for e in blanks:
             u, v = g.endpoints[e]
@@ -208,7 +209,7 @@ def test_max_shiftable_matches_brute_on_random(rng):
         g = lc.generate_random(10, 4, 2, seed=seed, edges=15)
         L = lc.generate_from_bounds(g, "shannon")
         phi = random_partial(g, L, random.Random(seed), fill=0.8)
-        for e in sorted(phi.uncolored):
+        for e in blank_edges(phi):
             u, v = g.endpoints[e]
             for alpha in sorted(phi.available[u])[:2]:
                 for beta in sorted(phi.available[v])[:2]:
@@ -240,7 +241,7 @@ def test_max_shiftable_matches_brute_on_thinned_lists(rng):
         for e, c in enumerate(colors):
             if c is not None:
                 phi.assign(e, c)
-        for e in sorted(phi.uncolored):
+        for e in blank_edges(phi):
             u, v = g.endpoints[e]
             for alpha in sorted(phi.available[u]):
                 for beta in sorted(phi.available[v]):
@@ -294,14 +295,14 @@ def test_resolve_prefix_content_derived():
     g, L, phi = five_edge_path_instance()
     path = lc.alternating_path(phi, 0, 1, 2)
     before = recompute_potential(g, L, phi.color)
-    blanks = len(phi.uncolored)
+    blanks = phi.blanks
     out = lc.resolve_path(phi, path)
     assert out == path.prefix(3)  # content: the shifted prefix, its end left blank
     assert phi.color[out.end] is None
     after = recompute_potential(g, L, phi.color)
     assert after < before
     assert after[0] <= before[0] - 1  # availability total drops
-    assert len(phi.uncolored) == blanks
+    assert phi.blanks == blanks
     assert phi.verify() == []
 
 
@@ -327,7 +328,7 @@ def test_resolve_random_postconditions(rng):
         g = lc.generate_random(10, 4, 2, seed=seed, edges=15)
         L = lc.generate_from_bounds(g, "shannon")
         phi = random_partial(g, L, random.Random(seed), fill=0.7)
-        blanks = sorted(phi.uncolored)
+        blanks = blank_edges(phi)
         if not blanks:
             continue
         e = blanks[0]
@@ -342,15 +343,15 @@ def test_resolve_random_postconditions(rng):
         if path.vstart == path.vend:
             continue
         before = phi.potential()
-        count = len(phi.uncolored)
+        count = phi.blanks
         out = lc.resolve_path(phi, path)
         assert phi.verify() == []
         assert phi.potential() < before
         if out == path and phi.color[out.end] is not None:
-            assert len(phi.uncolored) == count - 1
+            assert phi.blanks == count - 1
         else:
             assert out == path.prefix(out.length) and phi.color[out.end] is None
-            assert len(phi.uncolored) == count
+            assert phi.blanks == count
         resolved += 1
     assert resolved > 20
 
@@ -391,7 +392,7 @@ def live_state(phi):
         [dict(d) for d in phi.used_edge],
         [set(s) for s in phi.available],
         phi.potential(),
-        set(phi.uncolored),
+        phi.blanks,
     )
 
 
@@ -406,7 +407,7 @@ def psi_walks(g, phi, rng):
     """(chain, alpha, beta): each vizing fan candidate with the colors the
     classifier would walk, and random shiftable chains with colors free at
     the ends of their end edge after the shift."""
-    for e in sorted(phi.uncolored):
+    for e in blank_edges(phi):
         for x in g.endpoints[e]:
             res = lc.vizing_fan(phi, e, x)
             if res.j == res.fan.length or not phi.available[x]:
@@ -427,7 +428,7 @@ def psi_walks(g, phi, rng):
 
 def test_psi_walk_matches_walk_in_shifted_copy():
     # the overlay walk finds the path (or the error) the walk in a shifted
-    # copy finds, and leaves the live coloring, potential and blank set alone
+    # copy finds, and leaves the live coloring, potential and blank count alone
     paths = 0
     for g, L, phi in random_vizing_partials(50):
         for chain, alpha, beta in psi_walks(g, phi, random.Random(g.m)):

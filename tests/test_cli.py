@@ -1,12 +1,13 @@
 import io
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
 import listcolor as lc
+from listcolor import cli, vizing
 from listcolor import io as lio
-from listcolor import vizing
 from listcolor.cli import build_parser, main
 from listcolor.errors import COLOR_CLASH, EdgeNotBlankError, NotShiftableError
 
@@ -79,6 +80,13 @@ def test_explicit_needs_assume_bound(tmp_path, capsys):
     inst = write(tmp_path, "p.txt", PATH2)
     code, _, err = run(capsys, "color", inst, "--mode", "explicit")
     assert code == 2
+
+
+def test_assume_bound_refused_outside_explicit_mode(tmp_path, capsys):
+    inst = write(tmp_path, "tri.txt", TRIANGLE)
+    code, out, err = run(capsys, "color", inst, "--mode", "vizing", "--assume-bound", "shannon")
+    assert code == 2 and out == ""
+    assert "--assume-bound applies only to --mode explicit" in err
 
 
 def test_bound_mode_rejects_explicit_instance(tmp_path, capsys):
@@ -215,7 +223,7 @@ def test_trace_and_stats_flags(tmp_path, capsys):
         "--trace", trace_path, "--stats", "-o", str(tmp_path / "c.txt"),
     )
     assert code == 0
-    assert "happy=3" in err
+    assert json.loads(err)["happy_steps"] == 3
     lines = Path(trace_path).read_text().splitlines()
     assert len(lines) == 3
     assert all(len(line.split()) == 6 for line in lines)
@@ -231,6 +239,36 @@ def test_unwritable_trace_exits_two_before_any_output(tmp_path, capsys):
     assert code == 2
     assert err.startswith(f"error: cannot write {tmp_path}")
     assert out == "" and not colf.exists()
+
+
+def test_unwritable_output_exits_two_before_the_run(tmp_path, capsys, monkeypatch):
+    # -o opens before the run too: a directory fails it, and the trace that
+    # opened first holds no line
+    def never(*args, **kwargs):
+        raise AssertionError("color_graph ran")
+
+    monkeypatch.setattr(cli, "color_graph", never)
+    inst = write(tmp_path, "tri.txt", TRIANGLE)
+    trace = tmp_path / "t.txt"
+    code, out, err = run(
+        capsys, "color", inst, "--mode", "shannon", "--trace", str(trace), "-o", str(tmp_path),
+    )
+    assert code == 2
+    assert err.startswith(f"error: cannot write {tmp_path}")
+    assert out == "" and trace.read_text() == ""
+
+
+def test_trace_and_output_must_differ(tmp_path, capsys):
+    # both open before the run, so one path for both would lose the coloring
+    inst = write(tmp_path, "tri.txt", TRIANGLE)
+    same = tmp_path / "same.txt"
+    code, out, err = run(
+        capsys, "color", inst, "--mode", "vizing", "--trace", str(same), "-o", str(same),
+    )
+    assert code == 2 and out == "" and not same.exists()
+    assert "--trace and -o name the same file" in err
+    code, out, _ = run(capsys, "color", inst, "--mode", "vizing", "--trace", "-", "-o", "-")
+    assert code == 0 and len(out.splitlines()) == 6  # three trace lines, three colors
 
 
 # The argv of each subcommand that reads files; BAD marks the bad input.
@@ -293,7 +331,7 @@ def test_cached_parser_carries_no_state_between_calls(tmp_path, capsys):
     assert build_parser() is build_parser()
     tri = write(tmp_path, "tri.txt", TRIANGLE)
     code, _, err = run(capsys, "color", tri, "--mode", "shannon", "--stats")
-    assert code == 0 and "happy=3" in err
+    assert code == 0 and json.loads(err)["happy_steps"] == 3
     code, _, err = run(capsys, "color", tri, "--mode", "shannon")
     assert code == 0 and err == ""
 

@@ -17,7 +17,9 @@ from listcolor.errors import (
 
 from conftest import (
     FULL6,
+    blank_edges,
     random_chain,
+    rebuilt,
     replay_shift,
     random_partial,
     random_vizing_partials,
@@ -33,7 +35,7 @@ def test_blank_triangle_potential(triangle):
     phi = lc.PartialColoring(g, L)
     # A = 3 vertices * 3 common colors, D = sum deg(x) * blank incidences = 3 * (2*2)
     assert phi.potential() == (9, 12)
-    assert phi.uncolored == {0, 1, 2}
+    assert phi.blanks == 3
 
 
 def test_blank_digon_potential(digon):
@@ -56,7 +58,7 @@ def test_assign_updates_both_endpoints(triangle):
     assert set(phi.used_edge[0].keys()) == {1}
     assert phi.available[0] == {2, 3}
     assert set(phi.used_edge[1].keys()) == {1}
-    assert phi.uncolored == {1, 2}
+    assert phi.blanks == 2
 
 
 def test_assign_clash_rejected(triangle):
@@ -91,7 +93,7 @@ def test_assign_unassign_roundtrip(triangle):
         list(phi.color),
         [dict(d) for d in phi.used_edge],
         [set(s) for s in phi.available],
-        set(phi.uncolored),
+        phi.blanks,
         phi.potential(),
     )
     phi.assign(1, 2)
@@ -100,7 +102,7 @@ def test_assign_unassign_roundtrip(triangle):
         list(phi.color),
         [dict(d) for d in phi.used_edge],
         [set(s) for s in phi.available],
-        set(phi.uncolored),
+        phi.blanks,
         phi.potential(),
     )
     assert before == after
@@ -186,7 +188,7 @@ def test_verify_reports_cache_mismatch(triangle):
 CORRUPTIONS = {
     "used_edge": (lambda phi: phi.used_edge[2].update({3: 1}), "used set at vertex 2"),
     "available": (lambda phi: phi.available[2].discard(3), "available set at vertex 2"),
-    "uncolored": (lambda phi: phi.uncolored.discard(1), "uncolored edge set"),
+    "blanks": (lambda phi: setattr(phi, "blanks", phi.blanks + 1), "blank edge count"),
     "a_total": (lambda phi: setattr(phi, "a_total", phi.a_total + 1),
                 "potential totals cached (8, 8) recomputed (7, 8)"),
     "d_total": (lambda phi: setattr(phi, "d_total", phi.d_total + 1),
@@ -218,26 +220,39 @@ def test_verify_reports_improper_and_unlisted(triangle):
 
 
 def test_cache_coherence_under_shift_churn(rng):
-    # interleave assigns, unassigns, and chain shifts, then re-derive all
+    # interleave assigns, unassigns, and chain shifts, then re-derive all;
+    # the blank count matches the colors after every operation, and no
+    # committed shift moves it
+    shifts = 0
     for seed in range(15):
         g = lc.generate_random(9, 4, 2, seed=seed, edges=14)
         L = lc.generate_from_bounds(g, "vizing")
         phi = random_partial(g, L, random.Random(seed), fill=0.8)
         r = random.Random(seed + 999)
         for _ in range(30):
-            blanks = sorted(phi.uncolored)
-            if blanks and r.random() < 0.5:
+            blanks = blank_edges(phi)
+            op = r.random()
+            if blanks and op < 0.3:
                 e = r.choice(blanks)
                 c = phi.is_happy(e)
                 if c is not None:
                     phi.assign(e, c)
-            elif len(phi.uncolored) < g.m:
-                e = r.choice(sorted(set(range(g.m)) - phi.uncolored))
-                phi.unassign(e)
+            elif len(blanks) < g.m and op < 0.6:
+                phi.unassign(r.choice([e for e, c in enumerate(phi.color) if c is not None]))
+            else:
+                before = phi.blanks
+                try:
+                    phi.apply_chain_shift(phi.check_shift(random_chain(g, r, phi.color).edges))
+                except NotShiftableError:
+                    continue
+                assert phi.blanks == before
+                shifts += 1
+            assert phi.blanks == phi.color.count(None)
         assert phi.verify() == []
         used = recompute_used(g, phi.color)
         for x in range(g.n):
             assert set(phi.used_edge[x].keys()) == used[x]
+    assert shifts > 50
 
 
 def test_potential_bounds_hold(rng):
@@ -256,19 +271,7 @@ def test_fully_colored_d_zero():
     phi = lc.PartialColoring(g, L)
     phi.assign(0, 1)
     assert phi.potential().d == 0
-    assert phi.uncolored == set()
-
-
-def test_copy_is_independent(triangle):
-    g, L = triangle
-    phi = lc.PartialColoring(g, L)
-    phi.assign(0, 1)
-    snap = phi.copy()
-    phi.assign(1, 2)
-    assert phi.uncolored == {2}
-    assert snap.color[1] is None
-    assert snap.uncolored == {1, 2}
-    assert snap.verify() == []
+    assert phi.blanks == 0
 
 
 def coloring_state(phi):
@@ -278,13 +281,13 @@ def coloring_state(phi):
         [set(s) for s in phi.available],
         phi.a_total,
         phi.d_total,
-        set(phi.uncolored),
+        phi.blanks,
     )
 
 
 def chains_to_shift(g, phi, rng):
     """Fans, alternating paths and their prefixes, and arbitrary chains."""
-    for e in sorted(phi.uncolored):
+    for e in blank_edges(phi):
         for x in g.endpoints[e]:
             res = lc.vizing_fan(phi, e, x)
             yield res.fan
@@ -315,7 +318,7 @@ def test_one_pass_commit_matches_edge_by_edge_replay():
         rng = random.Random(g.m * 7 + g.n)
         for chain in chains_to_shift(g, phi, rng):
             edges = chain.edges
-            expected, got = phi.copy(), phi.copy()
+            expected, got = rebuilt(phi), rebuilt(phi)
             try:
                 old = replay_shift(expected, edges)
             except NotShiftableError as exc:
@@ -372,12 +375,12 @@ def test_shift_is_stale_after_a_change_off_the_chain():
     assert coloring_state(phi) == before
     assert phi.color == [None, 1, 1]
     assert phi.verify() == []
-    # a copy is another coloring: it refuses a shift checked on the original
+    # a rebuilt coloring is another one: it refuses a shift checked on phi
     shift = phi.check_shift((0,))
-    copy = phi.copy()
+    other = rebuilt(phi)
     with pytest.raises(PreconditionViolatedError):
-        copy.apply_chain_shift(shift)
-    assert coloring_state(copy) == coloring_state(phi)
+        other.apply_chain_shift(shift)
+    assert coloring_state(other) == coloring_state(phi)
     assert phi.apply_chain_shift(shift) == (None,)
 
 

@@ -7,7 +7,14 @@ import listcolor as lc
 from listcolor import engine
 from listcolor.errors import BoundViolationError, NotBipartiteError, NotShiftableError
 
-from conftest import ShiftLog, adversarial_lists, random_partial, recompute_potential
+from conftest import (
+    ShiftLog,
+    adversarial_lists,
+    blank_edges,
+    random_partial,
+    rebuilt,
+    recompute_potential,
+)
 
 S6 = frozenset(range(1, 7))
 
@@ -114,8 +121,8 @@ def test_edge_order_does_not_affect_success():
         phi = lc.PartialColoring(g, L)
         stats = lc.RunStats()
         guard = 0
-        while phi.uncolored:
-            e = rng.choice(sorted(phi.uncolored))
+        while phi.blanks:
+            e = rng.choice(blank_edges(phi))
             lc.augment_once(phi, e, "vizing", stats)
             guard += 1
             assert guard < 10_000
@@ -128,8 +135,8 @@ def test_intermediate_colorings_stay_proper():
     L = lc.generate_from_bounds(g, "vizing")
     phi = lc.PartialColoring(g, L)
     stats = lc.RunStats()
-    while phi.uncolored:
-        lc.augment_once(phi, min(phi.uncolored), "vizing", stats)
+    while phi.blanks:
+        lc.augment_once(phi, blank_edges(phi)[0], "vizing", stats)
         assert phi.verify() == []
 
 
@@ -210,19 +217,19 @@ def test_explicit_mode_with_adversarial_lists():
 
 
 def _churn(phi, r, rounds):
-    """Random assigns, unassigns, chain shifts (half undone) and copies."""
+    """Random assigns, unassigns, chain shifts (half undone) and rebuilds."""
     g = phi.g
     for _ in range(rounds):
         op = r.random()
-        if op < 0.3 and phi.uncolored:
-            e = r.choice(sorted(phi.uncolored))
+        if op < 0.3 and phi.blanks:
+            e = r.choice(blank_edges(phi))
             c = phi.is_happy(e)
             if c is not None:
                 phi.assign(e, c)
-        elif op < 0.55 and len(phi.uncolored) < g.m:
+        elif op < 0.55 and phi.blanks < g.m:
             phi.unassign(r.choice([e for e, c in enumerate(phi.color) if c is not None]))
-        elif op < 0.9 and phi.uncolored:
-            chain = [r.choice(sorted(phi.uncolored))]
+        elif op < 0.9 and phi.blanks:
+            chain = [r.choice(blank_edges(phi))]
             for _ in range(r.randint(1, 3)):
                 x = r.choice(g.endpoints[chain[-1]])
                 colored = [f for f in g.incidence[x]
@@ -237,7 +244,7 @@ def _churn(phi, r, rounds):
             if r.random() < 0.5:
                 phi.undo_chain_shift(chain, old)
         else:
-            phi = phi.copy()
+            phi = rebuilt(phi)
     return phi
 
 
@@ -257,12 +264,12 @@ def test_first_blank_is_smallest_blank_edge(mode):
             fresh = set(range(g.m))  # edges never colored
             for e in range(g.m):
                 while e is not None:
-                    assert e == min(phi.uncolored)
+                    assert e == blank_edges(phi)[0]
                     e = lc.augment_once(phi, e, mode, stats)
                     fresh -= {f for f in fresh if phi.color[f] is not None}
                     if e is not None:
                         assert phi.color[e] is None and e < min(fresh, default=g.m)
-            assert not phi.uncolored and phi.verify() == []
+            assert not phi.blanks and phi.verify() == []
             content += stats.content_steps
     assert content > 0 or mode == "shannon"  # shannon's random runs are all happy
 
@@ -278,8 +285,8 @@ def test_augment_repairs_arbitrary_partial_colorings(mode):
         phi = _churn(random_partial(g, L, r, fill=0.5), r, 60)
         assert phi.verify() == []
         stats = lc.RunStats()
-        while phi.uncolored:
-            left = lc.augment_once(phi, min(phi.uncolored), mode, stats)
+        while phi.blanks:
+            left = lc.augment_once(phi, blank_edges(phi)[0], mode, stats)
             assert left is None or phi.color[left] is None
         assert phi.verify() == []
 

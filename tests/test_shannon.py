@@ -8,6 +8,7 @@ from listcolor.chain import Step
 
 from conftest import (
     ShiftLog,
+    blank_edges,
     random_partial,
     recompute_potential,
     setup_partial,
@@ -177,7 +178,7 @@ def test_classify_final_path_under_shifted_coloring():
     assert lc.resolve_path(phi, out.path) == out.path  # happy: the whole path
     assert phi.color[out.path.end] is not None
     assert phi.verify() == []
-    assert len(phi.uncolored) == 0
+    assert phi.blanks == 0
 
 
 def test_final_path_under_shifted_coloring_leaves_phi_untouched():
@@ -187,7 +188,7 @@ def test_final_path_under_shifted_coloring_leaves_phi_untouched():
 
     def state():
         return (list(phi.color), [dict(d) for d in phi.used_edge],
-                [set(s) for s in phi.available], phi.potential(), set(phi.uncolored))
+                [set(s) for s in phi.available], phi.potential(), phi.blanks)
 
     before = state()
     out = lc.classify_shannon(phi, 0)
@@ -228,7 +229,7 @@ def test_intersection_claim_on_random_final_cases(rng):
         g = lc.generate_random(8, 6, 3, seed=seed, edges=16)
         L = lc.generate_from_bounds(g, "shannon")
         phi = random_partial(g, L, random.Random(seed), fill=0.85)
-        for e in sorted(phi.uncolored):
+        for e in blank_edges(phi):
             out = lc.classify_shannon(phi, e)
             dispatched += 1
             assert isinstance(out, Step)

@@ -18,7 +18,7 @@ def _chain():
 VALUES = {
     "Chain": (_chain, "edges"),
     "VizingFanResult": (lambda: VizingFanResult(_chain(), 2, 1), "beta"),
-    "Finding": (lambda: Finding("CacheMismatch", "uncolored edge set"), "detail"),
+    "Finding": (lambda: Finding("CacheMismatch", "blank edge count"), "detail"),
     "VertexBound": (lambda: VertexBound(4, 6, 7), "actual"),
     "BoundReport": (
         lambda: BoundReport("vizing", (VertexBound(0, 2, 3), VertexBound(1, 4, 4))),

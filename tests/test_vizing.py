@@ -10,9 +10,11 @@ from listcolor.vizing import VizingFanResult
 
 from conftest import (
     adversarial_lists,
+    blank_edges,
     random_chain,
     random_partial,
     random_vizing_partials,
+    rebuilt,
     recompute_potential,
     replay_shift,
     setup_partial,
@@ -54,7 +56,7 @@ def test_fan_never_returns_index_zero(rng):
         g = lc.generate_random(8, 5, 3, seed=seed, edges=14)
         L = lc.generate_from_bounds(g, "vizing")
         phi = random_partial(g, L, random.Random(seed), fill=0.8)
-        for e in sorted(phi.uncolored):
+        for e in blank_edges(phi):
             u, _ = g.endpoints[e]
             res = lc.vizing_fan(phi, e, u)
             assert 1 <= res.j <= res.fan.length
@@ -141,7 +143,7 @@ def test_fan_shifts_always_proper(rng):
         g = lc.generate_random(8, 5, 3, seed=seed, edges=14)
         L = lc.generate_from_bounds(g, "vizing")
         phi = random_partial(g, L, random.Random(seed), fill=0.8)
-        for e in sorted(phi.uncolored):
+        for e in blank_edges(phi):
             u, _ = g.endpoints[e]
             res = lc.vizing_fan(phi, e, u)
             for cand in (res.fan, res.fan.prefix(res.j)):
@@ -155,7 +157,7 @@ def test_availability_total_never_rises_after_fan_shift(rng):
         g = lc.generate_random(9, 6, 3, seed=seed, edges=18)
         L = lc.generate_from_bounds(g, "vizing")
         phi = random_partial(g, L, random.Random(seed), fill=0.85)
-        for e in sorted(phi.uncolored):
+        for e in blank_edges(phi):
             u, _ = g.endpoints[e]
             res = lc.vizing_fan(phi, e, u)
             shifted = shifted_copy(phi, res.fan)
@@ -212,7 +214,7 @@ def test_lazy_fan_matches_eager_reference():
     fans = saved = 0
     for g, L, phi in random_vizing_partials(60):
         available = phi.available
-        for e in sorted(phi.uncolored):
+        for e in blank_edges(phi):
             for x in g.endpoints[e]:
                 eager_read = set()
                 ref = eager_vizing_fan(phi, e, x, eager_read)
@@ -231,7 +233,7 @@ def test_lazy_fan_matches_eager_reference():
     assert fans > 500 and saved > 0
 
 
-def copying_vizing_fan(phi, e, x, polls):
+def vizing_fan_copying_polls(phi, e, x, polls):
     """The fan loop that copies each leaf's availability set at its first
     poll; ``polls`` counts the polls per leaf."""
     g = phi.g
@@ -279,10 +281,10 @@ def test_copy_free_polls_match_copying_reference():
     # it, also where parallel edges bring a leaf back
     fans = repolled = 0
     for g, L, phi in itertools.chain(random_vizing_partials(60), repolling_partials(60)):
-        for e in sorted(phi.uncolored):
+        for e in blank_edges(phi):
             for x in g.endpoints[e]:
                 polls = {}
-                ref = copying_vizing_fan(phi, e, x, polls)
+                ref = vizing_fan_copying_polls(phi, e, x, polls)
                 res = lc.vizing_fan(phi, e, x)
                 assert (res.fan, res.beta, res.j) == (ref.fan, ref.beta, ref.j)
                 fans += 1
@@ -293,7 +295,7 @@ def test_copy_free_polls_match_copying_reference():
 def shift_candidates(g, phi, rng):
     """Vizing fans and their prefixes, then random chains (paths, interior
     blank edges, parallel edges)."""
-    for e in sorted(phi.uncolored):
+    for e in blank_edges(phi):
         for x in g.endpoints[e]:
             res = lc.vizing_fan(phi, e, x)
             yield res.fan
@@ -316,7 +318,7 @@ def test_shift_delta_matches_applied_shift():
             assert phi.color == colors and phi.potential() == before
             assert phi.verify() == []
             assert shift.delta == shift_change(g, L, colors, cand.edges)
-            applied = phi.copy()  # a copy refuses phi's shift: check it there
+            applied = rebuilt(phi)  # another coloring refuses phi's shift: check it there
             applied.apply_chain_shift(applied.check_shift(cand.edges))
             assert applied.verify() == []
             assert applied.potential() == (before.a + shift.delta.a,
@@ -352,7 +354,7 @@ def test_check_shift_raises_like_replay():
         for chain in chains:
             colors = list(phi.color)
             try:
-                replay_shift(phi.copy(), chain.edges)
+                replay_shift(rebuilt(phi), chain.edges)
             except NotShiftableError as exc:
                 with pytest.raises(NotShiftableError) as got:
                     phi.check_shift(chain.edges)
