@@ -17,6 +17,8 @@ import contextlib
 import dataclasses
 import functools
 import json
+import os
+import stat
 import sys
 
 from . import io as lio
@@ -65,17 +67,33 @@ def _write(path, text: str) -> None:
         f.write(text)
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether two output paths reach one regular file, by any spelling or
+    link; checked before either opens, so nothing is created.  Two device
+    streams (a terminal, ``/dev/null``) never overwrite each other."""
+    try:
+        sa, sb = os.stat(a), os.stat(b)
+    except OSError:  # not there yet: compare where the paths lead
+        return os.path.realpath(a) == os.path.realpath(b)
+    return stat.S_ISREG(sa.st_mode) and os.path.samestat(sa, sb)
+
+
 def _resolve_lists(g, file_lists, mode, where: str):
-    """Lists for a run: explicit instances carry them, bound modes derive them."""
-    if mode == "explicit":
-        if file_lists is None:
-            raise InputError(f"{where}: explicit mode needs lists in the instance")
-        return file_lists
+    """Lists for a run: explicit instances carry them, bound modes derive them.
+
+    A mode of None (``verify`` and ``oracle`` without ``--mode``) takes the
+    instance's lists, or None when it has none.
+    """
     if file_lists is not None:
-        raise InputError(
-            f"{where}: instance carries explicit lists; use --mode explicit"
-        )
-    return generate_from_bounds(g, mode)
+        if mode not in (None, "explicit"):
+            raise InputError(
+                f"{where}: instance carries explicit lists; "
+                f"--mode {mode} is only for instances without them"
+            )
+        return file_lists
+    if mode == "explicit":
+        raise InputError(f"{where}: explicit mode needs lists in the instance")
+    return None if mode is None else generate_from_bounds(g, mode)
 
 
 def cmd_color(args) -> int:
@@ -84,7 +102,11 @@ def cmd_color(args) -> int:
         raise InputError("--mode explicit requires --assume-bound")
     if args.mode != "explicit" and args.assume_bound is not None:
         raise InputError("--assume-bound applies only to --mode explicit")
-    if args.trace not in (None, "-") and args.trace == args.output:
+    if (
+        args.trace not in (None, "-")
+        and args.output not in (None, "-")
+        and _same_file(args.trace, args.output)
+    ):
         raise InputError("--trace and -o name the same file")
     lists = _resolve_lists(g, file_lists, args.mode, args.instance)
     # the trace opens first, then -o, both before the run: a bad path fails
@@ -106,9 +128,7 @@ def cmd_color(args) -> int:
 def cmd_verify(args) -> int:
     g, file_lists = lio.parse_instance(_read(args.instance))
     colors = lio.parse_coloring(_read(args.coloring), g.m)
-    lists = file_lists
-    if lists is None and args.mode is not None:
-        lists = generate_from_bounds(g, args.mode)
+    lists = _resolve_lists(g, file_lists, args.mode, args.instance)
     findings = check_edge_colors(g, lists, colors)
     blanks = sum(1 for c in colors if c is None)
     for f in findings:
@@ -123,11 +143,8 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     g, file_lists = lio.parse_instance(_read(args.instance))
-    if file_lists is not None:
-        lists = file_lists
-    elif args.mode is not None:
-        lists = generate_from_bounds(g, args.mode)
-    else:
+    lists = _resolve_lists(g, file_lists, args.mode, args.instance)
+    if lists is None:
         raise InputError("instance has no lists; pass --mode to derive them")
     colors = exhaustive_color(g, lists, limit=args.limit)
     if colors is None:

@@ -34,17 +34,23 @@ from .lists import ListAssignment
 
 
 def parse_instance(text: str) -> tuple[Multigraph, Optional[ListAssignment]]:
+    """Graph and, for an explicit instance, its lists.
+
+    Each distinct list text is converted and checked once; every edge line
+    that carries the same text shares one frozenset.
+    """
     n = m = None
     line_no = 0
     edges: list[tuple[int, int]] = []
     lists: list[frozenset[int]] = []
+    shared: dict[str, frozenset[int]] = {}  # list text -> its checked set
     with_lists = without_lists = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        parts = raw.split(None, 3)  # kind, u, v and the raw list text
+        if not parts or parts[0].startswith("c"):
             continue
-        tokens = line.split()
-        if tokens[0] == "p":
+        if parts[0] == "p":
+            tokens = raw.split()
             if n is not None:
                 raise ParseError(line_no, "duplicate header")
             if len(tokens) != 4 or tokens[1] != "edge":
@@ -55,31 +61,36 @@ def parse_instance(text: str) -> tuple[Multigraph, Optional[ListAssignment]]:
                 raise ParseError(line_no, "non-integer vertex or edge count")
             if n < 0 or m < 0:
                 raise ParseError(line_no, "negative vertex or edge count")
-        elif tokens[0] == "e":
+        elif parts[0] == "e":
             if n is None:
                 raise ParseError(line_no, "edge line before header")
-            if len(tokens) < 3:
+            if len(parts) < 3:
                 raise ParseError(line_no, "edge line needs two endpoints")
+            tail = parts[3] if len(parts) == 4 else ""
+            colors = shared.get(tail)
             try:
-                u, v = int(tokens[1]), int(tokens[2])
-                colors = [int(t) for t in tokens[3:]]
+                u, v = int(parts[1]), int(parts[2])
+                fresh = colors is None
+                if fresh:
+                    colors = frozenset(map(int, tail.split()))
             except ValueError:
                 raise ParseError(line_no, "non-integer token on edge line")
             if not (0 <= u < n and 0 <= v < n):
                 raise ParseError(line_no, f"vertex out of range [0, {n})")
             if u == v:
                 raise ParseError(line_no, f"loop edge at vertex {u}")
-            if any(c < 1 for c in colors):
-                raise ParseError(line_no, "colors must be positive integers")
+            if fresh:
+                if colors and min(colors) < 1:
+                    raise ParseError(line_no, "colors must be positive integers")
+                shared[tail] = colors  # only a checked text is shared
             edges.append((u, v))
+            lists.append(colors)
             if colors:
                 with_lists += 1
-                lists.append(frozenset(colors))
             else:
                 without_lists += 1
-                lists.append(frozenset())
         else:
-            raise ParseError(line_no, f"unknown line type {tokens[0]!r}")
+            raise ParseError(line_no, f"unknown line type {parts[0]!r}")
     if n is None:
         raise ParseError(1, "missing 'p edge' header")
     if len(edges) != m:

@@ -67,10 +67,9 @@ class ListAssignment:
             if not inc:
                 common.append(frozenset())
                 continue
-            acc = set(lists[inc[0]])
-            for e in inc[1:]:
-                acc &= lists[e]
-            common.append(frozenset(acc))
+            # edges sharing one list object intersect it once
+            distinct = {id(lists[e]): lists[e] for e in inc}.values()
+            common.append(frozenset.intersection(*distinct))
         self.lists = tuple(lists)
         self.common = tuple(common)
 

@@ -271,6 +271,62 @@ def test_trace_and_output_must_differ(tmp_path, capsys):
     assert code == 0 and len(out.splitlines()) == 6  # three trace lines, three colors
 
 
+@pytest.mark.parametrize("spelling", ["dot-slash", "symlink", "hard-link"])
+def test_trace_and_output_refused_as_one_file_by_another_path(
+    tmp_path, capsys, monkeypatch, spelling
+):
+    def never(*args, **kwargs):
+        raise AssertionError("color_graph ran")
+
+    monkeypatch.setattr(cli, "color_graph", never)
+    monkeypatch.chdir(tmp_path)
+    inst = write(tmp_path, "tri.txt", TRIANGLE)
+    if spelling == "symlink":  # dangling: t.txt does not exist yet
+        (tmp_path / "link.txt").symlink_to(tmp_path / "t.txt")
+        other = "link.txt"
+    elif spelling == "hard-link":
+        (tmp_path / "t.txt").write_text("kept\n")
+        (tmp_path / "link.txt").hardlink_to(tmp_path / "t.txt")
+        other = "link.txt"
+    else:
+        other = "./t.txt"
+    before = sorted(p.name for p in tmp_path.iterdir())
+    code, out, err = run(
+        capsys, "color", inst, "--mode", "vizing", "--trace", "t.txt", "-o", other,
+    )
+    assert code == 2 and out == ""
+    assert "--trace and -o name the same file" in err
+    # refused before either path opens: nothing created, nothing truncated
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    if spelling == "hard-link":
+        assert (tmp_path / "t.txt").read_text() == "kept\n"
+
+
+def test_trace_and_output_may_share_a_device(tmp_path, capsys):
+    # two writers to one device stream never overwrite each other
+    inst = write(tmp_path, "tri.txt", TRIANGLE)
+    (tmp_path / "null").symlink_to("/dev/null")
+    code, out, _ = run(
+        capsys, "color", inst, "--mode", "vizing",
+        "--trace", "/dev/null", "-o", str(tmp_path / "null"),
+    )
+    assert code == 0 and out == ""
+
+
+@pytest.mark.parametrize("command", ["verify", "oracle"])
+def test_mode_refused_on_an_instance_with_lists(tmp_path, capsys, command):
+    # color refuses a bound mode on explicit lists; verify and oracle used
+    # to ignore it and check against the file's lists
+    inst = write(tmp_path, "p.txt", PATH2)
+    col = write(tmp_path, "p.col", "0 1\n1 2\n")
+    argv = [command, inst] + ([col] if command == "verify" else [])
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    code, out, err = run(capsys, *argv, "--mode", "shannon")
+    assert code == 2 and out == ""
+    assert "instance carries explicit lists" in err
+
+
 # The argv of each subcommand that reads files; BAD marks the bad input.
 # verify reads two files, so the bad one goes in each slot in turn.
 READERS = {

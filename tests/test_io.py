@@ -47,6 +47,64 @@ def test_parse_errors(text):
         lio.parse_instance(text)
 
 
+@pytest.mark.parametrize(
+    "text, line_no, reason",
+    [
+        # a list text that an earlier good line made shared
+        ("p edge 3 2\ne 0 1 1 2\ne 1 1 1 2\n", 3, "loop edge at vertex 1"),
+        ("p edge 3 2\ne 0 1 1 2\ne 0 5 1 2\n", 3, "vertex out of range [0, 3)"),
+        ("p edge 3 2\ne 0 1 1 2\ne 0 x 1 2\n", 3, "non-integer token on edge line"),
+        # a bad list text is refused where it first appears
+        ("p edge 3 2\ne 0 1 0 1\ne 1 2 0 1\n", 2, "colors must be positive integers"),
+        ("p edge 3 2\ne 0 1 1 y\ne 1 2 1 y\n", 2, "non-integer token on edge line"),
+    ],
+)
+def test_parse_error_lines_under_shared_lists(text, line_no, reason):
+    with pytest.raises(ParseError) as info:
+        lio.parse_instance(text)
+    assert (info.value.line_no, info.value.reason) == (line_no, reason)
+
+
+def _list_text(rng):
+    """One list as text: colors repeated, in any order, spaced irregularly."""
+    colors = [rng.randint(1, 6) for _ in range(rng.randint(1, 6))]
+    text = str(colors[0])
+    for c in colors[1:]:
+        text += rng.choice([" ", "  ", "\t"]) + str(c)
+    return text + rng.choice(["", " "])
+
+
+def _instance_with_repeated_lists(rng):
+    n = rng.randint(2, 6)
+    edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 12))]
+    pool = [_list_text(rng) for _ in range(rng.randint(1, 4))]
+    tails = [rng.choice(pool) for _ in edges]
+    lines = [f"p edge {n} {len(edges)}"]
+    for (u, v), tail in zip(edges, tails):
+        gap = rng.choice([" ", "   ", "\t"])
+        lines.append(f"e {u}{gap}{v}{gap}{tail}")
+    return n, edges, tails, "\n".join(lines) + "\n"
+
+
+def test_shared_parse_matches_a_per_line_reference():
+    rng = random.Random(13)
+    for _ in range(300):
+        n, edges, tails, text = _instance_with_repeated_lists(rng)
+        g, L = lio.parse_instance(text)
+        ref = [frozenset(int(t) for t in tail.split()) for tail in tails]
+        assert list(L.lists) == ref
+        for x in range(n):
+            acc = None
+            for e, (u, v) in enumerate(edges):
+                if x in (u, v):
+                    acc = set(ref[e]) if acc is None else acc & ref[e]
+            assert L.common[x] == (acc or set())
+        first = {}
+        for e, tail in enumerate(tails):
+            assert L.lists[e] is L.lists[first.setdefault(tail, e)]
+        assert len({id(s) for s in L.lists}) == len(set(tails))
+
+
 def test_comments_and_blank_lines_skipped():
     text = "c generated\n\np edge 2 1\nc mid comment\ne 0 1\n"
     g, L = lio.parse_instance(text)

@@ -26,6 +26,16 @@ def test_common_colors_uniform():
         assert L.common[x] == {1, 2, 3}
 
 
+def test_common_sets_alike_from_shared_and_distinct_list_objects():
+    rng = random.Random(5)
+    g = lc.generate_random(8, 5, 2, seed=5, edges=16)
+    pool = [frozenset(rng.sample(range(1, 9), 6)) for _ in range(3)]
+    shared = [rng.choice(pool) for _ in range(g.m)]
+    copies = [frozenset(set(s)) for s in shared]
+    assert len({id(s) for s in copies}) == g.m > len({id(s) for s in shared})
+    assert lc.ListAssignment(g, shared).common == lc.ListAssignment(g, copies).common
+
+
 def test_common_colors_isolated_empty():
     g = lc.Multigraph(2, [])
     L = lc.ListAssignment(g, [])
