@@ -26,7 +26,6 @@ from .io import (
     write_instance,
 )
 from .lists import (
-    BoundReport,
     ListAssignment,
     check_bound,
     generate_from_bounds,
@@ -43,7 +42,6 @@ __all__ = [
     "Chain",
     "Multigraph",
     "ListAssignment",
-    "BoundReport",
     "PartialColoring",
     "Potential",
     "Finding",

@@ -35,6 +35,6 @@ def koenig_path(phi: PartialColoring, e: int) -> Chain:
     if alpha == beta:
         return Chain((e,), (u, v))
     path = alternating_path(phi, e, alpha, beta)
-    if path.vstart == path.vend:
+    if path.vertices[0] == path.vertices[-1]:
         raise LemmaViolationError("bipartite parity violated: path returned home")
     return path

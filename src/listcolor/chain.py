@@ -1,13 +1,14 @@
 """Chains, alternating path chains, and their resolution.
 
 A chain is a sequence of distinct edges in which consecutive edges share
-exactly one vertex.  Shifting moves each edge's color one position toward
-the front and blanks the last edge; the front edge must be blank.  The fan
-and walk functions that make chains keep that shape, and
-``PartialColoring.check_shift`` refuses an empty or repeating chain.  One
-``Chain`` type serves every shape: it may carry vertices x_0..x_k with
-x_{i+1} the far end of edge i, where x_0 is the start vertex of a path or
-the pivot of a fan (whose leaves are then x_1..x_k).  A path walks
+exactly one vertex; its first edge is blank and every later edge is
+colored.  Shifting moves each edge's color one position toward the front,
+so the start edge takes a color and the last edge goes blank.  The fan and
+walk functions that make chains keep that shape, and
+``PartialColoring.check_shift`` refuses any other.  One ``Chain`` type
+serves fans and paths alike: it may carry vertices x_0..x_k with x_{i+1}
+the far end of edge i, where x_0 is the start vertex of a path or the
+pivot of a fan (whose leaves are then x_1..x_k).  A path walks
 distinct vertices after the first edge (the start vertex may only
 reappear as the final vertex), and two-colored alternating paths are the
 repair tool of the whole engine:
@@ -49,26 +50,6 @@ class Chain:
 
     edges: tuple[int, ...]
     vertices: tuple[int, ...] = ()
-
-    @property
-    def start(self) -> int:
-        return self.edges[0]
-
-    @property
-    def end(self) -> int:
-        return self.edges[-1]
-
-    @property
-    def length(self) -> int:
-        return len(self.edges)
-
-    @property
-    def vstart(self) -> int:
-        return self.vertices[0]
-
-    @property
-    def vend(self) -> int:
-        return self.vertices[-1]
 
     def prefix(self, j: int) -> "Chain":
         if not 1 <= j <= len(self.edges):
@@ -123,8 +104,9 @@ def alternating_path(
     e_color = phi.color[e]
     if shifted is not None:
         over = shifted.changes
-        if e in shifted.edges:
-            e_color = shifted.targets[shifted.edges.index(e)]
+        if e in shifted.edges:  # edge i takes old[i + 1]; the last goes blank
+            i = shifted.edges.index(e) + 1
+            e_color = shifted.old[i] if i < len(shifted.old) else None
     if e_color is not None:
         raise EdgeNotBlankError(f"edge {e} is not blank")
 
@@ -203,11 +185,12 @@ def resolve_path(phi: PartialColoring, path: Chain) -> Chain:
     Returns the chain it committed: the full path when happy, the shifted
     prefix when content, whose end edge is then the one left blank.
     """
-    if phi.color[path.start] is not None:
-        raise EdgeNotBlankError(f"edge {path.start} is not blank")
-    if path.vstart == path.vend:
+    edges, vertices = path.edges, path.vertices
+    if phi.color[edges[0]] is not None:
+        raise EdgeNotBlankError(f"edge {edges[0]} is not blank")
+    if vertices[0] == vertices[-1]:
         raise PreconditionViolatedError("path start and end vertices coincide")
-    k = path.length
+    k = len(edges)
     j = max_shiftable_prefix(phi, path)
     if j < min(3, k):
         raise LemmaViolationError(
@@ -218,9 +201,9 @@ def resolve_path(phi: PartialColoring, path: Chain) -> Chain:
     shift = phi.check_shift(prefix.edges)
     phi.apply_chain_shift(shift)
     if j == k:
-        c = phi.is_happy(path.end)
+        c = phi.is_happy(edges[-1])
         if c is not None:
-            phi.assign(path.end, c)
+            phi.assign(edges[-1], c)
             if phi.blanks != blanks - 1:
                 raise LemmaViolationError("happy path did not reduce blank count")
             return path

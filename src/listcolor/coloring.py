@@ -51,17 +51,18 @@ class Potential(NamedTuple):
 class Shift(NamedTuple):
     """A chain shift checked by ``PartialColoring.check_shift``.
 
-    ``old`` and ``targets`` are the chain's colors before and after (None
-    for blank), ``changes`` the (vertex, color) -> edge entries of the
-    shifted coloring that differ from the current one (None where the
-    color leaves the vertex), ``delta`` the exact potential change, and
-    ``stamp`` the coloring's stamp at the check: a shift is valid only
-    until that coloring next changes, and never on any other coloring.
+    ``old`` is the chain's colors before the shift: None for the blank
+    start edge, then the colors that move one place toward the front, so
+    edge i gets ``old[i + 1]`` and the last edge goes blank.  ``changes``
+    holds the (vertex, color) -> edge entries of the shifted coloring that
+    differ from the current one (None where the color leaves the vertex),
+    ``delta`` the exact potential change, and ``stamp`` the coloring's
+    stamp at the check: a shift is valid only until that coloring next
+    changes, and never on any other coloring.
     """
 
     edges: tuple
     old: tuple
-    targets: tuple
     changes: dict
     delta: Potential
     stamp: int
@@ -158,13 +159,14 @@ class PartialColoring:
 
     # -- chain shifts ---------------------------------------------------------
 
-    def shift_violation(self, edges, targets, changes: dict):
+    def shift_violation(self, edges, changes: dict):
         """(index, reason, None) for the first edge making the shift improper,
         else (None, None, da) with da the availability total's change.
 
-        ``targets[i]`` is the color edge ``edges[i]`` would receive (None for
-        blank).  Fills ``changes`` with every entry of the shifted coloring
-        that differs from this one: (vertex, color) -> the edge carrying the
+        ``edges`` is a chain as ``check_shift`` admits it: edge i would
+        receive the color of edge i + 1, and the last edge goes blank.
+        Fills ``changes`` with every entry of the shifted coloring that
+        differs from this one: (vertex, color) -> the edge carrying the
         color there afterwards, or None where the color leaves the vertex.
         The same walk counts da: a freed color +1 where it is common, a taken
         one -1 where it was available; freed then retaken cancels out.
@@ -173,15 +175,13 @@ class PartialColoring:
         ends, used, lists = self.g.endpoints, self.used_edge, self.lists.lists
         common, color = self.lists.common, self.color
         da = 0
-        for e in edges:
+        for e in edges[1:]:
             c = color[e]
-            if c is not None:
-                u, v = ends[e]
-                changes[u, c] = changes[v, c] = None
-                da += (c in common[u]) + (c in common[v])
-        for i, (e, c) in enumerate(zip(edges, targets)):
-            if c is None:
-                continue
+            u, v = ends[e]
+            changes[u, c] = changes[v, c] = None
+            da += (c in common[u]) + (c in common[v])
+        for i, e in enumerate(edges[:-1]):
+            c = color[edges[i + 1]]
             if c not in lists[e]:
                 return i, COLOR_NOT_IN_LIST, None
             for w in ends[e]:
@@ -196,30 +196,30 @@ class PartialColoring:
     def check_shift(self, edges) -> Shift:
         """Check the shift of a chain once and compute what it would change.
 
-        Does not mutate.  Raises PreconditionViolatedError if the chain is
-        empty or repeats an edge, and NotShiftableError if the start edge is
-        colored or the shifted coloring would be improper or escape a list.
+        Does not mutate.  A chain is one blank edge followed by colored
+        edges: PreconditionViolatedError refuses an empty chain, one that
+        repeats an edge and one with a blank edge after its start.
+        NotShiftableError refuses a colored start edge and a shifted
+        coloring that would be improper or escape a list.
         ``shift_violation`` counts a's change in its walk; d moves by the
-        weight of each edge that gets colored or goes blank.  The shift is
-        valid only until the coloring's stamp next changes.
+        weight of the start edge, which gets colored, and of the end edge,
+        which goes blank.  The shift is valid only until the coloring's
+        stamp next changes.
         """
-        if not edges or len(set(edges)) != len(edges):
-            raise PreconditionViolatedError(f"chain {tuple(edges)} empty or repeats an edge")
         old = tuple(map(self.color.__getitem__, edges))
+        if not old or len(set(edges)) != len(old) or None in old[1:]:
+            raise PreconditionViolatedError(
+                f"chain {tuple(edges)} is empty, repeats an edge or has a blank"
+                " edge after its start"
+            )
         if old[0] is not None:
             raise NotShiftableError(0, START_NOT_BLANK)
-        targets = old[1:] + (None,)
         changes = {}
-        i, reason, da = self.shift_violation(edges, targets, changes)
+        i, reason, da = self.shift_violation(edges, changes)
         if i is not None:
             raise NotShiftableError(i, reason)
-        weight = self.weight
-        dd = weight[edges[-1]] - weight[edges[0]]
-        if old.count(None) > 1:  # each later blank edge i passes its blank to i - 1
-            for i in range(1, len(edges)):
-                if old[i] is None:
-                    dd += weight[edges[i - 1]] - weight[edges[i]]
-        return Shift(tuple(edges), old, targets, changes, Potential(da, dd), self.stamp)
+        dd = self.weight[edges[-1]] - self.weight[edges[0]]
+        return Shift(tuple(edges), old, changes, Potential(da, dd), self.stamp)
 
     def apply_chain_shift(self, shift: Shift) -> tuple:
         """Commit a checked shift: each chain edge takes the next one's color.
@@ -228,12 +228,11 @@ class PartialColoring:
         vertex keeps a color while some chain edge at it still carries it,
         so availability moves only where a color appears or leaves (a
         path's two ends, a fan's leaves) and the totals move by
-        ``shift.delta``.  The blank count stays: the start edge is blank and
-        the targets hold exactly as many blanks as the old colors.  Returns
-        the tuple of previous colors and renews the stamp.  Raises
-        PreconditionViolatedError, with the state unchanged, if the shift was
-        checked at another stamp: on another coloring, or on this one before
-        its last color change.
+        ``shift.delta``.  The blank count stays: the blank start edge takes
+        a color and the end edge goes blank.  Returns the tuple of previous
+        colors and renews the stamp.  Raises PreconditionViolatedError, with
+        the state unchanged, if the shift was checked at another stamp: on
+        another coloring, or on this one before its last color change.
         """
         if shift.stamp != self.stamp:
             raise PreconditionViolatedError("stale shift: the coloring changed since")
@@ -250,8 +249,10 @@ class PartialColoring:
                 used[w][c] = e
         self.a_total += shift.delta.a
         self.d_total += shift.delta.d
-        for e, now in zip(shift.edges, shift.targets):
+        edges = shift.edges
+        for e, now in zip(edges, shift.old[1:]):
             color[e] = now
+        color[edges[-1]] = None
         self.stamp = next(_STAMPS)
         return shift.old
 

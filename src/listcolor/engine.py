@@ -24,7 +24,6 @@ from .bipartite import koenig_path
 from .chain import Step, resolve_path
 from .coloring import PartialColoring, Potential
 from .errors import (
-    BoundViolationError,
     InternalAssertionError,
     LemmaViolationError,
     StepBudgetExceededError,
@@ -139,11 +138,12 @@ def _apply_outcome(phi, e, out, mode, stats, trace, step, before) -> Optional[in
     mid = None if trace is None else phi.potential()
     done = resolve_path(phi, path)  # the whole path if happy, else a prefix
     stats.path_shifts += 1
-    stats.max_chain_length = max(stats.max_chain_length, done.length)
-    happy = phi.color[done.end] is not None
+    end = done.edges[-1]
+    stats.max_chain_length = max(stats.max_chain_length, len(done.edges))
+    happy = phi.color[end] is not None
     kind = "path-shift-happy" if happy else "path-shift-content"
     _emit(trace, step, kind, mode, branch, done.edges, mid, phi)
-    return None if happy else done.end
+    return None if happy else end
 
 
 def step_budget(g: Multigraph, lists: ListAssignment) -> tuple[int, int]:
@@ -163,7 +163,8 @@ def color_graph(
 
     ``mode`` selects the guarantee; ``explicit`` requires ``assume_bound``
     naming which of the three guarantees the supplied lists satisfy (it is
-    verified, not trusted).  Returns the total coloring and run statistics.
+    verified, not trusted), and no other mode takes one.  Returns the total
+    coloring and run statistics.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -171,12 +172,11 @@ def color_graph(
         if assume_bound not in BOUND_MODES:
             raise ValueError("explicit mode requires assume_bound")
         effective = assume_bound
+    elif assume_bound is not None:
+        raise ValueError(f"assume_bound applies only to explicit mode, not {mode!r}")
     else:
         effective = mode
-    report = check_bound(g, lists, effective)
-    if not report.ok:
-        worst = report.failures()[0]
-        raise BoundViolationError(worst.vertex, worst.required, worst.actual)
+    check_bound(g, lists, effective)
 
     phi = PartialColoring(g, lists)
     stats = RunStats()

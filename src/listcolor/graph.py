@@ -25,7 +25,6 @@ class Multigraph:
         "m",
         "endpoints",
         "incidence",
-        "_pair_mult",
         "_mu_vertex",
         "_max_degree",
         "_bipartition",
@@ -53,7 +52,6 @@ class Multigraph:
         self.m = len(endpoints)
         self.endpoints = tuple(endpoints)
         self.incidence = tuple(tuple(es) for es in incidence)
-        self._pair_mult = pair_mult
         mu = [0] * n
         for (u, v), k in pair_mult.items():
             if k > mu[u]:
@@ -73,16 +71,8 @@ class Multigraph:
         self._check_vertex(x)
         return len(self.incidence[x])
 
-    def multiplicity(self, x: int, y: int) -> int:
-        self._check_vertex(x)
-        self._check_vertex(y)
-        if x == y:
-            return 0
-        key = (x, y) if x < y else (y, x)
-        return self._pair_mult.get(key, 0)
-
     def mu_vertex(self, x: int) -> int:
-        """max over z of multiplicity(x, z); 0 for isolated x."""
+        """Most parallel edges x shares with one neighbour; 0 for isolated x."""
         self._check_vertex(x)
         return self._mu_vertex[x]
 

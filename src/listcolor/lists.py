@@ -15,8 +15,6 @@ which of the three guarantees they satisfy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import BoundViolationError, NotBipartiteError
 from .graph import Multigraph
 
@@ -77,38 +75,15 @@ class ListAssignment:
         return max((len(s) for s in self.common), default=0)
 
 
-@dataclass(frozen=True, slots=True)
-class VertexBound:
-    vertex: int
-    required: int
-    actual: int
-
-    @property
-    def ok(self) -> bool:
-        return self.actual >= self.required
-
-
-@dataclass(frozen=True, slots=True)
-class BoundReport:
-    mode: str
-    entries: tuple[VertexBound, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(v.ok for v in self.entries)
-
-    def failures(self) -> list[VertexBound]:
-        return [v for v in self.entries if not v.ok]
-
-
-def check_bound(g: Multigraph, L: ListAssignment, mode: str) -> BoundReport:
-    """Per-vertex report of whether the common sets meet the mode's bound."""
+def check_bound(g: Multigraph, L: ListAssignment, mode: str) -> None:
+    """Raise BoundViolationError at the lowest-index vertex whose common set
+    is smaller than the mode's bound; return None if every vertex meets it."""
     _check_mode(g, mode)
-    entries = tuple(
-        VertexBound(x, local_bound(g, x, mode), len(L.common[x]))
-        for x in range(g.n)
-    )
-    return BoundReport(mode, entries)
+    common = L.common
+    for x in range(g.n):
+        required = local_bound(g, x, mode)
+        if len(common[x]) < required:
+            raise BoundViolationError(x, required, len(common[x]))
 
 
 def generate_from_bounds(g: Multigraph, mode: str) -> ListAssignment:

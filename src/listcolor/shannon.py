@@ -70,7 +70,7 @@ def classify_shannon(phi: PartialColoring, e: int) -> Step:
     """
     fan = shannon_fan(phi, e)
     x, y = fan.vertices[:2]
-    if fan.length == 1:
+    if len(fan.edges) == 1:
         return HAPPY_EDGE
     f = fan.edges[1]
     z = fan.vertices[2]
@@ -90,12 +90,12 @@ def classify_shannon(phi: PartialColoring, e: int) -> Step:
     beta = min(inter)
     alpha = min(phi.available[x])
     p1 = alternating_path(phi, e, alpha, beta)
-    if p1.vstart != p1.vend:
+    if p1.vertices[0] != p1.vertices[-1]:
         return Step("final-path-phi", path=p1)
     shift = phi.check_shift(fan.edges)
     if shift.delta.a != 0:
         raise LemmaViolationError("fan shift changed the availability total")
     p2 = alternating_path(phi, f, alpha, beta, shifted=shift)
-    if p2.vstart == p2.vend:
+    if p2.vertices[0] == p2.vertices[-1]:
         raise LemmaViolationError("both fallback path candidates are circular")
     return Step("final-path-psi", shift, p2)

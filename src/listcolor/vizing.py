@@ -40,7 +40,7 @@ from .errors import (
 class VizingFanResult:
     fan: Chain
     beta: int  # available at both the fan's end leaf and the prefix's end leaf
-    j: int  # == fan.length exactly when the happy return fired
+    j: int  # == len(fan.edges) exactly when the happy return fired
 
 
 def vizing_fan(phi: PartialColoring, e: int, x: int) -> VizingFanResult:
@@ -95,7 +95,7 @@ def classify_vizing(phi: PartialColoring, e: int, x: int) -> Step:
     """
     res = vizing_fan(phi, e, x)
     fan, beta = res.fan, res.beta
-    if res.j == fan.length:
+    if res.j == len(fan.edges):
         return Step("happy-fan", phi.check_shift(fan.edges), happy=True)
     shifts = []
     for cand, branch in ((fan, "content-fan-full"),
@@ -111,7 +111,7 @@ def classify_vizing(phi: PartialColoring, e: int, x: int) -> Step:
         if shift.delta.a != 0:
             raise LemmaViolationError("fan shift changed the availability total")
         path = alternating_path(phi, shift.edges[-1], alpha, beta, shifted=shift)
-        if path.vstart != path.vend:
+        if path.vertices[0] != path.vertices[-1]:
             return Step(branch, shift, path)
     raise LemmaViolationError(
         "both fan path candidates are circular (last tried path-psi-prefix)"

@@ -20,6 +20,7 @@ from listcolor.errors import (
     COLOR_NOT_IN_LIST,
     START_NOT_BLANK,
     NotShiftableError,
+    PreconditionViolatedError,
 )
 from listcolor.lists import local_bound
 
@@ -57,6 +58,15 @@ def shifted_colors(colors, edges):
     for i, e in enumerate(edges):
         new[e] = colors[edges[i + 1]] if i + 1 < len(edges) else None
     return new
+
+
+def multiplicities(g):
+    """Parallel-edge count per unordered vertex pair, read off the endpoints."""
+    mult = {}
+    for u, v in g.endpoints:
+        key = (min(u, v), max(u, v))
+        mult[key] = mult.get(key, 0) + 1
+    return mult
 
 
 def blank_edges(phi):
@@ -107,12 +117,14 @@ def brute_shift_ok(g, L, colors, edges):
 
 
 def reference_violation(phi, edges, targets):
-    """The shift check as a plain scan: first (index, reason), else (None, None)."""
+    """The shift check as a plain scan: first (index, reason), else (None, None).
+
+    ``targets[i]`` is the color edge i would receive; the last edge, which
+    goes blank, has none.
+    """
     eset = set(edges)
     seen = set()
     for i, (e, c) in enumerate(zip(edges, targets)):
-        if c is None:
-            continue
         if c not in phi.lists.lists[e]:
             return i, COLOR_NOT_IN_LIST
         for w in phi.g.endpoints[e]:
@@ -127,21 +139,22 @@ def reference_violation(phi, edges, targets):
 
 def replay_shift(phi, edges):
     """The shift replayed edge by edge: unassign every colored chain edge,
-    then assign every target.  Raises NotShiftableError as a refused
-    shift does, before touching ``phi``."""
+    then assign every target.  Raises PreconditionViolatedError for a
+    chain with a blank edge after its start and NotShiftableError as a
+    refused shift does, before touching ``phi``."""
     old = [phi.color[e] for e in edges]
+    if None in old[1:]:
+        raise PreconditionViolatedError(f"blank edge after the start of {edges}")
     if old[0] is not None:
         raise NotShiftableError(0, START_NOT_BLANK)
-    targets = old[1:] + [None]
+    targets = old[1:]
     i, reason = reference_violation(phi, edges, targets)
     if i is not None:
         raise NotShiftableError(i, reason)
-    for e, c in zip(edges, old):
-        if c is not None:
-            phi.unassign(e)
+    for e in edges[1:]:
+        phi.unassign(e)
     for e, c in zip(edges, targets):
-        if c is not None:
-            phi.assign(e, c)
+        phi.assign(e, c)
     return tuple(old)
 
 
@@ -330,11 +343,13 @@ def random_vizing_partials(count):
             yield g, L, random_partial(g, L, rng, fill=rng.choice((0.5, 0.8, 0.95)))
 
 
-def random_chain(g, rng, colors, max_len=6):
+def random_chain(g, rng, colors, max_len=6, later_blanks=False):
     """A random bare chain from a mostly blank start edge.
 
-    Its edges may be blank anywhere and may be parallel to one another, as
-    long as consecutive edges share exactly one vertex.
+    Every edge after the start is colored, unless ``later_blanks`` lets
+    them be blank too, a shape ``check_shift`` refuses.  Edges may be
+    parallel to one another, as long as consecutive edges share exactly
+    one vertex.
     """
     blanks = [e for e, c in enumerate(colors) if c is None]
     pool = blanks if blanks and rng.random() < 0.9 else range(g.m)
@@ -344,6 +359,7 @@ def random_chain(g, rng, colors, max_len=6):
         nxt = [
             f for w in ends for f in g.incidence[w]
             if f not in edges and len(ends & set(g.endpoints[f])) == 1
+            and (later_blanks or colors[f] is not None)
         ]
         if not nxt:
             break

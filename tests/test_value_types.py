@@ -6,7 +6,6 @@ import pytest
 
 import listcolor as lc
 from listcolor.coloring import Finding
-from listcolor.lists import BoundReport, VertexBound
 from listcolor.vizing import VizingFanResult
 
 
@@ -19,11 +18,6 @@ VALUES = {
     "Chain": (_chain, "edges"),
     "VizingFanResult": (lambda: VizingFanResult(_chain(), 2, 1), "beta"),
     "Finding": (lambda: Finding("CacheMismatch", "blank edge count"), "detail"),
-    "VertexBound": (lambda: VertexBound(4, 6, 7), "actual"),
-    "BoundReport": (
-        lambda: BoundReport("vizing", (VertexBound(0, 2, 3), VertexBound(1, 4, 4))),
-        "entries",
-    ),
 }
 
 
