@@ -178,16 +178,15 @@ def max_shiftable_prefix(phi: PartialColoring, path: Chain) -> int:
 def resolve_path(phi: PartialColoring, path: Chain) -> Chain:
     """Apply the happy-or-content dichotomy to an alternating path, in place.
 
-    Requires the start edge blank and the path's start and end vertices
-    distinct (the callers establish the availability conditions when they
-    build the path).  Either the full path shifts and its end edge gets a
-    color, or a proper prefix shifts and the potential strictly drops.
-    Returns the chain it committed: the full path when happy, the shifted
-    prefix when content, whose end edge is then the one left blank.
+    Requires the path's start and end vertices distinct and its start edge
+    blank (else NotShiftableError, before any change); the callers
+    establish the availability conditions when they build the path.
+    Either the full path shifts and its end edge gets a color, or a proper
+    prefix shifts and the potential strictly drops.  Returns the chain it
+    committed: the full path when happy, the shifted prefix when content,
+    whose end edge is then the one left blank.
     """
     edges, vertices = path.edges, path.vertices
-    if phi.color[edges[0]] is not None:
-        raise EdgeNotBlankError(f"edge {edges[0]} is not blank")
     if vertices[0] == vertices[-1]:
         raise PreconditionViolatedError("path start and end vertices coincide")
     k = len(edges)
@@ -196,7 +195,6 @@ def resolve_path(phi: PartialColoring, path: Chain) -> Chain:
         raise LemmaViolationError(
             f"shiftable prefix {j} below guaranteed minimum {min(3, k)}"
         )
-    blanks = phi.blanks
     prefix = path if j == k else path.prefix(j)
     shift = phi.check_shift(prefix.edges)
     phi.apply_chain_shift(shift)
@@ -204,11 +202,9 @@ def resolve_path(phi: PartialColoring, path: Chain) -> Chain:
         c = phi.is_happy(edges[-1])
         if c is not None:
             phi.assign(edges[-1], c)
-            if phi.blanks != blanks - 1:
-                raise LemmaViolationError("happy path did not reduce blank count")
             return path
     # The full shift left the end edge stuck, or a strict prefix was the
     # longest valid shift; the availability total must have dropped.
-    if shift.delta < (0, 0) and phi.blanks == blanks:
+    if shift.delta < (0, 0):
         return prefix
     raise LemmaViolationError("path neither happy nor content")

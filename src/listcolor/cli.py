@@ -62,11 +62,6 @@ def _output(path):
         raise InputError(f"cannot write {path}: {exc}")
 
 
-def _write(path, text: str) -> None:
-    with _output(path) as f:
-        f.write(text)
-
-
 def _same_file(a: str, b: str) -> bool:
     """Whether two output paths reach one regular file, by any spelling or
     link; checked before either opens, so nothing is created.  Two device
@@ -146,11 +141,14 @@ def cmd_oracle(args) -> int:
     lists = _resolve_lists(g, file_lists, args.mode, args.instance)
     if lists is None:
         raise InputError("instance has no lists; pass --mode to derive them")
-    colors = exhaustive_color(g, lists, limit=args.limit)
-    if colors is None:
-        print("no coloring")
-        return EXIT_OK
-    _write(args.output, lio.write_coloring(colors))
+    # -o opens before the search: a bad path fails first, and no coloring
+    # leaves the file empty rather than keeping an older one
+    with _output(args.output) as out:
+        colors = exhaustive_color(g, lists, limit=args.limit)
+        if colors is None:
+            print("no coloring")
+        else:
+            out.write(lio.write_coloring(colors))
     return EXIT_OK
 
 
@@ -164,7 +162,8 @@ def cmd_gen(args) -> int:
         edges=args.edges,
     )
     lists = generate_from_bounds(g, args.lists) if args.lists else None
-    _write(args.output, lio.write_instance(g, lists))
+    with _output(args.output) as out:
+        out.write(lio.write_instance(g, lists))
     return EXIT_OK
 
 

@@ -159,22 +159,23 @@ class PartialColoring:
 
     # -- chain shifts ---------------------------------------------------------
 
-    def shift_violation(self, edges, changes: dict):
-        """(index, reason, None) for the first edge making the shift improper,
-        else (None, None, da) with da the availability total's change.
+    def shift_violation(self, edges) -> tuple[dict, int]:
+        """``(changes, da)`` for the shift of a chain, or NotShiftableError.
 
         ``edges`` is a chain as ``check_shift`` admits it: edge i would
         receive the color of edge i + 1, and the last edge goes blank.
-        Fills ``changes`` with every entry of the shifted coloring that
-        differs from this one: (vertex, color) -> the edge carrying the
-        color there afterwards, or None where the color leaves the vertex.
-        The same walk counts da: a freed color +1 where it is common, a taken
-        one -1 where it was available; freed then retaken cancels out.
-        Does not mutate the coloring.
+        ``changes`` holds every entry of the shifted coloring that differs
+        from this one: (vertex, color) -> the edge carrying the color there
+        afterwards, or None where the color leaves the vertex.  The same
+        walk counts da, the availability total's change: a freed color +1
+        where it is common, a taken one -1 where it was available; freed
+        then retaken cancels out.  Raises NotShiftableError(i, reason) for
+        the first edge i that would escape its list or clash.  Does not
+        mutate the coloring.
         """
         ends, used, lists = self.g.endpoints, self.used_edge, self.lists.lists
         common, color = self.lists.common, self.color
-        da = 0
+        changes, da = {}, 0
         for e in edges[1:]:
             c = color[e]
             u, v = ends[e]
@@ -183,15 +184,15 @@ class PartialColoring:
         for i, e in enumerate(edges[:-1]):
             c = color[edges[i + 1]]
             if c not in lists[e]:
-                return i, COLOR_NOT_IN_LIST, None
+                raise NotShiftableError(i, COLOR_NOT_IN_LIST)
             for w in ends[e]:
                 key = (w, c)
                 f = changes.get(key, -1)  # -1: no chain edge has c at w
-                if f is not None and (f != -1 or c in used[w]):
-                    return i, COLOR_CLASH, None  # a chain edge or one outside has c
+                if f is not None and (f != -1 or c in used[w]):  # c already at w
+                    raise NotShiftableError(i, COLOR_CLASH)
                 changes[key] = e
                 da -= c in common[w]  # c was available, or freed above, iff common
-        return None, None, da
+        return changes, da
 
     def check_shift(self, edges) -> Shift:
         """Check the shift of a chain once and compute what it would change.
@@ -214,10 +215,7 @@ class PartialColoring:
             )
         if old[0] is not None:
             raise NotShiftableError(0, START_NOT_BLANK)
-        changes = {}
-        i, reason, da = self.shift_violation(edges, changes)
-        if i is not None:
-            raise NotShiftableError(i, reason)
+        changes, da = self.shift_violation(edges)
         dd = self.weight[edges[-1]] - self.weight[edges[0]]
         return Shift(tuple(edges), old, changes, Potential(da, dd), self.stamp)
 

@@ -5,9 +5,10 @@ it is colored.  A step's chain uses only colored edges besides its blank
 start, so a content step blanks one edge with a smaller id, and that edge
 is repaired next: the edge under repair is always the smallest blank id.
 
-Each augmentation ends in exactly one of two ways: a happy outcome colors
-one more edge, a content outcome keeps the blank count and strictly
-lowers the potential.  Both strictly decrease the potential in the
+``augment_once`` carries out one step: the classifier of the mode decides
+it, and only ``augment_once`` commits it.  A step is either happy, one
+more edge colored, or content, the same blank count and a strictly
+smaller potential.  Both strictly decrease the potential in the
 lexicographic order, which bounds the number of steps and is asserted on
 every single one; the bound derived from the potential's value range is
 enforced as a hard budget, so nontermination is impossible and a budget
@@ -21,7 +22,7 @@ from typing import Callable, NamedTuple, Optional
 
 from . import shannon, vizing
 from .bipartite import koenig_path
-from .chain import Step, resolve_path
+from .chain import resolve_path
 from .coloring import PartialColoring, Potential
 from .errors import (
     InternalAssertionError,
@@ -59,12 +60,6 @@ class TraceRecord(NamedTuple):
 TraceSink = Optional[Callable[[TraceRecord], None]]
 
 
-def _emit(trace: TraceSink, step, kind, mode, branch, chain, before, phi):
-    if trace is not None:
-        trace(TraceRecord(step, kind, f"{mode}-{branch}", chain, Potential(*before),
-                          phi.potential()))
-
-
 def augment_once(
     phi: PartialColoring,
     e: int,
@@ -74,11 +69,14 @@ def augment_once(
 ) -> Optional[int]:
     """One repair step on blank edge e of any partial coloring.
 
-    Returns None after a happy step and, after a content step, the edge
-    it left blank: the end of the last chain it committed.  Postcondition,
-    asserted: either one more edge is colored or the blank count is
-    unchanged and that end edge is blank.  In both cases the potential
-    strictly drops.
+    The only reader of a classifier's ``Step``: commit its checked fan
+    shift, if any; then color the shifted fan's end edge (the blank edge
+    itself without a shift) if the step is happy, or else resolve its path,
+    koenig's only part.  A fan shift alone is a content step.  Returns None
+    after a happy step, else the edge left blank: the end edge of the last
+    committed chain.  Postcondition, asserted here for the whole step:
+    either one more edge is colored, or the blank count is unchanged and
+    that end edge is blank.  Either way the potential strictly drops.
     """
     if mode not in BOUND_MODES:
         raise ValueError(f"augment mode must name a guarantee, got {mode!r}")
@@ -87,63 +85,50 @@ def augment_once(
     blanks = phi.blanks
 
     if mode == "koenig":
-        out = Step("path", path=koenig_path(phi, e))
+        branch, shift, path, happy = "path", None, koenig_path(phi, e), False
     elif mode == "shannon":
-        out = shannon.classify_shannon(phi, e)
+        branch, shift, path, happy = shannon.classify_shannon(phi, e)
     else:
         u, v = phi.g.endpoints[e]
-        out = vizing.classify_vizing(phi, e, min(u, v))
-    left = _apply_outcome(phi, e, out, mode, stats, trace, step, before)
+        branch, shift, path, happy = vizing.classify_vizing(phi, e, min(u, v))
 
+    chain = fan = (e,) if shift is None else shift.edges
+    if shift is not None:
+        phi.apply_chain_shift(shift)
+        stats.fan_shifts += 1
+    if happy:
+        c = phi.is_happy(fan[-1])
+        if c is None:
+            raise LemmaViolationError(f"edge {fan[-1]} not recolorable after its shift")
+        phi.assign(fan[-1], c)
+    if trace is not None and (shift is not None or happy):
+        kind = "happy-edge" if shift is None else "fan-shift"
+        label = f"{mode}-{branch}" if path is None else f"{mode}-{branch}-setup"
+        trace(TraceRecord(step, kind, label, fan, Potential(*before), phi.potential()))
+    if path is not None:
+        mid = None if trace is None else phi.potential()
+        chain = resolve_path(phi, path).edges  # the whole path if happy, else a prefix
+        happy = phi.color[chain[-1]] is not None
+        stats.path_shifts += 1
+        if trace is not None:
+            kind = "path-shift-happy" if happy else "path-shift-content"
+            trace(TraceRecord(step, kind, f"{mode}-{branch}", chain, mid,
+                              phi.potential()))
+
+    # a path, when there is one, is never shorter than the uncommitted (e,)
+    stats.max_chain_length = max(stats.max_chain_length, len(fan), len(chain))
     after = (phi.a_total, phi.d_total)
     if not after < before:
         raise LemmaViolationError(
             f"potential did not drop: {Potential(*before)} -> {Potential(*after)}"
         )
-    if left is None:
-        if phi.blanks != blanks - 1:
-            raise LemmaViolationError("happy step did not color exactly one edge")
-        stats.happy_steps += 1
-    elif phi.blanks != blanks or phi.color[left] is not None:
-        raise LemmaViolationError(
-            f"content step changed the blank count or left its end edge {left} colored"
-        )
-    else:
-        stats.content_steps += 1
-    return left
-
-
-def _apply_outcome(phi, e, out, mode, stats, trace, step, before) -> Optional[int]:
-    """Commit a step of any mode: its checked fan shift, then a happy color
-    for the end edge or the resolution of its path (koenig's only part).
-    Returns None if happy, else the end edge of the last committed chain."""
-    branch, shift, path, happy = out
-    chain = (e,) if shift is None else shift.edges
-    if shift is not None:
-        phi.apply_chain_shift(shift)
-        stats.fan_shifts += 1
+    if phi.blanks != blanks - happy:
+        raise LemmaViolationError(f"blank count went from {blanks} to {phi.blanks}")
     if happy:
-        c = phi.is_happy(chain[-1])
-        if c is None:
-            raise LemmaViolationError(f"edge {chain[-1]} not recolorable after its shift")
-        phi.assign(chain[-1], c)
-    if shift is not None or happy:
-        stats.max_chain_length = max(stats.max_chain_length, len(chain))
-        if trace is not None:
-            kind = "happy-edge" if shift is None else "fan-shift"
-            label = branch if path is None else f"{branch}-setup"
-            _emit(trace, step, kind, mode, label, chain, before, phi)
-    if path is None:
-        return None if happy else chain[-1]
-    mid = None if trace is None else phi.potential()
-    done = resolve_path(phi, path)  # the whole path if happy, else a prefix
-    stats.path_shifts += 1
-    end = done.edges[-1]
-    stats.max_chain_length = max(stats.max_chain_length, len(done.edges))
-    happy = phi.color[end] is not None
-    kind = "path-shift-happy" if happy else "path-shift-content"
-    _emit(trace, step, kind, mode, branch, done.edges, mid, phi)
-    return None if happy else end
+        stats.happy_steps += 1
+        return None
+    stats.content_steps += 1
+    return chain[-1]
 
 
 def step_budget(g: Multigraph, lists: ListAssignment) -> tuple[int, int]:

@@ -9,7 +9,8 @@ Vertices are 0-based; the optional trailing integers are the edge's color
 list.  Either every edge line carries a list (explicit instance) or none
 does (bound-mode instance).  Lines starting with ``c`` are comments.  The
 writer is canonical (lists ascending, one space between tokens), so
-write-then-parse round-trips byte-identically.
+write-then-parse round-trips byte-identically; it refuses an empty list,
+which an edge line cannot express, with ValueError.
 
 Coloring format: one line per edge, ``<edge-index> <color>`` with ``-``
 for blank, in index order.
@@ -111,6 +112,8 @@ def write_instance(g: Multigraph, lists: Optional[ListAssignment] = None) -> str
     for e, (u, v) in enumerate(g.endpoints):
         if lists is None:
             out.append(f"e {u} {v}")
+        elif not lists.lists[e]:
+            raise ValueError(f"edge {e}: the format cannot express an empty list")
         else:
             colors = " ".join(str(c) for c in sorted(lists.lists[e]))
             out.append(f"e {u} {v} {colors}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -214,6 +215,21 @@ class ShiftLog:
         monkeypatch.setattr(lc.PartialColoring, "shift_violation", counted_check)
         monkeypatch.setattr(lc.PartialColoring, "apply_chain_shift", counted_commit)
         monkeypatch.setattr(engine, "augment_once", one_step)
+
+
+def trace_counters(records, colored):
+    """The ``RunStats`` a traced run must end with, recomputed from its
+    records alone.  ``colored`` is how many edges the run colored, one per
+    happy step, so every other step is content."""
+    kinds = Counter(r.kind for r in records)
+    steps = len({r.step for r in records})
+    return lc.RunStats(
+        happy_steps=colored,
+        content_steps=steps - colored,
+        fan_shifts=kinds["fan-shift"],
+        path_shifts=kinds["path-shift-happy"] + kinds["path-shift-content"],
+        max_chain_length=max((len(r.chain) for r in records), default=0),
+    )
 
 
 def _fan_leaves(phi, fan):

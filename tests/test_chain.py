@@ -5,6 +5,7 @@ import pytest
 import listcolor as lc
 from listcolor.errors import (
     COLOR_NOT_IN_LIST,
+    START_NOT_BLANK,
     EdgeNotBlankError,
     LemmaViolationError,
     NotShiftableError,
@@ -304,6 +305,19 @@ def test_resolve_prefix_content_derived():
     assert after < before
     assert after[0] <= before[0] - 1  # availability total drops
     assert phi.blanks == blanks
+    assert phi.verify() == []
+
+
+def test_resolve_refuses_a_colored_start_edge():
+    # the prefix search refuses the colored start before anything changes
+    g, L, phi = five_edge_path_instance()
+    path = lc.alternating_path(phi, 0, 1, 2)
+    phi.assign(0, 2)
+    before = list(phi.color)
+    with pytest.raises(NotShiftableError) as exc:
+        lc.resolve_path(phi, path)
+    assert (exc.value.index, exc.value.reason) == (0, START_NOT_BLANK)
+    assert phi.color == before
     assert phi.verify() == []
 
 

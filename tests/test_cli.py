@@ -152,6 +152,31 @@ def test_oracle_reports_infeasible(tmp_path, capsys):
     assert "no coloring" in out
 
 
+def test_oracle_without_a_coloring_empties_the_output(tmp_path, capsys):
+    # -o opens before the search, so a stale coloring there cannot survive
+    # to be verified later
+    inst = write(tmp_path, "tight.txt", "p edge 3 3\ne 0 1 1 2\ne 1 2 1 2\ne 0 2 1 2\n")
+    colf = tmp_path / "out.col"
+    colf.write_text("0 1\n1 2\n2 1\n")
+    code, out, _ = run(capsys, "oracle", inst, "-o", str(colf))
+    assert code == 0
+    assert "no coloring" in out
+    assert colf.read_text() == ""
+
+
+def test_oracle_unwritable_output_exits_two_before_the_search(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("exhaustive_color ran")
+
+    monkeypatch.setattr(cli, "exhaustive_color", never)
+    inst = write(tmp_path, "tri.txt", TRIANGLE)
+    bad = str(tmp_path / "missing" / "x.col")
+    code, out, err = run(capsys, "oracle", inst, "--mode", "shannon", "-o", bad)
+    assert code == 2
+    assert err.startswith(f"error: cannot write {bad}")
+    assert out == ""
+
+
 def test_oracle_on_1500_edges_does_not_recurse(tmp_path, capsys):
     # one stack frame per edge used to overflow on this path-like instance
     inst = str(tmp_path / "long.txt")

@@ -14,6 +14,7 @@ from conftest import (
     random_partial,
     rebuilt,
     recompute_potential,
+    trace_counters,
 )
 
 S6 = frozenset(range(1, 7))
@@ -206,6 +207,48 @@ def test_tracing_changes_nothing(mode, monkeypatch):
     monkeypatch.setattr(engine, "TraceRecord", no_records)
     phi, _ = lc.color_graph(g, L, mode, assume_bound=assume)
     assert phi.color == plain.color
+
+
+@pytest.mark.parametrize("mode, assume", [
+    ("shannon", None), ("vizing", None), ("koenig", None),
+    ("explicit", "shannon"), ("explicit", "vizing"),
+])
+def test_run_stats_match_the_trace(mode, assume):
+    # every RunStats counter, recomputed from the trace records alone; the
+    # vizing runs, explicit ones included, reach psi steps (-setup records)
+    setup = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        g = lc.generate_random(rng.randint(3, 10), rng.randint(2, 10), rng.randint(1, 5),
+                               bipartite=mode == "koenig", seed=seed,
+                               edges=rng.randint(2, 30))
+        L = adversarial_lists(g, assume, rng) if assume else lc.generate_from_bounds(g, mode)
+        records = []
+        _, stats = lc.color_graph(g, L, mode, assume_bound=assume, trace=records.append)
+        assert stats == trace_counters(records, g.m)
+        setup += sum(r.branch.endswith("-setup") for r in records)
+    assert setup > 0 or "vizing" not in (mode, assume)
+
+
+@pytest.mark.parametrize("mode", ["shannon", "vizing", "koenig"])
+def test_run_stats_match_the_trace_from_partial_colorings(mode):
+    # augment_once on random partials reaches shannon's path-phi and both
+    # vizing psi branches, which runs from blank rarely do
+    want = {"shannon": "shannon-final-path-phi", "vizing": "vizing-path-psi-prefix-setup",
+            "koenig": "koenig-path"}[mode]
+    branches = set()
+    for seed in range(40):
+        rng = random.Random(seed)
+        g = lc.generate_random(rng.randint(4, 12), rng.randint(3, 8), rng.randint(1, 3),
+                               bipartite=mode == "koenig", seed=seed,
+                               edges=rng.randint(6, 30))
+        phi = random_partial(g, lc.generate_from_bounds(g, mode), rng, fill=0.9)
+        colored, stats, records = phi.blanks, lc.RunStats(), []
+        while phi.blanks:
+            lc.augment_once(phi, blank_edges(phi)[0], mode, stats, records.append)
+        assert stats == trace_counters(records, colored)
+        branches |= {r.branch for r in records}
+    assert want in branches
 
 
 def test_explicit_mode_with_adversarial_lists():

@@ -125,6 +125,15 @@ def test_instance_roundtrip_byte_identical():
         assert lio.write_instance(g3, L3) == text
 
 
+@pytest.mark.parametrize("lists, edge", [([{1, 2}, set()], 1), ([set(), set()], 0)])
+def test_write_instance_refuses_an_empty_list(lists, edge):
+    # "e 0 1 " would parse back as an edge without a list: one such edge
+    # among listed ones is a mixed instance, and all of them drop the lists
+    g = lc.Multigraph(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match=f"edge {edge}:"):
+        lio.write_instance(g, lc.ListAssignment(g, lists))
+
+
 def test_coloring_roundtrip():
     colors = [3, None, 1]
     text = lio.write_coloring(colors)

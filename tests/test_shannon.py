@@ -14,6 +14,7 @@ from conftest import (
     setup_partial,
     shifted_copy,
     step_kind,
+    trace_counters,
 )
 
 S6 = frozenset(range(1, 7))
@@ -211,13 +212,15 @@ def test_final_path_under_shifted_coloring_leaves_phi_untouched():
 ])
 def test_deep_cases_check_each_shift_once(make, branch, commits, monkeypatch):
     # the fan or path each case commits is checked once, by the classifier
-    # or by resolve_path, and committed without a second check
+    # or by resolve_path, and committed without a second check; the step's
+    # counters match its trace records
     g, L, phi = make()
     log = ShiftLog(monkeypatch)
-    branches = []
-    engine.augment_once(phi, 0, "shannon", lc.RunStats(), trace=branches.append)
+    branches, stats, blanks = [], lc.RunStats(), phi.blanks
+    engine.augment_once(phi, 0, "shannon", stats, trace=branches.append)
     assert branches[-1].branch == f"shannon-{branch}"
     assert log.checks == log.commits == commits
+    assert stats == trace_counters(branches, blanks - phi.blanks)
     assert phi.verify() == []
 
 
