@@ -25,16 +25,10 @@ from .io import (
     write_coloring,
     write_instance,
 )
-from .lists import (
-    ListAssignment,
-    check_bound,
-    generate_from_bounds,
-    local_bound,
-    truncate,
-)
+from .lists import ListAssignment, check_bound, generate_from_bounds, local_bound
 from .oracle import exhaustive_color
 from .shannon import classify_shannon, shannon_fan
-from .vizing import VizingFanResult, classify_vizing, vizing_fan
+from .vizing import classify_vizing, vizing_fan
 
 __version__ = "0.1.0"
 
@@ -47,7 +41,6 @@ __all__ = [
     "Finding",
     "RunStats",
     "TraceRecord",
-    "VizingFanResult",
     "alternating_path",
     "augment_once",
     "check_bound",
@@ -66,7 +59,6 @@ __all__ = [
     "resolve_path",
     "shannon_fan",
     "step_budget",
-    "truncate",
     "vizing_fan",
     "write_coloring",
     "write_instance",

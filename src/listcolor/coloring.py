@@ -219,7 +219,7 @@ class PartialColoring:
         dd = self.weight[edges[-1]] - self.weight[edges[0]]
         return Shift(tuple(edges), old, changes, Potential(da, dd), self.stamp)
 
-    def apply_chain_shift(self, shift: Shift) -> tuple:
+    def apply_chain_shift(self, shift: Shift) -> None:
         """Commit a checked shift: each chain edge takes the next one's color.
 
         Writes ``shift.changes`` in place without checking it again.  A
@@ -227,10 +227,10 @@ class PartialColoring:
         so availability moves only where a color appears or leaves (a
         path's two ends, a fan's leaves) and the totals move by
         ``shift.delta``.  The blank count stays: the blank start edge takes
-        a color and the end edge goes blank.  Returns the tuple of previous
-        colors and renews the stamp.  Raises PreconditionViolatedError, with
-        the state unchanged, if the shift was checked at another stamp: on
-        another coloring, or on this one before its last color change.
+        a color and the end edge goes blank.  Renews the stamp.  Raises
+        PreconditionViolatedError, with the state unchanged, if the shift
+        was checked at another stamp: on another coloring, or on this one
+        before its last color change.
         """
         if shift.stamp != self.stamp:
             raise PreconditionViolatedError("stale shift: the coloring changed since")
@@ -252,7 +252,6 @@ class PartialColoring:
             color[e] = now
         color[edges[-1]] = None
         self.stamp = next(_STAMPS)
-        return shift.old
 
     def undo_chain_shift(self, edges, old: tuple) -> None:
         for e in edges:

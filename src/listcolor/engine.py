@@ -9,10 +9,10 @@ is repaired next: the edge under repair is always the smallest blank id.
 it, and only ``augment_once`` commits it.  A step is either happy, one
 more edge colored, or content, the same blank count and a strictly
 smaller potential.  Both strictly decrease the potential in the
-lexicographic order, which bounds the number of steps and is asserted on
-every single one; the bound derived from the potential's value range is
-enforced as a hard budget, so nontermination is impossible and a budget
-trip means a bug, not a hard instance.
+lexicographic order, which is asserted on every single one and bounds
+the number of steps by B = (2 Delta - 1) a0 + d0 (see ``step_budget``).
+B is enforced as a hard budget, so nontermination is impossible and a
+budget trip means a bug, not a hard instance.
 """
 
 from __future__ import annotations
@@ -131,10 +131,20 @@ def augment_once(
     return chain[-1]
 
 
-def step_budget(g: Multigraph, lists: ListAssignment) -> tuple[int, int]:
-    """(content budget from the potential's value range, happy budget m)."""
-    n, delta = g.n, g.max_degree()
-    return n * lists.max_common() + (delta * delta * n * n) // 2, g.m
+def step_budget(g: Multigraph, lists: ListAssignment) -> int:
+    """B = (2 Delta - 1) a0 + d0: no run from the blank coloring takes more steps.
+
+    (a0, d0) = (sum |common(x)|, sum deg(x)^2) is the blank coloring's
+    potential (a, d), and a, d >= 0.  Every step lowers (a, d)
+    lexicographically, so a never rises and at most a0 steps lower it.  A
+    step colors its blank edge e and leaves at most one edge f blank (fan
+    and path shifts telescope), so with w = deg(u) + deg(v) d rises by at
+    most w(f) - w(e) <= 2 Delta - 2, and only when a drops.  Every other
+    step lowers d by at least 1: there are at most d0 + (2 Delta - 2) a0.
+    """
+    a0 = sum(map(len, lists.common))
+    d0 = sum(len(es) ** 2 for es in g.incidence)
+    return (2 * g.max_degree() - 1) * a0 + d0
 
 
 def color_graph(
@@ -165,13 +175,11 @@ def color_graph(
 
     phi = PartialColoring(g, lists)
     stats = RunStats()
-    content_budget, happy_budget = step_budget(g, lists)
+    budget = step_budget(g, lists)
     for e in range(g.m):
         while e is not None:
-            if stats.content_steps > content_budget or stats.happy_steps > happy_budget:
-                raise StepBudgetExceededError(
-                    f"steps {stats.steps} exceed budget {happy_budget} + {content_budget}"
-                )
+            if stats.steps >= budget:
+                raise StepBudgetExceededError(f"step {budget + 1} exceeds budget {budget}")
             e = augment_once(phi, e, effective, stats, trace)
     findings = phi.verify()
     if findings:

@@ -32,8 +32,6 @@ class MixedListPresenceError(InputError):
 class TooLargeError(InputError):
     def __init__(self, m: int, limit: int):
         super().__init__(f"instance has {m} edges, exhaustive search capped at {limit}")
-        self.m = m
-        self.limit = limit
 
 
 class InfeasibleParamsError(InputError):
@@ -43,14 +41,11 @@ class InfeasibleParamsError(InputError):
 class LoopEdgeError(InputError):
     def __init__(self, vertex: int):
         super().__init__(f"loop edge at vertex {vertex}")
-        self.vertex = vertex
 
 
 class VertexOutOfRangeError(InputError):
     def __init__(self, vertex: int, n: int):
         super().__init__(f"vertex {vertex} out of range [0, {n})")
-        self.vertex = vertex
-        self.n = n
 
 
 class NotBipartiteError(ListColorError):

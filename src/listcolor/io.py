@@ -33,6 +33,15 @@ from .errors import (
 from .graph import Multigraph
 from .lists import ListAssignment
 
+MAX_VERTICES = 1_000_000
+
+
+def _check_vertex_count(n: int) -> None:
+    """Refuse n past MAX_VERTICES before anything is sized by it: isolated
+    vertices carry no coloring work, so such an n only allocates."""
+    if n > MAX_VERTICES:
+        raise InfeasibleParamsError(f"vertex count {n} above the cap {MAX_VERTICES}")
+
 
 def parse_instance(text: str) -> tuple[Multigraph, Optional[ListAssignment]]:
     """Graph and, for an explicit instance, its lists.
@@ -62,6 +71,10 @@ def parse_instance(text: str) -> tuple[Multigraph, Optional[ListAssignment]]:
                 raise ParseError(line_no, "non-integer vertex or edge count")
             if n < 0 or m < 0:
                 raise ParseError(line_no, "negative vertex or edge count")
+            try:
+                _check_vertex_count(n)
+            except InfeasibleParamsError as exc:
+                raise ParseError(line_no, str(exc))
         elif parts[0] == "e":
             if n is None:
                 raise ParseError(line_no, "edge line before header")
@@ -190,6 +203,7 @@ def generate_random(
     """
     if min(n, max_degree, max_multiplicity, edges or 0) < 0:
         raise InfeasibleParamsError("counts and caps must be nonnegative")
+    _check_vertex_count(n)
     if n < 2 and (edges or 0) > 0:
         raise InfeasibleParamsError("need at least two vertices to place edges")
     if edges is not None and edges > 0 and (max_degree < 1 or max_multiplicity < 1):

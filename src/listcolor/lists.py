@@ -71,9 +71,6 @@ class ListAssignment:
         self.lists = tuple(lists)
         self.common = tuple(common)
 
-    def max_common(self) -> int:
-        return max((len(s) for s in self.common), default=0)
-
 
 def check_bound(g: Multigraph, L: ListAssignment, mode: str) -> None:
     """Raise BoundViolationError at the lowest-index vertex whose common set
@@ -101,25 +98,4 @@ def generate_from_bounds(g: Multigraph, mode: str) -> ListAssignment:
         if s is None:
             s = by_length[b] = frozenset(range(1, b + 1))
         lists.append(s)
-    return ListAssignment(g, lists)
-
-
-def truncate(g: Multigraph, L: ListAssignment, c, ell: int) -> ListAssignment:
-    """Shrink lists so every common set is finite-small yet still large enough.
-
-    Given per-vertex requirements ``c(x) <= ell`` with ``|common(x)| >= c(x)``,
-    keep the ``min(|common(x)|, ell)`` smallest common colors per vertex and
-    re-assemble each edge's list as the union of its endpoints' kept sets.
-    The result L' satisfies L'(e) subset of L(e) and
-    c(x) <= |common'(x)| <= 2*ell.
-    """
-    if ell < 1:
-        raise ValueError("ell must be a positive integer")
-    for x in range(g.n):
-        if c[x] > ell:
-            raise BoundViolationError(x, c[x], ell)
-        if len(L.common[x]) < c[x]:
-            raise BoundViolationError(x, c[x], len(L.common[x]))
-    kept = [frozenset(sorted(L.common[x])[:ell]) for x in range(g.n)]
-    lists = [kept[u] | kept[v] for u, v in g.endpoints]
     return ListAssignment(g, lists)

@@ -24,8 +24,6 @@ shift, which the engine commits without checking it again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .chain import Chain, Step, alternating_path
 from .coloring import PartialColoring
 from .errors import (
@@ -36,14 +34,9 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class VizingFanResult:
-    fan: Chain
-    beta: int  # available at both the fan's end leaf and the prefix's end leaf
-    j: int  # == len(fan.edges) exactly when the happy return fired
-
-
-def vizing_fan(phi: PartialColoring, e: int, x: int) -> VizingFanResult:
+def vizing_fan(phi: PartialColoring, e: int, x: int) -> tuple[Chain, int, int]:
+    """(fan, beta, j): beta is available at the end leaves of both fan and
+    ``fan.prefix(j)``, and j == len(fan.edges) exactly when the fan is happy."""
     if phi.color[e] is not None:
         raise EdgeNotBlankError(f"edge {e} is not blank")
     g = phi.g
@@ -71,13 +64,11 @@ def vizing_fan(phi: PartialColoring, e: int, x: int) -> VizingFanResult:
             eta = min(working)
             working.remove(eta)
         if eta not in used:
-            fan = Chain(tuple(edges), tuple(vertices))
-            return VizingFanResult(fan, eta, k + 1)
+            return Chain(tuple(edges), tuple(vertices)), eta, k + 1
         k += 1
         ek = used[eta]
         if ek in index:
-            fan = Chain(tuple(edges), tuple(vertices))
-            return VizingFanResult(fan, eta, index[ek])
+            return Chain(tuple(edges), tuple(vertices)), eta, index[ek]
         index[ek] = k
         edges.append(ek)
         vertices.append(g.other_end(ek, x))
@@ -93,13 +84,12 @@ def classify_vizing(phi: PartialColoring, e: int, x: int) -> Step:
     the candidate's shift would give, read through the shift's overlay, so
     the live coloring is never touched.
     """
-    res = vizing_fan(phi, e, x)
-    fan, beta = res.fan, res.beta
-    if res.j == len(fan.edges):
+    fan, beta, j = vizing_fan(phi, e, x)
+    if j == len(fan.edges):
         return Step("happy-fan", phi.check_shift(fan.edges), happy=True)
     shifts = []
     for cand, branch in ((fan, "content-fan-full"),
-                         (fan.prefix(res.j), "content-fan-prefix")):
+                         (fan.prefix(j), "content-fan-prefix")):
         shift = phi.check_shift(cand.edges)
         if shift.delta < (0, 0):
             return Step(branch, shift)

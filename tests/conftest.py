@@ -245,7 +245,7 @@ WORK = {
     "apply_chain_shift": lambda _, phi, shift: len(shift.edges),
     "alternating_path": lambda path, *_: len(path.edges),
     "max_shiftable_prefix": lambda _, phi, path: len(path.edges),
-    "vizing_fan": lambda res, phi, *_: _fan_leaves(phi, res.fan),
+    "vizing_fan": lambda res, phi, *_: _fan_leaves(phi, res[0]),
     "shannon_fan": lambda fan, phi, *_: _fan_leaves(phi, fan),
 }
 

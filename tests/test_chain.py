@@ -379,7 +379,7 @@ def shannon_two_edge_fan():
 
 def vizing_three_edge_fan():
     _, _, phi = setup_partial(4, [(0, 1, None, S6), (0, 2, 1, S6), (0, 3, 2, S6)])
-    return lc.vizing_fan(phi, 0, 0).fan
+    return lc.vizing_fan(phi, 0, 0)[0]
 
 
 @pytest.mark.parametrize("make_fan", [shannon_two_edge_fan, vizing_three_edge_fan])
@@ -424,11 +424,11 @@ def psi_walks(g, phi, rng):
     the ends of their end edge after the shift."""
     for e in blank_edges(phi):
         for x in g.endpoints[e]:
-            res = lc.vizing_fan(phi, e, x)
-            if res.j == len(res.fan.edges) or not phi.available[x]:
+            fan, beta, j = lc.vizing_fan(phi, e, x)
+            if j == len(fan.edges) or not phi.available[x]:
                 continue
-            for cand in (res.fan, res.fan.prefix(res.j)):
-                yield cand, min(phi.available[x]), res.beta
+            for cand in (fan, fan.prefix(j)):
+                yield cand, min(phi.available[x]), beta
     for _ in range(10):
         chain = random_chain(g, rng, phi.color)
         try:
@@ -487,7 +487,7 @@ def test_classified_psi_paths_match_walk_in_shifted_copy():
         assert live_state(phi) == before
         if step_kind(out) == "path-psi":
             psi = shifted_copy(phi, lc.Chain(out.shift.edges))
-            alpha, beta = min(phi.available[x]), lc.vizing_fan(phi, e, x).beta
+            alpha, beta = min(phi.available[x]), lc.vizing_fan(phi, e, x)[1]
             assert out.path == lc.alternating_path(psi, out.shift.edges[-1], alpha, beta)
             branches.append(out.branch)
     assert len(branches) > 20 and set(branches) == {"path-psi-full", "path-psi-prefix"}

@@ -1,12 +1,15 @@
 import io
 import json
+import os
+import resource
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 import listcolor as lc
-from listcolor import cli, vizing
+from listcolor import cli, engine, vizing
 from listcolor import io as lio
 from listcolor.cli import build_parser, main
 from listcolor.errors import COLOR_CLASH, EdgeNotBlankError, NotShiftableError
@@ -132,6 +135,17 @@ def test_engine_misuse_inside_color_exits_three(tmp_path, capsys, monkeypatch, e
     assert out == ""
 
 
+def test_step_budget_trip_exits_three(tmp_path, capsys, monkeypatch):
+    # a budget trip is a bug in the package; the failed run leaves -o empty
+    monkeypatch.setattr(engine, "step_budget", lambda g, L: 2)
+    inst = write(tmp_path, "tri.txt", TRIANGLE)
+    out_path = tmp_path / "out.col"
+    code, out, err = run(capsys, "color", inst, "--mode", "shannon", "-o", str(out_path))
+    assert code == 3
+    assert "step 3 exceeds budget 2" in err
+    assert out == "" and out_path.read_text() == ""
+
+
 def test_oracle_agrees_with_color(tmp_path, capsys):
     inst = write(tmp_path, "tri.txt", TRIANGLE)
     code, out, _ = run(capsys, "oracle", inst, "--mode", "shannon")
@@ -225,6 +239,31 @@ def test_gen_rejects_negative_edge_count(capsys):
     assert code == 2
     assert out == ""
     assert "nonnegative" in err
+
+
+def _limit_address_space():
+    limit = 1500 * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("command", ["color", "gen"])
+def test_vertex_count_past_the_cap_exits_two(tmp_path, command):
+    # refused before anything is sized by n; run in a child whose address
+    # space is capped, so a regression fails fast instead of taking the host
+    n = lio.MAX_VERTICES + 1
+    if command == "color":
+        inst = write(tmp_path, "huge.txt", f"p edge {n} 1\ne 0 1\n")
+        argv = ["color", inst, "--mode", "vizing"]
+    else:
+        argv = ["gen", "-n", str(n), "--max-degree", "3", "--edges", "1"]
+    env = {**os.environ, "PYTHONPATH": str(Path(lc.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "listcolor.cli", *argv], capture_output=True,
+        text=True, env=env, timeout=60, preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert f"vertex count {n} above the cap {lio.MAX_VERTICES}" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_gen_with_lists_then_color(tmp_path, capsys):

@@ -5,7 +5,12 @@ import pytest
 
 import listcolor as lc
 from listcolor import engine
-from listcolor.errors import BoundViolationError, NotBipartiteError, NotShiftableError
+from listcolor.errors import (
+    BoundViolationError,
+    NotBipartiteError,
+    NotShiftableError,
+    StepBudgetExceededError,
+)
 
 from conftest import (
     ShiftLog,
@@ -114,12 +119,30 @@ def test_potential_strictly_decreases_every_step():
 def test_step_budget_formula():
     g = lc.generate_random(10, 5, 2, seed=3, edges=16)
     L = lc.generate_from_bounds(g, "shannon")
-    content_budget, happy_budget = lc.step_budget(g, L)
-    assert happy_budget == g.m
-    assert content_budget == g.n * L.max_common() + (g.max_degree() ** 2 * g.n**2) // 2
+    a0 = sum(len(L.common[x]) for x in range(g.n))
+    d0 = sum(g.degree(x) ** 2 for x in range(g.n))
+    # (a0, d0) is the potential of the blank coloring every run starts from
+    assert (a0, d0) == lc.PartialColoring(g, L).potential()
+    assert lc.step_budget(g, L) == (2 * g.max_degree() - 1) * a0 + d0
     _, stats = lc.color_graph(g, L, "shannon")
-    assert stats.content_steps <= content_budget
+    assert stats.steps <= lc.step_budget(g, L)
     assert stats.happy_steps == g.m
+
+
+def test_step_budget_trip(monkeypatch):
+    # the run stops before the step that would take it past the budget,
+    # and a budget of exactly the steps a run takes lets it finish
+    g = lc.generate_random(10, 5, 2, seed=3, edges=16)
+    L = lc.generate_from_bounds(g, "vizing")
+    _, stats = lc.color_graph(g, L, "vizing")
+    assert stats.content_steps > 0
+    monkeypatch.setattr(engine, "step_budget", lambda g, L: stats.steps - 1)
+    with pytest.raises(StepBudgetExceededError,
+                       match=f"^step {stats.steps} exceeds budget {stats.steps - 1}$"):
+        lc.color_graph(g, L, "vizing")
+    monkeypatch.setattr(engine, "step_budget", lambda g, L: stats.steps)
+    _, again = lc.color_graph(g, L, "vizing")
+    assert again == stats
 
 
 def test_edge_order_does_not_affect_success():
@@ -290,11 +313,12 @@ def _churn(phi, r, rounds):
                     break
                 chain.append(r.choice(colored))
             try:
-                old = phi.apply_chain_shift(phi.check_shift(chain))
+                shift = phi.check_shift(chain)
             except NotShiftableError:
                 continue
+            phi.apply_chain_shift(shift)
             if r.random() < 0.5:
-                phi.undo_chain_shift(chain, old)
+                phi.undo_chain_shift(chain, shift.old)
         else:
             phi = rebuilt(phi)
     return phi

@@ -160,56 +160,3 @@ def test_bad_color_names_first_edge_of_a_shared_list(bad):
     with pytest.raises(ValueError, match="^edge 1: "):
         lc.ListAssignment(g, [good, bad, good, bad])
 
-
-def test_truncate_identity_when_small():
-    g = lc.Multigraph(3, [(0, 1), (1, 2), (0, 2)])
-    L = lc.ListAssignment(g, [frozenset({1, 2, 3})] * 3)
-    Lp = lc.truncate(g, L, [2, 2, 2], ell=5)
-    # every common set has 3 <= 5 elements, so kept sets equal the common sets
-    for e, (u, v) in enumerate(g.endpoints):
-        assert Lp.lists[e] == L.common[u] | L.common[v]
-
-
-def test_truncate_triangle_derived():
-    # common sets {1,2,3}; keeping the 2 smallest gives {1,2} per vertex,
-    # so every edge list and every common set becomes {1,2}
-    g = lc.Multigraph(3, [(0, 1), (1, 2), (0, 2)])
-    L = lc.ListAssignment(g, [frozenset({1, 2, 3})] * 3)
-    Lp = lc.truncate(g, L, [2, 2, 2], ell=2)
-    assert all(s == frozenset({1, 2}) for s in Lp.lists)
-    for x in range(3):
-        recomputed = frozenset.intersection(
-            *[Lp.lists[e] for e in g.incidence[x]]
-        )
-        assert recomputed == Lp.common[x] == frozenset({1, 2})
-        assert len(Lp.common[x]) == 2 >= 2
-
-
-def test_truncate_precondition_violation():
-    g = lc.Multigraph(2, [(0, 1)])
-    L = lc.ListAssignment(g, [frozenset({1, 2})])
-    with pytest.raises(BoundViolationError):
-        lc.truncate(g, L, [3, 1], ell=4)  # c(0) = 3 > |common(0)| = 2
-    with pytest.raises(BoundViolationError):
-        lc.truncate(g, L, [2, 1], ell=1)  # c(0) = 2 > ell
-
-
-def test_truncate_random_properties():
-    rng = random.Random(11)
-    for seed in range(40):
-        g = lc.generate_random(
-            rng.randint(2, 10), rng.randint(1, 5), rng.randint(1, 3),
-            seed=seed, edges=rng.randint(1, 14),
-        )
-        lists = [
-            frozenset(rng.sample(range(1, 15), rng.randint(3, 10)))
-            for _ in range(g.m)
-        ]
-        L = lc.ListAssignment(g, lists)
-        ell = rng.randint(1, 6)
-        c = [rng.randint(0, min(len(L.common[x]), ell)) for x in range(g.n)]
-        Lp = lc.truncate(g, L, c, ell)
-        for e in range(g.m):
-            assert Lp.lists[e] <= L.lists[e]
-        for x in range(g.n):
-            assert c[x] <= len(Lp.common[x]) <= 2 * ell

@@ -6,7 +6,6 @@ import pytest
 
 import listcolor as lc
 from listcolor.coloring import Finding
-from listcolor.vizing import VizingFanResult
 
 
 def _chain():
@@ -16,7 +15,6 @@ def _chain():
 # (constructor of a fresh instance, a field to try to set)
 VALUES = {
     "Chain": (_chain, "edges"),
-    "VizingFanResult": (lambda: VizingFanResult(_chain(), 2, 1), "beta"),
     "Finding": (lambda: Finding("CacheMismatch", "blank edge count"), "detail"),
 }
 

@@ -10,7 +10,6 @@ from listcolor.errors import (
     NotShiftableError,
     PreconditionViolatedError,
 )
-from listcolor.vizing import VizingFanResult
 
 from conftest import (
     adversarial_lists,
@@ -33,10 +32,10 @@ S6 = frozenset(range(1, 7))
 def test_blank_digon_single_edge_happy(digon):
     g, L = digon
     phi = lc.PartialColoring(g, L)
-    res = lc.vizing_fan(phi, 0, 0)
-    assert res.fan.edges == (0,)
-    assert res.beta == 1
-    assert res.j == 1 == len(res.fan.edges)
+    fan, beta, j = lc.vizing_fan(phi, 0, 0)
+    assert fan.edges == (0,)
+    assert beta == 1
+    assert j == 1 == len(fan.edges)
 
 
 def test_fan_closes_on_earlier_index():
@@ -45,14 +44,14 @@ def test_fan_closes_on_earlier_index():
         4, [(0, 1, None, S6), (0, 2, 1, S6), (0, 3, 2, S6)]
     )
     lc.check_bound(g, L, "vizing")
-    res = lc.vizing_fan(phi, 0, 0)
-    assert res.fan.edges == (0, 1, 2)
-    assert res.fan.vertices == (0, 1, 2, 3)
-    assert res.beta == 1
-    assert res.j == 1
+    fan, beta, j = lc.vizing_fan(phi, 0, 0)
+    assert fan.edges == (0, 1, 2)
+    assert fan.vertices == (0, 1, 2, 3)
+    assert beta == 1
+    assert j == 1
     # output contract: beta available at the end leaf of both fan and prefix
-    assert res.beta in phi.available[res.fan.vertices[-1]]
-    assert res.beta in phi.available[res.fan.prefix(res.j).vertices[-1]]
+    assert beta in phi.available[fan.vertices[-1]]
+    assert beta in phi.available[fan.prefix(j).vertices[-1]]
 
 
 def test_fan_never_returns_index_zero(rng):
@@ -62,11 +61,11 @@ def test_fan_never_returns_index_zero(rng):
         phi = random_partial(g, L, random.Random(seed), fill=0.8)
         for e in blank_edges(phi):
             u, _ = g.endpoints[e]
-            res = lc.vizing_fan(phi, e, u)
-            assert 1 <= res.j <= len(res.fan.edges)
-            assert len(res.fan.edges) <= g.degree(u)
-            assert res.beta in phi.available[res.fan.vertices[-1]]
-            assert res.beta in phi.available[res.fan.prefix(res.j).vertices[-1]]
+            fan, beta, j = lc.vizing_fan(phi, e, u)
+            assert 1 <= j <= len(fan.edges)
+            assert len(fan.edges) <= g.degree(u)
+            assert beta in phi.available[fan.vertices[-1]]
+            assert beta in phi.available[fan.prefix(j).vertices[-1]]
 
 
 def test_classify_happy_two_edge_fan():
@@ -149,8 +148,8 @@ def test_fan_shifts_always_proper(rng):
         phi = random_partial(g, L, random.Random(seed), fill=0.8)
         for e in blank_edges(phi):
             u, _ = g.endpoints[e]
-            res = lc.vizing_fan(phi, e, u)
-            for cand in (res.fan, res.fan.prefix(res.j)):
+            fan, _, j = lc.vizing_fan(phi, e, u)
+            for cand in (fan, fan.prefix(j)):
                 snap = shifted_copy(phi, cand)  # raises NotShiftableError if improper
                 assert snap.verify() == []
                 assert snap.potential().a <= phi.potential().a
@@ -163,8 +162,8 @@ def test_availability_total_never_rises_after_fan_shift(rng):
         phi = random_partial(g, L, random.Random(seed), fill=0.85)
         for e in blank_edges(phi):
             u, _ = g.endpoints[e]
-            res = lc.vizing_fan(phi, e, u)
-            shifted = shifted_copy(phi, res.fan)
+            fan, _, _ = lc.vizing_fan(phi, e, u)
+            shifted = shifted_copy(phi, fan)
             a_before = recompute_potential(g, L, phi.color)[0]
             a_after = recompute_potential(g, L, shifted.color)[0]
             assert a_after <= a_before
@@ -199,13 +198,11 @@ def eager_vizing_fan(phi, e, x, read):
         eta = min(working)
         working.remove(eta)
         if eta not in phi.used_edge[x]:
-            fan = Chain(tuple(edges), (x, *leaves))
-            return VizingFanResult(fan, eta, k + 1)
+            return Chain(tuple(edges), (x, *leaves)), eta, k + 1
         k += 1
         ek = nbr[eta]
         if ek in index:
-            fan = Chain(tuple(edges), (x, *leaves))
-            return VizingFanResult(fan, eta, index[ek])
+            return Chain(tuple(edges), (x, *leaves)), eta, index[ek]
         index[ek] = k
         edges.append(ek)
         leaves.append(g.other_end(ek, x))
@@ -227,7 +224,7 @@ def test_lazy_fan_matches_eager_reference():
                     res = lc.vizing_fan(phi, e, x)
                 finally:
                     phi.available = available
-                assert (res.fan, res.beta, res.j) == (ref.fan, ref.beta, ref.j)
+                assert res == ref
                 assert g.other_end(e, x) in log.read
                 assert log.read <= eager_read
                 lazy = sum(len(available[z]) for z in log.read)
@@ -257,11 +254,11 @@ def vizing_fan_copying_polls(phi, e, x, polls):
         working.remove(eta)
         polls[z] = polls.get(z, 0) + 1
         if eta not in used:
-            return VizingFanResult(Chain(tuple(edges), tuple(vertices)), eta, k + 1)
+            return Chain(tuple(edges), tuple(vertices)), eta, k + 1
         k += 1
         ek = used[eta]
         if ek in index:
-            return VizingFanResult(Chain(tuple(edges), tuple(vertices)), eta, index[ek])
+            return Chain(tuple(edges), tuple(vertices)), eta, index[ek]
         index[ek] = k
         edges.append(ek)
         vertices.append(g.other_end(ek, x))
@@ -289,8 +286,7 @@ def test_copy_free_polls_match_copying_reference():
             for x in g.endpoints[e]:
                 polls = {}
                 ref = vizing_fan_copying_polls(phi, e, x, polls)
-                res = lc.vizing_fan(phi, e, x)
-                assert (res.fan, res.beta, res.j) == (ref.fan, ref.beta, ref.j)
+                assert lc.vizing_fan(phi, e, x) == ref
                 fans += 1
                 repolled += sum(n > 1 for n in polls.values())
     assert fans > 1000 and repolled >= 100
@@ -301,9 +297,9 @@ def shift_candidates(g, phi, rng):
     edges)."""
     for e in blank_edges(phi):
         for x in g.endpoints[e]:
-            res = lc.vizing_fan(phi, e, x)
-            yield res.fan
-            yield res.fan.prefix(res.j)
+            fan, _, j = lc.vizing_fan(phi, e, x)
+            yield fan
+            yield fan.prefix(j)
     for _ in range(12):
         yield random_chain(g, rng, phi.color)
 
