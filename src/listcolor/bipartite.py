@@ -27,11 +27,10 @@ def koenig_path(phi: PartialColoring, e: int) -> Chain:
     if phi.color[e] is not None:
         raise EdgeNotBlankError(f"edge {e} is not blank")
     u, v = g.endpoints[e]
-    for w in (u, v):
-        if not phi.available[w]:
+    alpha, beta = (phi.smallest(w, phi.available_mask(w)) for w in (u, v))
+    for w, c in ((u, alpha), (v, beta)):
+        if c is None:
             raise AvailabilityEmptyError(f"no available color at vertex {w}")
-    alpha = min(phi.available[u])
-    beta = min(phi.available[v])
     if alpha == beta:
         return Chain((e,), (u, v))
     path = alternating_path(phi, e, alpha, beta)

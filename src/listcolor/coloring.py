@@ -1,14 +1,31 @@
-"""Partial list edge-colorings with maintained used/available sets.
+"""Partial list edge-colorings with maintained used maps and color masks.
 
 The structure keeps, per vertex, a map from used color to the edge
-carrying it and the set of still-available common colors, plus two running
-totals: the sum of available-set sizes and the degree-weighted count of
-uncolored incidences.  The pair of totals is the lexicographic potential
-that certifies progress of the augmenting engine, so both are maintained
-in O(1) per color change and re-derivable from scratch by ``verify``.
-The number of blank edges is kept too: a chain shift never changes it, so
-only ``assign`` and ``unassign`` move it.  Which blank edge to repair next
-is the engine's choice alone.
+carrying it, plus two running totals: the sum of availability sizes and
+the degree-weighted count of uncolored incidences.  The pair of totals is
+the lexicographic potential that certifies progress of the augmenting
+engine, so both are maintained in O(1) per color change and re-derivable
+from scratch by ``verify``.  The number of blank edges is kept too: a
+chain shift never changes it, so only ``assign`` and ``unassign`` move
+it.  Which blank edge to repair next is the engine's choice alone.
+
+Color sets are int bitmasks over the ranks of a sorted palette:
+``bit[x][c]`` is ``1 << rank`` in vertex x's palette ``palette[x]``.
+``common_mask[x]`` holds the bits of x's common set and ``used_mask[x]``
+those of the colors used at x that have one, so the availability at x is
+``common_mask[x] & ~used_mask[x]`` and its smallest color is its lowest
+bit, read back by ``smallest``.  Ranks, not raw colors, keep a mask as
+wide as its palette whatever the color values.  Normally every vertex
+shares one palette, the sorted union of the common sets (a color in none
+is never available anywhere, so it has no bit), and a question about two
+vertices is one AND.  A vertex's mask is as wide as the rank of its
+largest common color, so when common sets are spread over a palette
+(colors drawn from a wide range, say) the shared masks would take more
+than ``WIDE`` bits per common-set entry, and memory and time would grow
+with n times the palette.  Then each vertex ranks only its own common
+set, vertices with equal common sets share a palette, and a question
+about two vertices with different palettes walks one mask's bits in
+order.  Both layouts give the same answers.
 
 One actor mutates a coloring at a time.  Each state has its own ``stamp``,
 so committing a chain shift checked on another state is refused in O(1).
@@ -35,10 +52,30 @@ from .graph import Multigraph
 from .lists import ListAssignment
 
 _STAMPS = itertools.count()  # process-wide: no two coloring states share a stamp
+# Shared-palette mask bits per common-set entry above which each vertex
+# gets its own palette.
+WIDE = 64
+
+
+def _one_palette_fits(union, common, distinct) -> bool:
+    """Would masks over the ranks of the union of the common sets take at
+    most WIDE bits per common-set entry?  A vertex's mask is as wide as
+    the rank of its largest common color."""
+    if len(union) <= WIDE:  # no mask is wider than WIDE bits
+        return True
+    rank = {c: r for r, c in enumerate(union)}
+    top = {s: rank[max(s)] + 1 if s else 0 for s in distinct}
+    return sum(map(top.__getitem__, common)) <= WIDE * sum(map(len, common))
+
+
+def _ranks(colors) -> tuple[tuple, dict]:
+    """A palette of sorted colors and the bit of each, 1 << its rank."""
+    palette = tuple(colors)
+    return palette, {c: 1 << r for r, c in enumerate(palette)}
 
 
 class Potential(NamedTuple):
-    """(sum of available-set sizes, degree-weighted uncolored incidences).
+    """(sum of availability sizes, degree-weighted uncolored incidences).
 
     Tuples compare lexicographically, which is exactly the order the
     termination argument uses.
@@ -80,7 +117,10 @@ class PartialColoring:
         "lists",
         "color",
         "used_edge",
-        "available",
+        "palette",
+        "bit",
+        "common_mask",
+        "used_mask",
         "blanks",
         "weight",
         "a_total",
@@ -95,17 +135,68 @@ class PartialColoring:
         self.lists = lists
         self.color: list[Optional[int]] = [None] * g.m
         self.used_edge: list[dict[int, int]] = [{} for _ in range(g.n)]
-        self.available: list[set[int]] = [set(lists.common[x]) for x in range(g.n)]
+        common = lists.common
+        distinct = set(common)  # equal common sets are ranked once
+        union = sorted(set().union(*distinct))
+        if _one_palette_fits(union, common, distinct):
+            palette, bit = _ranks(union)
+            masks = {s: sum(map(bit.__getitem__, s)) for s in distinct}
+            self.palette = [palette] * g.n
+            self.bit = [bit] * g.n
+            self.common_mask = list(map(masks.__getitem__, common))
+        else:
+            ranked = {s: _ranks(sorted(s)) for s in distinct}
+            self.palette = [ranked[s][0] for s in common]
+            self.bit = [ranked[s][1] for s in common]
+            self.common_mask = [(1 << len(s)) - 1 for s in common]  # all of its own ranks
+        self.used_mask = [0] * g.n
         self.blanks = g.m
         # deg(u) + deg(v) per edge: what coloring or blanking it moves d_total by
         inc = g.incidence
         self.weight = tuple(len(inc[u]) + len(inc[v]) for u, v in g.endpoints)
-        self.a_total = sum(len(s) for s in self.available)
+        self.a_total = sum(map(len, common))
         self.d_total = sum(self.weight)
         self.stamp = next(_STAMPS)
 
     def potential(self) -> Potential:
         return Potential(self.a_total, self.d_total)
+
+    def available_mask(self, x: int) -> int:
+        """The bits of the colors available at vertex x."""
+        return self.common_mask[x] & ~self.used_mask[x]
+
+    def smallest(self, x: int, mask: int) -> Optional[int]:
+        """The color of the lowest bit of a mask in x's palette, or None
+        for an empty mask."""
+        if not mask:
+            return None
+        return self.palette[x][(mask & -mask).bit_length() - 1]
+
+    def smallest_unused(self, x: int, y: int) -> Optional[int]:
+        """The smallest color available at x and not used at y, or None."""
+        mask = self.available_mask(x)
+        if self.bit[x] is self.bit[y]:
+            return self.smallest(x, mask & ~self.used_mask[y])
+        used = self.used_edge[y]
+        while mask:
+            c = self.smallest(x, mask)
+            if c not in used:
+                return c
+            mask &= mask - 1
+        return None
+
+    def smallest_shared(self, y: int, z: int) -> Optional[int]:
+        """The smallest color available at both y and z, or None."""
+        ay, az = self.available_mask(y), self.available_mask(z)
+        if self.bit[y] is self.bit[z]:
+            return self.smallest(y, ay & az)
+        bz = self.bit[z]
+        while ay:
+            c = self.smallest(y, ay)
+            if bz.get(c, 0) & az:
+                return c
+            ay &= ay - 1
+        return None
 
     # -- single-edge updates ------------------------------------------------
 
@@ -119,10 +210,10 @@ class PartialColoring:
             raise ImproperAssignmentError(f"color {c} already used at an end of edge {e}")
         self.color[e] = c
         for w in (u, v):
+            b = self.bit[w].get(c, 0)
             self.used_edge[w][c] = e
-            avail = self.available[w]
-            if c in avail:
-                avail.remove(c)
+            self.used_mask[w] |= b
+            if self.common_mask[w] & b:  # c was available at w: it was not used
                 self.a_total -= 1
         self.blanks -= 1
         self.d_total -= self.weight[e]
@@ -135,9 +226,10 @@ class PartialColoring:
         self.color[e] = None
         u, v = self.g.endpoints[e]
         for w in (u, v):
+            b = self.bit[w].get(c, 0)
             del self.used_edge[w][c]
-            if c in self.lists.common[w]:
-                self.available[w].add(c)
+            self.used_mask[w] &= ~b
+            if self.common_mask[w] & b:
                 self.a_total += 1
         self.blanks += 1
         self.d_total += self.weight[e]
@@ -148,14 +240,11 @@ class PartialColoring:
         if self.color[e] is not None:
             raise EdgeNotBlankError(f"edge {e} is not blank")
         u, v = self.g.endpoints[e]
-        best = None
-        for c in self.available[u]:
-            if c not in self.used_edge[v] and (best is None or c < best):
-                best = c
-        for c in self.available[v]:
-            if c not in self.used_edge[u] and (best is None or c < best):
-                best = c
-        return best
+        if self.bit[u] is self.bit[v]:
+            cm, um = self.common_mask, self.used_mask
+            return self.smallest(u, (cm[u] | cm[v]) & ~(um[u] | um[v]))
+        ends = self.smallest_unused(u, v), self.smallest_unused(v, u)
+        return min((c for c in ends if c is not None), default=None)
 
     # -- chain shifts ---------------------------------------------------------
 
@@ -234,17 +323,14 @@ class PartialColoring:
         """
         if shift.stamp != self.stamp:
             raise PreconditionViolatedError("stale shift: the coloring changed since")
-        color, used, available = self.color, self.used_edge, self.available
-        common = self.lists.common
+        color, used, used_mask, bit = self.color, self.used_edge, self.used_mask, self.bit
         for (w, c), e in shift.changes.items():
             if e is None:
                 del used[w][c]
-                if c in common[w]:
-                    available[w].add(c)
+                used_mask[w] &= ~bit[w].get(c, 0)
             else:
-                if c in available[w]:
-                    available[w].remove(c)
                 used[w][c] = e
+                used_mask[w] |= bit[w].get(c, 0)
         self.a_total += shift.delta.a
         self.d_total += shift.delta.d
         edges = shift.edges
@@ -267,9 +353,11 @@ class PartialColoring:
         """Recompute everything from the assignment alone; report mismatches.
 
         One walk over the colors rebuilds used, the blank count and d (deg(u) +
-        deg(v) per blank edge), one over the vertices each available set and
-        a; the caches are read only to be compared against."""
-        g, common = self.g, self.lists.common
+        deg(v) per blank edge), one over the vertices each vertex's common and
+        used masks, and a from them; the caches are read only to be compared
+        against."""
+        g, common, bit = self.g, self.lists.common, self.bit
+        zeros = itertools.repeat(0)  # the bit of a color outside a palette
         findings = check_edge_colors(g, self.lists, self.color)
         inc = g.incidence
         used = [dict() for _ in range(g.n)]
@@ -285,10 +373,11 @@ class PartialColoring:
         for x in range(g.n):
             if used[x] != self.used_edge[x]:
                 findings.append(Finding("CacheMismatch", f"used set at vertex {x}"))
-            avail = common[x] - used[x].keys()
-            a += len(avail)
-            if avail != self.available[x]:
-                findings.append(Finding("CacheMismatch", f"available set at vertex {x}"))
+            cm = sum(map(bit[x].__getitem__, common[x]))
+            um = sum(map(bit[x].get, used[x], zeros))
+            if (cm, um) != (self.common_mask[x], self.used_mask[x]):
+                findings.append(Finding("CacheMismatch", f"color masks at vertex {x}"))
+            a += (cm & ~um).bit_count()
         if blanks != self.blanks:
             findings.append(Finding("CacheMismatch", "blank edge count"))
         if (a, d) != (self.a_total, self.d_total):

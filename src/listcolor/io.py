@@ -34,6 +34,7 @@ from .graph import Multigraph
 from .lists import ListAssignment
 
 MAX_VERTICES = 1_000_000
+MAX_EDGES = 1_000_000  # the most edges generate_random will sample
 
 
 def _check_vertex_count(n: int) -> None:
@@ -196,10 +197,11 @@ def generate_random(
     """Deterministic random multigraph respecting degree and multiplicity caps.
 
     Vertices split into even/odd sides when ``bipartite``.  ``edges`` is a
-    target count (default n * max_degree // 3).  Sampling gives up after
-    50 * target + 100 draws, and stops as soon as the caps leave no vertex
-    pair room for another edge, so the result may be smaller but never
-    violates a cap.
+    target count (default n * max_degree // 3), lowered to n * max_degree
+    // 2, the most the degree cap allows; a target still above MAX_EDGES is
+    refused before sampling.  Sampling gives up after 50 * target + 100
+    draws, and stops as soon as the caps leave no vertex pair room for
+    another edge, so the result may be smaller but never violates a cap.
     """
     if min(n, max_degree, max_multiplicity, edges or 0) < 0:
         raise InfeasibleParamsError("counts and caps must be nonnegative")
@@ -208,8 +210,11 @@ def generate_random(
         raise InfeasibleParamsError("need at least two vertices to place edges")
     if edges is not None and edges > 0 and (max_degree < 1 or max_multiplicity < 1):
         raise InfeasibleParamsError("caps of zero cannot accommodate edges")
+    target = min(edges if edges is not None else n * max_degree // 3,
+                 n * max_degree // 2)
+    if target > MAX_EDGES:
+        raise InfeasibleParamsError(f"edge target {target} above the cap {MAX_EDGES}")
     rng = random.Random(seed)
-    target = edges if edges is not None else n * max_degree // 3
     deg = [0] * n
     mult: dict[tuple[int, int], int] = {}
     chosen: list[tuple[int, int]] = []

@@ -16,6 +16,12 @@ endpoint.  Classification distinguishes:
    fan's end edge) hands the work to the path resolution.
 
 Case 4's fallback disjunction is validated at run time, not assumed.
+
+Every availability question is asked of the coloring's color masks: the
+quick happy check and case 1 look for a color available at the leaf and
+unused at the pivot (``smallest_unused``), the fan's color and alpha are
+lowest bits (``smallest``), and beta is the lowest bit of the two
+leaves' shared availability (``smallest_shared``); none copies a set.
 """
 
 from __future__ import annotations
@@ -34,7 +40,8 @@ HAPPY_EDGE = Step("happy-edge", happy=True)  # the engine colors the blank edge
 def _orient(phi: PartialColoring, e: int) -> tuple[int, int]:
     """Endpoints of e as (x, y) with deg(x) <= deg(y); index breaks ties."""
     u, v = phi.g.endpoints[e]
-    if (phi.g.degree(u), u) <= (phi.g.degree(v), v):
+    inc = phi.g.incidence
+    if (len(inc[u]), u) <= (len(inc[v]), v):
         return u, v
     return v, u
 
@@ -45,15 +52,14 @@ def shannon_fan(phi: PartialColoring, e: int) -> Chain:
     if phi.color[e] is not None:
         raise EdgeNotBlankError(f"edge {e} is not blank")
     x, y = _orient(phi, e)
-    avail_y = phi.available[y]
-    if any(c not in phi.used_edge[x] for c in avail_y):
+    if phi.smallest_unused(y, x) is not None:
         return Chain((e,), (x, y))
+    avail_y = phi.available_mask(y)
     if not avail_y:
         raise AvailabilityEmptyError(
             f"no available color at vertex {y}; the degree bound cannot hold"
         )
-    eta = min(avail_y)
-    f = phi.used_edge[x].get(eta)
+    f = phi.used_edge[x].get(phi.smallest(y, avail_y))
     if f is None:
         raise LemmaViolationError("available color at y not used at x after check")
     z = phi.g.other_end(f, x)
@@ -75,20 +81,20 @@ def classify_shannon(phi: PartialColoring, e: int) -> Step:
     f = fan.edges[1]
     z = fan.vertices[2]
     eta = phi.color[f]
-    if any(c not in phi.used_edge[x] for c in phi.available[z]):
+    if phi.smallest_unused(z, x) is not None:
         return Step("case1-happy-fan", phi.check_shift(fan.edges), happy=True)
     if eta not in phi.lists.common[z]:
         return Step("case2-content-fan", phi.check_shift(fan.edges))
-    if phi.g.degree(z) < phi.g.degree(y):
+    inc = phi.g.incidence
+    if len(inc[z]) < len(inc[y]):
         return Step("case3-content-fan", phi.check_shift(fan.edges))
     # Final case: both availabilities inside used(x), so they intersect.
-    inter = phi.available[y] & phi.available[z]
-    if not inter:
+    beta = phi.smallest_shared(y, z)
+    if beta is None:
         raise LemmaViolationError("final-case availability intersection is empty")
-    if not phi.available[x]:
+    alpha = phi.smallest(x, phi.available_mask(x))
+    if alpha is None:
         raise LemmaViolationError("no available color at the pivot")
-    beta = min(inter)
-    alpha = min(phi.available[x])
     p1 = alternating_path(phi, e, alpha, beta)
     if p1.vertices[0] != p1.vertices[-1]:
         return Step("final-path-phi", path=p1)

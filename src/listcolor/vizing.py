@@ -4,11 +4,11 @@ The fan grows around a fixed pivot: repeatedly take the smallest color
 still in the working set of the current leaf; if the pivot misses that
 color the fan is immediately recolorable (happy), otherwise the pivot's
 edge carrying it either extends the fan or closes it onto an earlier
-index j.  Working sets start as the leaves' availability sets and shrink
-by one per poll; since each leaf has at least its multiplicity many
-available colors, a poll never sees an empty set.  A first poll reads
-the availability set in place; only a leaf polled again, over a parallel
-edge, gets a working set: a copy less the color its first poll took.
+index j.  A leaf's working set starts as its availability mask and each
+poll takes its lowest bit, so the k-th poll of a leaf reached over k
+parallel edges reads its k-th smallest available color; since each leaf
+has at least its multiplicity many available colors, a poll never sees
+an empty set.  A working set is an int, so nothing is copied.
 
 Dispatch checks the shift of the full fan, then of the prefix ending at
 j, with ``PartialColoring.check_shift``, which computes each shift's
@@ -43,8 +43,8 @@ def vizing_fan(phi: PartialColoring, e: int, x: int) -> tuple[Chain, int, int]:
     if x not in g.endpoints[e]:
         raise PreconditionViolatedError(f"pivot {x} is not an endpoint of edge {e}")
     y = g.other_end(e, x)
-    used, available = phi.used_edge[x], phi.available
-    first, beta_sets = {}, {}  # leaf -> its first poll's color, its working set
+    used, available, smallest = phi.used_edge[x], phi.available_mask, phi.smallest
+    working = {}  # leaf -> the bits its polls have not taken yet
     index = {e: 0}
     edges = [e]
     vertices = [x, y]
@@ -52,21 +52,17 @@ def vizing_fan(phi: PartialColoring, e: int, x: int) -> tuple[Chain, int, int]:
     deg = len(g.incidence[x])
     while k < deg:
         z = vertices[-1]
-        eta = first.get(z)
-        working = available[z] if eta is None else beta_sets.get(z)
-        if working is None:  # polled again: copy, less the first poll's color
-            working = beta_sets[z] = available[z] - {eta}
-        if not working:
+        w = working.get(z)
+        if w is None:
+            w = available(z)
+        if not w:
             raise BetaEmptyError(f"working set of leaf {z} ran out")
-        if eta is None:  # first poll, in place
-            eta = first[z] = min(working)
-        else:
-            eta = min(working)
-            working.remove(eta)
-        if eta not in used:
+        eta = smallest(z, w)
+        working[z] = w & (w - 1)  # the lowest bit taken
+        ek = used.get(eta)
+        if ek is None:
             return Chain(tuple(edges), tuple(vertices)), eta, k + 1
         k += 1
-        ek = used[eta]
         if ek in index:
             return Chain(tuple(edges), tuple(vertices)), eta, index[ek]
         index[ek] = k
@@ -94,9 +90,9 @@ def classify_vizing(phi: PartialColoring, e: int, x: int) -> Step:
         if shift.delta < (0, 0):
             return Step(branch, shift)
         shifts.append(shift)
-    if not phi.available[x]:
+    alpha = phi.smallest(x, phi.available_mask(x))
+    if alpha is None:
         raise LemmaViolationError("no available color at the pivot")
-    alpha = min(phi.available[x])
     for shift, branch in zip(shifts, ("path-psi-full", "path-psi-prefix")):
         if shift.delta.a != 0:
             raise LemmaViolationError("fan shift changed the availability total")

@@ -41,6 +41,12 @@ def recompute_available(g, L, colors):
     return [set(L.common[x]) - used[x] for x in range(g.n)]
 
 
+def available(phi, x):
+    """The colors available at x in phi, decoded from its masks to a set."""
+    mask = phi.common_mask[x] & ~phi.used_mask[x]
+    return {c for c in phi.palette[x] if phi.bit[x][c] & mask}
+
+
 def recompute_potential(g, L, colors):
     """(A, D) by definition: availability sum, degree-weighted blank count."""
     avail = recompute_available(g, L, colors)
@@ -234,12 +240,13 @@ def trace_counters(records, colored):
 
 def _fan_leaves(phi, fan):
     """Availability entries at a fan's leaves, one term per leaf position."""
-    return sum(len(phi.available[z]) for z in fan.vertices[1:])
+    return sum(phi.available_mask(z).bit_count() for z in fan.vertices[1:])
 
 
 # layer boundary -> the work one call did, from (result, *args)
 WORK = {
-    "is_happy": lambda _, phi, e: sum(len(phi.available[w]) for w in phi.g.endpoints[e]),
+    "is_happy": lambda _, phi, e: sum(phi.available_mask(w).bit_count()
+                                      for w in phi.g.endpoints[e]),
     "assign": lambda *_: 1,
     "shift_violation": lambda _, phi, edges, *rest: len(edges),
     "apply_chain_shift": lambda _, phi, shift: len(shift.edges),

@@ -23,6 +23,7 @@ from listcolor.lists import local_bound
 
 from conftest import (
     WorkLog,
+    available,
     adversarial_lists,
     blank_edges,
     random_partial,
@@ -274,8 +275,8 @@ def test_criterion_8_shift_and_path_properties():
             u, v = g.endpoints[e]
             pairs = [
                 (a, b)
-                for a in sorted(phi.available[u])[:3]
-                for b in sorted(phi.available[v])[:3]
+                for a in sorted(available(phi, u))[:3]
+                for b in sorted(available(phi, v))[:3]
                 if a != b
             ]
             for alpha, beta in pairs:
@@ -285,7 +286,7 @@ def test_criterion_8_shift_and_path_properties():
                 path = lc.alternating_path(phi, e, alpha, beta)
                 x, y = path.vertices[0], path.vertices[1]
                 first, second = (
-                    (alpha, beta) if alpha in phi.available[x] else (beta, alpha)
+                    (alpha, beta) if alpha in available(phi, x) else (beta, alpha)
                 )
                 colors = [phi.color[f] for f in path.edges[1:]]
                 expected = [first if i % 2 == 0 else second for i in range(len(colors))]

@@ -5,7 +5,7 @@ import pytest
 import listcolor as lc
 from listcolor.errors import AvailabilityEmptyError, NotBipartiteError
 
-from conftest import blank_edges, random_partial, setup_partial
+from conftest import available, blank_edges, random_partial, setup_partial
 
 AB = frozenset({1, 2})
 ABC = frozenset({1, 2, 3})
@@ -63,7 +63,7 @@ def test_rejects_empty_availability():
     phi = lc.PartialColoring(g, L)
     phi.assign(1, 1)
     phi.assign(2, 2)
-    assert phi.available[0] == set()
+    assert available(phi, 0) == set()
     with pytest.raises(AvailabilityEmptyError):
         lc.koenig_path(phi, 0)
 
@@ -78,7 +78,7 @@ def test_parity_guarantee_random(rng):
         phi = random_partial(g, L, random.Random(seed), fill=0.7)
         for e in blank_edges(phi):
             u, v = g.endpoints[e]
-            if not phi.available[u] or not phi.available[v]:
+            if not available(phi, u) or not available(phi, v):
                 continue
             p = lc.koenig_path(phi, e)
             assert p.vertices[0] != p.vertices[-1]

@@ -13,6 +13,7 @@ from listcolor.errors import (
 )
 
 from conftest import (
+    available,
     blank_edges,
     brute_max_prefix,
     brute_shift_ok,
@@ -89,8 +90,8 @@ def test_shift_preserves_colors_away_from_ends(rng):
         hit = False
         for e in blanks:
             u, v = g.endpoints[e]
-            for alpha in sorted(phi.available[u]):
-                for beta in sorted(phi.available[v]):
+            for alpha in sorted(available(phi, u)):
+                for beta in sorted(available(phi, v)):
                     if alpha == beta:
                         continue
                     path = lc.alternating_path(phi, e, alpha, beta)
@@ -213,8 +214,8 @@ def test_max_shiftable_matches_brute_on_random(rng):
         phi = random_partial(g, L, random.Random(seed), fill=0.8)
         for e in blank_edges(phi):
             u, v = g.endpoints[e]
-            for alpha in sorted(phi.available[u])[:2]:
-                for beta in sorted(phi.available[v])[:2]:
+            for alpha in sorted(available(phi, u))[:2]:
+                for beta in sorted(available(phi, v))[:2]:
                     if alpha == beta:
                         continue
                     path = lc.alternating_path(phi, e, alpha, beta)
@@ -245,8 +246,8 @@ def test_max_shiftable_matches_brute_on_thinned_lists(rng):
                 phi.assign(e, c)
         for e in blank_edges(phi):
             u, v = g.endpoints[e]
-            for alpha in sorted(phi.available[u]):
-                for beta in sorted(phi.available[v]):
+            for alpha in sorted(available(phi, u)):
+                for beta in sorted(available(phi, v)):
                     if alpha == beta:
                         continue
                     path = lc.alternating_path(phi, e, alpha, beta)
@@ -348,10 +349,10 @@ def test_resolve_random_postconditions(rng):
             continue
         e = blanks[0]
         u, v = g.endpoints[e]
-        if not phi.available[u] or not phi.available[v]:
+        if not available(phi, u) or not available(phi, v):
             continue
-        alpha = min(phi.available[u])
-        beta = min(phi.available[v])
+        alpha = min(available(phi, u))
+        beta = min(available(phi, v))
         if alpha == beta:
             continue
         path = lc.alternating_path(phi, e, alpha, beta)
@@ -405,7 +406,7 @@ def live_state(phi):
     return (
         list(phi.color),
         [dict(d) for d in phi.used_edge],
-        [set(s) for s in phi.available],
+        [available(phi, x) for x in range(phi.g.n)],
         phi.potential(),
         phi.blanks,
     )
@@ -425,10 +426,10 @@ def psi_walks(g, phi, rng):
     for e in blank_edges(phi):
         for x in g.endpoints[e]:
             fan, beta, j = lc.vizing_fan(phi, e, x)
-            if j == len(fan.edges) or not phi.available[x]:
+            if j == len(fan.edges) or not available(phi, x):
                 continue
             for cand in (fan, fan.prefix(j)):
-                yield cand, min(phi.available[x]), beta
+                yield cand, min(available(phi, x)), beta
     for _ in range(10):
         chain = random_chain(g, rng, phi.color)
         try:
@@ -436,8 +437,8 @@ def psi_walks(g, phi, rng):
         except NotShiftableError:
             continue
         u, v = g.endpoints[chain.edges[-1]]
-        for alpha in sorted(psi.available[u])[:2]:
-            for beta in sorted(psi.available[v])[:2]:
+        for alpha in sorted(available(psi, u))[:2]:
+            for beta in sorted(available(psi, v))[:2]:
                 yield chain, alpha, beta
 
 
@@ -487,7 +488,7 @@ def test_classified_psi_paths_match_walk_in_shifted_copy():
         assert live_state(phi) == before
         if step_kind(out) == "path-psi":
             psi = shifted_copy(phi, lc.Chain(out.shift.edges))
-            alpha, beta = min(phi.available[x]), lc.vizing_fan(phi, e, x)[1]
+            alpha, beta = min(available(phi, x)), lc.vizing_fan(phi, e, x)[1]
             assert out.path == lc.alternating_path(psi, out.shift.edges[-1], alpha, beta)
             branches.append(out.branch)
     assert len(branches) > 20 and set(branches) == {"path-psi-full", "path-psi-prefix"}

@@ -246,24 +246,56 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
+def run_capped(argv):
+    """``listcolor argv`` in a child whose address space is capped, so a
+    regression that allocates without bound fails fast instead of taking
+    the host."""
+    env = {**os.environ, "PYTHONPATH": str(Path(lc.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "listcolor.cli", *argv], capture_output=True,
+        text=True, env=env, timeout=60, preexec_fn=_limit_address_space,
+    )
+
+
 @pytest.mark.parametrize("command", ["color", "gen"])
 def test_vertex_count_past_the_cap_exits_two(tmp_path, command):
-    # refused before anything is sized by n; run in a child whose address
-    # space is capped, so a regression fails fast instead of taking the host
+    # refused before anything is sized by n
     n = lio.MAX_VERTICES + 1
     if command == "color":
         inst = write(tmp_path, "huge.txt", f"p edge {n} 1\ne 0 1\n")
         argv = ["color", inst, "--mode", "vizing"]
     else:
         argv = ["gen", "-n", str(n), "--max-degree", "3", "--edges", "1"]
-    env = {**os.environ, "PYTHONPATH": str(Path(lc.__file__).parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "listcolor.cli", *argv], capture_output=True,
-        text=True, env=env, timeout=60, preexec_fn=_limit_address_space,
-    )
+    proc = run_capped(argv)
     assert proc.returncode == 2, proc.stderr
     assert f"vertex count {n} above the cap {lio.MAX_VERTICES}" in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("edges", [None, str(10**12)])
+def test_gen_edge_target_past_the_cap_exits_two(edges):
+    # the default target n * delta // 3 and a larger --edges both stay above
+    # the cap after lowering to n * delta // 2; refused before sampling
+    n = delta = lio.MAX_VERTICES
+    argv = ["gen", "-n", str(n), "--max-degree", str(delta),
+            "--max-multiplicity", str(delta)]
+    argv += [] if edges is None else ["--edges", edges]
+    proc = run_capped(argv)
+    target = n * delta // (3 if edges is None else 2)
+    assert proc.returncode == 2, proc.stderr
+    assert f"edge target {target} above the cap {lio.MAX_EDGES}" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_huge_colors_color_in_bounded_memory(tmp_path):
+    # masks are over the ranks of the palette, not over raw colors, so the
+    # color 10**9 costs one bit
+    inst = write(tmp_path, "big.txt",
+                 "p edge 3 2\ne 0 1 1 2 1000000000\ne 1 2 1 2 3 1000000000\n")
+    proc = run_capped(["color", inst, "--mode", "explicit",
+                                 "--assume-bound", "vizing"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 2\n1 1\n"
 
 
 def test_gen_with_lists_then_color(tmp_path, capsys):

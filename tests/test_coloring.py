@@ -17,6 +17,7 @@ from listcolor.errors import (
 
 from conftest import (
     FULL6,
+    available,
     blank_edges,
     random_chain,
     rebuilt,
@@ -56,7 +57,7 @@ def test_assign_updates_both_endpoints(triangle):
     phi = lc.PartialColoring(g, L)
     phi.assign(0, 1)
     assert set(phi.used_edge[0].keys()) == {1}
-    assert phi.available[0] == {2, 3}
+    assert available(phi, 0) == {2, 3}
     assert set(phi.used_edge[1].keys()) == {1}
     assert phi.blanks == 2
 
@@ -92,7 +93,7 @@ def test_assign_unassign_roundtrip(triangle):
     before = (
         list(phi.color),
         [dict(d) for d in phi.used_edge],
-        [set(s) for s in phi.available],
+        [available(phi, x) for x in range(phi.g.n)],
         phi.blanks,
         phi.potential(),
     )
@@ -101,7 +102,7 @@ def test_assign_unassign_roundtrip(triangle):
     after = (
         list(phi.color),
         [dict(d) for d in phi.used_edge],
-        [set(s) for s in phi.available],
+        [available(phi, x) for x in range(phi.g.n)],
         phi.blanks,
         phi.potential(),
     )
@@ -161,7 +162,7 @@ def test_is_happy_blocked_edge_derived():
 def test_is_happy_empty_availability():
     S = frozenset({1})
     g, L, phi = setup_partial(4, [(0, 1, None, S), (0, 2, 1, S), (1, 3, 1, S)])
-    assert phi.available[0] == set() and phi.available[1] == set()
+    assert available(phi, 0) == set() and available(phi, 1) == set()
     assert phi.is_happy(0) is None
 
 
@@ -179,7 +180,7 @@ def test_verify_reports_cache_mismatch(triangle):
     g, L = triangle
     phi = lc.PartialColoring(g, L)
     phi.assign(0, 1)
-    phi.available[2].discard(3)  # corrupt one cached available set
+    phi.used_mask[2] |= phi.bit[2][3]  # corrupt one cached used mask: 3 looks taken
     findings = phi.verify()
     assert any(f.kind == "CacheMismatch" for f in findings)
 
@@ -187,7 +188,8 @@ def test_verify_reports_cache_mismatch(triangle):
 # cache -> (corrupt it alone, the one detail verify must report)
 CORRUPTIONS = {
     "used_edge": (lambda phi: phi.used_edge[2].update({3: 1}), "used set at vertex 2"),
-    "available": (lambda phi: phi.available[2].discard(3), "available set at vertex 2"),
+    "available": (lambda phi: phi.used_mask.__setitem__(2, phi.used_mask[2] | phi.bit[2][3]),
+                  "color masks at vertex 2"),
     "blanks": (lambda phi: setattr(phi, "blanks", phi.blanks + 1), "blank edge count"),
     "a_total": (lambda phi: setattr(phi, "a_total", phi.a_total + 1),
                 "potential totals cached (8, 8) recomputed (7, 8)"),
@@ -278,7 +280,7 @@ def coloring_state(phi):
     return (
         list(phi.color),
         [dict(d) for d in phi.used_edge],
-        [set(s) for s in phi.available],
+        [available(phi, x) for x in range(phi.g.n)],
         phi.a_total,
         phi.d_total,
         phi.blanks,
@@ -298,8 +300,8 @@ def chains_to_shift(g, phi, rng):
         except AvailabilityEmptyError:
             pass
         u, v = g.endpoints[e]
-        for alpha in sorted(phi.available[u])[:2]:
-            for beta in sorted(phi.available[v])[:2]:
+        for alpha in sorted(available(phi, u))[:2]:
+            for beta in sorted(available(phi, v))[:2]:
                 try:
                     path = lc.alternating_path(phi, e, alpha, beta)
                 except PreconditionViolatedError:

@@ -8,6 +8,7 @@ from listcolor.chain import Step
 
 from conftest import (
     ShiftLog,
+    available,
     blank_edges,
     random_partial,
     recompute_potential,
@@ -52,12 +53,12 @@ def test_fan_two_edges_derived():
         z_edges=[(8, 1), (9, 2), (10, 3)], z_lists=[S6, S6, S6]
     )
     lc.check_bound(g, L, "shannon")
-    assert phi.available[1] == {4, 5, 6}
+    assert available(phi, 1) == {4, 5, 6}
     assert set(phi.used_edge[0].keys()) == {4, 5, 6}
     fan = lc.shannon_fan(phi, 0)
     assert fan.edges == (0, 1)
     assert fan.vertices == (0, 1, 2)
-    assert phi.color[fan.edges[1]] == min(phi.available[1]) == 4
+    assert phi.color[fan.edges[1]] == min(available(phi, 1)) == 4
 
 
 def test_classify_blank_is_happy_edge(triangle):
@@ -151,7 +152,7 @@ def test_classify_final_path_under_current_coloring():
     g, L, phi = final_case_instance(cyclic=False)
     lc.check_bound(g, L, "shannon")
     # claim: the two availability sets intersect
-    assert phi.available[1] & phi.available[2] == {5, 6}
+    assert available(phi, 1) & available(phi, 2) == {5, 6}
     out = lc.classify_shannon(phi, 0)
     assert step_kind(out) == "path-phi"
     # the path alternates alpha = 1 and beta = 5 in the current coloring
@@ -189,7 +190,7 @@ def test_final_path_under_shifted_coloring_leaves_phi_untouched():
 
     def state():
         return (list(phi.color), [dict(d) for d in phi.used_edge],
-                [set(s) for s in phi.available], phi.potential(), phi.blanks)
+                [available(phi, x) for x in range(phi.g.n)], phi.potential(), phi.blanks)
 
     before = state()
     out = lc.classify_shannon(phi, 0)

@@ -12,6 +12,7 @@ from listcolor.errors import (
 )
 
 from conftest import (
+    available,
     adversarial_lists,
     blank_edges,
     random_chain,
@@ -50,8 +51,8 @@ def test_fan_closes_on_earlier_index():
     assert beta == 1
     assert j == 1
     # output contract: beta available at the end leaf of both fan and prefix
-    assert beta in phi.available[fan.vertices[-1]]
-    assert beta in phi.available[fan.prefix(j).vertices[-1]]
+    assert beta in available(phi, fan.vertices[-1])
+    assert beta in available(phi, fan.prefix(j).vertices[-1])
 
 
 def test_fan_never_returns_index_zero(rng):
@@ -64,8 +65,8 @@ def test_fan_never_returns_index_zero(rng):
             fan, beta, j = lc.vizing_fan(phi, e, u)
             assert 1 <= j <= len(fan.edges)
             assert len(fan.edges) <= g.degree(u)
-            assert beta in phi.available[fan.vertices[-1]]
-            assert beta in phi.available[fan.prefix(j).vertices[-1]]
+            assert beta in available(phi, fan.vertices[-1])
+            assert beta in available(phi, fan.prefix(j).vertices[-1])
 
 
 def test_classify_happy_two_edge_fan():
@@ -170,7 +171,7 @@ def test_availability_total_never_rises_after_fan_shift(rng):
 
 
 class ReadLog(list):
-    """Availability sets that record which vertices' sets were read."""
+    """Common masks that record which vertices' masks were read."""
 
     def __init__(self, sets):
         super().__init__(sets)
@@ -183,10 +184,10 @@ class ReadLog(list):
 
 def eager_vizing_fan(phi, e, x, read):
     """The fan loop with every neighbour's working set copied up front;
-    ``read`` collects the vertices whose availability sets it copies."""
+    ``read`` collects the vertices whose availability it copies."""
     g = phi.g
     y = g.other_end(e, x)
-    beta_sets = {z: set(phi.available[z]) for z in g.neighbors(x)}
+    beta_sets = {z: available(phi, z) for z in g.neighbors(x)}
     read.update(beta_sets)
     nbr = dict(phi.used_edge[x])
     index = {e: 0}
@@ -214,21 +215,21 @@ def test_lazy_fan_matches_eager_reference():
     # vertex the eager loop did not copy, and of fewer entries somewhere
     fans = saved = 0
     for g, L, phi in random_vizing_partials(60):
-        available = phi.available
+        common_mask = phi.common_mask
         for e in blank_edges(phi):
             for x in g.endpoints[e]:
                 eager_read = set()
                 ref = eager_vizing_fan(phi, e, x, eager_read)
-                phi.available = log = ReadLog(available)
+                phi.common_mask = log = ReadLog(common_mask)
                 try:
                     res = lc.vizing_fan(phi, e, x)
                 finally:
-                    phi.available = available
+                    phi.common_mask = common_mask
                 assert res == ref
                 assert g.other_end(e, x) in log.read
                 assert log.read <= eager_read
-                lazy = sum(len(available[z]) for z in log.read)
-                eager = sum(len(available[z]) for z in eager_read)
+                lazy = sum(len(available(phi, z)) for z in log.read)
+                eager = sum(len(available(phi, z)) for z in eager_read)
                 fans += 1
                 saved += lazy < eager
     assert fans > 500 and saved > 0
@@ -249,7 +250,7 @@ def vizing_fan_copying_polls(phi, e, x, polls):
         z = vertices[-1]
         working = beta_sets.get(z)
         if working is None:
-            working = beta_sets[z] = set(phi.available[z])
+            working = beta_sets[z] = available(phi, z)
         eta = min(working)
         working.remove(eta)
         polls[z] = polls.get(z, 0) + 1
