@@ -10,22 +10,27 @@ chain shift never changes it, so only ``assign`` and ``unassign`` move
 it.  Which blank edge to repair next is the engine's choice alone.
 
 Color sets are int bitmasks over the ranks of a sorted palette:
-``bit[x][c]`` is ``1 << rank`` in vertex x's palette ``palette[x]``.
-``common_mask[x]`` holds the bits of x's common set and ``used_mask[x]``
-those of the colors used at x that have one, so the availability at x is
-``common_mask[x] & ~used_mask[x]`` and its smallest color is its lowest
-bit, read back by ``smallest``.  Ranks, not raw colors, keep a mask as
-wide as its palette whatever the color values.  Normally every vertex
-shares one palette, the sorted union of the common sets (a color in none
-is never available anywhere, so it has no bit), and a question about two
-vertices is one AND.  A vertex's mask is as wide as the rank of its
-largest common color, so when common sets are spread over a palette
-(colors drawn from a wide range, say) the shared masks would take more
-than ``WIDE`` bits per common-set entry, and memory and time would grow
-with n times the palette.  Then each vertex ranks only its own common
-set, vertices with equal common sets share a palette, and a question
-about two vertices with different palettes walks one mask's bits in
-order.  Both layouts give the same answers.
+``rank[x][c]`` is c's rank in vertex x's palette ``palette[x]``, and c's
+bit there is ``1 << rank``.  ``common_mask[x]`` holds the bits of x's
+common set and ``used_mask[x]`` those of the colors used at x that have
+one, so the availability at x is ``common_mask[x] & ~used_mask[x]`` and
+its smallest color is its lowest bit, read back by ``smallest``.  Ranks,
+not raw colors, keep a mask as wide as its palette whatever the color
+values.
+
+Normally every vertex shares one palette, the sorted union of the common
+sets (a color in none is never available anywhere, so it has no rank),
+and a question about two vertices is one AND.  But a vertex's shared mask
+is as wide as the rank of its largest common color, so mask operations
+and memory grow with the palette, not with the common set.  When the
+shared masks would average more than ``WIDE`` bits, each vertex ranks
+only its own common set instead (vertices with equal common sets share
+one), and a question about two vertices with different palettes walks
+one mask's bits in order.  Both layouts give the same answers.  ``WIDE``
+sits among the widths where the two layouts took equal time on explicit
+vizing-bound lists drawn from 1..S: near 2000 bits at n=2000 with
+Delta=32, between 3000 and 4900 with Delta=64, and between 4300 and 8500
+at n=20000 with Delta=8.
 
 One actor mutates a coloring at a time.  Each state has its own ``stamp``,
 so committing a chain shift checked on another state is refused in O(1).
@@ -33,6 +38,7 @@ so committing a chain shift checked on another state is refused in O(1).
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -52,26 +58,39 @@ from .graph import Multigraph
 from .lists import ListAssignment
 
 _STAMPS = itertools.count()  # process-wide: no two coloring states share a stamp
-# Shared-palette mask bits per common-set entry above which each vertex
-# gets its own palette.
-WIDE = 64
+# The most bits a mask over the shared palette may take on average before
+# each vertex gets its own palette: the measured crossover of the layouts.
+WIDE = 4096
 
 
-def _one_palette_fits(union, common, distinct) -> bool:
-    """Would masks over the ranks of the union of the common sets take at
-    most WIDE bits per common-set entry?  A vertex's mask is as wide as
-    the rank of its largest common color."""
-    if len(union) <= WIDE:  # no mask is wider than WIDE bits
-        return True
-    rank = {c: r for r, c in enumerate(union)}
-    top = {s: rank[max(s)] + 1 if s else 0 for s in distinct}
-    return sum(map(top.__getitem__, common)) <= WIDE * sum(map(len, common))
+def _ranked(palette: list) -> tuple[list, dict]:
+    """A sorted palette and each color's rank in it."""
+    return palette, dict(zip(palette, itertools.count()))
 
 
-def _ranks(colors) -> tuple[tuple, dict]:
-    """A palette of sorted colors and the bit of each, 1 << its rank."""
-    palette = tuple(colors)
-    return palette, {c: 1 << r for r, c in enumerate(palette)}
+def _palettes(common) -> tuple[list, list, list]:
+    """Each vertex's palette, rank map and common mask, from the common sets.
+
+    The shared palette is the sorted union of the common sets; a vertex's
+    mask over it is as wide as the rank of its largest common color plus
+    one.  If those widths average more than WIDE bits over the vertices
+    with a common color, each vertex ranks its own common set instead, and
+    vertices with equal common sets share one palette.
+    """
+    n = len(common)
+    distinct = set(common)  # equal common sets are ranked once
+    union = sorted(set().union(*distinct))
+    if len(union) > WIDE:  # else no mask can be wider than WIDE bits
+        top = {s: bisect.bisect_right(union, max(s)) for s in distinct if s}
+        nonempty = [s for s in common if s]
+        if sum(map(top.__getitem__, nonempty)) > WIDE * len(nonempty):
+            own = {s: _ranked(sorted(s)) for s in distinct}
+            return ([own[s][0] for s in common], [own[s][1] for s in common],
+                    [(1 << len(s)) - 1 for s in common])  # all of its own ranks
+    palette, rank = _ranked(union)
+    shift = (1).__lshift__
+    masks = {s: sum(map(shift, map(rank.__getitem__, s))) for s in distinct}
+    return [palette] * n, [rank] * n, list(map(masks.__getitem__, common))
 
 
 class Potential(NamedTuple):
@@ -118,7 +137,7 @@ class PartialColoring:
         "color",
         "used_edge",
         "palette",
-        "bit",
+        "rank",
         "common_mask",
         "used_mask",
         "blanks",
@@ -136,19 +155,7 @@ class PartialColoring:
         self.color: list[Optional[int]] = [None] * g.m
         self.used_edge: list[dict[int, int]] = [{} for _ in range(g.n)]
         common = lists.common
-        distinct = set(common)  # equal common sets are ranked once
-        union = sorted(set().union(*distinct))
-        if _one_palette_fits(union, common, distinct):
-            palette, bit = _ranks(union)
-            masks = {s: sum(map(bit.__getitem__, s)) for s in distinct}
-            self.palette = [palette] * g.n
-            self.bit = [bit] * g.n
-            self.common_mask = list(map(masks.__getitem__, common))
-        else:
-            ranked = {s: _ranks(sorted(s)) for s in distinct}
-            self.palette = [ranked[s][0] for s in common]
-            self.bit = [ranked[s][1] for s in common]
-            self.common_mask = [(1 << len(s)) - 1 for s in common]  # all of its own ranks
+        self.palette, self.rank, self.common_mask = _palettes(common)
         self.used_mask = [0] * g.n
         self.blanks = g.m
         # deg(u) + deg(v) per edge: what coloring or blanking it moves d_total by
@@ -174,28 +181,31 @@ class PartialColoring:
 
     def smallest_unused(self, x: int, y: int) -> Optional[int]:
         """The smallest color available at x and not used at y, or None."""
-        mask = self.available_mask(x)
-        if self.bit[x] is self.bit[y]:
+        mask = self.common_mask[x] & ~self.used_mask[x]
+        if self.rank[x] is self.rank[y]:
             return self.smallest(x, mask & ~self.used_mask[y])
-        used = self.used_edge[y]
+        palette, used = self.palette[x], self.used_edge[y]
         while mask:
-            c = self.smallest(x, mask)
+            low = mask & -mask
+            c = palette[low.bit_length() - 1]
             if c not in used:
                 return c
-            mask &= mask - 1
+            mask ^= low
         return None
 
     def smallest_shared(self, y: int, z: int) -> Optional[int]:
         """The smallest color available at both y and z, or None."""
         ay, az = self.available_mask(y), self.available_mask(z)
-        if self.bit[y] is self.bit[z]:
+        if self.rank[y] is self.rank[z]:
             return self.smallest(y, ay & az)
-        bz = self.bit[z]
+        palette, rank = self.palette[y], self.rank[z]
         while ay:
-            c = self.smallest(y, ay)
-            if bz.get(c, 0) & az:
+            low = ay & -ay
+            c = palette[low.bit_length() - 1]
+            r = rank.get(c)
+            if r is not None and az >> r & 1:
                 return c
-            ay &= ay - 1
+            ay ^= low
         return None
 
     # -- single-edge updates ------------------------------------------------
@@ -209,12 +219,15 @@ class PartialColoring:
         if c in self.used_edge[u] or c in self.used_edge[v]:
             raise ImproperAssignmentError(f"color {c} already used at an end of edge {e}")
         self.color[e] = c
+        rank, used_mask, common_mask = self.rank, self.used_mask, self.common_mask
         for w in (u, v):
-            b = self.bit[w].get(c, 0)
             self.used_edge[w][c] = e
-            self.used_mask[w] |= b
-            if self.common_mask[w] & b:  # c was available at w: it was not used
-                self.a_total -= 1
+            r = rank[w].get(c)
+            if r is not None:
+                b = 1 << r
+                used_mask[w] |= b
+                if common_mask[w] & b:  # c was available at w: it was not used
+                    self.a_total -= 1
         self.blanks -= 1
         self.d_total -= self.weight[e]
         self.stamp = next(_STAMPS)
@@ -225,12 +238,15 @@ class PartialColoring:
             raise EdgeBlankError(f"edge {e} already blank")
         self.color[e] = None
         u, v = self.g.endpoints[e]
+        rank, used_mask, common_mask = self.rank, self.used_mask, self.common_mask
         for w in (u, v):
-            b = self.bit[w].get(c, 0)
             del self.used_edge[w][c]
-            self.used_mask[w] &= ~b
-            if self.common_mask[w] & b:
-                self.a_total += 1
+            r = rank[w].get(c)
+            if r is not None:
+                b = 1 << r
+                used_mask[w] &= ~b
+                if common_mask[w] & b:
+                    self.a_total += 1
         self.blanks += 1
         self.d_total += self.weight[e]
         self.stamp = next(_STAMPS)
@@ -240,11 +256,11 @@ class PartialColoring:
         if self.color[e] is not None:
             raise EdgeNotBlankError(f"edge {e} is not blank")
         u, v = self.g.endpoints[e]
-        if self.bit[u] is self.bit[v]:
+        if self.rank[u] is self.rank[v]:
             cm, um = self.common_mask, self.used_mask
             return self.smallest(u, (cm[u] | cm[v]) & ~(um[u] | um[v]))
-        ends = self.smallest_unused(u, v), self.smallest_unused(v, u)
-        return min((c for c in ends if c is not None), default=None)
+        a, b = self.smallest_unused(u, v), self.smallest_unused(v, u)
+        return a if b is None or (a is not None and a < b) else b
 
     # -- chain shifts ---------------------------------------------------------
 
@@ -323,14 +339,19 @@ class PartialColoring:
         """
         if shift.stamp != self.stamp:
             raise PreconditionViolatedError("stale shift: the coloring changed since")
-        color, used, used_mask, bit = self.color, self.used_edge, self.used_mask, self.bit
+        color, used, used_mask, rank = self.color, self.used_edge, self.used_mask, self.rank
         for (w, c), e in shift.changes.items():
+            at = used[w]
             if e is None:
-                del used[w][c]
-                used_mask[w] &= ~bit[w].get(c, 0)
+                del at[c]
+            elif c in at:  # c stays at w, on another edge
+                at[c] = e
+                continue
             else:
-                used[w][c] = e
-                used_mask[w] |= bit[w].get(c, 0)
+                at[c] = e
+            r = rank[w].get(c)
+            if r is not None:  # c left w or came to it
+                used_mask[w] ^= 1 << r
         self.a_total += shift.delta.a
         self.d_total += shift.delta.d
         edges = shift.edges
@@ -353,11 +374,12 @@ class PartialColoring:
         """Recompute everything from the assignment alone; report mismatches.
 
         One walk over the colors rebuilds used, the blank count and d (deg(u) +
-        deg(v) per blank edge), one over the vertices each vertex's common and
-        used masks, and a from them; the caches are read only to be compared
-        against."""
-        g, common, bit = self.g, self.lists.common, self.bit
-        zeros = itertools.repeat(0)  # the bit of a color outside a palette
+        deg(v) per blank edge).  The palettes, ranks and common masks are
+        rebuilt from the common sets, one walk over the vertices rebuilds each
+        used mask over the rebuilt ranks, and a comes from the rebuilt masks;
+        the caches are read only to be compared against."""
+        g = self.g
+        palette, rank, common_mask = _palettes(self.lists.common)
         findings = check_edge_colors(g, self.lists, self.color)
         inc = g.incidence
         used = [dict() for _ in range(g.n)]
@@ -370,14 +392,25 @@ class PartialColoring:
                 used[u].setdefault(c, e)
                 used[v].setdefault(c, e)
         a = 0
+        last = ok = None  # the ids of the palette objects last compared
         for x in range(g.n):
             if used[x] != self.used_edge[x]:
                 findings.append(Finding("CacheMismatch", f"used set at vertex {x}"))
-            cm = sum(map(bit[x].__getitem__, common[x]))
-            um = sum(map(bit[x].get, used[x], zeros))
-            if (cm, um) != (self.common_mask[x], self.used_mask[x]):
+            ranks = rank[x]
+            here = id(self.palette[x]), id(self.rank[x]), id(ranks)
+            if here != last:  # vertices in a row often share all three
+                last = here
+                ok = (self.palette[x], self.rank[x]) == (palette[x], ranks)
+            if not ok:
+                findings.append(Finding("CacheMismatch", f"palette at vertex {x}"))
+            um = 0
+            for c in used[x]:
+                r = ranks.get(c)
+                if r is not None:
+                    um |= 1 << r
+            if common_mask[x] != self.common_mask[x] or um != self.used_mask[x]:
                 findings.append(Finding("CacheMismatch", f"color masks at vertex {x}"))
-            a += (cm & ~um).bit_count()
+            a += (common_mask[x] & ~um).bit_count()
         if blanks != self.blanks:
             findings.append(Finding("CacheMismatch", "blank edge count"))
         if (a, d) != (self.a_total, self.d_total):

@@ -197,10 +197,11 @@ def generate_random(
     """Deterministic random multigraph respecting degree and multiplicity caps.
 
     Vertices split into even/odd sides when ``bipartite``.  ``edges`` is a
-    target count (default n * max_degree // 3), lowered to n * max_degree
-    // 2, the most the degree cap allows; a target still above MAX_EDGES is
-    refused before sampling.  Sampling gives up after 50 * target + 100
-    draws, and stops as soon as the caps leave no vertex pair room for
+    target count (default n * max_degree // 3).  It is refused before
+    sampling if more than MAX_EDGES edges could be drawn for it: the least
+    of the target, n * max_degree // 2 (the degree cap) and max_multiplicity
+    times the number of vertex pairs.  Sampling gives up after 50 * target
+    + 100 draws, and stops as soon as the caps leave no vertex pair room for
     another edge, so the result may be smaller but never violates a cap.
     """
     if min(n, max_degree, max_multiplicity, edges or 0) < 0:
@@ -210,10 +211,11 @@ def generate_random(
         raise InfeasibleParamsError("need at least two vertices to place edges")
     if edges is not None and edges > 0 and (max_degree < 1 or max_multiplicity < 1):
         raise InfeasibleParamsError("caps of zero cannot accommodate edges")
-    target = min(edges if edges is not None else n * max_degree // 3,
-                 n * max_degree // 2)
-    if target > MAX_EDGES:
-        raise InfeasibleParamsError(f"edge target {target} above the cap {MAX_EDGES}")
+    target = edges if edges is not None else n * max_degree // 3
+    pairs = (n + 1) // 2 * (n // 2) if bipartite else n * (n - 1) // 2
+    reachable = min(target, n * max_degree // 2, pairs * max_multiplicity)
+    if reachable > MAX_EDGES:
+        raise InfeasibleParamsError(f"edge target {reachable} above the cap {MAX_EDGES}")
     rng = random.Random(seed)
     deg = [0] * n
     mult: dict[tuple[int, int], int] = {}

@@ -44,7 +44,7 @@ def recompute_available(g, L, colors):
 def available(phi, x):
     """The colors available at x in phi, decoded from its masks to a set."""
     mask = phi.common_mask[x] & ~phi.used_mask[x]
-    return {c for c in phi.palette[x] if phi.bit[x][c] & mask}
+    return {c for c in phi.palette[x] if mask >> phi.rank[x][c] & 1}
 
 
 def recompute_potential(g, L, colors):

@@ -274,8 +274,8 @@ def test_vertex_count_past_the_cap_exits_two(tmp_path, command):
 
 @pytest.mark.parametrize("edges", [None, str(10**12)])
 def test_gen_edge_target_past_the_cap_exits_two(edges):
-    # the default target n * delta // 3 and a larger --edges both stay above
-    # the cap after lowering to n * delta // 2; refused before sampling
+    # the default target n * delta // 3 and a larger --edges, lowered to
+    # n * delta // 2, both stay above the cap; refused before sampling
     n = delta = lio.MAX_VERTICES
     argv = ["gen", "-n", str(n), "--max-degree", str(delta),
             "--max-multiplicity", str(delta)]
@@ -285,6 +285,15 @@ def test_gen_edge_target_past_the_cap_exits_two(edges):
     assert proc.returncode == 2, proc.stderr
     assert f"edge target {target} above the cap {lio.MAX_EDGES}" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_gen_target_past_the_cap_that_the_pairs_hold_back_draws():
+    # the default target 10 * 10**6 // 3 is above the cap, but ten vertices
+    # of multiplicity one hold only 45 edges, so gen draws them
+    proc = run_capped(["gen", "-n", "10", "--max-degree", "1000000"])
+    assert proc.returncode == 0, proc.stderr
+    g, _ = lio.parse_instance(proc.stdout)
+    assert g.m == 45
 
 
 def test_huge_colors_color_in_bounded_memory(tmp_path):

@@ -126,11 +126,15 @@ def check_against_sets(phi):
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(instance=instances(), seed=st.integers(0, 2**32), steps=st.integers(1, 25))
 def test_masks_answer_as_sets_do(layout, instance, seed, steps):
+    with pytest.MonkeyPatch.context() as mp:  # verify rebuilds the layout too
+        mp.setattr(coloring, "WIDE", LAYOUTS[layout])
+        masks_answer_as_sets_do(instance, seed, steps)
+
+
+def masks_answer_as_sets_do(instance, seed, steps):
     g, L = instance
     rng = random.Random(seed)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(coloring, "WIDE", LAYOUTS[layout])
-        phi = lc.PartialColoring(g, L)
+    phi = lc.PartialColoring(g, L)
     assert set().union(*phi.palette) <= {1, 2, 3, 4, 5, 6, BIG}  # no 100 + e
     check_against_sets(phi)
     for _ in range(steps):
@@ -165,7 +169,7 @@ def test_layouts_color_alike(monkeypatch):
     runs = []
     for seed in range(6):
         rng = random.Random(seed)
-        g = lc.generate_random(400, 6, 2, seed=seed)
+        g = lc.generate_random(1200, 6, 2, seed=seed)
         targets = [frozenset(rng.sample(range(1, 10**6), lc.local_bound(g, x, "vizing")))
                    for x in range(g.n)]
         wide = lc.ListAssignment(g, [targets[u] | targets[v] for u, v in g.endpoints])

@@ -180,7 +180,7 @@ def test_verify_reports_cache_mismatch(triangle):
     g, L = triangle
     phi = lc.PartialColoring(g, L)
     phi.assign(0, 1)
-    phi.used_mask[2] |= phi.bit[2][3]  # corrupt one cached used mask: 3 looks taken
+    phi.used_mask[2] |= 1 << phi.rank[2][3]  # corrupt one cached used mask: 3 looks taken
     findings = phi.verify()
     assert any(f.kind == "CacheMismatch" for f in findings)
 
@@ -188,8 +188,10 @@ def test_verify_reports_cache_mismatch(triangle):
 # cache -> (corrupt it alone, the one detail verify must report)
 CORRUPTIONS = {
     "used_edge": (lambda phi: phi.used_edge[2].update({3: 1}), "used set at vertex 2"),
-    "available": (lambda phi: phi.used_mask.__setitem__(2, phi.used_mask[2] | phi.bit[2][3]),
+    "available": (lambda phi: phi.used_mask.__setitem__(2, phi.used_mask[2] | 1 << phi.rank[2][3]),
                   "color masks at vertex 2"),
+    "rank": (lambda phi: phi.rank.__setitem__(2, {**phi.rank[2], 3: phi.rank[2][1]}),
+             "palette at vertex 2"),
     "blanks": (lambda phi: setattr(phi, "blanks", phi.blanks + 1), "blank edge count"),
     "a_total": (lambda phi: setattr(phi, "a_total", phi.a_total + 1),
                 "potential totals cached (8, 8) recomputed (7, 8)"),
