@@ -9,6 +9,11 @@ from scratch by ``verify``.  The number of blank edges is kept too: a
 chain shift never changes it, so only ``assign`` and ``unassign`` move
 it.  Which blank edge to repair next is the engine's choice alone.
 
+One method, ``_commit``, writes the used maps, the used masks, the totals
+and the stamp.  ``assign``, ``unassign`` and ``apply_chain_shift`` check
+their change first, then pass ``_commit`` its changed (vertex, color)
+entries and its exact deltas of the totals.
+
 Color sets are int bitmasks over the ranks of a sorted palette:
 ``rank[x][c]`` is c's rank in vertex x's palette ``palette[x]``, and c's
 bit there is ``1 << rank``.  ``common_mask[x]`` holds the bits of x's
@@ -219,18 +224,9 @@ class PartialColoring:
         if c in self.used_edge[u] or c in self.used_edge[v]:
             raise ImproperAssignmentError(f"color {c} already used at an end of edge {e}")
         self.color[e] = c
-        rank, used_mask, common_mask = self.rank, self.used_mask, self.common_mask
-        for w in (u, v):
-            self.used_edge[w][c] = e
-            r = rank[w].get(c)
-            if r is not None:
-                b = 1 << r
-                used_mask[w] |= b
-                if common_mask[w] & b:  # c was available at w: it was not used
-                    self.a_total -= 1
-        self.blanks -= 1
-        self.d_total -= self.weight[e]
-        self.stamp = next(_STAMPS)
+        common = self.lists.common  # c was unused at both ends: available iff common
+        self._commit({(u, c): e, (v, c): e}, -(c in common[u]) - (c in common[v]),
+                     -self.weight[e], -1)
 
     def unassign(self, e: int) -> None:
         c = self.color[e]
@@ -238,18 +234,9 @@ class PartialColoring:
             raise EdgeBlankError(f"edge {e} already blank")
         self.color[e] = None
         u, v = self.g.endpoints[e]
-        rank, used_mask, common_mask = self.rank, self.used_mask, self.common_mask
-        for w in (u, v):
-            del self.used_edge[w][c]
-            r = rank[w].get(c)
-            if r is not None:
-                b = 1 << r
-                used_mask[w] &= ~b
-                if common_mask[w] & b:
-                    self.a_total += 1
-        self.blanks += 1
-        self.d_total += self.weight[e]
-        self.stamp = next(_STAMPS)
+        common = self.lists.common
+        self._commit({(u, c): None, (v, c): None}, (c in common[u]) + (c in common[v]),
+                     self.weight[e], 1)
 
     def is_happy(self, e: int) -> Optional[int]:
         """Smallest color legally extendable onto blank edge e, or None."""
@@ -327,20 +314,30 @@ class PartialColoring:
     def apply_chain_shift(self, shift: Shift) -> None:
         """Commit a checked shift: each chain edge takes the next one's color.
 
-        Writes ``shift.changes`` in place without checking it again.  A
-        vertex keeps a color while some chain edge at it still carries it,
-        so availability moves only where a color appears or leaves (a
-        path's two ends, a fan's leaves) and the totals move by
-        ``shift.delta``.  The blank count stays: the blank start edge takes
-        a color and the end edge goes blank.  Renews the stamp.  Raises
+        Commits ``shift.changes`` and ``shift.delta`` without checking them
+        again.  A vertex keeps a color while some chain edge at it still
+        carries it, so availability moves only where a color appears or
+        leaves (a path's two ends, a fan's leaves).  The blank count stays:
+        the blank start edge takes a color and the end edge goes blank.  Raises
         PreconditionViolatedError, with the state unchanged, if the shift
         was checked at another stamp: on another coloring, or on this one
         before its last color change.
         """
         if shift.stamp != self.stamp:
             raise PreconditionViolatedError("stale shift: the coloring changed since")
-        color, used, used_mask, rank = self.color, self.used_edge, self.used_mask, self.rank
-        for (w, c), e in shift.changes.items():
+        color, edges = self.color, shift.edges
+        for e, now in zip(edges, shift.old[1:]):
+            color[e] = now
+        color[edges[-1]] = None
+        self._commit(shift.changes, *shift.delta, 0)
+
+    def _commit(self, changes: dict, da: int, dd: int, dblanks: int) -> None:
+        """Write one color change, its (vertex, color) -> edge entries (None
+        where the color leaves the vertex) and its exact deltas of a, d and
+        the blank count; a mask bit flips only where a color comes or leaves.
+        After ``__init__``, nothing else writes these caches or the stamp."""
+        used, used_mask, rank = self.used_edge, self.used_mask, self.rank
+        for (w, c), e in changes.items():
             at = used[w]
             if e is None:
                 del at[c]
@@ -352,12 +349,9 @@ class PartialColoring:
             r = rank[w].get(c)
             if r is not None:  # c left w or came to it
                 used_mask[w] ^= 1 << r
-        self.a_total += shift.delta.a
-        self.d_total += shift.delta.d
-        edges = shift.edges
-        for e, now in zip(edges, shift.old[1:]):
-            color[e] = now
-        color[edges[-1]] = None
+        self.a_total += da
+        self.d_total += dd
+        self.blanks += dblanks
         self.stamp = next(_STAMPS)
 
     def undo_chain_shift(self, edges, old: tuple) -> None:
@@ -373,24 +367,17 @@ class PartialColoring:
     def verify(self) -> list[Finding]:
         """Recompute everything from the assignment alone; report mismatches.
 
-        One walk over the colors rebuilds used, the blank count and d (deg(u) +
-        deg(v) per blank edge).  The palettes, ranks and common masks are
-        rebuilt from the common sets, one walk over the vertices rebuilds each
-        used mask over the rebuilt ranks, and a comes from the rebuilt masks;
-        the caches are read only to be compared against."""
+        The walk of ``check_edge_colors`` also rebuilds used and lists the
+        blank edges, which give the blank count and d (deg(u) + deg(v) per
+        blank edge).  The palettes, ranks and common masks are rebuilt from
+        the common sets, one walk over the vertices rebuilds each used mask
+        over the rebuilt ranks, and a comes from the rebuilt masks; the
+        caches are read only to be compared against."""
         g = self.g
         palette, rank, common_mask = _palettes(self.lists.common)
-        findings = check_edge_colors(g, self.lists, self.color)
-        inc = g.incidence
-        used = [dict() for _ in range(g.n)]
-        blanks = d = 0
-        for e, (c, (u, v)) in enumerate(zip(self.color, g.endpoints)):
-            if c is None:
-                blanks += 1
-                d += len(inc[u]) + len(inc[v])
-            else:  # the first edge keeps c, as in check_edge_colors
-                used[u].setdefault(c, e)
-                used[v].setdefault(c, e)
+        findings, used, blank = _walk_colors(g, self.lists, self.color)
+        inc, ends = g.incidence, g.endpoints
+        d = sum(len(inc[u]) + len(inc[v]) for u, v in map(ends.__getitem__, blank))
         a = 0
         last = ok = None  # the ids of the palette objects last compared
         for x in range(g.n):
@@ -411,7 +398,7 @@ class PartialColoring:
             if common_mask[x] != self.common_mask[x] or um != self.used_mask[x]:
                 findings.append(Finding("CacheMismatch", f"color masks at vertex {x}"))
             a += (common_mask[x] & ~um).bit_count()
-        if blanks != self.blanks:
+        if len(blank) != self.blanks:
             findings.append(Finding("CacheMismatch", "blank edge count"))
         if (a, d) != (self.a_total, self.d_total):
             findings.append(
@@ -431,10 +418,17 @@ def check_edge_colors(g: Multigraph, lists, colors) -> list[Finding]:
     verifier, the oracle tests and ``PartialColoring.verify``, so it shares
     no code with the engine's incremental bookkeeping.
     """
-    findings = []
+    return _walk_colors(g, lists, colors)[0]
+
+
+def _walk_colors(g: Multigraph, lists, colors) -> tuple[list, list, list]:
+    """``check_edge_colors``'s findings, each vertex's used map (the first
+    edge with a color keeps it) and the blank edges, in one walk."""
+    findings, blank = [], []
     used: list[dict[int, int]] = [dict() for _ in range(g.n)]
     for e, c in enumerate(colors):
         if c is None:
+            blank.append(e)
             continue
         if lists is not None and c not in lists.lists[e]:
             findings.append(
@@ -450,4 +444,4 @@ def check_edge_colors(g: Multigraph, lists, colors) -> list[Finding]:
                 )
             else:
                 used[w][c] = e
-    return findings
+    return findings, used, blank

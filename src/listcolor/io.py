@@ -200,9 +200,10 @@ def generate_random(
     target count (default n * max_degree // 3).  It is refused before
     sampling if more than MAX_EDGES edges could be drawn for it: the least
     of the target, n * max_degree // 2 (the degree cap) and max_multiplicity
-    times the number of vertex pairs.  Sampling gives up after 50 * target
-    + 100 draws, and stops as soon as the caps leave no vertex pair room for
-    another edge, so the result may be smaller but never violates a cap.
+    times the number of vertex pairs.  Sampling gives up after 50 times that
+    least count + 100 draws, and stops as soon as the caps leave no vertex
+    pair room for another edge, so the result may be smaller but never
+    violates a cap.
     """
     if min(n, max_degree, max_multiplicity, edges or 0) < 0:
         raise InfeasibleParamsError("counts and caps must be nonnegative")
@@ -231,7 +232,7 @@ def generate_random(
         )
 
     attempts = misses = 0
-    cap = 50 * max(target, 1) + 100
+    cap = 50 * max(reachable, 1) + 100
     while len(chosen) < target and attempts < cap:
         attempts += 1
         u = rng.randrange(n)

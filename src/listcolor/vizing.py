@@ -43,7 +43,7 @@ def vizing_fan(phi: PartialColoring, e: int, x: int) -> tuple[Chain, int, int]:
     if x not in g.endpoints[e]:
         raise PreconditionViolatedError(f"pivot {x} is not an endpoint of edge {e}")
     y = g.other_end(e, x)
-    used, available, palette = phi.used_edge[x], phi.available_mask, phi.palette
+    used, available, smallest = phi.used_edge[x], phi.available_mask, phi.smallest
     working = {}  # leaf -> the bits its polls have not taken yet
     index = {e: 0}
     edges = [e]
@@ -57,9 +57,8 @@ def vizing_fan(phi: PartialColoring, e: int, x: int) -> tuple[Chain, int, int]:
             w = available(z)
         if not w:
             raise BetaEmptyError(f"working set of leaf {z} ran out")
-        low = w & -w
-        eta = palette[z][low.bit_length() - 1]
-        working[z] = w ^ low  # the lowest bit taken
+        eta = smallest(z, w)
+        working[z] = w & (w - 1)  # the lowest bit taken
         ek = used.get(eta)
         if ek is None:
             return Chain(tuple(edges), tuple(vertices)), eta, k + 1

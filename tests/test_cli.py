@@ -296,6 +296,15 @@ def test_gen_target_past_the_cap_that_the_pairs_hold_back_draws():
     assert g.m == 45
 
 
+def test_gen_target_far_past_what_the_degree_cap_holds_ends():
+    # a matching on 20000 vertices holds 10000 edges: the draw budget
+    # follows that count, not the 10**9 asked for, so gen ends well
+    # inside the child's timeout
+    proc = run_capped(["gen", "-n", "20000", "--max-degree", "1",
+                       "--edges", "1000000000", "-o", os.devnull])
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_huge_colors_color_in_bounded_memory(tmp_path):
     # masks are over the ranks of the palette, not over raw colors, so the
     # color 10**9 costs one bit

@@ -402,6 +402,27 @@ def test_shift_is_stale_after_a_change_off_the_chain():
     assert phi.verify() == []
 
 
+@pytest.mark.parametrize("mutate", [
+    lambda phi: phi.assign(2, 3),
+    lambda phi: phi.unassign(3),
+    lambda phi: phi.apply_chain_shift(phi.check_shift((2, 3))),
+], ids=["assign", "unassign", "shift"])
+def test_one_change_off_the_chain_makes_a_shift_stale(mutate):
+    # each mutator renews the stamp: after a single change elsewhere, the
+    # chain (0, 1) is still shiftable, but the shift checked before is refused
+    g, L, phi = setup_partial(5, [
+        (0, 1, None, FULL6), (1, 2, 1, FULL6), (0, 3, None, FULL6), (3, 4, 2, FULL6),
+    ])
+    stale = phi.check_shift((0, 1))
+    mutate(phi)
+    before = coloring_state(phi)
+    with pytest.raises(PreconditionViolatedError):
+        phi.apply_chain_shift(stale)
+    assert coloring_state(phi) == before
+    assert phi.verify() == []
+    assert phi.check_shift((0, 1)).changes == stale.changes
+
+
 def test_check_shift_refuses_empty_and_repeating_chains():
     # on the path 0-1-2 the chain (0, 1, 0) once passed the check and its
     # commit blanked both edges while vertex 0 kept color 1 in its cache;

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 
 import pytest
@@ -199,6 +201,24 @@ def test_generate_random_stops_when_no_pair_has_room(
     g = lc.generate_random(n, max_degree, mu, bipartite=bipartite, seed=1, edges=edges)
     assert g.m == full
     assert 0 < len(draws) <= 1000
+
+
+def test_generate_random_draws_the_pinned_graphs_within_reach():
+    # a call whose edge target the caps can hold draws the graphs of this
+    # digest, taken when the draw budget was 50 * target + 100 draws
+    digest, calls = hashlib.sha256(), 0
+    for n, delta, mu, bipartite, edges, seed in itertools.product(
+        (2, 5, 12, 40), (1, 3, 8), (1, 2), (False, True), (None, 0, 7, 30), (0, 1)
+    ):
+        target = n * delta // 3 if edges is None else edges
+        pairs = (n + 1) // 2 * (n // 2) if bipartite else n * (n - 1) // 2
+        if target <= min(n * delta // 2, pairs * mu):
+            g = lc.generate_random(n, delta, mu, bipartite=bipartite, seed=seed, edges=edges)
+            digest.update(repr(g.endpoints).encode())
+            calls += 1
+    assert (calls, digest.hexdigest()) == (
+        250, "2fd31dd754fcffb3266f1272cba9e6d959de2c457bd95641429ec30a154e43cb"
+    )
 
 
 def test_generate_random_infeasible():
