@@ -13,7 +13,6 @@ from .chain import Chain, alternating_path, max_shiftable_prefix, resolve_path
 from .coloring import (
     Finding,
     PartialColoring,
-    Potential,
     check_edge_colors,
 )
 from .engine import RunStats, TraceRecord, augment_once, color_graph, step_budget
@@ -37,7 +36,6 @@ __all__ = [
     "Multigraph",
     "ListAssignment",
     "PartialColoring",
-    "Potential",
     "Finding",
     "RunStats",
     "TraceRecord",

@@ -20,12 +20,18 @@ lists, and then either colors the path's last edge (a happy outcome,
 one more edge colored) or commits the prefix shift (a content outcome,
 strictly smaller potential).  One of the two must apply; anything else
 raises an internal assertion.
+
+A classifier's verdict on one step is the plain tuple
+``(branch, shift, path, happy)``, which the engine carries out: it
+commits ``shift``, a checked fan shift or None; then, if ``happy``, it
+colors the shifted fan's end edge (the blank edge itself when there is
+no shift), or it resolves ``path``, a ``Chain`` walked in the shifted
+coloring, or None.  A shift alone is a content step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
 
 from .coloring import PartialColoring, Shift
 from .errors import (
@@ -55,24 +61,6 @@ class Chain:
         if not 1 <= j <= len(self.edges):
             raise ValueError(f"prefix length {j} out of range")
         return Chain(self.edges[:j], self.vertices[: j + 1])
-
-
-# -- dispatch outcomes shared by the fan modules and the engine ---------------
-
-
-class Step(NamedTuple):
-    """A classifier's verdict on one step, which the engine carries out.
-
-    The engine commits ``shift``, a checked fan shift, if there is one;
-    then, if ``happy``, it colors the shifted fan's end edge (the blank
-    edge itself when there is no shift), or it resolves ``path``, which
-    was walked in the shifted coloring.  A shift alone is a content step.
-    """
-
-    branch: str
-    shift: Optional[Shift] = None
-    path: Optional[Chain] = None
-    happy: bool = False
 
 
 # -- operations ----------------------------------------------------------------
@@ -178,8 +166,9 @@ def max_shiftable_prefix(phi: PartialColoring, path: Chain) -> int:
 def resolve_path(phi: PartialColoring, path: Chain) -> Chain:
     """Apply the happy-or-content dichotomy to an alternating path, in place.
 
-    Requires the path's start and end vertices distinct and its start edge
-    blank (else NotShiftableError, before any change); the callers
+    Requires one more vertex than edges and the path's start and end
+    vertices distinct (else PreconditionViolatedError), and its start edge
+    blank (else NotShiftableError), all before any change; the callers
     establish the availability conditions when they build the path.
     Either the full path shifts and its end edge gets a color, or a proper
     prefix shifts and the potential strictly drops.  Returns the chain it
@@ -187,6 +176,10 @@ def resolve_path(phi: PartialColoring, path: Chain) -> Chain:
     whose end edge is then the one left blank.
     """
     edges, vertices = path.edges, path.vertices
+    if len(vertices) != len(edges) + 1:
+        raise PreconditionViolatedError(
+            f"path has {len(edges)} edges but {len(vertices)} vertices"
+        )
     if vertices[0] == vertices[-1]:
         raise PreconditionViolatedError("path start and end vertices coincide")
     k = len(edges)

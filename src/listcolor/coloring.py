@@ -98,17 +98,6 @@ def _palettes(common) -> tuple[list, list, list]:
     return [palette] * n, [rank] * n, list(map(masks.__getitem__, common))
 
 
-class Potential(NamedTuple):
-    """(sum of availability sizes, degree-weighted uncolored incidences).
-
-    Tuples compare lexicographically, which is exactly the order the
-    termination argument uses.
-    """
-
-    a: int
-    d: int
-
-
 class Shift(NamedTuple):
     """A chain shift checked by ``PartialColoring.check_shift``.
 
@@ -117,15 +106,15 @@ class Shift(NamedTuple):
     edge i gets ``old[i + 1]`` and the last edge goes blank.  ``changes``
     holds the (vertex, color) -> edge entries of the shifted coloring that
     differ from the current one (None where the color leaves the vertex),
-    ``delta`` the exact potential change, and ``stamp`` the coloring's
-    stamp at the check: a shift is valid only until that coloring next
-    changes, and never on any other coloring.
+    ``delta`` the exact potential change (da, dd), and ``stamp`` the
+    coloring's stamp at the check: a shift is valid only until that
+    coloring next changes, and never on any other coloring.
     """
 
     edges: tuple
     old: tuple
     changes: dict
-    delta: Potential
+    delta: tuple[int, int]
     stamp: int
 
 
@@ -170,8 +159,11 @@ class PartialColoring:
         self.d_total = sum(self.weight)
         self.stamp = next(_STAMPS)
 
-    def potential(self) -> Potential:
-        return Potential(self.a_total, self.d_total)
+    def potential(self) -> tuple[int, int]:
+        """(a, d): the sum of availability sizes and the degree-weighted
+        count of uncolored incidences.  Tuples compare lexicographically,
+        which is exactly the order the termination argument uses."""
+        return self.a_total, self.d_total
 
     def available_mask(self, x: int) -> int:
         """The bits of the colors available at vertex x."""
@@ -309,7 +301,7 @@ class PartialColoring:
             raise NotShiftableError(0, START_NOT_BLANK)
         changes, da = self.shift_violation(edges)
         dd = self.weight[edges[-1]] - self.weight[edges[0]]
-        return Shift(tuple(edges), old, changes, Potential(da, dd), self.stamp)
+        return Shift(tuple(edges), old, changes, (da, dd), self.stamp)
 
     def apply_chain_shift(self, shift: Shift) -> None:
         """Commit a checked shift: each chain edge takes the next one's color.

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Optional
 from . import shannon, vizing
 from .bipartite import koenig_path
 from .chain import resolve_path
-from .coloring import PartialColoring, Potential
+from .coloring import PartialColoring
 from .errors import (
     InternalAssertionError,
     LemmaViolationError,
@@ -53,8 +53,8 @@ class TraceRecord(NamedTuple):
     kind: str  # happy-edge | fan-shift | path-shift-happy | path-shift-content
     branch: str
     chain: tuple[int, ...]
-    phi_before: Potential
-    phi_after: Potential
+    phi_before: tuple[int, int]  # the potential (a, d)
+    phi_after: tuple[int, int]
 
 
 TraceSink = Optional[Callable[[TraceRecord], None]]
@@ -69,19 +69,20 @@ def augment_once(
 ) -> Optional[int]:
     """One repair step on blank edge e of any partial coloring.
 
-    The only reader of a classifier's ``Step``: commit its checked fan
-    shift, if any; then color the shifted fan's end edge (the blank edge
-    itself without a shift) if the step is happy, or else resolve its path,
-    koenig's only part.  A fan shift alone is a content step.  Returns None
-    after a happy step, else the edge left blank: the end edge of the last
-    committed chain.  Postcondition, asserted here for the whole step:
-    either one more edge is colored, or the blank count is unchanged and
-    that end edge is blank.  Either way the potential strictly drops.
+    The only reader of a classifier's verdict ``(branch, shift, path,
+    happy)``: commit its checked fan shift, if any; then color the shifted
+    fan's end edge (the blank edge itself without a shift) if the step is
+    happy, or else resolve its path, koenig's only part.  A fan shift
+    alone is a content step.  Returns None after a happy step, else the
+    edge left blank: the end edge of the last committed chain.
+    Postcondition, asserted here for the whole step: either one more edge
+    is colored, or the blank count is unchanged and that end edge is
+    blank.  Either way the potential strictly drops.
     """
     if mode not in BOUND_MODES:
         raise ValueError(f"augment mode must name a guarantee, got {mode!r}")
     step = stats.steps
-    before = (phi.a_total, phi.d_total)  # a Potential only for a message or a record
+    before = phi.potential()
     blanks = phi.blanks
 
     if mode == "koenig":
@@ -104,7 +105,7 @@ def augment_once(
     if trace is not None and (shift is not None or happy):
         kind = "happy-edge" if shift is None else "fan-shift"
         label = f"{mode}-{branch}" if path is None else f"{mode}-{branch}-setup"
-        trace(TraceRecord(step, kind, label, fan, Potential(*before), phi.potential()))
+        trace(TraceRecord(step, kind, label, fan, before, phi.potential()))
     if path is not None:
         mid = None if trace is None else phi.potential()
         chain = resolve_path(phi, path).edges  # the whole path if happy, else a prefix
@@ -117,11 +118,9 @@ def augment_once(
 
     # a path, when there is one, is never shorter than the uncommitted (e,)
     stats.max_chain_length = max(stats.max_chain_length, len(fan), len(chain))
-    after = (phi.a_total, phi.d_total)
+    after = phi.potential()
     if not after < before:
-        raise LemmaViolationError(
-            f"potential did not drop: {Potential(*before)} -> {Potential(*after)}"
-        )
+        raise LemmaViolationError(f"potential did not drop: {before} -> {after}")
     if phi.blanks != blanks - happy:
         raise LemmaViolationError(f"blank count went from {blanks} to {phi.blanks}")
     if happy:

@@ -180,10 +180,8 @@ def write_coloring(colors) -> str:
 def format_trace_record(rec) -> str:
     """One trace line for an ``engine.TraceRecord``, in the format above."""
     chain = ",".join(str(e) for e in rec.chain)
-    return (
-        f"{rec.step} {rec.kind} {rec.branch} {chain} "
-        f"{rec.phi_before.a}:{rec.phi_before.d} {rec.phi_after.a}:{rec.phi_after.d}"
-    )
+    (a0, d0), (a1, d1) = rec.phi_before, rec.phi_after
+    return f"{rec.step} {rec.kind} {rec.branch} {chain} {a0}:{d0} {a1}:{d1}"
 
 
 def generate_random(
@@ -201,9 +199,11 @@ def generate_random(
     sampling if more than MAX_EDGES edges could be drawn for it: the least
     of the target, n * max_degree // 2 (the degree cap) and max_multiplicity
     times the number of vertex pairs.  Sampling gives up after 50 times that
-    least count + 100 draws, and stops as soon as the caps leave no vertex
-    pair room for another edge, so the result may be smaller but never
-    violates a cap.
+    least count + 100 draws, so the result may be smaller but never
+    violates a cap.  After n * n misses in a row it also stops if the caps
+    leave no vertex pair room for another edge; that scan cannot fire
+    before the draw budget runs out once n * n > 50 * that count + 100,
+    which holds for every n >= 25 * max_degree + 4.
     """
     if min(n, max_degree, max_multiplicity, edges or 0) < 0:
         raise InfeasibleParamsError("counts and caps must be nonnegative")

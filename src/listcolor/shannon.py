@@ -26,15 +26,15 @@ leaves' shared availability (``smallest_shared``); none copies a set.
 
 from __future__ import annotations
 
-from .chain import Chain, Step, alternating_path
-from .coloring import PartialColoring
+from .chain import Chain, alternating_path
+from .coloring import PartialColoring, Shift
 from .errors import (
     AvailabilityEmptyError,
     EdgeNotBlankError,
     LemmaViolationError,
 )
 
-HAPPY_EDGE = Step("happy-edge", happy=True)  # the engine colors the blank edge
+HAPPY_EDGE = ("happy-edge", None, None, True)  # the engine colors the blank edge
 
 
 def _orient(phi: PartialColoring, e: int) -> tuple[int, int]:
@@ -66,8 +66,13 @@ def shannon_fan(phi: PartialColoring, e: int) -> Chain:
     return Chain((e, f), (x, y, z))
 
 
-def classify_shannon(phi: PartialColoring, e: int) -> Step:
+def classify_shannon(
+    phi: PartialColoring, e: int
+) -> tuple[str, Shift | None, Chain | None, bool]:
     """Dispatch the fan into one of the outcome kinds described above.
+
+    Returns the verdict ``(branch, shift, path, happy)`` that
+    ``engine.augment_once`` carries out (see ``chain``).
 
     Does not mutate.  A returned fan shift is checked once, with
     ``PartialColoring.check_shift``, and the engine commits it without
@@ -82,12 +87,12 @@ def classify_shannon(phi: PartialColoring, e: int) -> Step:
     z = fan.vertices[2]
     eta = phi.color[f]
     if phi.smallest_unused(z, x) is not None:
-        return Step("case1-happy-fan", phi.check_shift(fan.edges), happy=True)
+        return "case1-happy-fan", phi.check_shift(fan.edges), None, True
     if eta not in phi.lists.common[z]:
-        return Step("case2-content-fan", phi.check_shift(fan.edges))
+        return "case2-content-fan", phi.check_shift(fan.edges), None, False
     inc = phi.g.incidence
     if len(inc[z]) < len(inc[y]):
-        return Step("case3-content-fan", phi.check_shift(fan.edges))
+        return "case3-content-fan", phi.check_shift(fan.edges), None, False
     # Final case: both availabilities inside used(x), so they intersect.
     beta = phi.smallest_shared(y, z)
     if beta is None:
@@ -97,11 +102,12 @@ def classify_shannon(phi: PartialColoring, e: int) -> Step:
         raise LemmaViolationError("no available color at the pivot")
     p1 = alternating_path(phi, e, alpha, beta)
     if p1.vertices[0] != p1.vertices[-1]:
-        return Step("final-path-phi", path=p1)
+        return "final-path-phi", None, p1, False
     shift = phi.check_shift(fan.edges)
-    if shift.delta.a != 0:
+    da, _ = shift.delta
+    if da != 0:
         raise LemmaViolationError("fan shift changed the availability total")
     p2 = alternating_path(phi, f, alpha, beta, shifted=shift)
     if p2.vertices[0] == p2.vertices[-1]:
         raise LemmaViolationError("both fallback path candidates are circular")
-    return Step("final-path-psi", shift, p2)
+    return "final-path-psi", shift, p2, False

@@ -18,14 +18,14 @@ provably unchanged by both shifts and an alternating path from the
 shifted fan's end edge (full first, prefix as fallback) must satisfy the
 path-resolution conditions.  That path is walked in the shifted coloring
 through the checked shift's overlay of changed entries; classification
-never mutates the coloring.  Every returned step carries its checked
+never mutates the coloring.  Every returned verdict carries its checked
 shift, which the engine commits without checking it again.
 """
 
 from __future__ import annotations
 
-from .chain import Chain, Step, alternating_path
-from .coloring import PartialColoring
+from .chain import Chain, alternating_path
+from .coloring import PartialColoring, Shift
 from .errors import (
     BetaEmptyError,
     EdgeNotBlankError,
@@ -71,34 +71,40 @@ def vizing_fan(phi: PartialColoring, e: int, x: int) -> tuple[Chain, int, int]:
     raise LemmaViolationError("fan construction exhausted the pivot's degree")
 
 
-def classify_vizing(phi: PartialColoring, e: int, x: int) -> Step:
+def classify_vizing(
+    phi: PartialColoring, e: int, x: int
+) -> tuple[str, Shift | None, Chain | None, bool]:
     """Happy fan, content fan (full or prefix), or a path under the shift.
 
+    Returns the verdict ``(branch, shift, path, happy)`` that
+    ``engine.augment_once`` carries out (see ``chain``).
+
     Each candidate shift is checked once, with its exact potential change,
-    and the returned step carries the checked shift to the engine's
+    and the returned verdict carries the checked shift to the engine's
     commit.  The path fallback walks the alternating path in the coloring
     the candidate's shift would give, read through the shift's overlay, so
     the live coloring is never touched.
     """
     fan, beta, j = vizing_fan(phi, e, x)
     if j == len(fan.edges):
-        return Step("happy-fan", phi.check_shift(fan.edges), happy=True)
+        return "happy-fan", phi.check_shift(fan.edges), None, True
     shifts = []
     for cand, branch in ((fan, "content-fan-full"),
                          (fan.prefix(j), "content-fan-prefix")):
         shift = phi.check_shift(cand.edges)
         if shift.delta < (0, 0):
-            return Step(branch, shift)
+            return branch, shift, None, False
         shifts.append(shift)
     alpha = phi.smallest(x, phi.available_mask(x))
     if alpha is None:
         raise LemmaViolationError("no available color at the pivot")
     for shift, branch in zip(shifts, ("path-psi-full", "path-psi-prefix")):
-        if shift.delta.a != 0:
+        da, _ = shift.delta
+        if da != 0:
             raise LemmaViolationError("fan shift changed the availability total")
         path = alternating_path(phi, shift.edges[-1], alpha, beta, shifted=shift)
         if path.vertices[0] != path.vertices[-1]:
-            return Step(branch, shift, path)
+            return branch, shift, path, False
     raise LemmaViolationError(
         "both fan path candidates are circular (last tried path-psi-prefix)"
     )

@@ -186,7 +186,8 @@ STEP_KINDS = {
 def step_kind(out):
     """The kind of a classifier's step; KeyError for a combination no
     classifier may return."""
-    return STEP_KINDS[out.shift is not None, out.path is not None, out.happy]
+    _, shift, path, happy = out
+    return STEP_KINDS[shift is not None, path is not None, happy]
 
 
 class ShiftLog:

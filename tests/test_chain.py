@@ -338,6 +338,16 @@ def test_resolve_requires_distinct_ends():
         lc.resolve_path(phi, path)
 
 
+@pytest.mark.parametrize("path", [lc.Chain((0, 1)), lc.Chain((0,), (0, 1, 2))])
+def test_resolve_refuses_vertices_that_do_not_match_the_edges(path):
+    # a path has one more vertex than edges; refused before any change
+    g, L, phi = setup_partial(3, [(0, 1, None, AB), (1, 2, 1, AB)])
+    before = live_state(phi)
+    with pytest.raises(PreconditionViolatedError):
+        lc.resolve_path(phi, path)
+    assert live_state(phi) == before
+
+
 def test_resolve_random_postconditions(rng):
     resolved = 0
     for seed in range(80):
@@ -487,8 +497,9 @@ def test_classified_psi_paths_match_walk_in_shifted_copy():
         out = lc.classify_vizing(phi, e, x)
         assert live_state(phi) == before
         if step_kind(out) == "path-psi":
-            psi = shifted_copy(phi, lc.Chain(out.shift.edges))
+            branch, shift, path, _ = out
+            psi = shifted_copy(phi, lc.Chain(shift.edges))
             alpha, beta = min(available(phi, x)), lc.vizing_fan(phi, e, x)[1]
-            assert out.path == lc.alternating_path(psi, out.shift.edges[-1], alpha, beta)
-            branches.append(out.branch)
+            assert path == lc.alternating_path(psi, shift.edges[-1], alpha, beta)
+            branches.append(branch)
     assert len(branches) > 20 and set(branches) == {"path-psi-full", "path-psi-prefix"}

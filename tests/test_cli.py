@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -341,6 +342,36 @@ def test_trace_and_stats_flags(tmp_path, capsys):
     lines = Path(trace_path).read_text().splitlines()
     assert len(lines) == 3
     assert all(len(line.split()) == 6 for line in lines)
+
+
+# sha256 over the coloring, trace and --stats bytes of every run below, in
+# order; the traces total 878 lines over 9 branches, vizing's content and
+# path branches among them
+CLI_DIGEST = "d90b3274459a7e8203543b60379dd65bc77e3bdc40301210b731354e59cb5672"
+
+
+def pinned_color_runs():
+    for seed in (1, 2, 3):
+        g = lc.generate_random(16, 10, 3, seed=seed, edges=70)
+        b = lc.generate_random(16, 10, 3, bipartite=True, seed=seed, edges=60)
+        yield lio.write_instance(g, None), ["--mode", "shannon"]
+        yield lio.write_instance(g, None), ["--mode", "vizing"]
+        yield lio.write_instance(b, None), ["--mode", "koenig"]
+        yield (lio.write_instance(g, lc.generate_from_bounds(g, "vizing")),
+               ["--mode", "explicit", "--assume-bound", "vizing"])
+
+
+def test_color_output_bytes_are_pinned(tmp_path, capsys):
+    digest = hashlib.sha256()
+    for k, (text, flags) in enumerate(pinned_color_runs()):
+        inst = write(tmp_path, f"{k}.txt", text)
+        col, trace = tmp_path / f"{k}.col", tmp_path / f"{k}.trace"
+        code, out, err = run(capsys, "color", inst, *flags, "--trace", str(trace),
+                             "--stats", "-o", str(col))
+        assert (code, out) == (0, "")
+        for blob in (col.read_bytes(), trace.read_bytes(), err.encode()):
+            digest.update(len(blob).to_bytes(8, "big") + blob)
+    assert digest.hexdigest() == CLI_DIGEST
 
 
 def test_unwritable_trace_exits_two_before_any_output(tmp_path, capsys):

@@ -155,7 +155,7 @@ def test_coloring_parse_errors():
 def test_trace_record_format():
     rec = lc.TraceRecord(
         3, "path-shift-happy", "koenig-path", (2, 5, 7),
-        lc.Potential(12, 30), lc.Potential(11, 28),
+        (12, 30), (11, 28),
     )
     assert lio.format_trace_record(rec) == "3 path-shift-happy koenig-path 2,5,7 12:30 11:28"
 
@@ -189,7 +189,7 @@ def test_generate_random_stops_when_no_pair_has_room(
     monkeypatch, n, max_degree, mu, bipartite, edges, full
 ):
     # the target is far out of reach; the draw cap alone would allow
-    # 100 * target + 200 draws
+    # 50 * min(target, n * max_degree // 2, mu * pairs) + 100 draws
     draws = []
 
     class CountingRandom(random.Random):

@@ -4,7 +4,6 @@ import pytest
 
 import listcolor as lc
 from listcolor import engine
-from listcolor.chain import Step
 
 from conftest import (
     ShiftLog,
@@ -65,7 +64,7 @@ def test_classify_blank_is_happy_edge(triangle):
     g, L = triangle
     phi = lc.PartialColoring(g, L)
     out = lc.classify_shannon(phi, 0)
-    assert out == Step("happy-edge", happy=True)
+    assert out == ("happy-edge", None, None, True)
     assert phi.is_happy(0) == 1
 
 
@@ -76,11 +75,12 @@ def test_classify_case1_happy_fan():
     )
     lc.check_bound(g, L, "shannon")
     out = lc.classify_shannon(phi, 0)
+    branch, shift, _, _ = out
     assert step_kind(out) == "happy-fan"
-    assert out.branch == "case1-happy-fan"
+    assert branch == "case1-happy-fan"
     # applying the fan and coloring its end keeps everything consistent
-    end = out.shift.edges[-1]
-    phi.apply_chain_shift(out.shift)
+    end = shift.edges[-1]
+    phi.apply_chain_shift(shift)
     c = phi.is_happy(end)
     assert c == 3
     phi.assign(end, c)
@@ -96,10 +96,11 @@ def test_classify_case2_content():
     lc.check_bound(g, L, "shannon")
     assert 4 not in L.common[2]
     out = lc.classify_shannon(phi, 0)
+    branch, shift, _, _ = out
     assert step_kind(out) == "content-fan"
-    assert out.branch == "case2-content-fan"
+    assert branch == "case2-content-fan"
     before = recompute_potential(g, L, phi.color)
-    phi.apply_chain_shift(out.shift)
+    phi.apply_chain_shift(shift)
     after = recompute_potential(g, L, phi.color)
     assert after[0] == before[0] - 1  # availability total drops by one
     assert after < before
@@ -119,10 +120,11 @@ def test_classify_case3_content_degree_drop():
     assert 4 in L.common[2]
     assert g.degree(2) == 3 < g.degree(1) == 4
     out = lc.classify_shannon(phi, 0)
+    branch, shift, _, _ = out
     assert step_kind(out) == "content-fan"
-    assert out.branch == "case3-content-fan"
+    assert branch == "case3-content-fan"
     before = recompute_potential(g, L, phi.color)
-    phi.apply_chain_shift(out.shift)
+    phi.apply_chain_shift(shift)
     after = recompute_potential(g, L, phi.color)
     assert after[0] == before[0]  # availability unchanged
     assert after[1] == before[1] - 1  # degree-weighted blanks drop
@@ -154,13 +156,14 @@ def test_classify_final_path_under_current_coloring():
     # claim: the two availability sets intersect
     assert available(phi, 1) & available(phi, 2) == {5, 6}
     out = lc.classify_shannon(phi, 0)
+    _, _, path, _ = out
     assert step_kind(out) == "path-phi"
     # the path alternates alpha = 1 and beta = 5 in the current coloring
-    assert out.path == lc.alternating_path(phi, 0, 1, 5)
-    assert out.path.edges == (0, 4)
-    assert out.path.vertices[0] != out.path.vertices[-1]
-    assert lc.resolve_path(phi, out.path) == out.path  # happy: the whole path
-    assert phi.color[out.path.edges[-1]] is not None
+    assert path == lc.alternating_path(phi, 0, 1, 5)
+    assert path.edges == (0, 4)
+    assert path.vertices[0] != path.vertices[-1]
+    assert lc.resolve_path(phi, path) == path  # happy: the whole path
+    assert phi.color[path.edges[-1]] is not None
     assert phi.verify() == []
 
 
@@ -168,17 +171,18 @@ def test_classify_final_path_under_shifted_coloring():
     g, L, phi = final_case_instance(cyclic=True)
     lc.check_bound(g, L, "shannon")
     out = lc.classify_shannon(phi, 0)
+    _, shift, path, _ = out
     assert step_kind(out) == "path-psi"
-    assert out.shift.edges == (0, 1)
+    assert shift.edges == (0, 1)
     # the path alternates alpha = 1 and beta = 5 in the shifted coloring
-    psi = shifted_copy(phi, lc.Chain(out.shift.edges))
-    assert out.path == lc.alternating_path(psi, 1, 1, 5)
-    assert out.path.edges == (1, 7)  # built in the shifted coloring
-    before = phi.potential()
-    phi.apply_chain_shift(out.shift)
-    assert phi.potential().a == before.a
-    assert lc.resolve_path(phi, out.path) == out.path  # happy: the whole path
-    assert phi.color[out.path.edges[-1]] is not None
+    psi = shifted_copy(phi, lc.Chain(shift.edges))
+    assert path == lc.alternating_path(psi, 1, 1, 5)
+    assert path.edges == (1, 7)  # built in the shifted coloring
+    a, _ = phi.potential()
+    phi.apply_chain_shift(shift)
+    assert phi.potential()[0] == a
+    assert lc.resolve_path(phi, path) == path  # happy: the whole path
+    assert phi.color[path.edges[-1]] is not None
     assert phi.verify() == []
     assert phi.blanks == 0
 
@@ -194,10 +198,11 @@ def test_final_path_under_shifted_coloring_leaves_phi_untouched():
 
     before = state()
     out = lc.classify_shannon(phi, 0)
-    assert step_kind(out) == "path-psi" and out.branch == "final-path-psi"
+    branch, shift, path, _ = out
+    assert step_kind(out) == "path-psi" and branch == "final-path-psi"
     assert state() == before
-    psi = shifted_copy(phi, lc.Chain(out.shift.edges))
-    assert out.path == lc.alternating_path(psi, out.shift.edges[-1], 1, 5)
+    psi = shifted_copy(phi, lc.Chain(shift.edges))
+    assert path == lc.alternating_path(psi, shift.edges[-1], 1, 5)
     assert psi.color != phi.color
 
 
@@ -236,6 +241,6 @@ def test_intersection_claim_on_random_final_cases(rng):
         for e in blank_edges(phi):
             out = lc.classify_shannon(phi, e)
             dispatched += 1
-            assert isinstance(out, Step)
+            assert type(out) is tuple and len(out) == 4
             step_kind(out)  # one of the five kinds
     assert dispatched > 200

@@ -72,9 +72,10 @@ def test_fan_never_returns_index_zero(rng):
 def test_classify_happy_two_edge_fan():
     g, L, phi = setup_partial(3, [(0, 1, None, S6), (0, 2, 1, S6)])
     out = lc.classify_vizing(phi, 0, 0)
+    _, shift, _, _ = out
     assert step_kind(out) == "happy-fan"
-    end = out.shift.edges[-1]
-    phi.apply_chain_shift(out.shift)
+    end = shift.edges[-1]
+    phi.apply_chain_shift(shift)
     c = phi.is_happy(end)
     assert c == 2
     phi.assign(end, c)
@@ -92,10 +93,11 @@ def test_classify_content_full_fan_derived():
     lc.check_bound(g, L, "vizing")
     assert 2 not in L.common[3]
     out = lc.classify_vizing(phi, 0, 0)
+    branch, shift, _, _ = out
     assert step_kind(out) == "content-fan"
-    assert out.branch == "content-fan-full"
+    assert branch == "content-fan-full"
     before = recompute_potential(g, L, phi.color)
-    phi.apply_chain_shift(out.shift)
+    phi.apply_chain_shift(shift)
     after = recompute_potential(g, L, phi.color)
     assert after[0] == before[0] - 1
     assert phi.verify() == []
@@ -106,16 +108,17 @@ def test_classify_path_under_shifted_fan():
         4, [(0, 1, None, S6), (0, 2, 1, S6), (0, 3, 2, S6)]
     )
     out = lc.classify_vizing(phi, 0, 0)
+    branch, shift, path, _ = out
     assert step_kind(out) == "path-psi"
-    assert out.branch == "path-psi-full"
+    assert branch == "path-psi-full"
     # the path alternates alpha = 3 and beta = 1 in the shifted coloring
-    psi = shifted_copy(phi, lc.Chain(out.shift.edges))
-    assert out.path == lc.alternating_path(psi, out.shift.edges[-1], 3, 1)
-    before = phi.potential()
-    phi.apply_chain_shift(out.shift)
-    assert phi.potential().a == before.a
-    assert lc.resolve_path(phi, out.path) == out.path  # happy: the whole path
-    assert phi.color[out.path.edges[-1]] is not None
+    psi = shifted_copy(phi, lc.Chain(shift.edges))
+    assert path == lc.alternating_path(psi, shift.edges[-1], 3, 1)
+    a, _ = phi.potential()
+    phi.apply_chain_shift(shift)
+    assert phi.potential()[0] == a
+    assert lc.resolve_path(phi, path) == path  # happy: the whole path
+    assert phi.color[path.edges[-1]] is not None
     assert phi.verify() == []
 
 
@@ -153,7 +156,7 @@ def test_fan_shifts_always_proper(rng):
             for cand in (fan, fan.prefix(j)):
                 snap = shifted_copy(phi, cand)  # raises NotShiftableError if improper
                 assert snap.verify() == []
-                assert snap.potential().a <= phi.potential().a
+                assert snap.potential()[0] <= phi.potential()[0]
 
 
 def test_availability_total_never_rises_after_fan_shift(rng):
@@ -322,8 +325,8 @@ def test_shift_delta_matches_applied_shift():
             applied = rebuilt(phi)  # another coloring refuses phi's shift: check it there
             applied.apply_chain_shift(applied.check_shift(cand.edges))
             assert applied.verify() == []
-            assert applied.potential() == (before.a + shift.delta.a,
-                                           before.d + shift.delta.d)
+            (a, d), (da, dd) = before, shift.delta
+            assert applied.potential() == (a + da, d + dd)
             checked += 1
             ends = [frozenset(g.endpoints[f]) for f in cand.edges]
             parallel += len(set(ends)) < len(ends)
