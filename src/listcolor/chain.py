@@ -78,24 +78,25 @@ def alternating_path(
     (checked, not assumed); the walk can return to the start vertex only as
     its final stop, since the start vertex has no alpha-colored edge.
 
-    Given a ``Shift`` from ``PartialColoring.check_shift`` as ``shifted``,
-    the walk reads the coloring psi that committing it would give, without
-    touching ``phi`` or checking the shift again: psi differs from phi only
-    in the at most 2k (vertex, color) entries of ``shifted.changes``, so
-    every lookup goes through that overlay.
+    Given as ``shifted`` a shift that ``PartialColoring.check_shift`` checked
+    at phi's current stamp (else PreconditionViolatedError), the walk reads
+    the coloring psi that committing it would give, without touching phi:
+    phi's live colors moved one place along the chain, with used maps that
+    differ only in the at most 2k entries of the overlay ``shifted.changes``.
     """
+    if shifted is not None and shifted.stamp != phi.stamp:
+        raise PreconditionViolatedError("stale shift: the coloring changed since")
     if alpha == beta:
         raise PreconditionViolatedError("alternating colors must differ")
     g = phi.g
     used, common = phi.used_edge, phi.lists.common
     over = {}  # (vertex, color) -> edge carrying it in psi, None if absent
-    e_color = phi.color[e]
+    blank = phi.color[e] is None
     if shifted is not None:
         over = shifted.changes
-        if e in shifted.edges:  # edge i takes old[i + 1]; the last goes blank
-            i = shifted.edges.index(e) + 1
-            e_color = shifted.old[i] if i < len(shifted.old) else None
-    if e_color is not None:
+        if e in shifted.edges:  # blank in psi only at the chain's end edge
+            blank = e == shifted.edges[-1]
+    if not blank:
         raise EdgeNotBlankError(f"edge {e} is not blank")
 
     def free(w, c):
@@ -144,11 +145,12 @@ def max_shiftable_prefix(phi: PartialColoring, path: Chain) -> int:
     color.  ``resolve_path`` checks the prefix once, with
     ``PartialColoring.check_shift``, before committing it.
 
-    Raises NotShiftableError if the start edge is colored and
-    PreconditionViolatedError if the colors after it do not alternate
-    between two values.
+    Raises NotShiftableError for a colored start edge, and
+    PreconditionViolatedError for an empty path or non-alternating colors.
     """
     edges = path.edges
+    if not edges:
+        raise PreconditionViolatedError("path has no edges")
     color = phi.color
     if color[edges[0]] is not None:
         raise NotShiftableError(0, START_NOT_BLANK)

@@ -38,7 +38,7 @@ Delta=32, between 3000 and 4900 with Delta=64, and between 4300 and 8500
 at n=20000 with Delta=8.
 
 One actor mutates a coloring at a time.  Each state has its own ``stamp``,
-so committing a chain shift checked on another state is refused in O(1).
+so a chain shift checked on another state is refused in O(1).
 """
 
 from __future__ import annotations
@@ -101,18 +101,15 @@ def _palettes(common) -> tuple[list, list, list]:
 class Shift(NamedTuple):
     """A chain shift checked by ``PartialColoring.check_shift``.
 
-    ``old`` is the chain's colors before the shift: None for the blank
-    start edge, then the colors that move one place toward the front, so
-    edge i gets ``old[i + 1]`` and the last edge goes blank.  ``changes``
-    holds the (vertex, color) -> edge entries of the shifted coloring that
-    differ from the current one (None where the color leaves the vertex),
-    ``delta`` the exact potential change (da, dd), and ``stamp`` the
-    coloring's stamp at the check: a shift is valid only until that
-    coloring next changes, and never on any other coloring.
+    ``changes`` holds the (vertex, color) -> edge entries of the shifted
+    coloring that differ from the current one (None where the color leaves
+    the vertex), ``delta`` the exact potential change (da, dd), and
+    ``stamp`` the coloring's stamp at the check: a shift is valid only
+    until that coloring next changes, and never on any other coloring, so
+    shifting reads the live colors: each chain edge takes the next one's.
     """
 
     edges: tuple
-    old: tuple
     changes: dict
     delta: tuple[int, int]
     stamp: int
@@ -301,25 +298,25 @@ class PartialColoring:
             raise NotShiftableError(0, START_NOT_BLANK)
         changes, da = self.shift_violation(edges)
         dd = self.weight[edges[-1]] - self.weight[edges[0]]
-        return Shift(tuple(edges), old, changes, (da, dd), self.stamp)
+        return Shift(tuple(edges), changes, (da, dd), self.stamp)
 
     def apply_chain_shift(self, shift: Shift) -> None:
         """Commit a checked shift: each chain edge takes the next one's color.
 
-        Commits ``shift.changes`` and ``shift.delta`` without checking them
-        again.  A vertex keeps a color while some chain edge at it still
-        carries it, so availability moves only where a color appears or
-        leaves (a path's two ends, a fan's leaves).  The blank count stays:
-        the blank start edge takes a color and the end edge goes blank.  Raises
-        PreconditionViolatedError, with the state unchanged, if the shift
-        was checked at another stamp: on another coloring, or on this one
-        before its last color change.
+        Reads the colors live and commits ``shift.changes`` and
+        ``shift.delta`` without checking them again.  A vertex keeps a color
+        while some chain edge at it still carries it, so availability moves
+        only where a color appears or leaves (a path's two ends, a fan's
+        leaves).  The blank count stays: the blank start edge takes a color
+        and the end edge goes blank.  Raises PreconditionViolatedError, with
+        the state unchanged, if the shift was checked at another stamp: on
+        another coloring, or on this one before its last color change.
         """
         if shift.stamp != self.stamp:
             raise PreconditionViolatedError("stale shift: the coloring changed since")
         color, edges = self.color, shift.edges
-        for e, now in zip(edges, shift.old[1:]):
-            color[e] = now
+        for e, f in zip(edges, edges[1:]):  # f is read before it is written
+            color[e] = color[f]
         color[edges[-1]] = None
         self._commit(shift.changes, *shift.delta, 0)
 

@@ -47,6 +47,18 @@ def available(phi, x):
     return {c for c in phi.palette[x] if mask >> phi.rank[x][c] & 1}
 
 
+def live_state(phi):
+    """Everything a mutation could change: colors, used maps, availability,
+    potential and blank count."""
+    return (
+        list(phi.color),
+        [dict(d) for d in phi.used_edge],
+        [available(phi, x) for x in range(phi.g.n)],
+        phi.potential(),
+        phi.blanks,
+    )
+
+
 def recompute_potential(g, L, colors):
     """(A, D) by definition: availability sum, degree-weighted blank count."""
     avail = recompute_available(g, L, colors)
@@ -162,7 +174,6 @@ def replay_shift(phi, edges):
         phi.unassign(e)
     for e, c in zip(edges, targets):
         phi.assign(e, c)
-    return tuple(old)
 
 
 def brute_max_prefix(g, L, colors, edges):

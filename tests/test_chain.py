@@ -17,9 +17,11 @@ from conftest import (
     blank_edges,
     brute_max_prefix,
     brute_shift_ok,
+    live_state,
     random_chain,
     random_partial,
     random_vizing_partials,
+    rebuilt,
     recompute_potential,
     recompute_used,
     setup_partial,
@@ -273,6 +275,8 @@ def test_max_shiftable_prefix_rejects_non_alternating_colors():
         lc.max_shiftable_prefix(phi, path)
     with pytest.raises(NotShiftableError):
         lc.max_shiftable_prefix(phi, lc.Chain((1, 2), (1, 2, 3)))
+    with pytest.raises(PreconditionViolatedError):  # no start edge to read
+        lc.max_shiftable_prefix(phi, lc.Chain(()))
 
 
 def test_resolve_single_edge_happy():
@@ -412,16 +416,6 @@ def test_bare_chain_prefix_has_no_vertices():
     assert chain.prefix(1).vertices == ()
 
 
-def live_state(phi):
-    return (
-        list(phi.color),
-        [dict(d) for d in phi.used_edge],
-        [available(phi, x) for x in range(phi.g.n)],
-        phi.potential(),
-        phi.blanks,
-    )
-
-
 def walk_or_error(walk):
     try:
         return walk()
@@ -471,6 +465,23 @@ def test_psi_walk_matches_walk_in_shifted_copy():
             assert live_state(phi) == before
             paths += isinstance(got, lc.Chain)
     assert paths > 1000
+
+
+def test_psi_walk_refuses_a_stale_or_foreign_shift():
+    # the walk reads the live coloring, so a shift checked before its last
+    # change, or on another coloring with the same colors, is refused
+    g, L, phi = setup_partial(4, [(0, 1, None, AB), (1, 2, 1, AB), (2, 3, None, S6)])
+    stale = phi.check_shift((0, 1))
+    phi.assign(2, 3)
+    foreign = rebuilt(phi).check_shift((0, 1))
+    before = live_state(phi)
+    for shift in (stale, foreign):
+        with pytest.raises(PreconditionViolatedError):
+            lc.alternating_path(phi, 1, 1, 2, shifted=shift)
+        assert live_state(phi) == before
+    fresh = phi.check_shift((0, 1))
+    assert lc.alternating_path(phi, 1, 1, 2, shifted=fresh) == lc.Chain((1, 0), (2, 1, 0))
+    assert live_state(phi) == before
 
 
 def vizing_engine_states(seeds):

@@ -316,9 +316,10 @@ def _churn(phi, r, rounds):
                 shift = phi.check_shift(chain)
             except NotShiftableError:
                 continue
+            old = [phi.color[e] for e in chain]
             phi.apply_chain_shift(shift)
             if r.random() < 0.5:
-                phi.undo_chain_shift(chain, shift.old)
+                phi.undo_chain_shift(chain, old)
         else:
             phi = rebuilt(phi)
     return phi

@@ -9,6 +9,7 @@ from conftest import (
     ShiftLog,
     available,
     blank_edges,
+    live_state,
     random_partial,
     recompute_potential,
     setup_partial,
@@ -204,6 +205,35 @@ def test_final_path_under_shifted_coloring_leaves_phi_untouched():
     psi = shifted_copy(phi, lc.Chain(shift.edges))
     assert path == lc.alternating_path(psi, shift.edges[-1], 1, 5)
     assert psi.color != phi.color
+
+
+def test_classified_final_paths_match_walks():
+    # a final-case verdict carries the path a plain walk finds with the
+    # classifier's alpha and beta: in phi for final-path-phi, and in a
+    # shifted copy for final-path-psi; the live coloring stays unchanged.
+    # Near-full partials at Delta = 3 under bound lists reach the final case
+    # at about one blank edge in eight
+    walks = {"final-path-phi": 0, "final-path-psi": 0}
+    for seed in range(500):
+        g = lc.generate_random(7, 3, 1, seed=seed, edges=10)
+        L = lc.generate_from_bounds(g, "shannon")
+        phi = random_partial(g, L, random.Random(seed), fill=0.95)
+        for e in blank_edges(phi):
+            before = live_state(phi)
+            branch, shift, path, _ = lc.classify_shannon(phi, e)
+            assert live_state(phi) == before
+            if branch not in walks:
+                continue
+            x, y, z = lc.shannon_fan(phi, e).vertices
+            alpha = min(available(phi, x))
+            beta = min(available(phi, y) & available(phi, z))
+            if shift is None:
+                assert path == lc.alternating_path(phi, e, alpha, beta)
+            else:
+                psi = shifted_copy(phi, lc.Chain(shift.edges))
+                assert path == lc.alternating_path(psi, shift.edges[-1], alpha, beta)
+            walks[branch] += 1
+    assert walks["final-path-phi"] >= 5 and walks["final-path-psi"] >= 5
 
 
 @pytest.mark.parametrize("make, branch, commits", [
