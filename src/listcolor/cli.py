@@ -2,9 +2,9 @@
 
 Subcommands: color, verify, oracle, gen.  Exit codes: 0 success,
 1 bound violation or failed verification, 2 malformed input (non-UTF-8
-text included) or infeasible request, 3 a bug in this package, never the
-input: an internal assertion or any other package error, such as a
-misused shift or assignment.
+text included), input too large for memory or an infeasible request,
+3 a bug in this package, never the input: an internal assertion or any
+other package error, such as a misused shift or assignment.
 
 ``main(argv)`` may be called repeatedly in one process; the argument
 parser is built once, on the first call, and reused.
@@ -62,15 +62,26 @@ def _output(path):
         raise InputError(f"cannot write {path}: {exc}")
 
 
-def _same_file(a: str, b: str) -> bool:
-    """Whether two output paths reach one regular file, by any spelling or
-    link; checked before either opens, so nothing is created.  Two device
-    streams (a terminal, ``/dev/null``) never overwrite each other."""
-    try:
-        sa, sb = os.stat(a), os.stat(b)
-    except OSError:  # not there yet: compare where the paths lead
-        return os.path.realpath(a) == os.path.realpath(b)
-    return stat.S_ISREG(sa.st_mode) and os.path.samestat(sa, sb)
+def _refuse_shared_files(*named) -> None:
+    """Refuse, before any output opens, two (label, path) pairs that reach
+    one regular file by any spelling or link; each path is stat-ed once.
+    ``-`` and None are standard streams, and devices (a terminal,
+    ``/dev/null``) never overwrite each other."""
+    seen = {}  # what a path reaches -> its label
+    for label, path in named:
+        if path in (None, "-"):
+            continue
+        try:
+            st = os.stat(path)
+        except OSError:  # not there yet: where the path leads
+            reached = os.path.realpath(path)
+        else:
+            if not stat.S_ISREG(st.st_mode):
+                continue
+            reached = (st.st_dev, st.st_ino)
+        if reached in seen:
+            raise InputError(f"{seen[reached]} and {label} name the same file")
+        seen[reached] = label
 
 
 def _resolve_lists(g, file_lists, mode, where: str):
@@ -97,12 +108,9 @@ def cmd_color(args) -> int:
         raise InputError("--mode explicit requires --assume-bound")
     if args.mode != "explicit" and args.assume_bound is not None:
         raise InputError("--assume-bound applies only to --mode explicit")
-    if (
-        args.trace not in (None, "-")
-        and args.output not in (None, "-")
-        and _same_file(args.trace, args.output)
-    ):
-        raise InputError("--trace and -o name the same file")
+    _refuse_shared_files(
+        ("the instance", args.instance), ("--trace", args.trace), ("-o", args.output)
+    )
     lists = _resolve_lists(g, file_lists, args.mode, args.instance)
     # the trace opens first, then -o, both before the run: a bad path fails
     # before any work and leaves no coloring file behind a bad trace path
@@ -141,6 +149,7 @@ def cmd_oracle(args) -> int:
     lists = _resolve_lists(g, file_lists, args.mode, args.instance)
     if lists is None:
         raise InputError("instance has no lists; pass --mode to derive them")
+    _refuse_shared_files(("the instance", args.instance), ("-o", args.output))
     # -o opens before the search: a bad path fails first, and no coloring
     # leaves the file empty rather than keeping an older one
     with _output(args.output) as out:
@@ -223,6 +232,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError:
+        print("error: out of memory: the input is too large for this run", file=sys.stderr)
         return EXIT_INPUT
     except (BoundViolationError, NotBipartiteError) as exc:
         print(f"bound violation: {exc}", file=sys.stderr)

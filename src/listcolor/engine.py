@@ -130,20 +130,19 @@ def augment_once(
     return chain[-1]
 
 
-def step_budget(g: Multigraph, lists: ListAssignment) -> int:
-    """B = (2 Delta - 1) a0 + d0: no run from the blank coloring takes more steps.
+def step_budget(phi: PartialColoring) -> int:
+    """B = (2 Delta - 1) a + d: no run from phi's coloring takes more steps.
 
-    (a0, d0) = (sum |common(x)|, sum deg(x)^2) is the blank coloring's
-    potential (a, d), and a, d >= 0.  Every step lowers (a, d)
-    lexicographically, so a never rises and at most a0 steps lower it.  A
+    (a, d) = ``phi.potential()``, and a, d >= 0; from the blank coloring
+    that is (sum |common(x)|, sum deg(x)^2).  Every step lowers (a, d)
+    lexicographically, so a never rises and at most a steps lower it.  A
     step colors its blank edge e and leaves at most one edge f blank (fan
     and path shifts telescope), so with w = deg(u) + deg(v) d rises by at
     most w(f) - w(e) <= 2 Delta - 2, and only when a drops.  Every other
-    step lowers d by at least 1: there are at most d0 + (2 Delta - 2) a0.
+    step lowers d by at least 1: there are at most d + (2 Delta - 2) a.
     """
-    a0 = sum(map(len, lists.common))
-    d0 = sum(len(es) ** 2 for es in g.incidence)
-    return (2 * g.max_degree() - 1) * a0 + d0
+    a, d = phi.potential()
+    return (2 * phi.g.max_degree() - 1) * a + d
 
 
 def color_graph(
@@ -174,7 +173,7 @@ def color_graph(
 
     phi = PartialColoring(g, lists)
     stats = RunStats()
-    budget = step_budget(g, lists)
+    budget = step_budget(phi)
     for e in range(g.m):
         while e is not None:
             if stats.steps >= budget:

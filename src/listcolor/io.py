@@ -12,8 +12,9 @@ writer is canonical (lists ascending, one space between tokens), so
 write-then-parse round-trips byte-identically; it refuses an empty list,
 which an edge line cannot express, with ValueError.
 
-Coloring format: one line per edge, ``<edge-index> <color>`` with ``-``
-for blank, in index order.
+Coloring format: exactly one line per edge, ``<edge-index> <color>`` with
+``-`` for blank, in index order, and nothing else.  Numbers in both formats
+are ASCII decimals.
 
 Trace format: one line per record, space-separated fields in fixed order:
 ``<step> <kind> <branch> <edge,edge,...> <A>:<D> <A>:<D>`` (potential
@@ -44,6 +45,13 @@ def _check_vertex_count(n: int) -> None:
         raise InfeasibleParamsError(f"vertex count {n} above the cap {MAX_VERTICES}")
 
 
+def _check_decimals(line_no: int, text: str) -> None:
+    """Refuse what ``int`` would read but the formats do not: ``_`` digit
+    separators, a ``+`` sign and non-ASCII digits or spaces."""
+    if not text.isascii() or "_" in text or "+" in text:
+        raise ParseError(line_no, "numbers must be plain ASCII decimals")
+
+
 def parse_instance(text: str) -> tuple[Multigraph, Optional[ListAssignment]]:
     """Graph and, for an explicit instance, its lists.
 
@@ -66,6 +74,7 @@ def parse_instance(text: str) -> tuple[Multigraph, Optional[ListAssignment]]:
                 raise ParseError(line_no, "duplicate header")
             if len(tokens) != 4 or tokens[1] != "edge":
                 raise ParseError(line_no, "header must be 'p edge <n> <m>'")
+            _check_decimals(line_no, raw)
             try:
                 n, m = int(tokens[2]), int(tokens[3])
             except ValueError:
@@ -81,6 +90,7 @@ def parse_instance(text: str) -> tuple[Multigraph, Optional[ListAssignment]]:
                 raise ParseError(line_no, "edge line before header")
             if len(parts) < 3:
                 raise ParseError(line_no, "edge line needs two endpoints")
+            _check_decimals(line_no, raw)
             tail = parts[3] if len(parts) == 4 else ""
             colors = shared.get(tail)
             try:
@@ -135,38 +145,26 @@ def write_instance(g: Multigraph, lists: Optional[ListAssignment] = None) -> str
 
 
 def parse_coloring(text: str, m: int) -> list[Optional[int]]:
-    colors: list[Optional[int]] = [None] * m
-    seen = [False] * m
-    line_no = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise ParseError(line_no, "expected '<edge-index> <color|->'")
-        try:
-            e = int(tokens[0])
-        except ValueError:
-            raise ParseError(line_no, "non-integer edge index")
-        if not 0 <= e < m:
-            raise ParseError(line_no, f"edge index out of range [0, {m})")
-        if seen[e]:
-            raise ParseError(line_no, f"duplicate line for edge {e}")
-        seen[e] = True
+    """Colors of edges 0..m-1 from exactly m lines ``<i> <color|->``, line i
+    for edge i; ParseError names the first line off that sequence, a line
+    past the m-th, or the first missing one."""
+    colors: list[Optional[int]] = []
+    lines = text.splitlines()
+    for e in range(max(m, len(lines))):
+        tokens = lines[e].split() if e < len(lines) else ()
+        if e >= m or len(tokens) != 2 or tokens[0] != str(e):
+            raise ParseError(e + 1, f"expected {m} lines '<i> <color|->' in index order")
         if tokens[1] == "-":
-            colors[e] = None
-        else:
-            try:
-                c = int(tokens[1])
-            except ValueError:
-                raise ParseError(line_no, "color must be an integer or '-'")
-            if c < 1:
-                raise ParseError(line_no, "colors must be positive integers")
-            colors[e] = c
-    if not all(seen):
-        missing = seen.index(False)
-        raise ParseError(max(line_no, 1), f"no line for edge {missing}")
+            colors.append(None)
+            continue
+        _check_decimals(e + 1, tokens[1])
+        try:
+            c = int(tokens[1])
+        except ValueError:
+            raise ParseError(e + 1, "color must be an integer or '-'")
+        if c < 1:
+            raise ParseError(e + 1, "colors must be positive integers")
+        colors.append(c)
     return colors
 
 

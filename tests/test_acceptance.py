@@ -94,7 +94,8 @@ def run_batch(mode: str, count: int, adversarial: bool = False) -> BatchSummary:
                     s.color_bound_violations += 1
         # the certificate from the trace: the steps lead from the empty
         # coloring's potential to the final one, each strictly lowering it
-        pot, steps = lc.PartialColoring(g, L).potential(), 0
+        blank = lc.PartialColoring(g, L)
+        pot, steps = blank.potential(), 0
         for step, recs in itertools.groupby(records, lambda r: r.step):
             recs = list(recs)
             if step != steps or recs[0].phi_before != pot or not recs[-1].phi_after < pot:
@@ -102,7 +103,7 @@ def run_batch(mode: str, count: int, adversarial: bool = False) -> BatchSummary:
             pot, steps = recs[-1].phi_after, steps + 1
         if steps != stats.steps or pot != recompute_potential(g, L, phi.color):
             s.potential_violations += 1
-        if stats.steps > lc.step_budget(g, L):
+        if stats.steps > lc.step_budget(blank):
             s.budget_violations += 1
         s.fan_steps += stats.fan_shifts
     s.elapsed = perf_counter() - start

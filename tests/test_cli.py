@@ -138,7 +138,7 @@ def test_engine_misuse_inside_color_exits_three(tmp_path, capsys, monkeypatch, e
 
 def test_step_budget_trip_exits_three(tmp_path, capsys, monkeypatch):
     # a budget trip is a bug in the package; the failed run leaves -o empty
-    monkeypatch.setattr(engine, "step_budget", lambda g, L: 2)
+    monkeypatch.setattr(engine, "step_budget", lambda phi: 2)
     inst = write(tmp_path, "tri.txt", TRIANGLE)
     out_path = tmp_path / "out.col"
     code, out, err = run(capsys, "color", inst, "--mode", "shannon", "-o", str(out_path))
@@ -456,6 +456,40 @@ def test_trace_and_output_may_share_a_device(tmp_path, capsys):
         "--trace", "/dev/null", "-o", str(tmp_path / "null"),
     )
     assert code == 0 and out == ""
+
+
+@pytest.mark.parametrize("text, argv", [
+    # the search and a bound violation each used to leave the instance empty
+    (TRIANGLE, ["oracle", "INST", "--mode", "vizing", "-o", "INST"]),
+    (PATH2, ["color", "INST", "--mode", "explicit", "--assume-bound", "vizing",
+             "-o", "INST"]),
+    # a run that succeeds used to replace the instance
+    (TRIANGLE, ["color", "INST", "--mode", "vizing", "--trace", "INST", "-o", "OUT"]),
+    (TRIANGLE, ["color", "INST", "--mode", "vizing", "-o", "LINK"]),
+], ids=["oracle-o", "explicit-o", "trace", "o-by-symlink"])
+def test_outputs_never_overwrite_the_instance(tmp_path, capsys, text, argv):
+    inst = write(tmp_path, "inst.txt", text)
+    (tmp_path / "link.txt").symlink_to(inst)
+    paths = {"INST": inst, "LINK": str(tmp_path / "link.txt"),
+             "OUT": str(tmp_path / "out.col")}
+    code, out, err = run(capsys, *[paths.get(a, a) for a in argv])
+    assert code == 2 and out == ""
+    assert "the instance and " in err and "name the same file" in err
+    assert Path(inst).read_text() == text
+    assert not (tmp_path / "out.col").exists()
+
+
+def test_out_of_memory_exits_two(tmp_path, capsys, monkeypatch):
+    # README keeps exit 1 for a bound violation; an input too large for
+    # memory is refused like any other input the run cannot take
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(lio, "Multigraph", exhausted)
+    inst = write(tmp_path, "tri.txt", TRIANGLE)
+    code, out, err = run(capsys, "color", inst, "--mode", "vizing")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 @pytest.mark.parametrize("command", ["verify", "oracle"])

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -7,8 +8,10 @@ import listcolor as lc
 from listcolor import engine
 from listcolor.errors import (
     BoundViolationError,
+    EdgeNotBlankError,
     NotBipartiteError,
     NotShiftableError,
+    PreconditionViolatedError,
     StepBudgetExceededError,
 )
 
@@ -19,6 +22,7 @@ from conftest import (
     random_partial,
     rebuilt,
     recompute_potential,
+    setup_partial,
     trace_counters,
 )
 
@@ -97,6 +101,43 @@ def test_assume_bound_refused_outside_explicit_mode(triangle, mode):
         lc.color_graph(g, L, mode, assume_bound="koenig")
 
 
+# misuse of a public call on the path 0-1-2, edge 0 colored -> (error, message)
+MISUSE = {
+    "koenig_path-colored": (lambda phi: lc.koenig_path(phi, 0),
+                            EdgeNotBlankError, "edge 0 is not blank"),
+    "shannon_fan-colored": (lambda phi: lc.shannon_fan(phi, 0),
+                            EdgeNotBlankError, "edge 0 is not blank"),
+    "vizing_fan-colored": (lambda phi: lc.vizing_fan(phi, 0, 0),
+                           EdgeNotBlankError, "edge 0 is not blank"),
+    "alternating_path-colored": (lambda phi: lc.alternating_path(phi, 0, 1, 2),
+                                 EdgeNotBlankError, "edge 0 is not blank"),
+    "vizing_fan-foreign-pivot": (lambda phi: lc.vizing_fan(phi, 1, 0),
+                                 PreconditionViolatedError,
+                                 "pivot 0 is not an endpoint of edge 1"),
+    "prefix-0": (lambda phi: lc.Chain((0, 1)).prefix(0),
+                 ValueError, "prefix length 0 out of range"),
+    "prefix-past-the-end": (lambda phi: lc.Chain((0, 1)).prefix(3),
+                            ValueError, "prefix length 3 out of range"),
+    "augment_once-explicit": (
+        lambda phi: lc.augment_once(phi, 1, "explicit", lc.RunStats()),
+        ValueError, "augment mode must name a guarantee, got 'explicit'"),
+    "negative-vertex-count": (lambda phi: lc.Multigraph(-1, []),
+                              ValueError, "vertex count must be nonnegative"),
+    "one-list-too-many": (lambda phi: lc.ListAssignment(phi.g, [S6] * 3),
+                          ValueError, "expected 2 lists, got 3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISUSE))
+def test_public_calls_refuse_misuse(case):
+    call, error, message = MISUSE[case]
+    phi = setup_partial(3, [(0, 1, 1, S6), (1, 2, None, S6)])[2]
+    before = (list(phi.color), phi.potential(), phi.stamp)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(phi)
+    assert (list(phi.color), phi.potential(), phi.stamp) == before
+
+
 def test_potential_strictly_decreases_every_step():
     for seed in range(40):
         rng = random.Random(seed)
@@ -122,10 +163,11 @@ def test_step_budget_formula():
     a0 = sum(len(L.common[x]) for x in range(g.n))
     d0 = sum(g.degree(x) ** 2 for x in range(g.n))
     # (a0, d0) is the potential of the blank coloring every run starts from
-    assert (a0, d0) == lc.PartialColoring(g, L).potential()
-    assert lc.step_budget(g, L) == (2 * g.max_degree() - 1) * a0 + d0
+    blank = lc.PartialColoring(g, L)
+    assert (a0, d0) == blank.potential()
+    assert lc.step_budget(blank) == (2 * g.max_degree() - 1) * a0 + d0
     _, stats = lc.color_graph(g, L, "shannon")
-    assert stats.steps <= lc.step_budget(g, L)
+    assert stats.steps <= lc.step_budget(blank)
     assert stats.happy_steps == g.m
 
 
@@ -136,11 +178,11 @@ def test_step_budget_trip(monkeypatch):
     L = lc.generate_from_bounds(g, "vizing")
     _, stats = lc.color_graph(g, L, "vizing")
     assert stats.content_steps > 0
-    monkeypatch.setattr(engine, "step_budget", lambda g, L: stats.steps - 1)
+    monkeypatch.setattr(engine, "step_budget", lambda phi: stats.steps - 1)
     with pytest.raises(StepBudgetExceededError,
                        match=f"^step {stats.steps} exceeds budget {stats.steps - 1}$"):
         lc.color_graph(g, L, "vizing")
-    monkeypatch.setattr(engine, "step_budget", lambda g, L: stats.steps)
+    monkeypatch.setattr(engine, "step_budget", lambda phi: stats.steps)
     _, again = lc.color_graph(g, L, "vizing")
     assert again == stats
 

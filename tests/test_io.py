@@ -110,7 +110,8 @@ def test_shared_parse_matches_a_per_line_reference():
 
 
 def test_comments_and_blank_lines_skipped():
-    text = "c generated\n\np edge 2 1\nc mid comment\ne 0 1\n"
+    # a comment is free text: spellings refused in numbers stay allowed
+    text = "c generated\n\np edge 2 1\nc 1_0 +2 \u0663 \u00e9\ne 0 1\n"
     g, L = lio.parse_instance(text)
     assert g.m == 1
 
@@ -144,12 +145,51 @@ def test_coloring_roundtrip():
 
 
 def test_coloring_parse_errors():
-    with pytest.raises(ParseError):
-        lio.parse_coloring("0 1\n", 2)  # missing edge line
-    with pytest.raises(ParseError):
-        lio.parse_coloring("0 1\n0 2\n", 1)  # duplicate
-    with pytest.raises(ParseError):
-        lio.parse_coloring("0 x\n", 1)
+    # line i must be exactly "<i> <color|->" for i = 0..m-1; the first line
+    # off that sequence is named, as is a line past m or a missing one
+    sequence = "expected 2 lines '<i> <color|->' in index order"
+    cases = [
+        ("1 1\n0 2\n", 2, 1, sequence),  # out of order
+        ("0 1\n0 2\n", 2, 2, sequence),  # duplicate
+        ("0 1\n", 2, 2, sequence),  # missing
+        ("", 2, 1, sequence),  # empty
+        ("0 1\n1 2\n2 1\n", 2, 3, sequence),  # extra
+        ("c colors\n0 1\n1 2\n", 2, 1, sequence),  # comment
+        ("0 1\n\n1 2\n", 2, 2, sequence),  # blank line
+        ("0 1 2\n1 2\n", 2, 1, sequence),  # extra token
+        ("+0 1\n1 2\n", 2, 1, sequence),  # index spelled another way
+        ("0 x\n1 2\n", 2, 1, "color must be an integer or '-'"),
+        ("0 -3\n1 2\n", 2, 1, "colors must be positive integers"),
+        ("0 1\n1 1_0\n", 2, 2, "numbers must be plain ASCII decimals"),
+        ("0 1\n1 +2\n", 2, 2, "numbers must be plain ASCII decimals"),
+        ("0 1\n1 \u0663\n", 2, 2, "numbers must be plain ASCII decimals"),
+    ]
+    for text, m, line_no, reason in cases:
+        with pytest.raises(ParseError) as info:
+            lio.parse_coloring(text, m)
+        assert (info.value.line_no, info.value.reason) == (line_no, reason), text
+    assert lio.parse_coloring("", 0) == []
+
+
+@pytest.mark.parametrize(
+    "text, line_no, reason",
+    [
+        ("p edge -1 0\n", 1, "negative vertex or edge count"),
+        ("p edge 2 1\ne 0\n", 2, "edge line needs two endpoints"),
+        # int() reads these, the format does not
+        ("p edge 1_1 1\n", 1, "numbers must be plain ASCII decimals"),
+        ("p edge 3 +1\ne 0 1\n", 1, "numbers must be plain ASCII decimals"),
+        ("p edge 3 1\ne 0 1_0\n", 2, "numbers must be plain ASCII decimals"),
+        ("p edge 3 1\ne +0 1 +2\n", 2, "numbers must be plain ASCII decimals"),
+        ("p edge 3 1\ne 0 1 \u0663\n", 2, "numbers must be plain ASCII decimals"),
+        ("p edge 3 1\ne \u0660 \u0661 \u0662\n", 2,
+         "numbers must be plain ASCII decimals"),
+    ],
+)
+def test_parse_error_reasons(text, line_no, reason):
+    with pytest.raises(ParseError) as info:
+        lio.parse_instance(text)
+    assert (info.value.line_no, info.value.reason) == (line_no, reason)
 
 
 def test_trace_record_format():
