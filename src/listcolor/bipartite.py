@@ -27,7 +27,8 @@ def koenig_path(phi: PartialColoring, e: int) -> Chain:
     if phi.color[e] is not None:
         raise EdgeNotBlankError(f"edge {e} is not blank")
     u, v = g.endpoints[e]
-    alpha, beta = (phi.smallest(w, phi.available_mask(w)) for w in (u, v))
+    alpha = phi.smallest(u, phi.available_mask(u))
+    beta = phi.smallest(v, phi.available_mask(v))
     for w, c in ((u, alpha), (v, beta)):
         if c is None:
             raise AvailabilityEmptyError(f"no available color at vertex {w}")

@@ -19,11 +19,13 @@ vertex, finds the longest prefix whose shift stays proper and inside the
 lists, and then either colors the path's last edge (a happy outcome,
 one more edge colored) or commits the prefix shift (a content outcome,
 strictly smaller potential).  One of the two must apply; anything else
-raises an internal assertion.
+raises an internal assertion.  A one-edge path moves no color when
+shifted, so it is the happy outcome itself: its edge is colored directly.
 
 A classifier's verdict on one step is the plain tuple
 ``(branch, shift, path, happy)``, which the engine carries out: it
-commits ``shift``, a checked fan shift or None; then, if ``happy``, it
+commits ``shift``, a checked fan shift or None (a one-edge fan shift
+moves nothing and needs no commit); then, if ``happy``, it
 colors the shifted fan's end edge (the blank edge itself when there is
 no shift), or it resolves ``path``, a ``Chain`` walked in the shifted
 coloring, or None.  A shift alone is a content step.
@@ -173,9 +175,10 @@ def resolve_path(phi: PartialColoring, path: Chain) -> Chain:
     blank (else NotShiftableError), all before any change; the callers
     establish the availability conditions when they build the path.
     Either the full path shifts and its end edge gets a color, or a proper
-    prefix shifts and the potential strictly drops.  Returns the chain it
-    committed: the full path when happy, the shifted prefix when content,
-    whose end edge is then the one left blank.
+    prefix shifts and the potential strictly drops.  A one-edge path is
+    colored directly, with no prefix scan, check or commit.  Returns the
+    chain it committed: the full path when happy, the shifted prefix when
+    content, whose end edge is then the one left blank.
     """
     edges, vertices = path.edges, path.vertices
     if len(vertices) != len(edges) + 1:
@@ -185,6 +188,15 @@ def resolve_path(phi: PartialColoring, path: Chain) -> Chain:
     if vertices[0] == vertices[-1]:
         raise PreconditionViolatedError("path start and end vertices coincide")
     k = len(edges)
+    if k == 1:  # shifting one edge moves no color: the edge is the happy outcome
+        e = edges[0]
+        if phi.color[e] is not None:
+            raise NotShiftableError(0, START_NOT_BLANK)
+        c = phi.is_happy(e)
+        if c is None:
+            raise LemmaViolationError(f"one-edge path {e} has no color to take")
+        phi.assign(e, c)
+        return path
     j = max_shiftable_prefix(phi, path)
     if j < min(3, k):
         raise LemmaViolationError(

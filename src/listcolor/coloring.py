@@ -285,8 +285,9 @@ class PartialColoring:
         coloring that would be improper or escape a list.
         ``shift_violation`` counts a's change in its walk; d moves by the
         weight of the start edge, which gets colored, and of the end edge,
-        which goes blank.  The shift is valid only until the coloring's
-        stamp next changes.
+        which goes blank.  A one-edge chain moves no color: its shift is
+        empty, with delta (0, 0), and ``shift_violation`` is not called.
+        The shift is valid only until the coloring's stamp next changes.
         """
         old = tuple(map(self.color.__getitem__, edges))
         if not old or len(set(edges)) != len(old) or None in old[1:]:
@@ -296,6 +297,8 @@ class PartialColoring:
             )
         if old[0] is not None:
             raise NotShiftableError(0, START_NOT_BLANK)
+        if len(old) == 1:
+            return Shift(tuple(edges), {}, (0, 0), self.stamp)
         changes, da = self.shift_violation(edges)
         dd = self.weight[edges[-1]] - self.weight[edges[0]]
         return Shift(tuple(edges), changes, (da, dd), self.stamp)

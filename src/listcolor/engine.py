@@ -70,11 +70,13 @@ def augment_once(
     """One repair step on blank edge e of any partial coloring.
 
     The only reader of a classifier's verdict ``(branch, shift, path,
-    happy)``: commit its checked fan shift, if any; then color the shifted
-    fan's end edge (the blank edge itself without a shift) if the step is
-    happy, or else resolve its path, koenig's only part.  A fan shift
-    alone is a content step.  Returns None after a happy step, else the
-    edge left blank: the end edge of the last committed chain.
+    happy)``: commit its checked fan shift, if any and if it has two or
+    more edges (a one-edge fan moves no color, though it still counts
+    as a fan shift); then color the shifted fan's end edge (the blank
+    edge itself without a shift) if the step is happy, or else resolve
+    its path, koenig's only part.  A fan shift alone is a content step.
+    Returns None after a happy step, else the edge left blank: the end
+    edge of the last committed chain.
     Postcondition, asserted here for the whole step: either one more edge
     is colored, or the blank count is unchanged and that end edge is
     blank.  Either way the potential strictly drops.
@@ -95,7 +97,8 @@ def augment_once(
 
     chain = fan = (e,) if shift is None else shift.edges
     if shift is not None:
-        phi.apply_chain_shift(shift)
+        if len(fan) > 1:
+            phi.apply_chain_shift(shift)
         stats.fan_shifts += 1
     if happy:
         c = phi.is_happy(fan[-1])

@@ -14,7 +14,9 @@ which an edge line cannot express, with ValueError.
 
 Coloring format: exactly one line per edge, ``<edge-index> <color>`` with
 ``-`` for blank, in index order, and nothing else.  Numbers in both formats
-are ASCII decimals.
+are ASCII decimals.  In both formats a line ends at a newline (``\n``)
+alone: any other whitespace, ``\r`` included, only separates tokens, and a
+comment is free text.
 
 Trace format: one line per record, space-separated fields in fixed order:
 ``<step> <kind> <branch> <edge,edge,...> <A>:<D> <A>:<D>`` (potential
@@ -52,6 +54,15 @@ def _check_decimals(line_no: int, text: str) -> None:
         raise ParseError(line_no, "numbers must be plain ASCII decimals")
 
 
+def _lines(text: str) -> list[str]:
+    """The lines of a file in either format.  ``str.splitlines`` would also
+    break at form feeds, U+2028 and other marks that a comment may hold."""
+    lines = text.split("\n")
+    if not lines[-1]:  # the text ended with a newline, or is empty
+        lines.pop()
+    return lines
+
+
 def parse_instance(text: str) -> tuple[Multigraph, Optional[ListAssignment]]:
     """Graph and, for an explicit instance, its lists.
 
@@ -64,7 +75,7 @@ def parse_instance(text: str) -> tuple[Multigraph, Optional[ListAssignment]]:
     lists: list[frozenset[int]] = []
     shared: dict[str, frozenset[int]] = {}  # list text -> its checked set
     with_lists = without_lists = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_lines(text), start=1):
         parts = raw.split(None, 3)  # kind, u, v and the raw list text
         if not parts or parts[0].startswith("c"):
             continue
@@ -149,7 +160,7 @@ def parse_coloring(text: str, m: int) -> list[Optional[int]]:
     for edge i; ParseError names the first line off that sequence, a line
     past the m-th, or the first missing one."""
     colors: list[Optional[int]] = []
-    lines = text.splitlines()
+    lines = _lines(text)
     for e in range(max(m, len(lines))):
         tokens = lines[e].split() if e < len(lines) else ()
         if e >= m or len(tokens) != 2 or tokens[0] != str(e):

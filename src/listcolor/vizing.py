@@ -43,7 +43,8 @@ def vizing_fan(phi: PartialColoring, e: int, x: int) -> tuple[Chain, int, int]:
     if x not in g.endpoints[e]:
         raise PreconditionViolatedError(f"pivot {x} is not an endpoint of edge {e}")
     y = g.other_end(e, x)
-    used, available, smallest = phi.used_edge[x], phi.available_mask, phi.smallest
+    used, ends = phi.used_edge[x], g.endpoints
+    common, taken, palette = phi.common_mask, phi.used_mask, phi.palette
     working = {}  # leaf -> the bits its polls have not taken yet
     index = {e: 0}
     edges = [e]
@@ -54,11 +55,12 @@ def vizing_fan(phi: PartialColoring, e: int, x: int) -> tuple[Chain, int, int]:
         z = vertices[-1]
         w = working.get(z)
         if w is None:
-            w = available(z)
+            w = common[z] & ~taken[z]
         if not w:
             raise BetaEmptyError(f"working set of leaf {z} ran out")
-        eta = smallest(z, w)
-        working[z] = w & (w - 1)  # the lowest bit taken
+        low = w & -w  # the smallest color left, read as ``smallest`` reads it
+        eta = palette[z][low.bit_length() - 1]
+        working[z] = w ^ low
         ek = used.get(eta)
         if ek is None:
             return Chain(tuple(edges), tuple(vertices)), eta, k + 1
@@ -67,7 +69,8 @@ def vizing_fan(phi: PartialColoring, e: int, x: int) -> tuple[Chain, int, int]:
             return Chain(tuple(edges), tuple(vertices)), eta, index[ek]
         index[ek] = k
         edges.append(ek)
-        vertices.append(g.other_end(ek, x))
+        u, v = ends[ek]
+        vertices.append(v if u == x else u)
     raise LemmaViolationError("fan construction exhausted the pivot's degree")
 
 

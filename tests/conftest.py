@@ -202,37 +202,55 @@ def step_kind(out):
 
 
 class ShiftLog:
-    """Counts shift checks and commits while ``engine.augment_once`` runs.
+    """Records shift checks and commits while ``engine.augment_once`` runs.
 
-    Records the chain of every ``PartialColoring.shift_violation`` call in
-    a step and fails the step if it checked one chain twice.
+    ``steps`` holds one ``(checked, committed)`` pair per step: the chains
+    passed to ``PartialColoring.shift_violation`` and those committed by
+    ``PartialColoring.apply_chain_shift``, in call order.  A step fails if
+    it checked or committed one chain twice, committed a chain it did not
+    check, or let a one-edge chain reach either call: such a chain moves
+    no color.
     """
 
     def __init__(self, monkeypatch):
-        self.checks = self.commits = 0
-        self.step = []
+        self.steps = []
         check = lc.PartialColoring.shift_violation
         commit = lc.PartialColoring.apply_chain_shift
         augment = engine.augment_once
 
-        def counted_check(phi, edges, *args):
-            self.step.append(tuple(edges))
+        def logged_check(phi, edges, *args):
+            self.steps[-1][0].append(tuple(edges))
             return check(phi, edges, *args)
 
-        def counted_commit(phi, *args):
-            self.commits += 1
-            return commit(phi, *args)
+        def logged_commit(phi, shift):
+            self.steps[-1][1].append(shift.edges)
+            return commit(phi, shift)
 
         def one_step(*args, **kwargs):
-            self.step = []
+            checked, committed = [], []
+            self.steps.append((checked, committed))
             left = augment(*args, **kwargs)
-            assert len(set(self.step)) == len(self.step), self.step
-            self.checks += len(self.step)
+            assert len(set(checked)) == len(checked), checked
+            assert len(set(committed)) == len(committed), committed
+            assert set(committed) <= set(checked), (checked, committed)
+            assert min(map(len, checked), default=2) > 1, checked
             return left
 
-        monkeypatch.setattr(lc.PartialColoring, "shift_violation", counted_check)
-        monkeypatch.setattr(lc.PartialColoring, "apply_chain_shift", counted_commit)
+        monkeypatch.setattr(lc.PartialColoring, "shift_violation", logged_check)
+        monkeypatch.setattr(lc.PartialColoring, "apply_chain_shift", logged_commit)
         monkeypatch.setattr(engine, "augment_once", one_step)
+
+    @property
+    def checks(self) -> int:
+        return sum(len(checked) for checked, _ in self.steps)
+
+    @property
+    def commits(self) -> int:
+        return sum(len(committed) for _, committed in self.steps)
+
+    def passed_over(self) -> list[int]:
+        """Per step, how many checked chains it did not commit."""
+        return [len(checked) - len(committed) for checked, committed in self.steps]
 
 
 def trace_counters(records, colored):

@@ -56,9 +56,14 @@ def test_shift_seven_edge_chain_exact():
     assert shifted.verify() == []
 
 
-def test_shift_single_blank_edge_is_identity(triangle):
+def test_shift_single_blank_edge_is_identity(triangle, monkeypatch):
+    # a one-edge chain moves no color: its checked shift is empty, at the
+    # current stamp, and no walk of the chain is made
     g, L = triangle
     phi = lc.PartialColoring(g, L)
+    phi.assign(1, 2)
+    monkeypatch.setattr(lc.PartialColoring, "shift_violation", None)
+    assert phi.check_shift([0]) == ((0,), {}, (0, 0), phi.stamp)
     shifted = shifted_copy(phi, lc.Chain((0,)))
     assert shifted.color == phi.color
 
@@ -77,9 +82,10 @@ def test_shift_rejects_colored_start(triangle):
     phi = lc.PartialColoring(g, L)
     phi.assign(0, 1)
     phi.assign(1, 2)  # a blank edge after the start would be refused first
-    with pytest.raises(NotShiftableError) as exc:
-        shifted_copy(phi, lc.Chain((0, 1)))
-    assert exc.value.index == 0
+    for chain in (lc.Chain((0, 1)), lc.Chain((0,))):
+        with pytest.raises(NotShiftableError) as exc:
+            shifted_copy(phi, chain)
+        assert (exc.value.index, exc.value.reason) == (0, START_NOT_BLANK)
 
 
 def test_shift_preserves_colors_away_from_ends(rng):
@@ -279,12 +285,24 @@ def test_max_shiftable_prefix_rejects_non_alternating_colors():
         lc.max_shiftable_prefix(phi, lc.Chain(()))
 
 
-def test_resolve_single_edge_happy():
+def test_resolve_single_edge_happy(monkeypatch):
+    # a one-edge path takes is_happy's color with no scan, check or commit
     g, L, phi = setup_partial(2, [(0, 1, None, AB)])
     path = lc.alternating_path(phi, 0, 1, 2)
+    for name in ("shift_violation", "check_shift", "apply_chain_shift"):
+        monkeypatch.setattr(lc.PartialColoring, name, None)
+    monkeypatch.setattr(lc.chain, "max_shiftable_prefix", None)
     assert lc.resolve_path(phi, path) == path  # happy: the whole path
     assert phi.color[0] == 1
     assert phi.verify() == []
+
+
+def test_resolve_single_edge_without_a_color_is_a_lemma_violation():
+    g, L, phi = setup_partial(3, [(0, 1, None, frozenset({1})), (1, 2, 1, AB)])
+    before = live_state(phi)
+    with pytest.raises(LemmaViolationError):
+        lc.resolve_path(phi, lc.Chain((0,), (0, 1)))
+    assert live_state(phi) == before
 
 
 def test_resolve_two_edge_happy_colors_beta():
@@ -314,15 +332,17 @@ def test_resolve_prefix_content_derived():
 
 
 def test_resolve_refuses_a_colored_start_edge():
-    # the prefix search refuses the colored start before anything changes
+    # a colored start is refused before anything changes, by the prefix
+    # search or, on a one-edge path, by resolve_path itself
     g, L, phi = five_edge_path_instance()
     path = lc.alternating_path(phi, 0, 1, 2)
     phi.assign(0, 2)
-    before = list(phi.color)
-    with pytest.raises(NotShiftableError) as exc:
-        lc.resolve_path(phi, path)
-    assert (exc.value.index, exc.value.reason) == (0, START_NOT_BLANK)
-    assert phi.color == before
+    before = live_state(phi)
+    for chain in (path, path.prefix(1)):
+        with pytest.raises(NotShiftableError) as exc:
+            lc.resolve_path(phi, chain)
+        assert (exc.value.index, exc.value.reason) == (0, START_NOT_BLANK)
+        assert live_state(phi) == before
     assert phi.verify() == []
 
 

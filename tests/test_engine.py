@@ -27,6 +27,7 @@ from conftest import (
 )
 
 S6 = frozenset(range(1, 7))
+AB = frozenset({1, 2})
 
 
 def test_triangle_shannon_total():
@@ -238,6 +239,28 @@ def test_trace_records_consistent():
     assert pot == recompute_potential(g, L, phi.color)
 
 
+@pytest.mark.parametrize("mode, specs, line, stats", [
+    # vizing's fan is the blank edge alone (j = 1): a happy-fan step
+    ("vizing", [(0, 1, None, AB), (1, 2, 1, AB)],
+     "0 fan-shift vizing-happy-fan 0 4:3 2:0", lc.RunStats(1, 0, 1, 0, 1)),
+    # koenig's two smallest available colors agree: a one-edge path
+    ("koenig", [(0, 1, None, AB)],
+     "0 path-shift-happy koenig-path 0 4:2 2:0", lc.RunStats(1, 0, 0, 1, 1)),
+])
+def test_one_edge_chain_is_colored_without_a_shift(mode, specs, line, stats,
+                                                    monkeypatch):
+    # a one-edge chain moves no color: the step neither checks nor commits
+    # a shift, yet keeps its trace record and counters
+    g, L, phi = setup_partial(3, specs)
+    log = ShiftLog(monkeypatch)
+    records, run = [], lc.RunStats()
+    assert engine.augment_once(phi, 0, mode, run, trace=records.append) is None
+    assert [lc.io.format_trace_record(r) for r in records] == [line]
+    assert run == stats
+    assert log.steps == [([], [])]
+    assert phi.color[0] == 2 - (mode == "koenig") and phi.verify() == []
+
+
 def traced_instance(mode, seed):
     rng = random.Random(seed)
     g = lc.generate_random(12, 6, 3, bipartite=mode == "koenig", seed=seed,
@@ -411,36 +434,41 @@ def test_augment_repairs_arbitrary_partial_colorings(mode):
 
 
 @pytest.mark.parametrize("mode, assume", [
-    ("shannon", None), ("vizing", None), ("explicit", "vizing"),
+    ("shannon", None), ("vizing", None), ("explicit", "vizing"), ("koenig", None),
 ])
 def test_each_shift_is_checked_once(mode, assume, monkeypatch):
     # a classifier checks each candidate shift once and the commit trusts
-    # that check: no step checks one chain twice, and every check leads to
-    # a commit except a vizing full fan passed over for its prefix (a
-    # content-fan-prefix step) or for a path (a path-psi step, whose fan
-    # shift and path shift are both committed); random shannon runs take
-    # the happy-edge branch, and test_shannon covers its deeper cases
+    # that check: no step checks one chain twice or checks a one-edge
+    # chain, and every check leads to a commit except one vizing fan
+    # passed over, for its prefix (a content-fan-prefix step) or for a
+    # path (a path-psi step, whose fan shift and path shift are both
+    # committed); random shannon runs take the happy-edge branch, and
+    # test_shannon covers its deeper cases; koenig checks only the path
+    # prefixes resolve_path commits
     log = ShiftLog(monkeypatch)
-    branches = []
+    branch = {}  # step index in the log -> the branch of its last record
     bound = assume or mode
-    for seed in range(150):
+    for seed in range(600):
         rng = random.Random(seed)
         g = lc.generate_random(rng.randint(3, 10), rng.randint(2, 10), rng.randint(1, 5),
-                               seed=seed, edges=rng.randint(2, 30))
+                               bipartite=mode == "koenig", seed=seed,
+                               edges=rng.randint(2, 30))
         if mode == "explicit":
             L = adversarial_lists(g, bound, rng)
         else:
             L = lc.generate_from_bounds(g, mode)
         lc.color_graph(g, L, mode, assume_bound=assume,
-                       trace=lambda r: branches.append(r.branch))
-    passed_over = sum(
-        b in (f"{bound}-content-fan-prefix", f"{bound}-path-psi-full",
-              f"{bound}-path-psi-prefix")
-        for b in branches
-    )
-    assert log.checks == log.commits + passed_over
+                       trace=lambda r: branch.__setitem__(len(log.steps) - 1, r.branch))
+    passed_over = log.passed_over()
+    for i in (i for i, n in enumerate(passed_over) if n):
+        assert passed_over[i] == 1
+        assert branch[i] in (f"{bound}-content-fan-prefix", f"{bound}-path-psi-full",
+                             f"{bound}-path-psi-prefix")
+    assert log.checks == log.commits + sum(passed_over)
+    if bound != "shannon":
+        assert log.commits > 1000
     if bound == "vizing":
-        assert log.commits > 1000 and passed_over > 20
+        assert sum(passed_over) > 20
 
 
 def relabellings(g, L, rng):

@@ -109,6 +109,17 @@ def test_shared_parse_matches_a_per_line_reference():
         assert len({id(s) for s in L.lists}) == len(set(tails))
 
 
+@pytest.mark.parametrize("mark", ["\x0c", "\x0b", "\x1c", "\x85", "\u2028", "\r"])
+def test_only_a_newline_ends_a_line(mark):
+    # str.splitlines also breaks at these marks: a comment would lose its
+    # tail to an unknown line, and a coloring would gain a line
+    g, L = lio.parse_instance(f"c note{mark}more\np edge 2 1\ne 0 1\n")
+    assert (g.n, list(g.endpoints), L) == (2, [(0, 1)], None)
+    assert lio.parse_coloring(f"0 1{mark}\n", 1) == [1]
+    g, L = lio.parse_instance("p edge 2 1\r\ne 0 1 1 2\r\n")  # a \r\n file
+    assert list(L.lists) == [frozenset({1, 2})]
+
+
 def test_comments_and_blank_lines_skipped():
     # a comment is free text: spellings refused in numbers stay allowed
     text = "c generated\n\np edge 2 1\nc 1_0 +2 \u0663 \u00e9\ne 0 1\n"
@@ -163,6 +174,9 @@ def test_coloring_parse_errors():
         ("0 1\n1 1_0\n", 2, 2, "numbers must be plain ASCII decimals"),
         ("0 1\n1 +2\n", 2, 2, "numbers must be plain ASCII decimals"),
         ("0 1\n1 \u0663\n", 2, 2, "numbers must be plain ASCII decimals"),
+        # a line ends at a newline alone
+        ("0 1\x0c\n1 x\n", 2, 2, "color must be an integer or '-'"),
+        ("0 1\r\n1 x\r\n", 2, 2, "color must be an integer or '-'"),
     ]
     for text, m, line_no, reason in cases:
         with pytest.raises(ParseError) as info:
@@ -184,6 +198,9 @@ def test_coloring_parse_errors():
         ("p edge 3 1\ne 0 1 \u0663\n", 2, "numbers must be plain ASCII decimals"),
         ("p edge 3 1\ne \u0660 \u0661 \u0662\n", 2,
          "numbers must be plain ASCII decimals"),
+        # a line ends at a newline alone
+        ("c a\u2028b\np edge 2 1\ne 0 2\n", 3, "vertex out of range [0, 2)"),
+        ("p edge 2 1\r\ne 0 2\r\n", 2, "vertex out of range [0, 2)"),
     ],
 )
 def test_parse_error_reasons(text, line_no, reason):
