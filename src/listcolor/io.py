@@ -15,8 +15,8 @@ which an edge line cannot express, with ValueError.
 Coloring format: exactly one line per edge, ``<edge-index> <color>`` with
 ``-`` for blank, in index order, and nothing else.  Numbers in both formats
 are ASCII decimals.  In both formats a line ends at a newline (``\n``)
-alone: any other whitespace, ``\r`` included, only separates tokens, and a
-comment is free text.
+alone: other ASCII whitespace, ``\r`` included, only separates tokens, and
+a comment is free text.
 
 Trace format: one line per record, space-separated fields in fixed order:
 ``<step> <kind> <branch> <edge,edge,...> <A>:<D> <A>:<D>`` (potential
