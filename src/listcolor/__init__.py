@@ -10,11 +10,7 @@ oracle provides ground truth at desk scale.
 
 from .bipartite import koenig_path
 from .chain import Chain, alternating_path, max_shiftable_prefix, resolve_path
-from .coloring import (
-    Finding,
-    PartialColoring,
-    check_edge_colors,
-)
+from .coloring import PartialColoring, check_edge_colors
 from .engine import RunStats, TraceRecord, augment_once, color_graph, step_budget
 from .graph import Multigraph
 from .io import (
@@ -36,7 +32,6 @@ __all__ = [
     "Multigraph",
     "ListAssignment",
     "PartialColoring",
-    "Finding",
     "RunStats",
     "TraceRecord",
     "alternating_path",

@@ -134,8 +134,8 @@ def cmd_verify(args) -> int:
     lists = _resolve_lists(g, file_lists, args.mode, args.instance)
     findings = check_edge_colors(g, lists, colors)
     blanks = sum(1 for c in colors if c is None)
-    for f in findings:
-        print(f"{f.kind}: {f.detail}", file=sys.stderr)
+    for kind, detail in findings:
+        print(f"{kind}: {detail}", file=sys.stderr)
     if blanks:
         print(f"incomplete: {blanks} edges blank", file=sys.stderr)
     if findings or blanks:

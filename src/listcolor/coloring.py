@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import (
@@ -113,12 +112,6 @@ class Shift(NamedTuple):
     changes: dict
     delta: tuple[int, int]
     stamp: int
-
-
-@dataclass(frozen=True, slots=True)
-class Finding:
-    kind: str  # "ImproperAssignment" | "ColorNotInList" | "CacheMismatch"
-    detail: str
 
 
 class PartialColoring:
@@ -356,8 +349,9 @@ class PartialColoring:
 
     # -- verification ---------------------------------------------------------
 
-    def verify(self) -> list[Finding]:
-        """Recompute everything from the assignment alone; report mismatches.
+    def verify(self) -> list[tuple[str, str]]:
+        """Recompute everything from the assignment alone; report mismatches
+        as ``check_edge_colors`` does, plus ("CacheMismatch", detail) pairs.
 
         The walk of ``check_edge_colors`` also rebuilds used and lists the
         blank edges, which give the blank count and d (deg(u) + deg(v) per
@@ -374,38 +368,35 @@ class PartialColoring:
         last = ok = None  # the ids of the palette objects last compared
         for x in range(g.n):
             if used[x] != self.used_edge[x]:
-                findings.append(Finding("CacheMismatch", f"used set at vertex {x}"))
+                findings.append(("CacheMismatch", f"used set at vertex {x}"))
             ranks = rank[x]
             here = id(self.palette[x]), id(self.rank[x]), id(ranks)
             if here != last:  # vertices in a row often share all three
                 last = here
                 ok = (self.palette[x], self.rank[x]) == (palette[x], ranks)
             if not ok:
-                findings.append(Finding("CacheMismatch", f"palette at vertex {x}"))
+                findings.append(("CacheMismatch", f"palette at vertex {x}"))
             um = 0
             for c in used[x]:
                 r = ranks.get(c)
                 if r is not None:
                     um |= 1 << r
             if common_mask[x] != self.common_mask[x] or um != self.used_mask[x]:
-                findings.append(Finding("CacheMismatch", f"color masks at vertex {x}"))
+                findings.append(("CacheMismatch", f"color masks at vertex {x}"))
             a += (common_mask[x] & ~um).bit_count()
         if len(blank) != self.blanks:
-            findings.append(Finding("CacheMismatch", "blank edge count"))
-        if (a, d) != (self.a_total, self.d_total):
-            findings.append(
-                Finding(
-                    "CacheMismatch",
-                    f"potential totals cached ({self.a_total}, {self.d_total})"
-                    f" recomputed ({a}, {d})",
-                )
-            )
+            findings.append(("CacheMismatch", "blank edge count"))
+        cached = self.a_total, self.d_total
+        if (a, d) != cached:
+            findings.append(("CacheMismatch", f"potential totals cached {cached} recomputed {(a, d)}"))
         return findings
 
 
-def check_edge_colors(g: Multigraph, lists, colors) -> list[Finding]:
+def check_edge_colors(g: Multigraph, lists, colors) -> list[tuple[str, str]]:
     """Validate a plain color vector (None = blank) without building caches.
 
+    Reports (kind, detail) pairs: kind "ColorNotInList" for a color outside
+    its edge's list, "ImproperAssignment" for a color twice at a vertex.
     ``lists`` may be None to skip list-membership checks.  Used by the CLI
     verifier, the oracle tests and ``PartialColoring.verify``, so it shares
     no code with the engine's incremental bookkeeping.
@@ -423,17 +414,11 @@ def _walk_colors(g: Multigraph, lists, colors) -> tuple[list, list, list]:
             blank.append(e)
             continue
         if lists is not None and c not in lists.lists[e]:
-            findings.append(
-                Finding("ColorNotInList", f"edge {e} colored {c} outside its list")
-            )
+            findings.append(("ColorNotInList", f"edge {e} colored {c} outside its list"))
         for w in g.endpoints[e]:
             if c in used[w]:
-                findings.append(
-                    Finding(
-                        "ImproperAssignment",
-                        f"color {c} on edges {used[w][c]} and {e} at vertex {w}",
-                    )
-                )
+                findings.append(("ImproperAssignment",
+                                 f"color {c} on edges {used[w][c]} and {e} at vertex {w}"))
             else:
                 used[w][c] = e
     return findings, used, blank

@@ -184,7 +184,8 @@ def color_graph(
             e = augment_once(phi, e, effective, stats, trace)
     findings = phi.verify()
     if findings:
-        raise InternalAssertionError(f"final verification failed: {findings[0]}")
+        kind, detail = findings[0]
+        raise InternalAssertionError(f"final verification failed: {kind}: {detail}")
     if stats.happy_steps != g.m:
         raise InternalAssertionError("happy step count does not match edge count")
     return phi, stats

@@ -15,8 +15,9 @@ which an edge line cannot express, with ValueError.
 Coloring format: exactly one line per edge, ``<edge-index> <color>`` with
 ``-`` for blank, in index order, and nothing else.  Numbers in both formats
 are ASCII decimals.  In both formats a line ends at a newline (``\n``)
-alone: other ASCII whitespace, ``\r`` included, only separates tokens, and
-a comment is free text.
+alone: other ASCII whitespace, ``\r`` included, only separates tokens,
+non-ASCII whitespace such as U+00A0 is refused outside a comment, and a
+comment is free text.
 
 Trace format: one line per record, space-separated fields in fixed order:
 ``<step> <kind> <branch> <edge,edge,...> <A>:<D> <A>:<D>`` (potential
@@ -49,9 +50,16 @@ def _check_vertex_count(n: int) -> None:
 
 def _check_decimals(line_no: int, text: str) -> None:
     """Refuse what ``int`` would read but the formats do not: ``_`` digit
-    separators, a ``+`` sign and non-ASCII digits or spaces."""
+    separators, a ``+`` sign and non-ASCII digits."""
     if not text.isascii() or "_" in text or "+" in text:
         raise ParseError(line_no, "numbers must be plain ASCII decimals")
+
+
+def _check_separators(line_no: int, text: str) -> None:
+    """Refuse the non-ASCII whitespace that ``str.split`` would also take
+    for a separator, such as U+00A0, U+0085 and U+2028."""
+    if not text.isascii() and any(c.isspace() and not c.isascii() for c in text):
+        raise ParseError(line_no, "tokens must be separated by ASCII whitespace")
 
 
 def _lines(text: str) -> list[str]:
@@ -74,10 +82,12 @@ def parse_instance(text: str) -> tuple[Multigraph, Optional[ListAssignment]]:
     edges: list[tuple[int, int]] = []
     lists: list[frozenset[int]] = []
     shared: dict[str, frozenset[int]] = {}  # list text -> its checked set
-    with_lists = without_lists = 0
     for line_no, raw in enumerate(_lines(text), start=1):
         parts = raw.split(None, 3)  # kind, u, v and the raw list text
-        if not parts or parts[0].startswith("c"):
+        if parts and parts[0].startswith("c"):
+            continue
+        _check_separators(line_no, raw)
+        if not parts:
             continue
         if parts[0] == "p":
             tokens = raw.split()
@@ -121,10 +131,6 @@ def parse_instance(text: str) -> tuple[Multigraph, Optional[ListAssignment]]:
                 shared[tail] = colors  # only a checked text is shared
             edges.append((u, v))
             lists.append(colors)
-            if colors:
-                with_lists += 1
-            else:
-                without_lists += 1
         else:
             raise ParseError(line_no, f"unknown line type {parts[0]!r}")
     if n is None:
@@ -132,6 +138,8 @@ def parse_instance(text: str) -> tuple[Multigraph, Optional[ListAssignment]]:
     if len(edges) != m:
         raise ParseError(line_no if edges or m else 1,
                          f"header promises {m} edges, found {len(edges)}")
+    without_lists = lists.count(frozenset())
+    with_lists = m - without_lists
     if with_lists and without_lists:
         raise MixedListPresenceError(
             f"{with_lists} edges carry lists, {without_lists} do not"
@@ -162,7 +170,9 @@ def parse_coloring(text: str, m: int) -> list[Optional[int]]:
     colors: list[Optional[int]] = []
     lines = _lines(text)
     for e in range(max(m, len(lines))):
-        tokens = lines[e].split() if e < len(lines) else ()
+        line = lines[e] if e < len(lines) else ""
+        _check_separators(e + 1, line)
+        tokens = line.split()
         if e >= m or len(tokens) != 2 or tokens[0] != str(e):
             raise ParseError(e + 1, f"expected {m} lines '<i> <color|->' in index order")
         if tokens[1] == "-":

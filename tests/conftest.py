@@ -201,6 +201,17 @@ def step_kind(out):
     return STEP_KINDS[shift is not None, path is not None, happy]
 
 
+class Miscounted(lc.PartialColoring):
+    """A coloring whose blank count starts one too high: every step moves it
+    by the right amount, so only the final verify can see it."""
+
+    __slots__ = ()
+
+    def __init__(self, g, lists):
+        super().__init__(g, lists)
+        self.blanks += 1
+
+
 class ShiftLog:
     """Records shift checks and commits while ``engine.augment_once`` runs.
 

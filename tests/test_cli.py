@@ -15,6 +15,8 @@ from listcolor import io as lio
 from listcolor.cli import build_parser, main
 from listcolor.errors import COLOR_CLASH, EdgeNotBlankError, NotShiftableError
 
+from conftest import Miscounted
+
 TRIANGLE = "p edge 3 3\ne 0 1\ne 1 2\ne 0 2\n"
 PATH2 = "p edge 3 2\ne 0 1 1 2\ne 1 2 1 2\n"
 
@@ -60,6 +62,20 @@ def test_verify_rejects_incomplete(tmp_path, capsys):
     code, out, err = run(capsys, "verify", inst, bad, "--mode", "vizing")
     assert code == 1
     assert "incomplete" in err
+
+
+def test_verify_prints_one_line_per_finding(tmp_path, capsys):
+    # kind: detail per finding in edge order, then the blank count
+    inst = write(tmp_path, "tri.txt", "p edge 3 3\ne 0 1 1 2\ne 1 2 1 2\ne 0 2 1 2\n")
+    bad = write(tmp_path, "bad.txt", "0 7\n1 7\n2 -\n")
+    code, out, err = run(capsys, "verify", inst, bad)
+    assert (code, out) == (1, "")
+    assert err == (
+        "ColorNotInList: edge 0 colored 7 outside its list\n"
+        "ColorNotInList: edge 1 colored 7 outside its list\n"
+        "ImproperAssignment: color 7 on edges 0 and 1 at vertex 1\n"
+        "incomplete: 1 edges blank\n"
+    )
 
 
 def test_empty_coloring_file_is_reported_at_line_one(tmp_path, capsys):
@@ -144,6 +160,17 @@ def test_step_budget_trip_exits_three(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "color", inst, "--mode", "shannon", "-o", str(out_path))
     assert code == 3
     assert "step 3 exceeds budget 2" in err
+    assert out == "" and out_path.read_text() == ""
+
+
+def test_final_verification_failure_exits_three(tmp_path, capsys, monkeypatch):
+    # a cache the run left wrong is a bug in the package, named kind: detail
+    monkeypatch.setattr(engine, "PartialColoring", Miscounted)
+    inst = write(tmp_path, "tri.txt", TRIANGLE)
+    out_path = tmp_path / "out.col"
+    code, out, err = run(capsys, "color", inst, "--mode", "shannon", "-o", str(out_path))
+    assert code == 3
+    assert err == "internal assertion: final verification failed: CacheMismatch: blank edge count\n"
     assert out == "" and out_path.read_text() == ""
 
 

@@ -182,7 +182,7 @@ def test_verify_reports_cache_mismatch(triangle):
     phi.assign(0, 1)
     phi.used_mask[2] |= 1 << phi.rank[2][3]  # corrupt one cached used mask: 3 looks taken
     findings = phi.verify()
-    assert any(f.kind == "CacheMismatch" for f in findings)
+    assert any(kind == "CacheMismatch" for kind, _ in findings)
 
 
 # cache -> (corrupt it alone, the one detail verify must report)
@@ -208,7 +208,7 @@ def test_verify_catches_each_cache_corrupted_alone(triangle, cache):
     assert recompute_potential(g, L, phi.color) == (7, 8)
     corrupt, detail = CORRUPTIONS[cache]
     corrupt(phi)
-    assert phi.verify() == [lc.Finding("CacheMismatch", detail)]
+    assert phi.verify() == [("CacheMismatch", detail)]
 
 
 def test_verify_reports_improper_and_unlisted(triangle):
@@ -216,10 +216,10 @@ def test_verify_reports_improper_and_unlisted(triangle):
     phi = lc.PartialColoring(g, L)
     phi.assign(0, 1)
     phi.color[1] = 1  # bypass assign to plant a clash at vertex 1
-    kinds = {f.kind for f in phi.verify()}
+    kinds = {kind for kind, _ in phi.verify()}
     assert "ImproperAssignment" in kinds
     phi.color[1] = 99
-    kinds = {f.kind for f in phi.verify()}
+    kinds = {kind for kind, _ in phi.verify()}
     assert "ColorNotInList" in kinds
 
 

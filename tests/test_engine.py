@@ -9,6 +9,7 @@ from listcolor import engine
 from listcolor.errors import (
     BoundViolationError,
     EdgeNotBlankError,
+    InternalAssertionError,
     NotBipartiteError,
     NotShiftableError,
     PreconditionViolatedError,
@@ -16,6 +17,7 @@ from listcolor.errors import (
 )
 
 from conftest import (
+    Miscounted,
     ShiftLog,
     adversarial_lists,
     blank_edges,
@@ -186,6 +188,24 @@ def test_step_budget_trip(monkeypatch):
     monkeypatch.setattr(engine, "step_budget", lambda phi: stats.steps)
     _, again = lc.color_graph(g, L, "vizing")
     assert again == stats
+
+
+def test_final_verification_failure_names_its_first_finding(monkeypatch):
+    g = lc.Multigraph(3, [(0, 1), (1, 2), (0, 2)])
+    L = lc.generate_from_bounds(g, "shannon")
+    monkeypatch.setattr(engine, "PartialColoring", Miscounted)
+    with pytest.raises(InternalAssertionError,
+                       match="^final verification failed: CacheMismatch: blank edge count$"):
+        lc.color_graph(g, L, "shannon")
+
+
+def test_happy_step_count_is_checked_at_the_end(monkeypatch):
+    g = lc.Multigraph(3, [(0, 1), (1, 2), (0, 2)])
+    L = lc.generate_from_bounds(g, "shannon")
+    monkeypatch.setattr(engine, "RunStats", lambda: lc.RunStats(happy_steps=1))
+    with pytest.raises(InternalAssertionError,
+                       match="^happy step count does not match edge count$"):
+        lc.color_graph(g, L, "shannon")
 
 
 def test_edge_order_does_not_affect_success():

@@ -14,6 +14,8 @@ from listcolor.errors import (
 
 from conftest import multiplicities
 
+SEPARATORS = "tokens must be separated by ASCII whitespace"
+
 
 def test_parse_explicit_triangle():
     text = "p edge 3 3\ne 0 1 1 2 3\ne 1 2 1 2 3\ne 0 2 1 2 3\n"
@@ -30,7 +32,7 @@ def test_parse_bound_instance_has_no_lists():
 
 def test_mixed_lists_rejected():
     text = "p edge 3 3\ne 0 1 1 2\ne 1 2\ne 0 2 1 2\n"
-    with pytest.raises(MixedListPresenceError):
+    with pytest.raises(MixedListPresenceError, match="^2 edges carry lists, 1 do not$"):
         lio.parse_instance(text)
 
 
@@ -115,7 +117,12 @@ def test_only_a_newline_ends_a_line(mark):
     # tail to an unknown line, and a coloring would gain a line
     g, L = lio.parse_instance(f"c note{mark}more\np edge 2 1\ne 0 1\n")
     assert (g.n, list(g.endpoints), L) == (2, [(0, 1)], None)
-    assert lio.parse_coloring(f"0 1{mark}\n", 1) == [1]
+    if mark.isascii():
+        assert lio.parse_coloring(f"0 1{mark}\n", 1) == [1]
+    else:  # nor is non-ASCII whitespace a separator
+        with pytest.raises(ParseError) as info:
+            lio.parse_coloring(f"0 1{mark}\n", 1)
+        assert (info.value.line_no, info.value.reason) == (1, SEPARATORS)
     g, L = lio.parse_instance("p edge 2 1\r\ne 0 1 1 2\r\n")  # a \r\n file
     assert list(L.lists) == [frozenset({1, 2})]
 
@@ -174,6 +181,11 @@ def test_coloring_parse_errors():
         ("0 1\n1 1_0\n", 2, 2, "numbers must be plain ASCII decimals"),
         ("0 1\n1 +2\n", 2, 2, "numbers must be plain ASCII decimals"),
         ("0 1\n1 \u0663\n", 2, 2, "numbers must be plain ASCII decimals"),
+        # only ASCII whitespace separates tokens
+        ("0\u20281\n1 2\n", 2, 1, SEPARATORS),
+        ("0 1\n1\xa02\n", 2, 2, SEPARATORS),
+        ("0 1\n1 -\x85\n", 2, 2, SEPARATORS),
+        ("0 1\n1 2\n\u3000\n", 2, 3, SEPARATORS),
         # a line ends at a newline alone
         ("0 1\x0c\n1 x\n", 2, 2, "color must be an integer or '-'"),
         ("0 1\r\n1 x\r\n", 2, 2, "color must be an integer or '-'"),
@@ -198,6 +210,12 @@ def test_coloring_parse_errors():
         ("p edge 3 1\ne 0 1 \u0663\n", 2, "numbers must be plain ASCII decimals"),
         ("p edge 3 1\ne \u0660 \u0661 \u0662\n", 2,
          "numbers must be plain ASCII decimals"),
+        # only ASCII whitespace separates tokens
+        ("p\xa0edge 2 1\ne 0 1\n", 1, SEPARATORS),
+        ("p edge 2 1\ne 0\u20281\n", 2, SEPARATORS),
+        ("p edge 2 1\ne 0\x851 1\n", 2, SEPARATORS),
+        ("p edge 2 1\ne 0 1 1\u30002\n", 2, SEPARATORS),
+        ("p edge 2 1\n\xa0\ne 0 1\n", 2, SEPARATORS),
         # a line ends at a newline alone
         ("c a\u2028b\np edge 2 1\ne 0 2\n", 3, "vertex out of range [0, 2)"),
         ("p edge 2 1\r\ne 0 2\r\n", 2, "vertex out of range [0, 2)"),

@@ -5,7 +5,6 @@ import dataclasses
 import pytest
 
 import listcolor as lc
-from listcolor.coloring import Finding
 
 
 def _chain():
@@ -15,7 +14,6 @@ def _chain():
 # (constructor of a fresh instance, a field to try to set)
 VALUES = {
     "Chain": (_chain, "edges"),
-    "Finding": (lambda: Finding("CacheMismatch", "blank edge count"), "detail"),
 }
 
 
