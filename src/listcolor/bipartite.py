@@ -13,10 +13,9 @@ from __future__ import annotations
 from .chain import Chain, alternating_path
 from .coloring import PartialColoring
 from .errors import (
-    AvailabilityEmptyError,
-    EdgeNotBlankError,
-    LemmaViolationError,
+    InternalAssertionError,
     NotBipartiteError,
+    PreconditionViolatedError,
 )
 
 
@@ -25,16 +24,16 @@ def koenig_path(phi: PartialColoring, e: int) -> Chain:
     if g.bipartition() is None:
         raise NotBipartiteError("koenig augmentation requires a bipartite graph")
     if phi.color[e] is not None:
-        raise EdgeNotBlankError(f"edge {e} is not blank")
+        raise PreconditionViolatedError(f"edge {e} is not blank")
     u, v = g.endpoints[e]
     alpha = phi.smallest(u, phi.available_mask(u))
     beta = phi.smallest(v, phi.available_mask(v))
     for w, c in ((u, alpha), (v, beta)):
         if c is None:
-            raise AvailabilityEmptyError(f"no available color at vertex {w}")
+            raise PreconditionViolatedError(f"no available color at vertex {w}")
     if alpha == beta:
         return Chain((e,), (u, v))
     path = alternating_path(phi, e, alpha, beta)
     if path.vertices[0] == path.vertices[-1]:
-        raise LemmaViolationError("bipartite parity violated: path returned home")
+        raise InternalAssertionError("bipartite parity violated: path returned home")
     return path

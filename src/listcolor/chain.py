@@ -38,8 +38,7 @@ from dataclasses import dataclass
 from .coloring import PartialColoring, Shift
 from .errors import (
     START_NOT_BLANK,
-    EdgeNotBlankError,
-    LemmaViolationError,
+    InternalAssertionError,
     NotShiftableError,
     PreconditionViolatedError,
 )
@@ -99,7 +98,7 @@ def alternating_path(
         if e in shifted.edges:  # blank in psi only at the chain's end edge
             blank = e == shifted.edges[-1]
     if not blank:
-        raise EdgeNotBlankError(f"edge {e} is not blank")
+        raise PreconditionViolatedError(f"edge {e} is not blank")
 
     def free(w, c):
         return c in common[w] and over.get((w, c), used[w].get(c)) is None
@@ -127,10 +126,10 @@ def alternating_path(
         vertices.append(cur)
         need, follow = follow, need
         if len(edges) > g.m:
-            raise LemmaViolationError("alternating walk revisited an edge")
+            raise InternalAssertionError("alternating walk revisited an edge")
     interior = vertices[1:]
     if len(set(interior)) != len(interior):
-        raise LemmaViolationError("alternating walk revisited a vertex")
+        raise InternalAssertionError("alternating walk revisited a vertex")
     return Chain(tuple(edges), tuple(vertices))
 
 
@@ -194,12 +193,12 @@ def resolve_path(phi: PartialColoring, path: Chain) -> Chain:
             raise NotShiftableError(0, START_NOT_BLANK)
         c = phi.is_happy(e)
         if c is None:
-            raise LemmaViolationError(f"one-edge path {e} has no color to take")
+            raise InternalAssertionError(f"one-edge path {e} has no color to take")
         phi.assign(e, c)
         return path
     j = max_shiftable_prefix(phi, path)
     if j < min(3, k):
-        raise LemmaViolationError(
+        raise InternalAssertionError(
             f"shiftable prefix {j} below guaranteed minimum {min(3, k)}"
         )
     prefix = path if j == k else path.prefix(j)
@@ -214,4 +213,4 @@ def resolve_path(phi: PartialColoring, path: Chain) -> Chain:
     # longest valid shift; the availability total must have dropped.
     if shift.delta < (0, 0):
         return prefix
-    raise LemmaViolationError("path neither happy nor content")
+    raise InternalAssertionError("path neither happy nor content")

@@ -51,10 +51,6 @@ from .errors import (
     COLOR_CLASH,
     COLOR_NOT_IN_LIST,
     START_NOT_BLANK,
-    ColorNotInListError,
-    EdgeBlankError,
-    EdgeNotBlankError,
-    ImproperAssignmentError,
     NotShiftableError,
     PreconditionViolatedError,
 )
@@ -199,12 +195,12 @@ class PartialColoring:
 
     def assign(self, e: int, c: int) -> None:
         if self.color[e] is not None:
-            raise EdgeNotBlankError(f"edge {e} already colored")
+            raise PreconditionViolatedError(f"edge {e} already colored")
         if c not in self.lists.lists[e]:
-            raise ColorNotInListError(f"color {c} not in list of edge {e}")
+            raise PreconditionViolatedError(f"color {c} not in list of edge {e}")
         u, v = self.g.endpoints[e]
         if c in self.used_edge[u] or c in self.used_edge[v]:
-            raise ImproperAssignmentError(f"color {c} already used at an end of edge {e}")
+            raise PreconditionViolatedError(f"color {c} already used at an end of edge {e}")
         self.color[e] = c
         common = self.lists.common  # c was unused at both ends: available iff common
         self._commit({(u, c): e, (v, c): e}, -(c in common[u]) - (c in common[v]),
@@ -213,7 +209,7 @@ class PartialColoring:
     def unassign(self, e: int) -> None:
         c = self.color[e]
         if c is None:
-            raise EdgeBlankError(f"edge {e} already blank")
+            raise PreconditionViolatedError(f"edge {e} already blank")
         self.color[e] = None
         u, v = self.g.endpoints[e]
         common = self.lists.common
@@ -223,7 +219,7 @@ class PartialColoring:
     def is_happy(self, e: int) -> Optional[int]:
         """Smallest color legally extendable onto blank edge e, or None."""
         if self.color[e] is not None:
-            raise EdgeNotBlankError(f"edge {e} is not blank")
+            raise PreconditionViolatedError(f"edge {e} is not blank")
         u, v = self.g.endpoints[e]
         if self.rank[u] is self.rank[v]:
             cm, um = self.common_mask, self.used_mask

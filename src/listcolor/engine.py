@@ -24,11 +24,7 @@ from . import shannon, vizing
 from .bipartite import koenig_path
 from .chain import resolve_path
 from .coloring import PartialColoring
-from .errors import (
-    InternalAssertionError,
-    LemmaViolationError,
-    StepBudgetExceededError,
-)
+from .errors import InternalAssertionError
 from .graph import Multigraph
 from .lists import BOUND_MODES, MODES, ListAssignment, check_bound
 
@@ -103,7 +99,7 @@ def augment_once(
     if happy:
         c = phi.is_happy(fan[-1])
         if c is None:
-            raise LemmaViolationError(f"edge {fan[-1]} not recolorable after its shift")
+            raise InternalAssertionError(f"edge {fan[-1]} not recolorable after its shift")
         phi.assign(fan[-1], c)
     if trace is not None and (shift is not None or happy):
         kind = "happy-edge" if shift is None else "fan-shift"
@@ -123,9 +119,9 @@ def augment_once(
     stats.max_chain_length = max(stats.max_chain_length, len(fan), len(chain))
     after = phi.potential()
     if not after < before:
-        raise LemmaViolationError(f"potential did not drop: {before} -> {after}")
+        raise InternalAssertionError(f"potential did not drop: {before} -> {after}")
     if phi.blanks != blanks - happy:
-        raise LemmaViolationError(f"blank count went from {blanks} to {phi.blanks}")
+        raise InternalAssertionError(f"blank count went from {blanks} to {phi.blanks}")
     if happy:
         stats.happy_steps += 1
         return None
@@ -180,7 +176,7 @@ def color_graph(
     for e in range(g.m):
         while e is not None:
             if stats.steps >= budget:
-                raise StepBudgetExceededError(f"step {budget + 1} exceeds budget {budget}")
+                raise InternalAssertionError(f"step {budget + 1} exceeds budget {budget}")
             e = augment_once(phi, e, effective, stats, trace)
     findings = phi.verify()
     if findings:

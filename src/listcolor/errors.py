@@ -1,12 +1,20 @@
 """Exception hierarchy for the listcolor package.
 
-Three top-level families matter for the CLI exit codes:
+Eight classes, one per way a caller handles a failure; the CLI maps them
+to exit codes:
 
-* ``InputError`` covers malformed files and infeasible requests (exit 2),
-* ``BoundViolationError`` / ``NotBipartiteError`` cover inputs that do not
-  satisfy the guarantee the selected mode needs (exit 1),
-* ``InternalAssertionError`` covers conditions the theory rules out; seeing
-  one means the implementation is wrong, never the input (exit 3).
+* ``InputError`` and its subclass ``ParseError`` (which keeps ``line_no``
+  and ``reason``) cover malformed files and infeasible requests (exit 2);
+* ``BoundViolationError`` (which keeps ``vertex``, ``required`` and
+  ``actual``) and ``NotBipartiteError`` cover inputs that do not satisfy
+  the guarantee the selected mode needs (exit 1);
+* ``InternalAssertionError`` covers conditions the theory rules out;
+  seeing one means the implementation is wrong, never the input (exit 3);
+* ``PreconditionViolatedError`` and ``NotShiftableError`` (which keeps
+  ``index`` and ``reason``) report a library call that broke an
+  operation's precondition; raised inside ``color`` they, too, mean a bug
+  here (exit 3);
+* ``ListColorError`` is the base of all of them.
 """
 
 
@@ -25,29 +33,6 @@ class ParseError(InputError):
         self.reason = reason
 
 
-class MixedListPresenceError(InputError):
-    """Some edge lines carry color lists and some do not."""
-
-
-class TooLargeError(InputError):
-    def __init__(self, m: int, limit: int):
-        super().__init__(f"instance has {m} edges, exhaustive search capped at {limit}")
-
-
-class InfeasibleParamsError(InputError):
-    """Random-instance parameters that cannot produce any graph."""
-
-
-class LoopEdgeError(InputError):
-    def __init__(self, vertex: int):
-        super().__init__(f"loop edge at vertex {vertex}")
-
-
-class VertexOutOfRangeError(InputError):
-    def __init__(self, vertex: int, n: int):
-        super().__init__(f"vertex {vertex} out of range [0, {n})")
-
-
 class NotBipartiteError(ListColorError):
     """koenig mode requested on a graph with no bipartition."""
 
@@ -62,28 +47,10 @@ class BoundViolationError(ListColorError):
         self.actual = actual
 
 
-class EdgeNotBlankError(ListColorError):
-    """Operation requires an uncolored edge."""
-
-
-class EdgeBlankError(ListColorError):
-    """Operation requires a colored edge."""
-
-
-class ImproperAssignmentError(ListColorError):
-    """Assigning this color would clash with an incident edge."""
-
-
-class ColorNotInListError(ListColorError):
-    """Assigning a color absent from the edge's list."""
-
-
 class PreconditionViolatedError(ListColorError):
-    """Caller broke a documented operation precondition."""
-
-
-class AvailabilityEmptyError(PreconditionViolatedError):
-    """An availability set required to be nonempty is empty."""
+    """Caller broke a documented operation precondition: an edge that must
+    be blank is colored or the reverse, a color that is absent from the
+    edge's list or clashes at an end, or an empty availability set."""
 
 
 # Reasons attached to NotShiftableError.
@@ -101,15 +68,3 @@ class NotShiftableError(ListColorError):
 
 class InternalAssertionError(ListColorError):
     """A condition the theory guarantees failed; indicates a bug here."""
-
-
-class LemmaViolationError(InternalAssertionError):
-    pass
-
-
-class BetaEmptyError(InternalAssertionError):
-    """vizing fan polled an empty working set (provably nonempty)."""
-
-
-class StepBudgetExceededError(InternalAssertionError):
-    """Engine exceeded the step budget implied by the potential bounds."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .errors import LoopEdgeError, VertexOutOfRangeError
+from .errors import InputError
 
 
 class Multigraph:
@@ -41,9 +41,9 @@ class Multigraph:
         for e, (u, v) in enumerate(edge_list):
             for w in (u, v):
                 if not 0 <= w < n:
-                    raise VertexOutOfRangeError(w, n)
+                    raise InputError(f"vertex {w} out of range [0, {n})")
             if u == v:
-                raise LoopEdgeError(u)
+                raise InputError(f"loop edge at vertex {u}")
             endpoints.append((u, v))
             incidence[u].append(e)
             incidence[v].append(e)
@@ -65,7 +65,7 @@ class Multigraph:
 
     def _check_vertex(self, x: int) -> None:
         if not 0 <= x < self.n:
-            raise VertexOutOfRangeError(x, self.n)
+            raise InputError(f"vertex {x} out of range [0, {self.n})")
 
     def degree(self, x: int) -> int:
         self._check_vertex(x)

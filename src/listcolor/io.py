@@ -29,11 +29,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from .errors import (
-    InfeasibleParamsError,
-    MixedListPresenceError,
-    ParseError,
-)
+from .errors import InputError, ParseError
 from .graph import Multigraph
 from .lists import ListAssignment
 
@@ -45,7 +41,7 @@ def _check_vertex_count(n: int) -> None:
     """Refuse n past MAX_VERTICES before anything is sized by it: isolated
     vertices carry no coloring work, so such an n only allocates."""
     if n > MAX_VERTICES:
-        raise InfeasibleParamsError(f"vertex count {n} above the cap {MAX_VERTICES}")
+        raise InputError(f"vertex count {n} above the cap {MAX_VERTICES}")
 
 
 def _check_decimals(line_no: int, text: str) -> None:
@@ -84,7 +80,8 @@ def parse_instance(text: str) -> tuple[Multigraph, Optional[ListAssignment]]:
     shared: dict[str, frozenset[int]] = {}  # list text -> its checked set
     for line_no, raw in enumerate(_lines(text), start=1):
         parts = raw.split(None, 3)  # kind, u, v and the raw list text
-        if parts and parts[0].startswith("c"):
+        # a comment's "c" follows ASCII whitespace alone
+        if parts and parts[0].startswith("c") and raw[:raw.find("c")].isascii():
             continue
         _check_separators(line_no, raw)
         if not parts:
@@ -104,7 +101,7 @@ def parse_instance(text: str) -> tuple[Multigraph, Optional[ListAssignment]]:
                 raise ParseError(line_no, "negative vertex or edge count")
             try:
                 _check_vertex_count(n)
-            except InfeasibleParamsError as exc:
+            except InputError as exc:
                 raise ParseError(line_no, str(exc))
         elif parts[0] == "e":
             if n is None:
@@ -141,9 +138,7 @@ def parse_instance(text: str) -> tuple[Multigraph, Optional[ListAssignment]]:
     without_lists = lists.count(frozenset())
     with_lists = m - without_lists
     if with_lists and without_lists:
-        raise MixedListPresenceError(
-            f"{with_lists} edges carry lists, {without_lists} do not"
-        )
+        raise InputError(f"{with_lists} edges carry lists, {without_lists} do not")
     g = Multigraph(n, edges)
     if with_lists:
         return g, ListAssignment(g, lists)
@@ -225,17 +220,17 @@ def generate_random(
     which holds for every n >= 25 * max_degree + 4.
     """
     if min(n, max_degree, max_multiplicity, edges or 0) < 0:
-        raise InfeasibleParamsError("counts and caps must be nonnegative")
+        raise InputError("counts and caps must be nonnegative")
     _check_vertex_count(n)
     if n < 2 and (edges or 0) > 0:
-        raise InfeasibleParamsError("need at least two vertices to place edges")
+        raise InputError("need at least two vertices to place edges")
     if edges is not None and edges > 0 and (max_degree < 1 or max_multiplicity < 1):
-        raise InfeasibleParamsError("caps of zero cannot accommodate edges")
+        raise InputError("caps of zero cannot accommodate edges")
     target = edges if edges is not None else n * max_degree // 3
     pairs = (n + 1) // 2 * (n // 2) if bipartite else n * (n - 1) // 2
     reachable = min(target, n * max_degree // 2, pairs * max_multiplicity)
     if reachable > MAX_EDGES:
-        raise InfeasibleParamsError(f"edge target {reachable} above the cap {MAX_EDGES}")
+        raise InputError(f"edge target {reachable} above the cap {MAX_EDGES}")
     rng = random.Random(seed)
     deg = [0] * n
     mult: dict[tuple[int, int], int] = {}

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .errors import TooLargeError
+from .errors import InputError
 from .graph import Multigraph
 from .lists import ListAssignment
 
@@ -21,7 +21,7 @@ def exhaustive_color(
 ) -> Optional[list[int]]:
     """Some proper list edge-coloring if one exists, else None."""
     if g.m > limit:
-        raise TooLargeError(g.m, limit)
+        raise InputError(f"instance has {g.m} edges, exhaustive search capped at {limit}")
     order = [sorted(lists.lists[e]) for e in range(g.m)]
     colors: list[Optional[int]] = [None] * g.m
     used = [set() for _ in range(g.n)]

@@ -28,11 +28,7 @@ from __future__ import annotations
 
 from .chain import Chain, alternating_path
 from .coloring import PartialColoring, Shift
-from .errors import (
-    AvailabilityEmptyError,
-    EdgeNotBlankError,
-    LemmaViolationError,
-)
+from .errors import InternalAssertionError, PreconditionViolatedError
 
 HAPPY_EDGE = ("happy-edge", None, None, True)  # the engine colors the blank edge
 
@@ -50,18 +46,18 @@ def shannon_fan(phi: PartialColoring, e: int) -> Chain:
     """The fan the dispatcher works on: (e) if the quick happy check fires,
     else (e, f) with f the pivot's edge colored min available at y."""
     if phi.color[e] is not None:
-        raise EdgeNotBlankError(f"edge {e} is not blank")
+        raise PreconditionViolatedError(f"edge {e} is not blank")
     x, y = _orient(phi, e)
     if phi.smallest_unused(y, x) is not None:
         return Chain((e,), (x, y))
     avail_y = phi.available_mask(y)
     if not avail_y:
-        raise AvailabilityEmptyError(
+        raise PreconditionViolatedError(
             f"no available color at vertex {y}; the degree bound cannot hold"
         )
     f = phi.used_edge[x].get(phi.smallest(y, avail_y))
     if f is None:
-        raise LemmaViolationError("available color at y not used at x after check")
+        raise InternalAssertionError("available color at y not used at x after check")
     z = phi.g.other_end(f, x)
     return Chain((e, f), (x, y, z))
 
@@ -96,18 +92,18 @@ def classify_shannon(
     # Final case: both availabilities inside used(x), so they intersect.
     beta = phi.smallest_shared(y, z)
     if beta is None:
-        raise LemmaViolationError("final-case availability intersection is empty")
+        raise InternalAssertionError("final-case availability intersection is empty")
     alpha = phi.smallest(x, phi.available_mask(x))
     if alpha is None:
-        raise LemmaViolationError("no available color at the pivot")
+        raise InternalAssertionError("no available color at the pivot")
     p1 = alternating_path(phi, e, alpha, beta)
     if p1.vertices[0] != p1.vertices[-1]:
         return "final-path-phi", None, p1, False
     shift = phi.check_shift(fan.edges)
     da, _ = shift.delta
     if da != 0:
-        raise LemmaViolationError("fan shift changed the availability total")
+        raise InternalAssertionError("fan shift changed the availability total")
     p2 = alternating_path(phi, f, alpha, beta, shifted=shift)
     if p2.vertices[0] == p2.vertices[-1]:
-        raise LemmaViolationError("both fallback path candidates are circular")
+        raise InternalAssertionError("both fallback path candidates are circular")
     return "final-path-psi", shift, p2, False

@@ -26,19 +26,14 @@ from __future__ import annotations
 
 from .chain import Chain, alternating_path
 from .coloring import PartialColoring, Shift
-from .errors import (
-    BetaEmptyError,
-    EdgeNotBlankError,
-    LemmaViolationError,
-    PreconditionViolatedError,
-)
+from .errors import InternalAssertionError, PreconditionViolatedError
 
 
 def vizing_fan(phi: PartialColoring, e: int, x: int) -> tuple[Chain, int, int]:
     """(fan, beta, j): beta is available at the end leaves of both fan and
     ``fan.prefix(j)``, and j == len(fan.edges) exactly when the fan is happy."""
     if phi.color[e] is not None:
-        raise EdgeNotBlankError(f"edge {e} is not blank")
+        raise PreconditionViolatedError(f"edge {e} is not blank")
     g = phi.g
     if x not in g.endpoints[e]:
         raise PreconditionViolatedError(f"pivot {x} is not an endpoint of edge {e}")
@@ -57,7 +52,7 @@ def vizing_fan(phi: PartialColoring, e: int, x: int) -> tuple[Chain, int, int]:
         if w is None:
             w = common[z] & ~taken[z]
         if not w:
-            raise BetaEmptyError(f"working set of leaf {z} ran out")
+            raise InternalAssertionError(f"working set of leaf {z} ran out")
         low = w & -w  # the smallest color left, read as ``smallest`` reads it
         eta = palette[z][low.bit_length() - 1]
         working[z] = w ^ low
@@ -71,7 +66,7 @@ def vizing_fan(phi: PartialColoring, e: int, x: int) -> tuple[Chain, int, int]:
         edges.append(ek)
         u, v = ends[ek]
         vertices.append(v if u == x else u)
-    raise LemmaViolationError("fan construction exhausted the pivot's degree")
+    raise InternalAssertionError("fan construction exhausted the pivot's degree")
 
 
 def classify_vizing(
@@ -100,14 +95,14 @@ def classify_vizing(
         shifts.append(shift)
     alpha = phi.smallest(x, phi.available_mask(x))
     if alpha is None:
-        raise LemmaViolationError("no available color at the pivot")
+        raise InternalAssertionError("no available color at the pivot")
     for shift, branch in zip(shifts, ("path-psi-full", "path-psi-prefix")):
         da, _ = shift.delta
         if da != 0:
-            raise LemmaViolationError("fan shift changed the availability total")
+            raise InternalAssertionError("fan shift changed the availability total")
         path = alternating_path(phi, shift.edges[-1], alpha, beta, shifted=shift)
         if path.vertices[0] != path.vertices[-1]:
             return branch, shift, path, False
-    raise LemmaViolationError(
+    raise InternalAssertionError(
         "both fan path candidates are circular (last tried path-psi-prefix)"
     )

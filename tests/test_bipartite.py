@@ -3,7 +3,7 @@ import random
 import pytest
 
 import listcolor as lc
-from listcolor.errors import AvailabilityEmptyError, NotBipartiteError
+from listcolor.errors import NotBipartiteError, PreconditionViolatedError
 
 from conftest import available, blank_edges, random_partial, setup_partial
 
@@ -64,7 +64,7 @@ def test_rejects_empty_availability():
     phi.assign(1, 1)
     phi.assign(2, 2)
     assert available(phi, 0) == set()
-    with pytest.raises(AvailabilityEmptyError):
+    with pytest.raises(PreconditionViolatedError, match="^no available color at vertex 0$"):
         lc.koenig_path(phi, 0)
 
 

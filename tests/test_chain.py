@@ -6,8 +6,7 @@ import listcolor as lc
 from listcolor.errors import (
     COLOR_NOT_IN_LIST,
     START_NOT_BLANK,
-    EdgeNotBlankError,
-    LemmaViolationError,
+    InternalAssertionError,
     NotShiftableError,
     PreconditionViolatedError,
 )
@@ -300,7 +299,7 @@ def test_resolve_single_edge_happy(monkeypatch):
 def test_resolve_single_edge_without_a_color_is_a_lemma_violation():
     g, L, phi = setup_partial(3, [(0, 1, None, frozenset({1})), (1, 2, 1, AB)])
     before = live_state(phi)
-    with pytest.raises(LemmaViolationError):
+    with pytest.raises(InternalAssertionError, match="^one-edge path 0 has no color to take$"):
         lc.resolve_path(phi, lc.Chain((0,), (0, 1)))
     assert live_state(phi) == before
 
@@ -439,7 +438,7 @@ def test_bare_chain_prefix_has_no_vertices():
 def walk_or_error(walk):
     try:
         return walk()
-    except (EdgeNotBlankError, LemmaViolationError, PreconditionViolatedError) as exc:
+    except (InternalAssertionError, PreconditionViolatedError) as exc:
         return type(exc), str(exc)
 
 

@@ -13,7 +13,7 @@ import listcolor as lc
 from listcolor import cli, engine, vizing
 from listcolor import io as lio
 from listcolor.cli import build_parser, main
-from listcolor.errors import COLOR_CLASH, EdgeNotBlankError, NotShiftableError
+from listcolor.errors import COLOR_CLASH, NotShiftableError, PreconditionViolatedError
 
 from conftest import Miscounted
 
@@ -137,7 +137,7 @@ def test_insufficient_explicit_lists_exit_one(tmp_path, capsys):
 
 @pytest.mark.parametrize("error", [
     NotShiftableError(1, COLOR_CLASH),
-    EdgeNotBlankError("edge 0 is not blank"),
+    PreconditionViolatedError("edge 0 is not blank"),
 ])
 def test_engine_misuse_inside_color_exits_three(tmp_path, capsys, monkeypatch, error):
     # a misused engine call is a bug in the package, not bad input
@@ -148,7 +148,7 @@ def test_engine_misuse_inside_color_exits_three(tmp_path, capsys, monkeypatch, e
     inst = write(tmp_path, "tri.txt", TRIANGLE)
     code, out, err = run(capsys, "color", inst, "--mode", "vizing")
     assert code == 3
-    assert type(error).__name__ in err
+    assert err == f"internal error: {type(error).__name__}: {error}\n"
     assert out == ""
 
 
@@ -204,6 +204,14 @@ def test_oracle_without_a_coloring_empties_the_output(tmp_path, capsys):
     assert code == 0
     assert "no coloring" in out
     assert colf.read_text() == ""
+
+
+def test_oracle_past_its_limit_exits_two(tmp_path, capsys):
+    path = "".join(f"e {i} {i + 1}\n" for i in range(12))
+    inst = write(tmp_path, "path.txt", f"p edge 13 12\n{path}")
+    code, out, err = run(capsys, "oracle", inst, "--mode", "vizing")
+    assert (code, out) == (2, "")
+    assert err == "error: instance has 12 edges, exhaustive search capped at 10\n"
 
 
 def test_oracle_unwritable_output_exits_two_before_the_search(tmp_path, capsys, monkeypatch):

@@ -22,10 +22,9 @@ from hypothesis import strategies as st
 import listcolor as lc
 from listcolor import coloring
 from listcolor.errors import (
-    AvailabilityEmptyError,
-    BetaEmptyError,
-    LemmaViolationError,
+    InternalAssertionError,
     NotShiftableError,
+    PreconditionViolatedError,
 )
 
 from conftest import (
@@ -53,10 +52,11 @@ def instances(draw):
 
 
 def outcome(fn, *args):
+    """The call's result, or the type and message of the error it raised."""
     try:
         return fn(*args)
-    except (AvailabilityEmptyError, BetaEmptyError, LemmaViolationError) as exc:
-        return type(exc)
+    except (InternalAssertionError, PreconditionViolatedError) as exc:
+        return type(exc), str(exc)
 
 
 def reference_vizing_fan(g, avail, colors, e, x):
@@ -71,7 +71,7 @@ def reference_vizing_fan(g, avail, colors, e, x):
         z = vertices[-1]
         polls = left.setdefault(z, sorted(avail[z]))
         if not polls:
-            return BetaEmptyError
+            return InternalAssertionError, f"working set of leaf {z} ran out"
         eta = polls.pop(0)
         ek = at_x.get(eta)
         if ek is None:
@@ -81,7 +81,7 @@ def reference_vizing_fan(g, avail, colors, e, x):
         index[ek] = k + 1
         edges.append(ek)
         vertices.append(g.other_end(ek, x))
-    return LemmaViolationError
+    return InternalAssertionError, "fan construction exhausted the pivot's degree"
 
 
 def reference_shannon_fan(g, avail, used, colors, e):
@@ -89,7 +89,8 @@ def reference_shannon_fan(g, avail, used, colors, e):
     if avail[y] - used[x]:
         return lc.Chain((e,), (x, y))
     if not avail[y]:
-        return AvailabilityEmptyError
+        return (PreconditionViolatedError,
+                f"no available color at vertex {y}; the degree bound cannot hold")
     eta = min(avail[y])
     f = next(f for f in g.incidence[x] if colors[f] == eta)
     return lc.Chain((e, f), (x, y, g.other_end(f, x)))

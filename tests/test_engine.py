@@ -8,12 +8,10 @@ import listcolor as lc
 from listcolor import engine
 from listcolor.errors import (
     BoundViolationError,
-    EdgeNotBlankError,
     InternalAssertionError,
     NotBipartiteError,
     NotShiftableError,
     PreconditionViolatedError,
-    StepBudgetExceededError,
 )
 
 from conftest import (
@@ -107,13 +105,13 @@ def test_assume_bound_refused_outside_explicit_mode(triangle, mode):
 # misuse of a public call on the path 0-1-2, edge 0 colored -> (error, message)
 MISUSE = {
     "koenig_path-colored": (lambda phi: lc.koenig_path(phi, 0),
-                            EdgeNotBlankError, "edge 0 is not blank"),
+                            PreconditionViolatedError, "edge 0 is not blank"),
     "shannon_fan-colored": (lambda phi: lc.shannon_fan(phi, 0),
-                            EdgeNotBlankError, "edge 0 is not blank"),
+                            PreconditionViolatedError, "edge 0 is not blank"),
     "vizing_fan-colored": (lambda phi: lc.vizing_fan(phi, 0, 0),
-                           EdgeNotBlankError, "edge 0 is not blank"),
+                           PreconditionViolatedError, "edge 0 is not blank"),
     "alternating_path-colored": (lambda phi: lc.alternating_path(phi, 0, 1, 2),
-                                 EdgeNotBlankError, "edge 0 is not blank"),
+                                 PreconditionViolatedError, "edge 0 is not blank"),
     "vizing_fan-foreign-pivot": (lambda phi: lc.vizing_fan(phi, 1, 0),
                                  PreconditionViolatedError,
                                  "pivot 0 is not an endpoint of edge 1"),
@@ -182,7 +180,7 @@ def test_step_budget_trip(monkeypatch):
     _, stats = lc.color_graph(g, L, "vizing")
     assert stats.content_steps > 0
     monkeypatch.setattr(engine, "step_budget", lambda phi: stats.steps - 1)
-    with pytest.raises(StepBudgetExceededError,
+    with pytest.raises(InternalAssertionError,
                        match=f"^step {stats.steps} exceeds budget {stats.steps - 1}$"):
         lc.color_graph(g, L, "vizing")
     monkeypatch.setattr(engine, "step_budget", lambda phi: stats.steps)

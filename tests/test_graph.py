@@ -3,7 +3,7 @@ import random
 import pytest
 
 import listcolor as lc
-from listcolor.errors import LoopEdgeError, VertexOutOfRangeError
+from listcolor.errors import InputError
 
 from conftest import multiplicities
 
@@ -26,15 +26,15 @@ def test_build_digon():
 
 
 def test_loop_rejected():
-    with pytest.raises(LoopEdgeError):
+    with pytest.raises(InputError, match=r"^loop edge at vertex 0$"):
         lc.Multigraph(2, [(0, 0)])
 
 
 def test_vertex_out_of_range():
-    with pytest.raises(VertexOutOfRangeError):
+    with pytest.raises(InputError, match=r"^vertex 2 out of range \[0, 2\)$"):
         lc.Multigraph(2, [(0, 2)])
     g = lc.Multigraph(2, [(0, 1)])
-    with pytest.raises(VertexOutOfRangeError):
+    with pytest.raises(InputError, match=r"^vertex 5 out of range \[0, 2\)$"):
         g.degree(5)
 
 

@@ -6,11 +6,7 @@ import pytest
 
 import listcolor as lc
 from listcolor import io as lio
-from listcolor.errors import (
-    InfeasibleParamsError,
-    MixedListPresenceError,
-    ParseError,
-)
+from listcolor.errors import InputError, ParseError
 
 from conftest import multiplicities
 
@@ -32,7 +28,7 @@ def test_parse_bound_instance_has_no_lists():
 
 def test_mixed_lists_rejected():
     text = "p edge 3 3\ne 0 1 1 2\ne 1 2\ne 0 2 1 2\n"
-    with pytest.raises(MixedListPresenceError, match="^2 edges carry lists, 1 do not$"):
+    with pytest.raises(InputError, match="^2 edges carry lists, 1 do not$"):
         lio.parse_instance(text)
 
 
@@ -216,6 +212,9 @@ def test_coloring_parse_errors():
         ("p edge 2 1\ne 0\x851 1\n", 2, SEPARATORS),
         ("p edge 2 1\ne 0 1 1\u30002\n", 2, SEPARATORS),
         ("p edge 2 1\n\xa0\ne 0 1\n", 2, SEPARATORS),
+        # a comment's "c" follows ASCII whitespace alone
+        ("\xa0c x\np edge 2 1\ne 0 1\n", 1, SEPARATORS),
+        (" c hi\nc\xa0hi\np edge 2 1\ne 0 2\n", 4, "vertex out of range [0, 2)"),
         # a line ends at a newline alone
         ("c a\u2028b\np edge 2 1\ne 0 2\n", 3, "vertex out of range [0, 2)"),
         ("p edge 2 1\r\ne 0 2\r\n", 2, "vertex out of range [0, 2)"),
@@ -297,7 +296,7 @@ def test_generate_random_draws_the_pinned_graphs_within_reach():
 
 
 def test_generate_random_infeasible():
-    with pytest.raises(InfeasibleParamsError):
+    with pytest.raises(InputError, match="^need at least two vertices to place edges$"):
         lc.generate_random(1, 2, 1, edges=3)
-    with pytest.raises(InfeasibleParamsError):
+    with pytest.raises(InputError, match="^caps of zero cannot accommodate edges$"):
         lc.generate_random(5, 0, 0, edges=4)

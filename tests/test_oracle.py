@@ -3,7 +3,7 @@ import random
 import pytest
 
 import listcolor as lc
-from listcolor.errors import BoundViolationError, TooLargeError
+from listcolor.errors import BoundViolationError, InputError
 
 
 def test_triangle_two_colors_infeasible():
@@ -30,7 +30,8 @@ def test_digon_two_colors(digon):
 def test_limit_enforced():
     g = lc.Multigraph(12, [(i, i + 1) for i in range(11)])
     L = lc.generate_from_bounds(g, "vizing")
-    with pytest.raises(TooLargeError):
+    with pytest.raises(InputError,
+                       match=r"^instance has 11 edges, exhaustive search capped at 10$"):
         lc.exhaustive_color(g, L)
     assert lc.exhaustive_color(g, L, limit=11) is not None
 

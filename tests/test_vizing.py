@@ -6,7 +6,7 @@ import pytest
 import listcolor as lc
 from listcolor.chain import Chain
 from listcolor.errors import (
-    LemmaViolationError,
+    InternalAssertionError,
     NotShiftableError,
     PreconditionViolatedError,
 )
@@ -210,7 +210,7 @@ def eager_vizing_fan(phi, e, x, read):
         index[ek] = k
         edges.append(ek)
         leaves.append(g.other_end(ek, x))
-    raise LemmaViolationError("fan construction exhausted the pivot's degree")
+    raise InternalAssertionError("fan construction exhausted the pivot's degree")
 
 
 def test_lazy_fan_matches_eager_reference():
@@ -266,7 +266,7 @@ def vizing_fan_copying_polls(phi, e, x, polls):
         index[ek] = k
         edges.append(ek)
         vertices.append(g.other_end(ek, x))
-    raise LemmaViolationError("fan construction exhausted the pivot's degree")
+    raise InternalAssertionError("fan construction exhausted the pivot's degree")
 
 
 def repolling_partials(count):
