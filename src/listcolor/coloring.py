@@ -93,6 +93,12 @@ def _palettes(common) -> tuple[list, list, list]:
     return [palette] * n, [rank] * n, list(map(masks.__getitem__, common))
 
 
+def _not_a_chain(edges) -> PreconditionViolatedError:
+    return PreconditionViolatedError(
+        f"chain {tuple(edges)} is empty, repeats an edge or has a blank edge after its start"
+    )
+
+
 class Shift(NamedTuple):
     """A chain shift checked by ``PartialColoring.check_shift``.
 
@@ -230,27 +236,43 @@ class PartialColoring:
     # -- chain shifts ---------------------------------------------------------
 
     def shift_violation(self, edges) -> tuple[dict, int]:
-        """``(changes, da)`` for the shift of a chain, or NotShiftableError.
+        """``(changes, da)`` for the shift of a non-empty chain, or its refusal.
 
-        ``edges`` is a chain as ``check_shift`` admits it: edge i would
-        receive the color of edge i + 1, and the last edge goes blank.
-        ``changes`` holds every entry of the shifted coloring that differs
-        from this one: (vertex, color) -> the edge carrying the color there
-        afterwards, or None where the color leaves the vertex.  The same
-        walk counts da, the availability total's change: a freed color +1
-        where it is common, a taken one -1 where it was available; freed
-        then retaken cancels out.  Raises NotShiftableError(i, reason) for
-        the first edge i that would escape its list or clash.  Does not
-        mutate the coloring.
+        Edge i would receive the color of edge i + 1, and the last edge goes
+        blank.  ``changes`` holds every entry of the shifted coloring that
+        differs from this one: (vertex, color) -> the edge carrying the color
+        there afterwards, or None where the color leaves the vertex.  The
+        same walk counts da, the availability total's change: a freed color
+        +1 where it is common, a taken one -1 where it was available; freed
+        then retaken cancels out.  Does not mutate the coloring.
+
+        Raises, in this order:
+        1. PreconditionViolatedError if an edge after the start is blank or
+           the chain repeats an edge, found by the walk that frees the
+           colors of ``edges[1:]``;
+        2. NotShiftableError(0, START_NOT_BLANK) if the start edge is colored;
+        3. NotShiftableError(i, reason) for the first edge i that would
+           escape its list (COLOR_NOT_IN_LIST) or clash (COLOR_CLASH), found
+           by the walk that takes the colors.
         """
         ends, used, lists = self.g.endpoints, self.used_edge, self.lists.lists
         common, color = self.lists.common, self.color
         changes, da = {}, 0
         for e in edges[1:]:
             c = color[e]
+            if c is None:
+                raise _not_a_chain(edges)
             u, v = ends[e]
             changes[u, c] = changes[v, c] = None
             da += (c in common[u]) + (c in common[v])
+        # This coloring is proper, so distinct colored edges free distinct
+        # (vertex, color) entries, two each: fewer means an edge repeats.
+        start = color[edges[0]]
+        if len(changes) != 2 * len(edges) - 2 or (
+                start is not None and edges[0] in edges[1:]):
+            raise _not_a_chain(edges)
+        if start is not None:
+            raise NotShiftableError(0, START_NOT_BLANK)
         for i, e in enumerate(edges[:-1]):
             c = color[edges[i + 1]]
             if c not in lists[e]:
@@ -268,29 +290,28 @@ class PartialColoring:
         """Check the shift of a chain once and compute what it would change.
 
         Does not mutate.  A chain is one blank edge followed by colored
-        edges: PreconditionViolatedError refuses an empty chain, one that
-        repeats an edge and one with a blank edge after its start.
-        NotShiftableError refuses a colored start edge and a shifted
-        coloring that would be improper or escape a list.
-        ``shift_violation`` counts a's change in its walk; d moves by the
-        weight of the start edge, which gets colored, and of the end edge,
-        which goes blank.  A one-edge chain moves no color: its shift is
-        empty, with delta (0, 0), and ``shift_violation`` is not called.
-        The shift is valid only until the coloring's stamp next changes.
+        edges.  An empty chain raises PreconditionViolatedError.  A one-edge
+        chain raises NotShiftableError(0, START_NOT_BLANK) if its edge is
+        colored, and otherwise moves no color: its shift is empty, with
+        delta (0, 0).  A longer chain is checked by one call of
+        ``shift_violation``, which raises, in this order,
+        PreconditionViolatedError for a repeated edge or a blank edge after
+        the start, NotShiftableError(0, START_NOT_BLANK) for a colored start
+        edge, and NotShiftableError(i, reason) for the first edge i whose
+        shifted color would clash or escape its list.  Its walk counts a's
+        change; d moves by the weight of the start edge, which gets colored,
+        and of the end edge, which goes blank.  The shift is valid only until
+        the coloring's stamp next changes.
         """
-        old = tuple(map(self.color.__getitem__, edges))
-        if not old or len(set(edges)) != len(old) or None in old[1:]:
-            raise PreconditionViolatedError(
-                f"chain {tuple(edges)} is empty, repeats an edge or has a blank"
-                " edge after its start"
-            )
-        if old[0] is not None:
+        if len(edges) > 1:
+            changes, da = self.shift_violation(edges)
+            dd = self.weight[edges[-1]] - self.weight[edges[0]]
+            return Shift(tuple(edges), changes, (da, dd), self.stamp)
+        if not edges:
+            raise _not_a_chain(edges)
+        if self.color[edges[0]] is not None:
             raise NotShiftableError(0, START_NOT_BLANK)
-        if len(old) == 1:
-            return Shift(tuple(edges), {}, (0, 0), self.stamp)
-        changes, da = self.shift_violation(edges)
-        dd = self.weight[edges[-1]] - self.weight[edges[0]]
-        return Shift(tuple(edges), changes, (da, dd), self.stamp)
+        return Shift(tuple(edges), {}, (0, 0), self.stamp)
 
     def apply_chain_shift(self, shift: Shift) -> None:
         """Commit a checked shift: each chain edge takes the next one's color.

@@ -78,12 +78,15 @@ def parse_instance(text: str) -> tuple[Multigraph, Optional[ListAssignment]]:
     edges: list[tuple[int, int]] = []
     lists: list[frozenset[int]] = []
     shared: dict[str, frozenset[int]] = {}  # list text -> its checked set
+    # no line of an ASCII text without "_" or "+" fails either per-line check
+    plain = text.isascii() and "_" not in text and "+" not in text
     for line_no, raw in enumerate(_lines(text), start=1):
         parts = raw.split(None, 3)  # kind, u, v and the raw list text
         # a comment's "c" follows ASCII whitespace alone
         if parts and parts[0].startswith("c") and raw[:raw.find("c")].isascii():
             continue
-        _check_separators(line_no, raw)
+        if not plain:
+            _check_separators(line_no, raw)
         if not parts:
             continue
         if parts[0] == "p":
@@ -92,7 +95,8 @@ def parse_instance(text: str) -> tuple[Multigraph, Optional[ListAssignment]]:
                 raise ParseError(line_no, "duplicate header")
             if len(tokens) != 4 or tokens[1] != "edge":
                 raise ParseError(line_no, "header must be 'p edge <n> <m>'")
-            _check_decimals(line_no, raw)
+            if not plain:
+                _check_decimals(line_no, raw)
             try:
                 n, m = int(tokens[2]), int(tokens[3])
             except ValueError:
@@ -108,7 +112,8 @@ def parse_instance(text: str) -> tuple[Multigraph, Optional[ListAssignment]]:
                 raise ParseError(line_no, "edge line before header")
             if len(parts) < 3:
                 raise ParseError(line_no, "edge line needs two endpoints")
-            _check_decimals(line_no, raw)
+            if not plain:
+                _check_decimals(line_no, raw)
             tail = parts[3] if len(parts) == 4 else ""
             colors = shared.get(tail)
             try:
@@ -193,7 +198,7 @@ def write_coloring(colors) -> str:
 
 def format_trace_record(rec) -> str:
     """One trace line for an ``engine.TraceRecord``, in the format above."""
-    chain = ",".join(str(e) for e in rec.chain)
+    chain = ",".join(map(str, rec.chain))
     (a0, d0), (a1, d1) = rec.phi_before, rec.phi_after
     return f"{rec.step} {rec.kind} {rec.branch} {chain} {a0}:{d0} {a1}:{d1}"
 

@@ -15,6 +15,9 @@ which of the three guarantees they satisfy.
 
 from __future__ import annotations
 
+import itertools
+import operator
+
 from .errors import BoundViolationError, NotBipartiteError
 from .graph import Multigraph
 
@@ -40,6 +43,17 @@ def _check_mode(g: Multigraph, mode: str) -> None:
         raise ValueError(f"mode must be one of {BOUND_MODES}, got {mode!r}")
     if mode == "koenig" and g.bipartition() is None:
         raise NotBipartiteError("koenig bound requires a bipartite graph")
+
+
+def _bounds(g: Multigraph, mode: str) -> list[int]:
+    """``local_bound`` of every vertex, for a mode ``_check_mode`` admitted,
+    in one pass over g's incidence and multiplicities."""
+    degrees = map(len, g.incidence)
+    if mode == "shannon":
+        return [d + d // 2 for d in degrees]
+    if mode == "vizing":
+        return list(map(operator.add, degrees, g._mu_vertex))
+    return list(degrees)
 
 
 class ListAssignment:
@@ -76,11 +90,12 @@ def check_bound(g: Multigraph, L: ListAssignment, mode: str) -> None:
     """Raise BoundViolationError at the lowest-index vertex whose common set
     is smaller than the mode's bound; return None if every vertex meets it."""
     _check_mode(g, mode)
-    common = L.common
-    for x in range(g.n):
-        required = local_bound(g, x, mode)
-        if len(common[x]) < required:
-            raise BoundViolationError(x, required, len(common[x]))
+    required = _bounds(g, mode)
+    actual = list(map(len, L.common))
+    short = itertools.compress(itertools.count(), map(operator.lt, actual, required))
+    x = next(short, None)
+    if x is not None:
+        raise BoundViolationError(x, required[x], actual[x])
 
 
 def generate_from_bounds(g: Multigraph, mode: str) -> ListAssignment:
@@ -89,7 +104,7 @@ def generate_from_bounds(g: Multigraph, mode: str) -> ListAssignment:
     Edges with the same list length share one frozenset.
     """
     _check_mode(g, mode)
-    bounds = [local_bound(g, x, mode) for x in range(g.n)]
+    bounds = _bounds(g, mode)
     by_length = {}
     lists = []
     for u, v in g.endpoints:

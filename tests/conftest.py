@@ -16,6 +16,7 @@ import pytest
 
 import listcolor as lc
 from listcolor import engine
+from listcolor.coloring import Shift
 from listcolor.errors import (
     COLOR_CLASH,
     COLOR_NOT_IN_LIST,
@@ -154,6 +155,42 @@ def reference_violation(phi, edges, targets):
             if f is not None and f not in eset:
                 return i, COLOR_CLASH
     return None, None
+
+
+def three_pass_check_shift(phi, edges):
+    """``PartialColoring.check_shift`` with its refusals made in three
+    passes over the chain before the walk that frees and takes its colors:
+    a reference for the check that makes them inside that walk, which must
+    give the same shift, or raise the same class, message, index and
+    reason."""
+    old = tuple(map(phi.color.__getitem__, edges))
+    if not old or len(set(edges)) != len(old) or None in old[1:]:
+        raise PreconditionViolatedError(
+            f"chain {tuple(edges)} is empty, repeats an edge or has a blank"
+            " edge after its start"
+        )
+    if old[0] is not None:
+        raise NotShiftableError(0, START_NOT_BLANK)
+    if len(old) == 1:
+        return Shift(tuple(edges), {}, (0, 0), phi.stamp)
+    ends, used, lists = phi.g.endpoints, phi.used_edge, phi.lists.lists
+    common = phi.lists.common
+    changes, da = {}, 0
+    for e, c in zip(edges[1:], old[1:]):
+        u, v = ends[e]
+        changes[u, c] = changes[v, c] = None
+        da += (c in common[u]) + (c in common[v])
+    for i, (e, c) in enumerate(zip(edges, old[1:])):
+        if c not in lists[e]:
+            raise NotShiftableError(i, COLOR_NOT_IN_LIST)
+        for w in ends[e]:
+            f = changes.get((w, c), -1)
+            if f is not None and (f != -1 or c in used[w]):
+                raise NotShiftableError(i, COLOR_CLASH)
+            changes[w, c] = e
+            da -= c in common[w]
+    dd = phi.weight[edges[-1]] - phi.weight[edges[0]]
+    return Shift(tuple(edges), changes, (da, dd), phi.stamp)
 
 
 def replay_shift(phi, edges):

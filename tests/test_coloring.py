@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 
 import listcolor as lc
+from listcolor import coloring
 from listcolor.errors import (
     COLOR_CLASH,
     COLOR_NOT_IN_LIST,
@@ -23,6 +25,8 @@ from conftest import (
     recompute_potential,
     recompute_used,
     setup_partial,
+    three_pass_check_shift,
+    live_state,
 )
 
 
@@ -462,3 +466,67 @@ def test_check_shift_refuses_a_blank_edge_after_the_start():
     g, L, phi = setup_partial(5, specs)
     phi.apply_chain_shift(phi.check_shift((0, 1, 2, 3)))
     assert phi.color == [1, 2, 1, None]
+
+
+def check_outcome(check, phi, edges):
+    """What a shift check gives: the shift with its changes in order, or
+    the refusal's class, message, index and reason."""
+    try:
+        shift = check(phi, edges)
+    except (PreconditionViolatedError, NotShiftableError) as exc:
+        return type(exc), str(exc), getattr(exc, "index", None), getattr(exc, "reason", None)
+    return shift, list(shift.changes.items())
+
+
+def odd_chains(g, phi, rng):
+    """Chains of every shape a check must answer or refuse: empty, each
+    edge alone, random chains that may start colored or hold later blanks,
+    and those chains with an edge repeated, the start edge included."""
+    yield ()
+    for e in range(g.m):
+        yield (e,)
+    for _ in range(20):
+        edges = random_chain(g, rng, phi.color, later_blanks=rng.random() < 0.3).edges
+        yield edges
+        yield edges + edges[:1]
+        i = rng.randrange(len(edges))
+        yield edges[:i] + (rng.choice(edges),) + edges[i:]
+
+
+def chain_shapes(g, phi, edges):
+    """The shapes a chain has, of those a check treats apart."""
+    colors = [phi.color[e] for e in edges]
+    ends = [frozenset(g.endpoints[e]) for e in edges]
+    return {
+        "empty": not edges,
+        "one edge": len(edges) == 1,
+        "repeats": len(set(edges)) < len(edges),
+        "later blank": None in colors[1:],
+        "colored start": bool(edges) and colors[0] is not None,
+        "colored start repeated": bool(edges) and colors[0] is not None
+        and edges[0] in edges[1:],
+        "parallel edges": len(set(ends)) < len(ends),
+    }
+
+
+@pytest.mark.parametrize("wide", [coloring.WIDE, 0], ids=["shared", "per-vertex"])
+def test_check_shift_answers_as_the_three_pass_reference(wide, monkeypatch):
+    # the check that refuses inside its walk gives the reference's shift, or
+    # its refusal, on chains of every shape and in both palette layouts
+    monkeypatch.setattr(coloring, "WIDE", wide)
+    shapes, outcomes = Counter(), Counter()
+    for g, L, phi in random_vizing_partials(40):
+        rng = random.Random(g.m * 5 + g.n)
+        before = live_state(phi)
+        chains = [chain.edges for chain in chains_to_shift(g, phi, rng)]
+        for edges in chains + list(odd_chains(g, phi, rng)):
+            expected = check_outcome(three_pass_check_shift, phi, edges)
+            assert check_outcome(lc.PartialColoring.check_shift, phi, edges) == expected, edges
+            assert live_state(phi) == before
+            shapes.update(k for k, v in chain_shapes(g, phi, edges).items() if v)
+            if isinstance(expected[0], type):
+                outcomes[expected[3] or expected[0].__name__] += 1
+            else:
+                outcomes["shift" if len(edges) > 1 else "one-edge shift"] += 1
+    assert min(shapes.values()) >= 20 and len(shapes) == 7, shapes
+    assert min(outcomes.values()) >= 20 and len(outcomes) == 6, outcomes

@@ -128,6 +128,9 @@ def test_comments_and_blank_lines_skipped():
     text = "c generated\n\np edge 2 1\nc 1_0 +2 \u0663 \u00e9\ne 0 1\n"
     g, L = lio.parse_instance(text)
     assert g.m == 1
+    for mark in ("_", "+", "\u00e9", "\xa0"):
+        g, L = lio.parse_instance(f"c {mark}\np edge 3 2\ne 0 1 1 2\ne 1 2 3\n")
+        assert g.endpoints == ((0, 1), (1, 2)) and L.lists == ({1, 2}, {3})
 
 
 def test_instance_roundtrip_byte_identical():
@@ -215,6 +218,10 @@ def test_coloring_parse_errors():
         # a comment's "c" follows ASCII whitespace alone
         ("\xa0c x\np edge 2 1\ne 0 1\n", 1, SEPARATORS),
         (" c hi\nc\xa0hi\np edge 2 1\ne 0 2\n", 4, "vertex out of range [0, 2)"),
+        # a comment's "_", "+" or non-ASCII text leaves every other line checked
+        ("c 1_0\np edge 3 1\ne 0 1 +2\n", 3, "numbers must be plain ASCII decimals"),
+        ("c +1\np edge 2 1\ne 0\xa01\n", 3, SEPARATORS),
+        ("c \u00e9\np edge 1_1 1\n", 2, "numbers must be plain ASCII decimals"),
         # a line ends at a newline alone
         ("c a\u2028b\np edge 2 1\ne 0 2\n", 3, "vertex out of range [0, 2)"),
         ("p edge 2 1\r\ne 0 2\r\n", 2, "vertex out of range [0, 2)"),

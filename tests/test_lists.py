@@ -142,6 +142,37 @@ def test_generate_from_bounds_always_passes_check():
             assert lc.check_bound(g, L, mode) is None
 
 
+@pytest.mark.parametrize("mode", ["shannon", "vizing", "koenig"])
+def test_bounds_of_all_vertices_are_local_bound_of_each(mode):
+    # generate_from_bounds and check_bound find every bound in one pass;
+    # their lists and refusals are those local_bound gives vertex by vertex
+    rng = random.Random(sum(map(ord, mode)))
+    isolated = refused = 0
+    for seed in range(60):
+        n = rng.randint(2, 16)
+        g = lc.generate_random(n, rng.randint(1, 5), rng.randint(1, 3),
+                               bipartite=mode == "koenig", seed=seed,
+                               edges=rng.randint(0, n))
+        isolated += sum(not es for es in g.incidence)
+        bounds = [local_bound(g, x, mode) for x in range(g.n)]
+        lists = [frozenset(range(1, max(bounds[u], bounds[v]) + 1)) for u, v in g.endpoints]
+        assert list(lc.generate_from_bounds(g, mode).lists) == lists
+        # drop colors at random, so that some vertices fall short of their bound
+        lists = [s - {rng.randint(1, 6)} for s in lists]
+        L = lc.ListAssignment(g, lists)
+        short = [x for x in range(g.n) if len(L.common[x]) < bounds[x]]
+        if not short:
+            assert lc.check_bound(g, L, mode) is None
+            continue
+        x = short[0]
+        with pytest.raises(BoundViolationError) as info:
+            lc.check_bound(g, L, mode)
+        got = info.value
+        assert (got.vertex, got.required, got.actual) == (x, bounds[x], len(L.common[x]))
+        refused += 1
+    assert isolated > 50 and 10 < refused < 50
+
+
 def test_generate_from_bounds_shares_one_list_per_length():
     g = lc.generate_random(12, 6, 3, seed=3, edges=30)
     L = lc.generate_from_bounds(g, "vizing")
