@@ -173,12 +173,10 @@ def color_graph(
     phi = PartialColoring(g, lists)
     stats = RunStats()
     budget = step_budget(phi)
-    steps = 0  # stats.steps, without summing its two fields on every step
     for e in range(g.m):
         while e is not None:
-            if steps >= budget:
+            if stats.steps >= budget:
                 raise InternalAssertionError(f"step {budget + 1} exceeds budget {budget}")
-            steps += 1
             e = augment_once(phi, e, effective, stats, trace)
     findings = phi.verify()
     if findings:

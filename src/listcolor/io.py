@@ -78,15 +78,12 @@ def parse_instance(text: str) -> tuple[Multigraph, Optional[ListAssignment]]:
     edges: list[tuple[int, int]] = []
     lists: list[frozenset[int]] = []
     shared: dict[str, frozenset[int]] = {}  # list text -> its checked set
-    # no line of an ASCII text without "_" or "+" fails either per-line check
-    plain = text.isascii() and "_" not in text and "+" not in text
     for line_no, raw in enumerate(_lines(text), start=1):
         parts = raw.split(None, 3)  # kind, u, v and the raw list text
         # a comment's "c" follows ASCII whitespace alone
         if parts and parts[0].startswith("c") and raw[:raw.find("c")].isascii():
             continue
-        if not plain:
-            _check_separators(line_no, raw)
+        _check_separators(line_no, raw)
         if not parts:
             continue
         if parts[0] == "p":
@@ -95,8 +92,7 @@ def parse_instance(text: str) -> tuple[Multigraph, Optional[ListAssignment]]:
                 raise ParseError(line_no, "duplicate header")
             if len(tokens) != 4 or tokens[1] != "edge":
                 raise ParseError(line_no, "header must be 'p edge <n> <m>'")
-            if not plain:
-                _check_decimals(line_no, raw)
+            _check_decimals(line_no, raw)
             try:
                 n, m = int(tokens[2]), int(tokens[3])
             except ValueError:
@@ -112,8 +108,7 @@ def parse_instance(text: str) -> tuple[Multigraph, Optional[ListAssignment]]:
                 raise ParseError(line_no, "edge line before header")
             if len(parts) < 3:
                 raise ParseError(line_no, "edge line needs two endpoints")
-            if not plain:
-                _check_decimals(line_no, raw)
+            _check_decimals(line_no, raw)
             tail = parts[3] if len(parts) == 4 else ""
             colors = shared.get(tail)
             try:

@@ -15,9 +15,6 @@ which of the three guarantees they satisfy.
 
 from __future__ import annotations
 
-import itertools
-import operator
-
 from .errors import BoundViolationError, NotBipartiteError
 from .graph import Multigraph
 
@@ -25,16 +22,20 @@ MODES = ("shannon", "vizing", "koenig", "explicit")
 BOUND_MODES = ("shannon", "vizing", "koenig")
 
 
-def local_bound(g: Multigraph, x: int, mode: str) -> int:
-    """The mode's required common-color count at vertex x."""
-    d = g.degree(x)
+def _bound(d: int, mu: int, mode: str) -> int:
+    """The mode's bound at a vertex of degree d and multiplicity mu."""
     if mode == "shannon":
         return d + d // 2
     if mode == "vizing":
-        return d + g.mu_vertex(x)
+        return d + mu
     if mode == "koenig":
         return d
     raise ValueError(f"mode must be one of {BOUND_MODES}, got {mode!r}")
+
+
+def local_bound(g: Multigraph, x: int, mode: str) -> int:
+    """The mode's required common-color count at vertex x."""
+    return _bound(g.degree(x), g.mu_vertex(x), mode)
 
 
 def _check_mode(g: Multigraph, mode: str) -> None:
@@ -46,14 +47,9 @@ def _check_mode(g: Multigraph, mode: str) -> None:
 
 
 def _bounds(g: Multigraph, mode: str) -> list[int]:
-    """``local_bound`` of every vertex, for a mode ``_check_mode`` admitted,
-    in one pass over g's incidence and multiplicities."""
-    degrees = map(len, g.incidence)
-    if mode == "shannon":
-        return [d + d // 2 for d in degrees]
-    if mode == "vizing":
-        return list(map(operator.add, degrees, g._mu_vertex))
-    return list(degrees)
+    """``local_bound`` of every vertex, in one pass over g's incidence and
+    multiplicities."""
+    return [_bound(len(es), mu, mode) for es, mu in zip(g.incidence, g._mu_vertex)]
 
 
 class ListAssignment:
@@ -88,14 +84,18 @@ class ListAssignment:
 
 def check_bound(g: Multigraph, L: ListAssignment, mode: str) -> None:
     """Raise BoundViolationError at the lowest-index vertex whose common set
-    is smaller than the mode's bound; return None if every vertex meets it."""
+    is smaller than the mode's bound; return None if every vertex meets it.
+    Raise ValueError if L was built for a graph with another vertex or edge
+    count."""
     _check_mode(g, mode)
-    required = _bounds(g, mode)
-    actual = list(map(len, L.common))
-    short = itertools.compress(itertools.count(), map(operator.lt, actual, required))
-    x = next(short, None)
-    if x is not None:
-        raise BoundViolationError(x, required[x], actual[x])
+    if (len(L.common), len(L.lists)) != (g.n, g.m):
+        raise ValueError(
+            f"lists are for {len(L.common)} vertices and {len(L.lists)} edges,"
+            f" the graph has {g.n} and {g.m}"
+        )
+    for x, (required, common) in enumerate(zip(_bounds(g, mode), L.common)):
+        if len(common) < required:
+            raise BoundViolationError(x, required, len(common))
 
 
 def generate_from_bounds(g: Multigraph, mode: str) -> ListAssignment:

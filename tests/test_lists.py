@@ -173,6 +173,24 @@ def test_bounds_of_all_vertices_are_local_bound_of_each(mode):
     assert isolated > 50 and 10 < refused < 50
 
 
+def test_lists_for_a_graph_of_another_size_are_refused():
+    # a ListAssignment carries no graph, so its sizes are checked against g
+    tri = lc.Multigraph(3, [(0, 1), (1, 2), (0, 2)])
+    others = [
+        lc.Multigraph(2, [(0, 1)]),  # fewer vertices and edges
+        lc.Multigraph(4, [(0, 1), (1, 2), (2, 3)]),  # more vertices
+        lc.Multigraph(3, [(0, 1), (1, 2)]),  # fewer edges
+    ]
+    for h in others:
+        L = lc.generate_from_bounds(h, "vizing")
+        message = (f"lists are for {h.n} vertices and {h.m} edges,"
+                   f" the graph has 3 and 3")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            lc.check_bound(tri, L, "vizing")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            lc.color_graph(tri, L, "vizing")
+
+
 def test_generate_from_bounds_shares_one_list_per_length():
     g = lc.generate_random(12, 6, 3, seed=3, edges=30)
     L = lc.generate_from_bounds(g, "vizing")
