@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import listcolor as lc
-from listcolor import cli, engine, vizing
+from listcolor import cli, engine
 from listcolor import io as lio
 from listcolor.cli import build_parser, main
 from listcolor.errors import COLOR_CLASH, NotShiftableError, PreconditionViolatedError
@@ -33,27 +33,32 @@ def write(tmp_path, name, text):
     return str(p)
 
 
-def test_color_and_verify_roundtrip(tmp_path, capsys):
-    inst = write(tmp_path, "tri.txt", TRIANGLE)
+def stdin_bytes(monkeypatch, data):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), "utf-8"))
+
+
+@pytest.mark.parametrize("mode", ["shannon", "vizing", "koenig"])
+def test_color_and_verify_roundtrip(tmp_path, capsys, monkeypatch, mode):
+    # gen | tee inst.txt | color - -o col.txt, then verify; koenig's
+    # instance is bipartite
+    inst = str(tmp_path / "inst.txt")
     colf = str(tmp_path / "col.txt")
-    code, out, err = run(capsys, "color", inst, "--mode", "shannon", "-o", colf)
+    bipartite = ["--bipartite"] if mode == "koenig" else []
+    code, _, _ = run(capsys, "gen", "-n", "12", "--max-degree", "6",
+                     "--max-multiplicity", "2", "--seed", "1", *bipartite, "-o", inst)
     assert code == 0
-    code, out, err = run(capsys, "verify", inst, colf, "--mode", "shannon")
-    assert code == 0
-    assert "ok" in out
+    stdin_bytes(monkeypatch, Path(inst).read_bytes())
+    assert run(capsys, "color", "-", "--mode", mode, "-o", colf) == (0, "", "")
+    m = lio.parse_instance(Path(inst).read_text())[0].m
+    assert run(capsys, "verify", inst, colf, "--mode", mode) == (
+        0, f"ok: {m} edges properly colored\n", "")
 
 
 def test_verify_rejects_clash(tmp_path, capsys):
     inst = write(tmp_path, "tri.txt", TRIANGLE)
-    colf = str(tmp_path / "col.txt")
-    code, _, _ = run(capsys, "color", inst, "--mode", "vizing", "-o", colf)
-    assert code == 0
-    colors = lio.parse_coloring(Path(colf).read_text(), 3)
-    colors[1] = colors[0]  # edges 0 and 1 share vertex 1
-    bad = write(tmp_path, "bad.txt", lio.write_coloring(colors))
-    code, out, err = run(capsys, "verify", inst, bad, "--mode", "vizing")
-    assert code == 1
-    assert "ImproperAssignment" in err
+    bad = write(tmp_path, "clash.col", "0 1\n1 1\n2 2\n")  # edges 0 and 1 share vertex 1
+    assert run(capsys, "verify", inst, bad, "--mode", "vizing") == (
+        1, "", "ImproperAssignment: color 1 on edges 0 and 1 at vertex 1\n")
 
 
 def test_verify_rejects_incomplete(tmp_path, capsys):
@@ -127,6 +132,21 @@ def test_parse_error_exits_two(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("data, code, out, err", [
+    # numbers are plain ASCII decimals: int() alone would read 1_0 as 10
+    (b"p edge 11 1\ne 0 1_0\n", 2, "", "error: line 2: numbers must be plain ASCII decimals\n"),
+    # only ASCII whitespace separates tokens: a UTF-8 no-break space does not
+    (b"p edge 2 1\ne 0\xc2\xa01\n", 2, "",
+     "error: line 2: tokens must be separated by ASCII whitespace\n"),
+    (b"p edge 2 1\ne 1 1\n", 2, "", "error: line 2: loop edge at vertex 1\n"),
+    # only a newline ends a line: a form feed inside a comment is comment text
+    (b"c a\fb\np edge 2 1\ne 0 1\n", 0, "0 1\n", ""),
+], ids=["underscore", "no-break-space", "loop", "form-feed-in-comment"])
+def test_color_reads_stdin_by_the_grammar(capsys, monkeypatch, data, code, out, err):
+    stdin_bytes(monkeypatch, data)
+    assert run(capsys, "color", "-", "--mode", "vizing") == (code, out, err)
+
+
 def test_insufficient_explicit_lists_exit_one(tmp_path, capsys):
     inst = write(tmp_path, "weak.txt", "p edge 2 1\ne 0 1 1\n")
     code, _, err = run(
@@ -141,10 +161,10 @@ def test_insufficient_explicit_lists_exit_one(tmp_path, capsys):
 ])
 def test_engine_misuse_inside_color_exits_three(tmp_path, capsys, monkeypatch, error):
     # a misused engine call is a bug in the package, not bad input
-    def broken(phi, e, x):
+    def broken(*args):
         raise error
 
-    monkeypatch.setattr(vizing, "classify_vizing", broken)
+    monkeypatch.setattr(engine, "augment_once", broken)
     inst = write(tmp_path, "tri.txt", TRIANGLE)
     code, out, err = run(capsys, "color", inst, "--mode", "vizing")
     assert code == 3
@@ -277,19 +297,17 @@ def test_gen_rejects_negative_edge_count(capsys):
     assert "nonnegative" in err
 
 
-def _limit_address_space():
-    limit = 1500 * 2**20
-    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+def run_capped(argv, limit=1500 * 2**20):
+    """``listcolor argv`` in a child whose address space is capped at
+    ``limit`` bytes, so a regression that allocates without bound fails
+    fast instead of taking the host."""
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-
-def run_capped(argv):
-    """``listcolor argv`` in a child whose address space is capped, so a
-    regression that allocates without bound fails fast instead of taking
-    the host."""
     env = {**os.environ, "PYTHONPATH": str(Path(lc.__file__).parents[1])}
     return subprocess.run(
         [sys.executable, "-m", "listcolor.cli", *argv], capture_output=True,
-        text=True, env=env, timeout=60, preexec_fn=_limit_address_space,
+        text=True, env=env, timeout=60, preexec_fn=limit_address_space,
     )
 
 
@@ -354,15 +372,18 @@ def test_huge_colors_color_in_bounded_memory(tmp_path):
 
 def test_gen_with_lists_then_color(tmp_path, capsys):
     out_path = str(tmp_path / "gen.txt")
+    colf = str(tmp_path / "col.txt")
     code, _, _ = run(
         capsys, "gen", "-n", "6", "--max-degree", "3", "--seed", "2",
         "--edges", "7", "--lists", "vizing", "-o", out_path,
     )
     assert code == 0
-    code, out, _ = run(
-        capsys, "color", out_path, "--mode", "explicit", "--assume-bound", "vizing"
-    )
-    assert code == 0
+    assert run(
+        capsys, "color", out_path, "--mode", "explicit", "--assume-bound", "vizing",
+        "-o", colf,
+    ) == (0, "", "")
+    # the instance carries its lists, so verify needs no --mode
+    assert run(capsys, "verify", out_path, colf) == (0, "ok: 7 edges properly colored\n", "")
 
 
 def test_trace_and_stats_flags(tmp_path, capsys):
@@ -501,7 +522,8 @@ def test_trace_and_output_may_share_a_device(tmp_path, capsys):
     # a run that succeeds used to replace the instance
     (TRIANGLE, ["color", "INST", "--mode", "vizing", "--trace", "INST", "-o", "OUT"]),
     (TRIANGLE, ["color", "INST", "--mode", "vizing", "-o", "LINK"]),
-], ids=["oracle-o", "explicit-o", "trace", "o-by-symlink"])
+    (TRIANGLE, ["color", "INST", "--mode", "vizing", "-o", "INST"]),
+], ids=["oracle-o", "explicit-o", "trace", "o-by-symlink", "color-o"])
 def test_outputs_never_overwrite_the_instance(tmp_path, capsys, text, argv):
     inst = write(tmp_path, "inst.txt", text)
     (tmp_path / "link.txt").symlink_to(inst)
@@ -525,6 +547,19 @@ def test_out_of_memory_exits_two(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "color", inst, "--mode", "vizing")
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_input_too_large_for_the_address_space_exits_two(tmp_path):
+    # one edge with 3,000,000 colors in its list really runs out of
+    # memory under a cap of 400,000 KiB, and the run ends like any other
+    # input it cannot take
+    text = "p edge 2 1\ne 0 1 " + " ".join(map(str, range(1, 3_000_001))) + "\n"
+    inst = write(tmp_path, "big.txt", text)
+    proc = run_capped(["color", inst, "--mode", "explicit", "--assume-bound", "vizing"],
+                      limit=400_000 * 2**10)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: out of memory: the input is too large for this run\n"
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("command", ["verify", "oracle"])
@@ -559,8 +594,7 @@ def reader_argv(command, tri, bad):
 def test_non_utf8_stdin_exits_two(tmp_path, capsys, monkeypatch, command):
     # a non-UTF-8 file is one of the cases of the test below
     tri = write(tmp_path, "tri.txt", TRIANGLE)
-    stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), "utf-8")
-    monkeypatch.setattr(sys, "stdin", stdin)
+    stdin_bytes(monkeypatch, b"\xff\xfe")
     code, out, err = run(capsys, *reader_argv(command, tri, "-"))
     assert code == 2
     assert err.startswith("error: cannot read -")

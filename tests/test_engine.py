@@ -5,7 +5,7 @@ import re
 import pytest
 
 import listcolor as lc
-from listcolor import engine
+from listcolor import coloring, engine
 from listcolor.errors import (
     BoundViolationError,
     InternalAssertionError,
@@ -119,6 +119,9 @@ MISUSE = {
                  ValueError, "prefix length 0 out of range"),
     "prefix-past-the-end": (lambda phi: lc.Chain((0, 1)).prefix(3),
                             ValueError, "prefix length 3 out of range"),
+    "color_graph-unknown-mode": (
+        lambda phi: lc.color_graph(phi.g, phi.lists, "greedy"), ValueError,
+        "mode must be one of ('shannon', 'vizing', 'koenig', 'explicit'), got 'greedy'"),
     "augment_once-explicit": (
         lambda phi: lc.augment_once(phi, 1, "explicit", lc.RunStats()),
         ValueError, "augment mode must name a guarantee, got 'explicit'"),
@@ -528,3 +531,33 @@ def test_relabelled_instances_are_colored(mode):
             assert lc.check_edge_colors(h, M, phi.color) == []
             runs += 1
     assert runs == 200
+
+
+@pytest.mark.parametrize("wide", [coloring.WIDE, 0], ids=["shared", "per-vertex"])
+@pytest.mark.parametrize("mode", ["shannon", "vizing", "koenig"])
+def test_order_preserving_relabelling_changes_nothing_at_scale(monkeypatch, mode, wide):
+    # the engine compares colors only by their order and vertices only by
+    # index and degree, so mapping every color c -> 3c + 2 and every vertex
+    # x -> 3x + 1 into 3n + 2 vertices, the added ones isolated, maps the
+    # colors and leaves the counters and every trace record as they were:
+    # chain ids and potentials included.  The instance has the benchmark's
+    # scale shape (n = 2000, delta = 16, m = n delta / 3, bound lists),
+    # far past what the oracle can check.
+    monkeypatch.setattr(coloring, "WIDE", wide)
+    n, delta = 2000, 16
+    g = lc.generate_random(n, delta, 1, bipartite=mode == "koenig", seed=1,
+                           edges=n * delta // 3)
+    L = lc.generate_from_bounds(g, mode)
+    h = lc.Multigraph(3 * n + 2, [(3 * u + 1, 3 * v + 1) for u, v in g.endpoints])
+    M = lc.ListAssignment(h, [frozenset(3 * c + 2 for c in s) for s in L.lists])
+    runs = []
+    for graph, lists, modes in ((g, L, (mode,)), (h, M, ("explicit", mode))):
+        records = []
+        phi, stats = lc.color_graph(graph, lists, *modes, trace=records.append)
+        assert (len({id(p) for p in phi.palette}) > 1) == (wide == 0)
+        runs.append((phi.color, stats, records))
+    (color, stats, records), (mapped, mapped_stats, mapped_records) = runs
+    assert mapped == [3 * c + 2 for c in color]
+    assert mapped_stats == stats
+    assert mapped_records == records
+    assert stats.happy_steps == g.m > 10000

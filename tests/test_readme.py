@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import listcolor as lc
-from listcolor import errors, vizing
+from listcolor import engine, errors
 from listcolor.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -58,10 +58,10 @@ def test_each_error_class_exits_with_its_documented_code(
 ):
     cls = getattr(errors, name)
 
-    def broken(phi, e, x):
+    def broken(*args):
         raise cls.__new__(cls)  # the exit code depends on the class alone
 
-    monkeypatch.setattr(vizing, "classify_vizing", broken)
+    monkeypatch.setattr(engine, "augment_once", broken)  # every mode's one step
     inst = tmp_path / "tri.txt"
     inst.write_text("p edge 3 3\ne 0 1\ne 1 2\ne 0 2\n")
     assert main(["color", str(inst), "--mode", "vizing"]) == code
