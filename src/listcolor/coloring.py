@@ -55,7 +55,7 @@ from .errors import (
     PreconditionViolatedError,
 )
 from .graph import Multigraph
-from .lists import ListAssignment
+from .lists import ListAssignment, check_sizes
 
 _STAMPS = itertools.count()  # process-wide: no two coloring states share a stamp
 # The most bits a mask over the shared palette may take on average before
@@ -136,6 +136,7 @@ class PartialColoring:
     ops = 0  # a constant; only bench/tracer.py reads it
 
     def __init__(self, g: Multigraph, lists: ListAssignment):
+        check_sizes(g, lists)
         self.g = g
         self.lists = lists
         self.color: list[Optional[int]] = [None] * g.m
@@ -414,10 +415,13 @@ def check_edge_colors(g: Multigraph, lists, colors) -> list[tuple[str, str]]:
 
     Reports (kind, detail) pairs: kind "ColorNotInList" for a color outside
     its edge's list, "ImproperAssignment" for a color twice at a vertex.
-    ``lists`` may be None to skip list-membership checks.  Used by the CLI
-    verifier, the oracle tests and ``PartialColoring.verify``, so it shares
-    no code with the engine's incremental bookkeeping.
+    ``lists`` may be None to skip list-membership checks.  Raises
+    ValueError if ``colors`` does not hold one entry per edge of g.  Used by
+    the CLI verifier, the oracle tests and ``PartialColoring.verify``, so it
+    shares no code with the engine's incremental bookkeeping.
     """
+    if len(colors) != g.m:
+        raise ValueError(f"expected {g.m} colors, got {len(colors)}")
     return _walk_colors(g, lists, colors)[0]
 
 

@@ -40,6 +40,8 @@ class Multigraph:
         pair_mult: dict[tuple[int, int], int] = {}
         for e, (u, v) in enumerate(edge_list):
             for w in (u, v):
+                if type(w) is not int:  # bool is an int subclass
+                    raise InputError(f"vertex {w!r} is not an int")
                 if not 0 <= w < n:
                     raise InputError(f"vertex {w} out of range [0, {n})")
             if u == v:

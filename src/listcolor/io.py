@@ -31,7 +31,7 @@ from typing import Optional
 
 from .errors import InputError, ParseError
 from .graph import Multigraph
-from .lists import ListAssignment
+from .lists import ListAssignment, check_sizes
 
 MAX_VERTICES = 1_000_000
 MAX_EDGES = 1_000_000  # the most edges generate_random will sample
@@ -146,6 +146,11 @@ def parse_instance(text: str) -> tuple[Multigraph, Optional[ListAssignment]]:
 
 
 def write_instance(g: Multigraph, lists: Optional[ListAssignment] = None) -> str:
+    """g as instance file text, with each edge's list when lists are given.
+    Raises ValueError for lists built for a graph of another size, or for
+    an empty list, which the format cannot express."""
+    if lists is not None:
+        check_sizes(g, lists)
     out = [f"p edge {g.n} {g.m}"]
     for e, (u, v) in enumerate(g.endpoints):
         if lists is None:

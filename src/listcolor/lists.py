@@ -82,17 +82,23 @@ class ListAssignment:
         self.common = tuple(common)
 
 
+def check_sizes(g: Multigraph, L: ListAssignment) -> None:
+    """Raise ValueError if L was built for a graph with another vertex or
+    edge count than g."""
+    if (len(L.common), len(L.lists)) != (g.n, g.m):
+        raise ValueError(
+            f"lists are for {len(L.common)} vertices and {len(L.lists)} edges,"
+            f" the graph has {g.n} and {g.m}"
+        )
+
+
 def check_bound(g: Multigraph, L: ListAssignment, mode: str) -> None:
     """Raise BoundViolationError at the lowest-index vertex whose common set
     is smaller than the mode's bound; return None if every vertex meets it.
     Raise ValueError if L was built for a graph with another vertex or edge
     count."""
     _check_mode(g, mode)
-    if (len(L.common), len(L.lists)) != (g.n, g.m):
-        raise ValueError(
-            f"lists are for {len(L.common)} vertices and {len(L.lists)} edges,"
-            f" the graph has {g.n} and {g.m}"
-        )
+    check_sizes(g, L)
     for x, (required, common) in enumerate(zip(_bounds(g, mode), L.common)):
         if len(common) < required:
             raise BoundViolationError(x, required, len(common))

@@ -11,7 +11,7 @@ from typing import Optional
 
 from .errors import InputError
 from .graph import Multigraph
-from .lists import ListAssignment
+from .lists import ListAssignment, check_sizes
 
 DEFAULT_LIMIT = 10
 
@@ -19,7 +19,9 @@ DEFAULT_LIMIT = 10
 def exhaustive_color(
     g: Multigraph, lists: ListAssignment, limit: int = DEFAULT_LIMIT
 ) -> Optional[list[int]]:
-    """Some proper list edge-coloring if one exists, else None."""
+    """Some proper list edge-coloring if one exists, else None.  Raises
+    ValueError if ``lists`` was built for a graph of another size."""
+    check_sizes(g, lists)
     if g.m > limit:
         raise InputError(f"instance has {g.m} edges, exhaustive search capped at {limit}")
     order = [sorted(lists.lists[e]) for e in range(g.m)]

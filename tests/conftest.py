@@ -2,7 +2,13 @@
 
 The helpers here recompute quantities from first principles (plain scans
 over the assignment) so tests never trust the engine's incremental caches
-for their expected values.
+for their expected values.  The chain shift and the Vizing fan each have
+one reference, which takes ``(g, L, colors)`` and no ``PartialColoring``:
+``reference_shift`` for the shift ``PartialColoring.check_shift`` checks,
+and ``reference_vizing_fan`` for the fan ``vizing_fan`` builds;
+``shift_answer`` puts ``check_shift``'s answer in ``reference_shift``'s terms.
+``available`` and ``live_state`` read a coloring's caches only to compare
+one coloring's state with another's.
 """
 
 from __future__ import annotations
@@ -16,11 +22,11 @@ import pytest
 
 import listcolor as lc
 from listcolor import engine
-from listcolor.coloring import Shift
 from listcolor.errors import (
     COLOR_CLASH,
     COLOR_NOT_IN_LIST,
     START_NOT_BLANK,
+    InternalAssertionError,
     NotShiftableError,
     PreconditionViolatedError,
 )
@@ -94,10 +100,11 @@ def blank_edges(phi):
     return [e for e, c in enumerate(phi.color) if c is None]
 
 
-def rebuilt(phi):
-    """A fresh coloring with phi's colors, built by assigning each one."""
+def rebuilt(phi, colors=None):
+    """A fresh coloring of phi's graph and lists, built by assigning each
+    color of ``colors``, phi's own by default."""
     new = lc.PartialColoring(phi.g, phi.lists)
-    for e, c in enumerate(phi.color):
+    for e, c in enumerate(phi.color if colors is None else colors):
         if c is not None:
             new.assign(e, c)
     return new
@@ -117,108 +124,78 @@ def shift_change(g, L, colors, edges):
     return a1 - a0, d1 - d0
 
 
-def brute_shift_ok(g, L, colors, edges):
-    """Is shifting this chain proper and list-valid?  Plain simulation."""
-    if colors[edges[0]] is not None:
-        return False
-    new = shifted_colors(colors, edges)
-    for e, c in enumerate(new):
-        if c is not None and c not in L.lists[e]:
-            return False
-    used = [set() for _ in range(g.n)]
-    for e, c in enumerate(new):
-        if c is None:
-            continue
-        for w in g.endpoints[e]:
-            if c in used[w]:
-                return False
-            used[w].add(c)
-    return True
+def reference_shift(g, L, colors, edges):
+    """The shift of a chain by definition: the shifted color list, or the
+    refusal ``check_shift`` must raise, as (class, index, reason).
 
-
-def reference_violation(phi, edges, targets):
-    """The shift check as a plain scan: first (index, reason), else (None, None).
-
-    ``targets[i]`` is the color edge i would receive; the last edge, which
-    goes blank, has none.
+    Refusals come in the order ``check_shift`` documents: a chain that is
+    empty, repeats an edge or has a blank edge after its start; then a
+    colored start edge; then the first edge i whose new color, the old
+    color of edge i + 1, is outside its list or already at one of its ends,
+    on an edge off the chain or on an earlier chain edge.
     """
-    eset = set(edges)
-    seen = set()
-    for i, (e, c) in enumerate(zip(edges, targets)):
-        if c not in phi.lists.lists[e]:
-            return i, COLOR_NOT_IN_LIST
-        for w in phi.g.endpoints[e]:
-            if (w, c) in seen:
-                return i, COLOR_CLASH
-            seen.add((w, c))
-            f = phi.used_edge[w].get(c)
-            if f is not None and f not in eset:
-                return i, COLOR_CLASH
-    return None, None
-
-
-def three_pass_check_shift(phi, edges):
-    """``PartialColoring.check_shift`` with its refusals made in three
-    passes over the chain before the walk that frees and takes its colors:
-    a reference for the check that makes them inside that walk, which must
-    give the same shift, or raise the same class, message, index and
-    reason."""
-    old = tuple(map(phi.color.__getitem__, edges))
-    if not old or len(set(edges)) != len(old) or None in old[1:]:
-        raise PreconditionViolatedError(
-            f"chain {tuple(edges)} is empty, repeats an edge or has a blank"
-            " edge after its start"
-        )
+    old = [colors[e] for e in edges]
+    if not edges or len(set(edges)) < len(edges) or None in old[1:]:
+        return PreconditionViolatedError, None, None
     if old[0] is not None:
-        raise NotShiftableError(0, START_NOT_BLANK)
-    if len(old) == 1:
-        return Shift(tuple(edges), {}, (0, 0), phi.stamp)
-    ends, used, lists = phi.g.endpoints, phi.used_edge, phi.lists.lists
-    common = phi.lists.common
-    changes, da = {}, 0
-    for e, c in zip(edges[1:], old[1:]):
-        u, v = ends[e]
-        changes[u, c] = changes[v, c] = None
-        da += (c in common[u]) + (c in common[v])
+        return NotShiftableError, 0, START_NOT_BLANK
+    on_chain = set(edges)
+    off_chain = recompute_used(
+        g, [None if e in on_chain else c for e, c in enumerate(colors)])
+    taken = set()  # (vertex, color) given to an earlier chain edge
     for i, (e, c) in enumerate(zip(edges, old[1:])):
-        if c not in lists[e]:
-            raise NotShiftableError(i, COLOR_NOT_IN_LIST)
-        for w in ends[e]:
-            f = changes.get((w, c), -1)
-            if f is not None and (f != -1 or c in used[w]):
-                raise NotShiftableError(i, COLOR_CLASH)
-            changes[w, c] = e
-            da -= c in common[w]
-    dd = phi.weight[edges[-1]] - phi.weight[edges[0]]
-    return Shift(tuple(edges), changes, (da, dd), phi.stamp)
+        if c not in L.lists[e]:
+            return NotShiftableError, i, COLOR_NOT_IN_LIST
+        for w in g.endpoints[e]:
+            if c in off_chain[w] or (w, c) in taken:
+                return NotShiftableError, i, COLOR_CLASH
+            taken.add((w, c))
+    return shifted_colors(colors, edges)
 
 
-def replay_shift(phi, edges):
-    """The shift replayed edge by edge: unassign every colored chain edge,
-    then assign every target.  Raises PreconditionViolatedError for a
-    chain with a blank edge after its start and NotShiftableError as a
-    refused shift does, before touching ``phi``."""
-    old = [phi.color[e] for e in edges]
-    if None in old[1:]:
-        raise PreconditionViolatedError(f"blank edge after the start of {edges}")
-    if old[0] is not None:
-        raise NotShiftableError(0, START_NOT_BLANK)
-    targets = old[1:]
-    i, reason = reference_violation(phi, edges, targets)
-    if i is not None:
-        raise NotShiftableError(i, reason)
-    for e in edges[1:]:
-        phi.unassign(e)
-    for e, c in zip(edges, targets):
-        phi.assign(e, c)
+def shift_answer(phi, edges):
+    """What ``phi.check_shift`` answers, in ``reference_shift``'s terms: the
+    shift, or the refusal as (class, index, reason)."""
+    try:
+        return phi.check_shift(edges)
+    except (PreconditionViolatedError, NotShiftableError) as exc:
+        return type(exc), getattr(exc, "index", None), getattr(exc, "reason", None)
 
 
 def brute_max_prefix(g, L, colors, edges):
-    best = 1
-    for j in range(1, len(edges) + 1):
-        if brute_shift_ok(g, L, colors, edges[:j]):
-            best = j
-    return best
+    """The longest prefix of a chain that ``reference_shift`` shifts."""
+    return max(j for j in range(1, len(edges) + 1)
+               if isinstance(reference_shift(g, L, colors, edges[:j]), list))
+
+
+def reference_vizing_fan(g, L, colors, e, x):
+    """The fan loop on sets, and how often it polled each leaf.
+
+    The k-th poll of a leaf takes its k-th smallest available color.
+    Returns ``(outcome, polls)``: the outcome is ``vizing_fan``'s triple,
+    or the class and message of the InternalAssertionError it must raise.
+    """
+    avail = recompute_available(g, L, colors)
+    at_x = {colors[f]: f for f in g.incidence[x] if colors[f] is not None}
+    polls = Counter()
+    index = {e: 0}
+    edges = [e]
+    vertices = [x, g.other_end(e, x)]
+    for k in range(len(g.incidence[x])):
+        z = vertices[-1]
+        ranked = sorted(avail[z])
+        if polls[z] == len(ranked):
+            return (InternalAssertionError, f"working set of leaf {z} ran out"), polls
+        eta = ranked[polls[z]]
+        polls[z] += 1
+        ek = at_x.get(eta)
+        if ek is None or ek in index:  # happy, or closing onto index j
+            j = k + 1 if ek is None else index[ek]
+            return (lc.Chain(tuple(edges), tuple(vertices)), eta, j), polls
+        index[ek] = k + 1
+        edges.append(ek)
+        vertices.append(g.other_end(ek, x))
+    return (InternalAssertionError, "fan construction exhausted the pivot's degree"), polls
 
 
 # (has a shift, has a path, happy) -> the kind of step a classifier returned

@@ -15,7 +15,6 @@ from conftest import (
     available,
     blank_edges,
     brute_max_prefix,
-    brute_shift_ok,
     live_state,
     random_chain,
     random_partial,
@@ -204,7 +203,7 @@ def test_max_shiftable_prefix_full_when_lists_allow():
     g, L, phi = fig_two_a_instance()
     path = lc.alternating_path(phi, 4, 1, 2)
     assert lc.max_shiftable_prefix(phi, path) == len(path.edges)
-    assert brute_shift_ok(g, L, phi.color, list(path.edges))
+    assert brute_max_prefix(g, L, phi.color, path.edges) == len(path.edges)
 
 
 def test_max_shiftable_prefix_length_one():

@@ -33,6 +33,7 @@ from conftest import (
     random_chain,
     recompute_available,
     recompute_used,
+    reference_vizing_fan,
 )
 
 BIG = 10**9
@@ -57,31 +58,6 @@ def outcome(fn, *args):
         return fn(*args)
     except (InternalAssertionError, PreconditionViolatedError) as exc:
         return type(exc), str(exc)
-
-
-def reference_vizing_fan(g, avail, colors, e, x):
-    """The fan loop on sets: the k-th poll of a leaf takes its k-th
-    smallest available color."""
-    at_x = {colors[f]: f for f in g.incidence[x] if colors[f] is not None}
-    left = {}
-    index = {e: 0}
-    edges = [e]
-    vertices = [x, g.other_end(e, x)]
-    for k in range(len(g.incidence[x])):
-        z = vertices[-1]
-        polls = left.setdefault(z, sorted(avail[z]))
-        if not polls:
-            return InternalAssertionError, f"working set of leaf {z} ran out"
-        eta = polls.pop(0)
-        ek = at_x.get(eta)
-        if ek is None:
-            return lc.Chain(tuple(edges), tuple(vertices)), eta, k + 1
-        if ek in index:
-            return lc.Chain(tuple(edges), tuple(vertices)), eta, index[ek]
-        index[ek] = k + 1
-        edges.append(ek)
-        vertices.append(g.other_end(ek, x))
-    return InternalAssertionError, "fan construction exhausted the pivot's degree"
 
 
 def reference_shannon_fan(g, avail, used, colors, e):
@@ -116,7 +92,7 @@ def check_against_sets(phi):
                 == reference_shannon_fan(g, avail, used, phi.color, e))
         for x in (u, v):
             assert (outcome(lc.vizing_fan, phi, e, x)
-                    == reference_vizing_fan(g, avail, phi.color, e, x))
+                    == reference_vizing_fan(g, phi.lists, phi.color, e, x)[0])
     for y in range(g.n):
         for z in range(g.n):
             assert phi.smallest_shared(y, z) == min(avail[y] & avail[z], default=None)

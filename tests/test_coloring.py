@@ -5,12 +5,8 @@ import pytest
 
 import listcolor as lc
 from listcolor import coloring
-from listcolor.errors import (
-    COLOR_CLASH,
-    COLOR_NOT_IN_LIST,
-    NotShiftableError,
-    PreconditionViolatedError,
-)
+from listcolor.coloring import Shift
+from listcolor.errors import COLOR_CLASH, NotShiftableError, PreconditionViolatedError
 
 from conftest import (
     FULL6,
@@ -18,14 +14,16 @@ from conftest import (
     blank_edges,
     random_chain,
     rebuilt,
-    replay_shift,
     random_partial,
     random_vizing_partials,
     recompute_available,
     recompute_potential,
     recompute_used,
+    reference_shift,
     setup_partial,
-    three_pass_check_shift,
+    shift_answer,
+    shift_change,
+    shifted_colors,
     live_state,
 )
 
@@ -278,82 +276,6 @@ def test_fully_colored_d_zero():
     assert phi.blanks == 0
 
 
-def coloring_state(phi):
-    return (
-        list(phi.color),
-        [dict(d) for d in phi.used_edge],
-        [available(phi, x) for x in range(phi.g.n)],
-        phi.a_total,
-        phi.d_total,
-        phi.blanks,
-    )
-
-
-def chains_to_shift(g, phi, rng):
-    """Fans, alternating paths and their prefixes, arbitrary chains, and
-    chains that may have blank edges after the start."""
-    for e in blank_edges(phi):
-        for x in g.endpoints[e]:
-            fan, _, j = lc.vizing_fan(phi, e, x)
-            yield fan
-            yield fan.prefix(j)
-        try:
-            yield lc.shannon_fan(phi, e)
-        except PreconditionViolatedError as exc:
-            assert str(exc).startswith("no available color at vertex ")
-        u, v = g.endpoints[e]
-        for alpha in sorted(available(phi, u))[:2]:
-            for beta in sorted(available(phi, v))[:2]:
-                try:
-                    path = lc.alternating_path(phi, e, alpha, beta)
-                except PreconditionViolatedError:
-                    continue
-                for j in range(1, len(path.edges) + 1):
-                    yield path.prefix(j)
-    for _ in range(12):
-        yield random_chain(g, rng, phi.color)
-    for _ in range(4):
-        yield random_chain(g, rng, phi.color, later_blanks=True)
-
-
-def test_one_pass_commit_matches_edge_by_edge_replay():
-    # the committed shift leaves exactly the state the old replay left, and
-    # a refused one raises the same index and reason and changes nothing;
-    # so does a chain with a blank edge after its start, refused as malformed
-    reasons = set()
-    later_blank = parallel = committed = 0
-    for g, L, phi in random_vizing_partials(50):
-        rng = random.Random(g.m * 7 + g.n)
-        for chain in chains_to_shift(g, phi, rng):
-            edges = chain.edges
-            expected, got = rebuilt(phi), rebuilt(phi)
-            try:
-                replay_shift(expected, edges)
-            except PreconditionViolatedError:
-                before = coloring_state(got)
-                with pytest.raises(PreconditionViolatedError):
-                    got.check_shift(edges)
-                assert coloring_state(got) == before
-                later_blank += 1
-                continue
-            except NotShiftableError as exc:
-                before = coloring_state(got)
-                with pytest.raises(NotShiftableError) as raised:
-                    got.check_shift(edges)
-                assert (raised.value.index, raised.value.reason) == (exc.index, exc.reason)
-                assert coloring_state(got) == before
-                reasons.add(exc.reason)
-                continue
-            got.apply_chain_shift(got.check_shift(edges))
-            assert coloring_state(got) == coloring_state(expected)
-            assert got.verify() == []
-            committed += 1
-            ends = [frozenset(g.endpoints[f]) for f in edges]
-            parallel += len(set(ends)) < len(ends)
-    assert {COLOR_CLASH, COLOR_NOT_IN_LIST} <= reasons
-    assert committed > 1000 and later_blank > 20 and parallel > 20
-
-
 def test_stale_shift_is_refused():
     # a checked shift is valid only until the coloring next changes: once a
     # chain edge has another color, committing it raises and changes nothing
@@ -361,18 +283,18 @@ def test_stale_shift_is_refused():
     stale = phi.check_shift((0, 1))
     phi.unassign(1)
     phi.assign(1, 2)
-    before = coloring_state(phi)
+    before = live_state(phi)
     with pytest.raises(PreconditionViolatedError):
         phi.apply_chain_shift(stale)
-    assert coloring_state(phi) == before
+    assert live_state(phi) == before
     # committing one shift twice is the same mistake
     shift = phi.check_shift((0, 1))
     phi.apply_chain_shift(shift)
     assert phi.color == [2, None]
-    after = coloring_state(phi)
+    after = live_state(phi)
     with pytest.raises(PreconditionViolatedError):
         phi.apply_chain_shift(shift)
-    assert coloring_state(phi) == after
+    assert live_state(phi) == after
     assert phi.verify() == []
 
 
@@ -384,10 +306,10 @@ def test_shift_is_stale_after_a_change_off_the_chain():
     )
     stale = phi.check_shift((0, 1))
     phi.assign(2, 1)
-    before = coloring_state(phi)
+    before = live_state(phi)
     with pytest.raises(PreconditionViolatedError):
         phi.apply_chain_shift(stale)
-    assert coloring_state(phi) == before
+    assert live_state(phi) == before
     assert phi.color == [None, 1, 1]
     assert phi.verify() == []
     # a rebuilt coloring is another one: it refuses a shift checked on phi
@@ -395,7 +317,7 @@ def test_shift_is_stale_after_a_change_off_the_chain():
     other = rebuilt(phi)
     with pytest.raises(PreconditionViolatedError):
         other.apply_chain_shift(shift)
-    assert coloring_state(other) == coloring_state(phi)
+    assert live_state(other) == live_state(phi)
     phi.apply_chain_shift(shift)  # phi itself still takes it
     assert phi.verify() == []
 
@@ -413,10 +335,10 @@ def test_one_change_off_the_chain_makes_a_shift_stale(mutate):
     ])
     stale = phi.check_shift((0, 1))
     mutate(phi)
-    before = coloring_state(phi)
+    before = live_state(phi)
     with pytest.raises(PreconditionViolatedError):
         phi.apply_chain_shift(stale)
-    assert coloring_state(phi) == before
+    assert live_state(phi) == before
     assert phi.verify() == []
     assert phi.check_shift((0, 1)).changes == stale.changes
 
@@ -427,23 +349,23 @@ def test_check_shift_refuses_empty_and_repeating_chains():
     # a chain must be nonempty with distinct edges, or nothing is computed
     L12 = frozenset({1, 2})
     g, L, phi = setup_partial(3, [(0, 1, None, L12), (1, 2, 1, L12)])
-    before = coloring_state(phi)
+    before = live_state(phi)
     for edges in ([0, 1, 0], (), [0, 0], [0, 1, 1]):
         with pytest.raises(PreconditionViolatedError):
             phi.check_shift(edges)
-        assert coloring_state(phi) == before
+        assert live_state(phi) == before
         assert phi.verify() == []
     refused = 0
     for g, L, phi in random_vizing_partials(30):
         rng = random.Random(g.m)
-        before = coloring_state(phi)
+        before = live_state(phi)
         for _ in range(10):
             edges = list(random_chain(g, rng, phi.color).edges)
             edges.insert(rng.randint(0, len(edges)), rng.choice(edges))
             with pytest.raises(PreconditionViolatedError):
                 phi.check_shift(edges)
             refused += 1
-        assert coloring_state(phi) == before
+        assert live_state(phi) == before
     assert refused >= 300
 
 
@@ -457,10 +379,10 @@ def test_check_shift_refuses_a_blank_edge_after_the_start():
         g, L, phi = setup_partial(5, specs)
         for e in blank:
             phi.unassign(e)
-        before = coloring_state(phi)
+        before = live_state(phi)
         with pytest.raises(PreconditionViolatedError):
             phi.check_shift((0, 1, 2, 3))
-        assert coloring_state(phi) == before
+        assert live_state(phi) == before
         assert phi.verify() == []
     # the same chains without the later blanks shift
     g, L, phi = setup_partial(5, specs)
@@ -468,29 +390,46 @@ def test_check_shift_refuses_a_blank_edge_after_the_start():
     assert phi.color == [1, 2, 1, None]
 
 
-def check_outcome(check, phi, edges):
-    """What a shift check gives: the shift with its changes in order, or
-    the refusal's class, message, index and reason."""
-    try:
-        shift = check(phi, edges)
-    except (PreconditionViolatedError, NotShiftableError) as exc:
-        return type(exc), str(exc), getattr(exc, "index", None), getattr(exc, "reason", None)
-    return shift, list(shift.changes.items())
-
-
-def odd_chains(g, phi, rng):
-    """Chains of every shape a check must answer or refuse: empty, each
-    edge alone, random chains that may start colored or hold later blanks,
-    and those chains with an edge repeated, the start edge included."""
-    yield ()
+def chains_to_check(g, phi, rng):
+    """Chains of every shape a shift check must answer or refuse, each with
+    its kind: vizing fans and their prefixes, shannon fans, prefixes of
+    alternating paths; the empty chain and each edge alone; random chains
+    that may start colored or hold later blanks, long enough to come back
+    to a vertex, and those chains with an edge repeated, the start edge
+    included; and random edge orders around a pivot, where parallel edges
+    may sit next to each other."""
+    for e in blank_edges(phi):
+        for x in g.endpoints[e]:
+            fan, _, j = lc.vizing_fan(phi, e, x)
+            yield "vizing fan", fan
+            yield "vizing fan", fan.prefix(j)
+        try:
+            yield "shannon fan", lc.shannon_fan(phi, e)
+        except PreconditionViolatedError as exc:
+            assert str(exc).startswith("no available color at vertex ")
+        u, v = g.endpoints[e]
+        for alpha in sorted(available(phi, u))[:2]:
+            for beta in sorted(available(phi, v))[:2]:
+                try:
+                    path = lc.alternating_path(phi, e, alpha, beta)
+                except PreconditionViolatedError:
+                    continue
+                for j in range(1, len(path.edges) + 1):
+                    yield "path", path.prefix(j)
+    yield "bare", lc.Chain(())
     for e in range(g.m):
-        yield (e,)
-    for _ in range(20):
-        edges = random_chain(g, rng, phi.color, later_blanks=rng.random() < 0.3).edges
-        yield edges
-        yield edges + edges[:1]
+        yield "bare", lc.Chain((e,))
+    for _ in range(40):
+        edges = random_chain(g, rng, phi.color, max_len=10,
+                             later_blanks=rng.random() < 0.3).edges
         i = rng.randrange(len(edges))
-        yield edges[:i] + (rng.choice(edges),) + edges[i:]
+        for bare in (edges, edges + edges[:1], edges[:i] + (rng.choice(edges),) + edges[i:]):
+            yield "bare", lc.Chain(bare)
+    for x in range(g.n):
+        inc = g.incidence[x]
+        for _ in range(4 if inc else 0):
+            edges = tuple(rng.sample(inc, rng.randint(1, len(inc))))
+            yield "pivot", lc.Chain(edges, (x, *(g.other_end(f, x) for f in edges)))
 
 
 def chain_shapes(g, phi, edges):
@@ -511,22 +450,58 @@ def chain_shapes(g, phi, edges):
 
 @pytest.mark.parametrize("wide", [coloring.WIDE, 0], ids=["shared", "per-vertex"])
 def test_check_shift_answers_as_the_three_pass_reference(wide, monkeypatch):
-    # the check that refuses inside its walk gives the reference's shift, or
-    # its refusal, on chains of every shape and in both palette layouts
+    # on chains of every shape and in both palette layouts, the check leaves
+    # the coloring as it was and refuses as reference_shift does (the chain's
+    # shape, then its refusal scan, then the shifted colors: three passes),
+    # or gives the potential change the definition gives
     monkeypatch.setattr(coloring, "WIDE", wide)
     shapes, outcomes = Counter(), Counter()
-    for g, L, phi in random_vizing_partials(40):
+    for g, L, phi in random_vizing_partials(60):
         rng = random.Random(g.m * 5 + g.n)
         before = live_state(phi)
-        chains = [chain.edges for chain in chains_to_shift(g, phi, rng)]
-        for edges in chains + list(odd_chains(g, phi, rng)):
-            expected = check_outcome(three_pass_check_shift, phi, edges)
-            assert check_outcome(lc.PartialColoring.check_shift, phi, edges) == expected, edges
+        used = recompute_used(g, phi.color)
+        for _, chain in chains_to_check(g, phi, rng):
+            edges = chain.edges
+            expected = reference_shift(g, L, phi.color, edges)
+            shift = shift_answer(phi, edges)
             assert live_state(phi) == before
             shapes.update(k for k, v in chain_shapes(g, phi, edges).items() if v)
-            if isinstance(expected[0], type):
-                outcomes[expected[3] or expected[0].__name__] += 1
-            else:
+            if isinstance(expected, list):
+                assert isinstance(shift, Shift), (edges, shift)
+                assert shift.delta == shift_change(g, L, phi.color, edges)
                 outcomes["shift" if len(edges) > 1 else "one-edge shift"] += 1
+                continue
+            assert shift == expected, edges
+            cls, i, reason = expected
+            if reason == COLOR_CLASH:
+                new = shifted_colors(phi.color, edges)
+                c, at = new[edges[i]], set(g.endpoints[edges[i]])
+                if any(new[f] == c and c not in used[w]
+                       for f in edges[:i] for w in at & set(g.endpoints[f])):
+                    # an earlier chain edge takes c at a vertex without c:
+                    # no used map shows this clash, only the chain's own
+                    reason = "clash between chain edges"
+            outcomes[reason or cls.__name__] += 1
     assert min(shapes.values()) >= 20 and len(shapes) == 7, shapes
-    assert min(outcomes.values()) >= 20 and len(outcomes) == 6, outcomes
+    assert min(outcomes.values()) >= 20 and len(outcomes) == 7, outcomes
+
+
+def test_one_pass_commit_matches_edge_by_edge_replay():
+    # a shift the reference accepts, committed in one pass on a copy, leaves
+    # the copy as the reference's shifted colors assigned edge by edge do
+    committed = parallel = 0
+    for g, L, phi in random_vizing_partials(60):
+        rng = random.Random(g.m * 5 + g.n)
+        for _, chain in chains_to_check(g, phi, rng):
+            edges = chain.edges
+            expected = reference_shift(g, L, phi.color, edges)
+            if not isinstance(expected, list):
+                continue
+            applied = rebuilt(phi)  # another coloring refuses phi's shift: commit it there
+            applied.apply_chain_shift(applied.check_shift(edges))
+            assert live_state(applied) == live_state(rebuilt(phi, expected))
+            assert applied.verify() == []
+            committed += 1
+            ends = [frozenset(g.endpoints[f]) for f in edges]
+            parallel += len(set(ends)) < len(ends)
+    assert committed > 1000 and parallel > 20

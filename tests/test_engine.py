@@ -8,6 +8,7 @@ import listcolor as lc
 from listcolor import coloring, engine
 from listcolor.errors import (
     BoundViolationError,
+    InputError,
     InternalAssertionError,
     NotBipartiteError,
     NotShiftableError,
@@ -102,6 +103,10 @@ def test_assume_bound_refused_outside_explicit_mode(triangle, mode):
         lc.color_graph(g, L, mode, assume_bound="koenig")
 
 
+# lists built for the triangle, which has one edge more than the path 0-1-2
+TRIANGLE_LISTS = lc.generate_from_bounds(lc.Multigraph(3, [(0, 1), (1, 2), (0, 2)]), "vizing")
+FOREIGN = "lists are for 3 vertices and 3 edges, the graph has 3 and 2"
+
 # misuse of a public call on the path 0-1-2, edge 0 colored -> (error, message)
 MISUSE = {
     "koenig_path-colored": (lambda phi: lc.koenig_path(phi, 0),
@@ -129,6 +134,23 @@ MISUSE = {
                               ValueError, "vertex count must be nonnegative"),
     "one-list-too-many": (lambda phi: lc.ListAssignment(phi.g, [S6] * 3),
                           ValueError, "expected 2 lists, got 3"),
+    "check_edge_colors-short": (lambda phi: lc.check_edge_colors(phi.g, phi.lists, [1]),
+                                ValueError, "expected 2 colors, got 1"),
+    "check_edge_colors-long": (
+        lambda phi: lc.check_edge_colors(phi.g, phi.lists, [1, None, 2]),
+        ValueError, "expected 2 colors, got 3"),
+    "PartialColoring-foreign-lists": (lambda phi: lc.PartialColoring(phi.g, TRIANGLE_LISTS),
+                                      ValueError, FOREIGN),
+    "exhaustive_color-foreign-lists": (
+        lambda phi: lc.exhaustive_color(phi.g, TRIANGLE_LISTS), ValueError, FOREIGN),
+    "write_instance-foreign-lists": (lambda phi: lc.write_instance(phi.g, TRIANGLE_LISTS),
+                                     ValueError, FOREIGN),
+    "bool-vertex": (lambda phi: lc.Multigraph(3, [(True, 2), (0, 2)]),
+                    InputError, "vertex True is not an int"),
+    "float-vertex": (lambda phi: lc.Multigraph(3, [(0, 1.0)]),
+                     InputError, "vertex 1.0 is not an int"),
+    "str-vertex": (lambda phi: lc.Multigraph(3, [("0", 1)]),
+                   InputError, "vertex '0' is not an int"),
 }
 
 

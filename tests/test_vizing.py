@@ -1,15 +1,7 @@
 import itertools
 import random
 
-import pytest
-
 import listcolor as lc
-from listcolor.chain import Chain
-from listcolor.errors import (
-    InternalAssertionError,
-    NotShiftableError,
-    PreconditionViolatedError,
-)
 
 from conftest import (
     available,
@@ -18,10 +10,11 @@ from conftest import (
     random_chain,
     random_partial,
     random_vizing_partials,
-    rebuilt,
     recompute_potential,
-    replay_shift,
+    reference_shift,
+    reference_vizing_fan,
     setup_partial,
+    shift_answer,
     shift_change,
     shifted_copy,
     step_kind,
@@ -173,102 +166,6 @@ def test_availability_total_never_rises_after_fan_shift(rng):
             assert a_after <= a_before
 
 
-class ReadLog(list):
-    """Common masks that record which vertices' masks were read."""
-
-    def __init__(self, sets):
-        super().__init__(sets)
-        self.read = set()
-
-    def __getitem__(self, z):
-        self.read.add(z)
-        return super().__getitem__(z)
-
-
-def eager_vizing_fan(phi, e, x, read):
-    """The fan loop with every neighbour's working set copied up front;
-    ``read`` collects the vertices whose availability it copies."""
-    g = phi.g
-    y = g.other_end(e, x)
-    beta_sets = {z: available(phi, z) for z in g.neighbors(x)}
-    read.update(beta_sets)
-    nbr = dict(phi.used_edge[x])
-    index = {e: 0}
-    edges = [e]
-    leaves = [y]
-    k = 0
-    while k < g.degree(x):
-        working = beta_sets[leaves[-1]]
-        eta = min(working)
-        working.remove(eta)
-        if eta not in phi.used_edge[x]:
-            return Chain(tuple(edges), (x, *leaves)), eta, k + 1
-        k += 1
-        ek = nbr[eta]
-        if ek in index:
-            return Chain(tuple(edges), (x, *leaves)), eta, index[ek]
-        index[ek] = k
-        edges.append(ek)
-        leaves.append(g.other_end(ek, x))
-    raise InternalAssertionError("fan construction exhausted the pivot's degree")
-
-
-def test_lazy_fan_matches_eager_reference():
-    # the lazy fan finds the eager fan and reads the availability of no
-    # vertex the eager loop did not copy, and of fewer entries somewhere
-    fans = saved = 0
-    for g, L, phi in random_vizing_partials(60):
-        common_mask = phi.common_mask
-        for e in blank_edges(phi):
-            for x in g.endpoints[e]:
-                eager_read = set()
-                ref = eager_vizing_fan(phi, e, x, eager_read)
-                phi.common_mask = log = ReadLog(common_mask)
-                try:
-                    res = lc.vizing_fan(phi, e, x)
-                finally:
-                    phi.common_mask = common_mask
-                assert res == ref
-                assert g.other_end(e, x) in log.read
-                assert log.read <= eager_read
-                lazy = sum(len(available(phi, z)) for z in log.read)
-                eager = sum(len(available(phi, z)) for z in eager_read)
-                fans += 1
-                saved += lazy < eager
-    assert fans > 500 and saved > 0
-
-
-def vizing_fan_copying_polls(phi, e, x, polls):
-    """The fan loop that copies each leaf's availability set at its first
-    poll; ``polls`` counts the polls per leaf."""
-    g = phi.g
-    y = g.other_end(e, x)
-    used = phi.used_edge[x]
-    beta_sets = {}
-    index = {e: 0}
-    edges = [e]
-    vertices = [x, y]
-    k = 0
-    while k < len(g.incidence[x]):
-        z = vertices[-1]
-        working = beta_sets.get(z)
-        if working is None:
-            working = beta_sets[z] = available(phi, z)
-        eta = min(working)
-        working.remove(eta)
-        polls[z] = polls.get(z, 0) + 1
-        if eta not in used:
-            return Chain(tuple(edges), tuple(vertices)), eta, k + 1
-        k += 1
-        ek = used[eta]
-        if ek in index:
-            return Chain(tuple(edges), tuple(vertices)), eta, index[ek]
-        index[ek] = k
-        edges.append(ek)
-        vertices.append(g.other_end(ek, x))
-    raise InternalAssertionError("fan construction exhausted the pivot's degree")
-
-
 def repolling_partials(count):
     """Random partials on few vertices with mu up to 4, so parallel edges
     often bring a fan back to a leaf it polled before."""
@@ -281,94 +178,95 @@ def repolling_partials(count):
             yield g, L, random_partial(g, L, rng, fill=rng.choice((0.5, 0.8, 0.95)))
 
 
-def test_copy_free_polls_match_copying_reference():
-    # reading a leaf's first poll in place finds the same fan as copying
-    # it, also where parallel edges bring a leaf back
-    fans = repolled = 0
-    for g, L, phi in itertools.chain(random_vizing_partials(60), repolling_partials(60)):
+def fan_counts(partials):
+    """Check every fan of the partials against the reference: the fan is the
+    reference's, and it reads the common mask of no vertex the reference did
+    not poll, each a leaf of x's edges.  Returns how many fans there were,
+    how many leaves were polled again and how many fans polled fewer
+    vertices than x has neighbours."""
+    fans = repolled = fewer = 0
+    for g, L, phi in partials:
+        masks = phi.common_mask
         for e in blank_edges(phi):
             for x in g.endpoints[e]:
-                polls = {}
-                ref = vizing_fan_copying_polls(phi, e, x, polls)
-                assert lc.vizing_fan(phi, e, x) == ref
+                ref, polls = reference_vizing_fan(g, L, phi.color, e, x)
+                # a mask the reference did not read is None: reading it raises
+                phi.common_mask = [m if z in polls else None for z, m in enumerate(masks)]
+                try:
+                    assert lc.vizing_fan(phi, e, x) == ref
+                finally:
+                    phi.common_mask = masks
+                leaves = {g.other_end(f, x) for f in g.incidence[x]}
+                assert set(polls) <= leaves
                 fans += 1
                 repolled += sum(n > 1 for n in polls.values())
+                fewer += len(polls) < len(leaves)
+    return fans, repolled, fewer
+
+
+def test_lazy_fan_matches_eager_reference():
+    # the fan that reads a leaf's mask only when it polls the leaf finds the
+    # fan of the reference, which computes every vertex's availability up
+    # front, and reads fewer masks than x has neighbours somewhere
+    fans, _, fewer = fan_counts(random_vizing_partials(60))
+    assert fans > 500 and fewer > 0
+
+
+def test_copy_free_polls_match_copying_reference():
+    # polling a leaf's mask in place finds the fan of the reference, which
+    # polls a sorted copy of each leaf's availability, also where parallel
+    # edges bring the fan back to a leaf it polled before
+    fans, repolled, _ = fan_counts(
+        itertools.chain(random_vizing_partials(60), repolling_partials(60)))
     assert fans > 1000 and repolled >= 100
 
 
-def shift_candidates(g, phi, rng):
-    """Vizing fans and their prefixes, then random chains (paths, parallel
-    edges)."""
-    for e in blank_edges(phi):
-        for x in g.endpoints[e]:
-            fan, _, j = lc.vizing_fan(phi, e, x)
-            yield fan
-            yield fan.prefix(j)
-    for _ in range(12):
-        yield random_chain(g, rng, phi.color)
-
-
 def test_shift_delta_matches_applied_shift():
-    outside = 0  # fan shifts that move a color outside its leaf's common set
-    parallel = checked = 0
+    # every vizing fan and its prefix shift, some moving a color outside its
+    # leaf's common set; committed, each moves the potential, recomputed from
+    # the committed colors, by the check's delta
+    checked = outside = 0
     for g, L, phi in random_vizing_partials(60):
-        for cand in shift_candidates(g, phi, random.Random(g.m)):
-            colors, before = list(phi.color), phi.potential()
-            try:
-                shift = phi.check_shift(cand.edges)
-            except NotShiftableError:
-                assert cand.vertices == ()  # every vizing fan shifts
-                continue
-            assert phi.color == colors and phi.potential() == before
-            assert phi.verify() == []
-            assert shift.delta == shift_change(g, L, colors, cand.edges)
-            applied = rebuilt(phi)  # another coloring refuses phi's shift: check it there
-            applied.apply_chain_shift(applied.check_shift(cand.edges))
-            assert applied.verify() == []
-            (a, d), (da, dd) = before, shift.delta
-            assert applied.potential() == (a + da, d + dd)
-            checked += 1
-            ends = [frozenset(g.endpoints[f]) for f in cand.edges]
-            parallel += len(set(ends)) < len(ends)
-            outside += any(
-                phi.color[f] is not None and phi.color[f] not in L.common[z]
-                for f, z in zip(cand.edges, cand.vertices[1:])
-            )
-    assert outside > 0 and checked > 1000
-    assert parallel > 20
+        a, d = recompute_potential(g, L, phi.color)
+        for e in blank_edges(phi):
+            for x in g.endpoints[e]:
+                fan, _, j = lc.vizing_fan(phi, e, x)
+                for chain in (fan, fan.prefix(j)):
+                    da, dd = phi.check_shift(chain.edges).delta
+                    applied = shifted_copy(phi, chain)
+                    assert recompute_potential(g, L, applied.color) == (a + da, d + dd)
+                    checked += 1
+                    outside += any(
+                        phi.color[f] is not None and phi.color[f] not in L.common[z]
+                        for f, z in zip(chain.edges, chain.vertices[1:])
+                    )
+    assert checked > 1000 and outside > 0
 
 
 def test_check_shift_raises_like_replay():
-    # arbitrary edge orders around a pivot, shiftable or not; parallel
-    # edges may sit next to each other, which no vizing fan does; and
-    # random chains
-    raised = 0
+    # shifts replayed on one coloring, each drawn from edge orders around a
+    # pivot, where parallel edges may sit next to each other, and random
+    # chains: on the caches the commits before it left, every check refuses
+    # as reference_shift does, or gives its delta and its shifted colors
+    raised = committed = 0
     for g, L, phi in random_vizing_partials(40):
         rng = random.Random(g.m)
-        chains = [random_chain(g, rng, phi.color) for _ in range(8)]
-        for x in range(g.n):
-            inc = list(g.incidence[x])
-            if not inc:
-                continue
-            for _ in range(4):
-                edges = rng.sample(inc, rng.randint(1, len(inc)))
-                leaves = tuple(g.other_end(f, x) for f in edges)
-                chains.append(Chain(tuple(edges), (x, *leaves)))
-        for chain in chains:
-            colors = list(phi.color)
-            try:
-                replay_shift(rebuilt(phi), chain.edges)
-            except PreconditionViolatedError:  # a blank edge after the start
-                with pytest.raises(PreconditionViolatedError):
-                    phi.check_shift(chain.edges)
-                raised += 1
-            except NotShiftableError as exc:
-                with pytest.raises(NotShiftableError) as got:
-                    phi.check_shift(chain.edges)
-                assert (got.value.index, got.value.reason) == (exc.index, exc.reason)
-                raised += 1
+        for _ in range(30):
+            x = rng.randrange(g.n)
+            inc = g.incidence[x]
+            if inc and rng.random() < 0.5:
+                edges = tuple(rng.sample(inc, rng.randint(1, len(inc))))
             else:
-                delta = phi.check_shift(chain.edges).delta
-                assert delta == shift_change(g, L, colors, chain.edges)
-            assert phi.color == colors
-    assert raised > 0
+                edges = random_chain(g, rng, phi.color).edges
+            expected = reference_shift(g, L, phi.color, edges)
+            answer = shift_answer(phi, edges)
+            if not isinstance(expected, list):
+                assert answer == expected, edges
+                raised += 1
+                continue
+            assert answer.delta == shift_change(g, L, phi.color, edges)
+            phi.apply_chain_shift(answer)
+            assert phi.color == expected
+            committed += 1
+        assert phi.verify() == []
+    assert raised > 1000 and committed > 500
