@@ -201,6 +201,8 @@ class PartialColoring:
     # -- single-edge updates ------------------------------------------------
 
     def assign(self, e: int, c: int) -> None:
+        if not 0 <= e < self.g.m:
+            raise PreconditionViolatedError(f"edge {e} out of range [0, {self.g.m})")
         if self.color[e] is not None:
             raise PreconditionViolatedError(f"edge {e} already colored")
         if c not in self.lists.lists[e]:
@@ -214,6 +216,8 @@ class PartialColoring:
                      -self.weight[e], -1)
 
     def unassign(self, e: int) -> None:
+        if not 0 <= e < self.g.m:
+            raise PreconditionViolatedError(f"edge {e} out of range [0, {self.g.m})")
         c = self.color[e]
         if c is None:
             raise PreconditionViolatedError(f"edge {e} already blank")
@@ -291,7 +295,8 @@ class PartialColoring:
         """Check the shift of a chain once and compute what it would change.
 
         Does not mutate.  A chain is one blank edge followed by colored
-        edges.  An empty chain raises PreconditionViolatedError.  A one-edge
+        edges.  An empty chain, or one with an edge id outside 0..m-1,
+        raises PreconditionViolatedError.  A one-edge
         chain raises NotShiftableError(0, START_NOT_BLANK) if its edge is
         colored, and otherwise moves no color: its shift is empty, with
         delta (0, 0).  A longer chain is checked by one call of
@@ -304,6 +309,9 @@ class PartialColoring:
         and of the end edge, which goes blank.  The shift is valid only until
         the coloring's stamp next changes.
         """
+        if edges and not (0 <= min(edges) and max(edges) < self.g.m):
+            e = min(edges) if min(edges) < 0 else max(edges)
+            raise PreconditionViolatedError(f"edge {e} out of range [0, {self.g.m})")
         if len(edges) > 1:
             changes, da = self.shift_violation(edges)
             dd = self.weight[edges[-1]] - self.weight[edges[0]]

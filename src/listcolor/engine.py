@@ -24,7 +24,7 @@ from . import shannon, vizing
 from .bipartite import koenig_path
 from .chain import resolve_path
 from .coloring import PartialColoring
-from .errors import InternalAssertionError
+from .errors import InternalAssertionError, PreconditionViolatedError
 from .graph import Multigraph
 from .lists import BOUND_MODES, MODES, ListAssignment, check_bound
 
@@ -79,6 +79,8 @@ def augment_once(
     """
     if mode not in BOUND_MODES:
         raise ValueError(f"augment mode must name a guarantee, got {mode!r}")
+    if not 0 <= e < phi.g.m:
+        raise PreconditionViolatedError(f"edge {e} out of range [0, {phi.g.m})")
     step = stats.steps
     before = phi.potential()
     blanks = phi.blanks

@@ -48,9 +48,10 @@ class BoundViolationError(ListColorError):
 
 
 class PreconditionViolatedError(ListColorError):
-    """Caller broke a documented operation precondition: an edge that must
-    be blank is colored or the reverse, a color that is absent from the
-    edge's list or clashes at an end, or an empty availability set."""
+    """Caller broke a documented operation precondition: an edge id out of
+    range, an edge that must be blank is colored or the reverse, a color
+    absent from the edge's list or clashing at an end, or an empty
+    availability set."""
 
 
 # Reasons attached to NotShiftableError.

@@ -32,13 +32,19 @@ class Multigraph:
     )
 
     def __init__(self, n: int, edge_list):
+        if type(n) is not int:  # bool is an int subclass
+            raise InputError(f"vertex count {n!r} is not an int")
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         self.n = n
         endpoints = []
         incidence = [[] for _ in range(n)]
         pair_mult: dict[tuple[int, int], int] = {}
-        for e, (u, v) in enumerate(edge_list):
+        for e, pair in enumerate(edge_list):
+            try:
+                u, v = pair
+            except (TypeError, ValueError):
+                raise InputError(f"edge {e} is not a vertex pair: {pair!r}") from None
             for w in (u, v):
                 if type(w) is not int:  # bool is an int subclass
                     raise InputError(f"vertex {w!r} is not an int")

@@ -2,11 +2,22 @@
 
 The helpers here recompute quantities from first principles (plain scans
 over the assignment) so tests never trust the engine's incremental caches
-for their expected values.  The chain shift and the Vizing fan each have
-one reference, which takes ``(g, L, colors)`` and no ``PartialColoring``:
-``reference_shift`` for the shift ``PartialColoring.check_shift`` checks,
-and ``reference_vizing_fan`` for the fan ``vizing_fan`` builds;
-``shift_answer`` puts ``check_shift``'s answer in ``reference_shift``'s terms.
+for their expected values: no expected value comes from a
+``PartialColoring``.  Each run property has one check, which takes
+``(g, L, colors)`` or trace records:
+
+- the run certificate: ``check_certificate``, over a traced run's records;
+- the oracle cross-check: ``oracle_cross_check``, which acceptance
+  criterion 6 runs over the union of its own instance families and
+  ``oracle_bound_instances`` and ``oracle_list_instances``;
+- the chain shift: ``reference_shift``, for the shift
+  ``PartialColoring.check_shift`` checks (``shift_answer`` puts its answer
+  in the reference's terms);
+- the Vizing fan: ``reference_vizing_fan``, for the fan ``vizing_fan``
+  builds;
+- the alternating path: ``reference_path``, for the walk
+  ``alternating_path`` makes, in phi or in a shifted color vector.
+
 ``available`` and ``live_state`` read a coloring's caches only to compare
 one coloring's state with another's.
 """
@@ -14,6 +25,7 @@ one coloring's state with another's.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 import sys
 from collections import Counter
@@ -26,6 +38,7 @@ from listcolor.errors import (
     COLOR_CLASH,
     COLOR_NOT_IN_LIST,
     START_NOT_BLANK,
+    BoundViolationError,
     InternalAssertionError,
     NotShiftableError,
     PreconditionViolatedError,
@@ -110,13 +123,6 @@ def rebuilt(phi, colors=None):
     return new
 
 
-def shifted_copy(phi, chain):
-    """A fresh coloring with the chain shifted; phi is untouched."""
-    new = rebuilt(phi)
-    new.apply_chain_shift(new.check_shift(chain.edges))
-    return new
-
-
 def shift_change(g, L, colors, edges):
     """Potential change (da, dd) of shifting the chain, by definition."""
     a0, d0 = recompute_potential(g, L, colors)
@@ -166,6 +172,35 @@ def brute_max_prefix(g, L, colors, edges):
     """The longest prefix of a chain that ``reference_shift`` shifts."""
     return max(j for j in range(1, len(edges) + 1)
                if isinstance(reference_shift(g, L, colors, edges[:j]), list))
+
+
+def reference_path(g, L, colors, e, alpha, beta):
+    """The alternating path out of blank edge e by definition: the ``Chain``,
+    or the refusal ``alternating_path`` must raise, as (class, message).
+
+    The start vertex is the endpoint where alpha is available, u before v
+    when both orientations fit; the walk leaves the other endpoint along
+    its alpha edge and alternates beta, alpha, ... while the next color is
+    at the vertex reached.  ``colors`` is proper, so each color is at a
+    vertex at most once and the walk never comes back on itself.
+    """
+    if alpha == beta:
+        return PreconditionViolatedError, "alternating colors must differ"
+    if colors[e] is not None:
+        return PreconditionViolatedError, f"edge {e} is not blank"
+    avail = recompute_available(g, L, colors)
+    u, v = g.endpoints[e]
+    ends = [(x, y) for x, y in ((u, v), (v, u)) if alpha in avail[x] and beta in avail[y]]
+    if not ends:
+        return (PreconditionViolatedError,
+                f"edge {e}: colors {alpha}, {beta} not available at opposite endpoints")
+    edges, vertices = [e], list(ends[0])
+    need, follow = alpha, beta
+    while nxt := [f for f in g.incidence[vertices[-1]] if colors[f] == need]:
+        edges.append(nxt[0])
+        vertices.append(g.other_end(nxt[0], vertices[-1]))
+        need, follow = follow, need
+    return lc.Chain(tuple(edges), tuple(vertices))
 
 
 def reference_vizing_fan(g, L, colors, e, x):
@@ -291,6 +326,85 @@ def trace_counters(records, colored):
         path_shifts=kinds["path-shift-happy"] + kinds["path-shift-content"],
         max_chain_length=max((len(r.chain) for r in records), default=0),
     )
+
+
+def check_certificate(g, L, records, stats, colors, start=None):
+    """Assert that a traced run's records certify it.
+
+    ``start`` is the color vector the run began from, blank by default,
+    and ``colors`` the one it ended with.  The records number the steps
+    0, 1, ... in order; each record starts at the potential the previous
+    one ended at, the first at ``start``'s, inside a step too; each step
+    ends strictly below where it started, and the last at ``colors``'s
+    potential.  ``stats`` counts those steps and equals ``trace_counters``.
+    """
+    start = [None] * g.m if start is None else start
+    pot, steps = recompute_potential(g, L, start), 0
+    for step, recs in itertools.groupby(records, lambda r: r.step):
+        assert step == steps, (step, steps)
+        opened = pot
+        for r in recs:
+            assert r.phi_before == pot, (pot, r)
+            pot = r.phi_after
+        assert pot < opened, (step, opened, pot)
+        steps += 1
+    assert pot == recompute_potential(g, L, colors), (pot, steps)
+    assert steps == stats.steps, (steps, stats)
+    assert stats == trace_counters(records, start.count(None) - colors.count(None))
+
+
+def oracle_cross_check(bound_instances, list_instances):
+    """Cross-check the engine with the exhaustive oracle.
+
+    ``bound_instances`` yields ``(g, L, mode, assume)`` whose lists meet
+    the bound ``assume or mode``; on each, the engine's run and the
+    oracle's coloring must both be complete and proper.  ``list_instances``
+    yields ``(g, L)`` under arbitrary lists; wherever the oracle finds no
+    coloring, every mode's bound check must fail.  Returns ``(agree,
+    feasible, absent)``: the bound instances on which both were proper,
+    the bound instances, and the list instances with no coloring.
+    """
+    agree = feasible = 0
+    for g, L, mode, assume in bound_instances:
+        lc.check_bound(g, L, assume or mode)
+        oracle = lc.exhaustive_color(g, L, limit=9)
+        phi, _ = lc.color_graph(g, L, mode, assume_bound=assume)
+        engine_ok = not phi.blanks and not lc.check_edge_colors(g, L, phi.color)
+        oracle_ok = oracle is not None and not lc.check_edge_colors(g, L, oracle)
+        agree += engine_ok and oracle_ok
+        feasible += 1
+    # one-directional converse: oracle absence implies every bound failed
+    absent = 0
+    for g, L in list_instances:
+        if lc.exhaustive_color(g, L, limit=9) is None:
+            absent += 1
+            modes = ["shannon", "vizing"] + (["koenig"] if g.bipartition() else [])
+            for m in modes:
+                with pytest.raises(BoundViolationError):
+                    lc.check_bound(g, L, m)
+    return agree, feasible, absent
+
+
+def oracle_bound_instances():
+    """Graphs on six vertices with Delta 4 under both modes' bound lists,
+    where the oracle backtracks."""
+    for seed in range(60):
+        rng = random.Random(seed)
+        g = lc.generate_random(6, 4, 2, seed=seed, edges=rng.randint(1, 8))
+        for mode in ("shannon", "vizing"):
+            yield g, lc.generate_from_bounds(g, mode), mode, None
+
+
+def oracle_list_instances(rng=None, seeds=range(80)):
+    """Graphs on five vertices under random lists of one to three colors
+    from 1..5, often with no proper coloring at all."""
+    rng = random.Random(5) if rng is None else rng
+    for seed in seeds:
+        g = lc.generate_random(5, 4, 2, seed=seed, edges=rng.randint(2, 7))
+        if g.m:
+            lists = [frozenset(rng.sample(range(1, 6), rng.randint(1, 3)))
+                     for _ in range(g.m)]
+            yield g, lc.ListAssignment(g, lists)
 
 
 def _fan_leaves(phi, fan):

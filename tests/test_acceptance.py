@@ -9,7 +9,6 @@ never from the engine's own caches.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -18,18 +17,20 @@ from time import perf_counter
 import pytest
 
 import listcolor as lc
-from listcolor.errors import BoundViolationError
 from listcolor.lists import local_bound
 
 from conftest import (
     WorkLog,
-    available,
     adversarial_lists,
     blank_edges,
+    check_certificate,
+    oracle_bound_instances,
+    oracle_cross_check,
+    oracle_list_instances,
     random_partial,
-    recompute_potential,
+    recompute_available,
+    reference_path,
     setup_partial,
-    shifted_copy,
 )
 
 SEED_SALT = {"shannon": 0, "vizing": 1_000_000, "koenig": 2_000_000, "adv": 3_000_000}
@@ -92,18 +93,11 @@ def run_batch(mode: str, count: int, adversarial: bool = False) -> BatchSummary:
             for e, (u, v) in enumerate(g.endpoints):
                 if phi.color[e] > max(bounds[u], bounds[v]):
                     s.color_bound_violations += 1
-        # the certificate from the trace: the steps lead from the empty
-        # coloring's potential to the final one, each strictly lowering it
-        blank = lc.PartialColoring(g, L)
-        pot, steps = blank.potential(), 0
-        for step, recs in itertools.groupby(records, lambda r: r.step):
-            recs = list(recs)
-            if step != steps or recs[0].phi_before != pot or not recs[-1].phi_after < pot:
-                s.potential_violations += 1
-            pot, steps = recs[-1].phi_after, steps + 1
-        if steps != stats.steps or pot != recompute_potential(g, L, phi.color):
+        try:
+            check_certificate(g, L, records, stats, phi.color)
+        except AssertionError:
             s.potential_violations += 1
-        if stats.steps > lc.step_budget(blank):
+        if stats.steps > lc.step_budget(lc.PartialColoring(g, L)):
             s.budget_violations += 1
         s.fan_steps += stats.fan_shifts
     s.elapsed = perf_counter() - start
@@ -188,15 +182,17 @@ def test_criterion_5_potential_certificate(
     ok = pot == 0 and budget == 0
     verdict(
         5, ok,
-        f"traced potential strictly decreasing from the empty coloring's to the"
-        f" final one ({pot} violations), step budget respected"
+        f"trace certificate: potential strictly decreasing from the empty"
+        f" coloring's to the final one, counters matching the records"
+        f" ({pot} violations), step budget respected"
         f" ({budget} violations)",
     )
 
 
-def test_criterion_6_oracle_equivalence():
-    agree = 0
-    absent_checked = 0
+def bound_instances():
+    """(g, L, mode, assume) for instances that meet the shannon or vizing
+    bound: random small graphs under bound lists or, one in three,
+    adversarial lists in explicit mode; then ``oracle_bound_instances``."""
     for i in range(500):
         seed = 5_000_000 + i
         rng = random.Random(seed)
@@ -206,39 +202,24 @@ def test_criterion_6_oracle_equivalence():
         )
         mode = ("shannon", "vizing")[i % 2]
         if i % 3 == 0:
-            L = adversarial_lists(g, mode, rng)
-            run_mode, assume = "explicit", mode
+            yield g, adversarial_lists(g, mode, rng), "explicit", mode
         else:
-            L = lc.generate_from_bounds(g, mode)
-            run_mode, assume = mode, None
-        lc.check_bound(g, L, mode)
-        oracle = lc.exhaustive_color(g, L, limit=9)
-        phi, _ = lc.color_graph(g, L, run_mode, assume_bound=assume)
-        engine_ok = not phi.blanks and not lc.check_edge_colors(g, L, phi.color)
-        oracle_ok = oracle is not None and not lc.check_edge_colors(g, L, oracle)
-        if engine_ok and oracle_ok:
-            agree += 1
-    # one-directional converse: oracle absence implies some bound failed
-    rng = random.Random(77)
-    for i in range(200):
-        g = lc.generate_random(5, 4, 2, seed=6_000_000 + i, edges=rng.randint(2, 7))
-        if g.m == 0:
-            continue
-        lists = [
-            frozenset(rng.sample(range(1, 6), rng.randint(1, 3)))
-            for _ in range(g.m)
-        ]
-        L = lc.ListAssignment(g, lists)
-        if lc.exhaustive_color(g, L, limit=9) is None:
-            absent_checked += 1
-            modes = ["shannon", "vizing"] + (["koenig"] if g.bipartition() else [])
-            for m in modes:
-                with pytest.raises(BoundViolationError):
-                    lc.check_bound(g, L, m)
+            yield g, lc.generate_from_bounds(g, mode), mode, None
+    yield from oracle_bound_instances()
+
+
+def random_list_instances():
+    """(g, L): ``oracle_list_instances`` over two seed ranges."""
+    yield from oracle_list_instances(random.Random(77), range(6_000_000, 6_000_200))
+    yield from oracle_list_instances()
+
+
+def test_criterion_6_oracle_equivalence():
+    agree, feasible, absent = oracle_cross_check(bound_instances(), random_list_instances())
     verdict(
-        6, agree == 500,
-        f"oracle and engine agree on {agree}/500 feasible instances;"
-        f" {absent_checked} infeasible instances all fail the bound check",
+        6, agree == feasible and absent > 5,
+        f"oracle and engine agree on {agree}/{feasible} feasible instances;"
+        f" {absent} infeasible instances all fail the bound check",
     )
 
 
@@ -257,9 +238,10 @@ def test_criterion_8_shift_and_path_properties():
         (5, 7, 6, FIG_LISTS),
     ]
     g, L, phi = setup_partial(8, specs)
-    shifted = shifted_copy(phi, lc.Chain(tuple(range(7))))
-    fig_ok = shifted.color == [1, 2, 3, 4, 5, 6, None] and not shifted.verify()
+    phi.apply_chain_shift(phi.check_shift(tuple(range(7))))
+    fig_ok = phi.color == [1, 2, 3, 4, 5, 6, None] and not phi.verify()
 
+    # every walk is the path the definition gives
     probes = 0
     violations = 0
     seed = 0
@@ -272,38 +254,23 @@ def test_criterion_8_shift_and_path_properties():
         )
         L = lc.generate_from_bounds(g, "shannon")
         phi = random_partial(g, L, rng, fill=0.75)
+        avail = recompute_available(g, L, phi.color)
         for e in blank_edges(phi):
             u, v = g.endpoints[e]
             pairs = [
                 (a, b)
-                for a in sorted(available(phi, u))[:3]
-                for b in sorted(available(phi, v))[:3]
+                for a in sorted(avail[u])[:3]
+                for b in sorted(avail[v])[:3]
                 if a != b
             ]
-            for alpha, beta in pairs:
-                if probes >= 10_000:
-                    break
+            for alpha, beta in pairs[:10_000 - probes]:
                 probes += 1
                 path = lc.alternating_path(phi, e, alpha, beta)
-                x, y = path.vertices[0], path.vertices[1]
-                first, second = (
-                    (alpha, beta) if alpha in available(phi, x) else (beta, alpha)
-                )
-                colors = [phi.color[f] for f in path.edges[1:]]
-                expected = [first if i % 2 == 0 else second for i in range(len(colors))]
-                interior = path.vertices[1:]
-                cont = first if len(colors) % 2 == 0 else second
-                if (
-                    colors != expected
-                    or len(set(interior)) != len(interior)
-                    or cont in phi.used_edge[path.vertices[-1]]
-                    or phi.color[path.edges[0]] is not None
-                ):
-                    violations += 1
+                violations += path != reference_path(g, L, phi.color, e, alpha, beta)
     verdict(
         8, fig_ok and violations == 0,
         f"shift figure reproduced ({fig_ok}); {probes} path probes,"
-        f" {violations} maximality/distinctness violations",
+        f" {violations} differing from the walk by definition",
     )
 
 

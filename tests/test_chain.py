@@ -12,7 +12,6 @@ from listcolor.errors import (
 )
 
 from conftest import (
-    available,
     blank_edges,
     brute_max_prefix,
     live_state,
@@ -20,10 +19,13 @@ from conftest import (
     random_partial,
     random_vizing_partials,
     rebuilt,
+    recompute_available,
     recompute_potential,
     recompute_used,
+    reference_path,
+    reference_shift,
+    reference_vizing_fan,
     setup_partial,
-    shifted_copy,
     step_kind,
 )
 
@@ -47,11 +49,9 @@ def fig_shift_instance():
 
 def test_shift_seven_edge_chain_exact():
     g, L, phi = fig_shift_instance()
-    chain = lc.Chain(tuple(range(7)))
-    shifted = shifted_copy(phi, chain)
-    assert shifted.color == [1, 2, 3, 4, 5, 6, None]
-    assert phi.color == [None, 1, 2, 3, 4, 5, 6]  # input untouched
-    assert shifted.verify() == []
+    phi.apply_chain_shift(phi.check_shift(tuple(range(7))))
+    assert phi.color == [1, 2, 3, 4, 5, 6, None]
+    assert phi.verify() == []
 
 
 def test_shift_single_blank_edge_is_identity(triangle, monkeypatch):
@@ -61,16 +61,17 @@ def test_shift_single_blank_edge_is_identity(triangle, monkeypatch):
     phi = lc.PartialColoring(g, L)
     phi.assign(1, 2)
     monkeypatch.setattr(lc.PartialColoring, "shift_violation", None)
-    assert phi.check_shift([0]) == ((0,), {}, (0, 0), phi.stamp)
-    shifted = shifted_copy(phi, lc.Chain((0,)))
-    assert shifted.color == phi.color
+    shift = phi.check_shift([0])
+    assert shift == ((0,), {}, (0, 0), phi.stamp)
+    phi.apply_chain_shift(shift)
+    assert phi.color == [None, 2, None]
 
 
 def test_shift_rejects_color_outside_start_list():
     specs = [(0, 1, None, frozenset({2, 3})), (1, 2, 1, frozenset({1, 2}))]
     g, L, phi = setup_partial(3, specs)
     with pytest.raises(NotShiftableError) as exc:
-        shifted_copy(phi, lc.Chain((0, 1)))
+        phi.check_shift((0, 1))
     assert exc.value.index == 0
     assert exc.value.reason == COLOR_NOT_IN_LIST
 
@@ -80,9 +81,9 @@ def test_shift_rejects_colored_start(triangle):
     phi = lc.PartialColoring(g, L)
     phi.assign(0, 1)
     phi.assign(1, 2)  # a blank edge after the start would be refused first
-    for chain in (lc.Chain((0, 1)), lc.Chain((0,))):
+    for edges in ((0, 1), (0,)):
         with pytest.raises(NotShiftableError) as exc:
-            shifted_copy(phi, chain)
+            phi.check_shift(edges)
         assert (exc.value.index, exc.value.reason) == (0, START_NOT_BLANK)
 
 
@@ -92,20 +93,21 @@ def test_shift_preserves_colors_away_from_ends(rng):
         g = lc.generate_random(10, 4, 2, seed=seed, edges=16)
         L = lc.generate_from_bounds(g, "koenig" if g.bipartition() else "vizing")
         phi = random_partial(g, L, random.Random(seed), fill=0.75)
+        avail = recompute_available(g, L, phi.color)
         blanks = blank_edges(phi)
         hit = False
         for e in blanks:
             u, v = g.endpoints[e]
-            for alpha in sorted(available(phi, u)):
-                for beta in sorted(available(phi, v)):
+            for alpha in sorted(avail[u]):
+                for beta in sorted(avail[v]):
                     if alpha == beta:
                         continue
                     path = lc.alternating_path(phi, e, alpha, beta)
                     j = lc.max_shiftable_prefix(phi, path)
                     pref = path.prefix(j)
-                    shifted = shifted_copy(phi, pref)
                     before = recompute_used(g, phi.color)
-                    after = recompute_used(g, shifted.color)
+                    phi.apply_chain_shift(phi.check_shift(pref.edges))
+                    after = recompute_used(g, phi.color)
                     ends = set(g.endpoints[pref.edges[0]]) | set(g.endpoints[pref.edges[-1]])
                     for z in range(g.n):
                         if z not in ends:
@@ -218,10 +220,11 @@ def test_max_shiftable_matches_brute_on_random(rng):
         g = lc.generate_random(10, 4, 2, seed=seed, edges=15)
         L = lc.generate_from_bounds(g, "shannon")
         phi = random_partial(g, L, random.Random(seed), fill=0.8)
+        avail = recompute_available(g, L, phi.color)
         for e in blank_edges(phi):
             u, v = g.endpoints[e]
-            for alpha in sorted(available(phi, u))[:2]:
-                for beta in sorted(available(phi, v))[:2]:
+            for alpha in sorted(avail[u])[:2]:
+                for beta in sorted(avail[v])[:2]:
                     if alpha == beta:
                         continue
                     path = lc.alternating_path(phi, e, alpha, beta)
@@ -250,10 +253,11 @@ def test_max_shiftable_matches_brute_on_thinned_lists(rng):
         for e, c in enumerate(colors):
             if c is not None:
                 phi.assign(e, c)
+        avail = recompute_available(g, L, colors)
         for e in blank_edges(phi):
             u, v = g.endpoints[e]
-            for alpha in sorted(available(phi, u)):
-                for beta in sorted(available(phi, v)):
+            for alpha in sorted(avail[u]):
+                for beta in sorted(avail[v]):
                     if alpha == beta:
                         continue
                     path = lc.alternating_path(phi, e, alpha, beta)
@@ -381,10 +385,11 @@ def test_resolve_random_postconditions(rng):
             continue
         e = blanks[0]
         u, v = g.endpoints[e]
-        if not available(phi, u) or not available(phi, v):
+        avail = recompute_available(g, L, phi.color)
+        if not avail[u] or not avail[v]:
             continue
-        alpha = min(available(phi, u))
-        beta = min(available(phi, v))
+        alpha = min(avail[u])
+        beta = min(avail[v])
         if alpha == beta:
             continue
         path = lc.alternating_path(phi, e, alpha, beta)
@@ -441,48 +446,51 @@ def walk_or_error(walk):
         return type(exc), str(exc)
 
 
-def psi_walks(g, phi, rng):
-    """(chain, alpha, beta): each vizing fan candidate with the colors the
-    classifier would walk, and random shiftable chains with colors free at
-    the ends of their end edge after the shift."""
+def psi_walks(g, L, phi, rng):
+    """(chain, psi, alpha, beta): each vizing fan candidate, from the
+    reference fan, with the colors the classifier would walk, and random
+    shiftable chains with colors free at the ends of their end edge after
+    the shift; psi is the shifted color vector, by ``reference_shift``."""
+    avail = recompute_available(g, L, phi.color)
     for e in blank_edges(phi):
         for x in g.endpoints[e]:
-            fan, beta, j = lc.vizing_fan(phi, e, x)
-            if j == len(fan.edges) or not available(phi, x):
+            (fan, beta, j), _ = reference_vizing_fan(g, L, phi.color, e, x)
+            if j == len(fan.edges) or not avail[x]:
                 continue
             for cand in (fan, fan.prefix(j)):
-                yield cand, min(available(phi, x)), beta
+                yield cand, reference_shift(g, L, phi.color, cand.edges), min(avail[x]), beta
     for _ in range(10):
         chain = random_chain(g, rng, phi.color)
-        try:
-            psi = shifted_copy(phi, chain)
-        except NotShiftableError:
+        psi = reference_shift(g, L, phi.color, chain.edges)
+        if not isinstance(psi, list):
             continue
+        shifted = recompute_available(g, L, psi)
         u, v = g.endpoints[chain.edges[-1]]
-        for alpha in sorted(available(psi, u))[:2]:
-            for beta in sorted(available(psi, v))[:2]:
-                yield chain, alpha, beta
+        for alpha in sorted(shifted[u])[:2]:
+            for beta in sorted(shifted[v])[:2]:
+                yield chain, psi, alpha, beta
 
 
 def test_psi_walk_matches_walk_in_shifted_copy():
-    # the overlay walk finds the path (or the error) the walk in a shifted
-    # copy finds, and leaves the live coloring, potential and blank count alone
-    paths = 0
+    # the overlay walk finds the path (or the error) the definition gives in
+    # the shifted colors, and leaves the live coloring, potential and blank
+    # count alone; many of these walks could start from either endpoint
+    paths = both = 0
     for g, L, phi in random_vizing_partials(50):
-        for chain, alpha, beta in psi_walks(g, phi, random.Random(g.m)):
-            expected = walk_or_error(
-                lambda: lc.alternating_path(shifted_copy(phi, chain), chain.edges[-1],
-                                            alpha, beta)
-            )
+        for chain, psi, alpha, beta in psi_walks(g, L, phi, random.Random(g.m)):
+            e = chain.edges[-1]
+            expected = reference_path(g, L, psi, e, alpha, beta)
             before = live_state(phi)
             got = walk_or_error(
-                lambda: lc.alternating_path(phi, chain.edges[-1], alpha, beta,
+                lambda: lc.alternating_path(phi, e, alpha, beta,
                                             shifted=phi.check_shift(chain.edges))
             )
             assert got == expected
             assert live_state(phi) == before
             paths += isinstance(got, lc.Chain)
-    assert paths > 1000
+            ends = [recompute_available(g, L, psi)[w] for w in g.endpoints[e]]
+            both += all({alpha, beta} <= at for at in ends)
+    assert paths > 1000 and both > 500
 
 
 def test_psi_walk_refuses_a_stale_or_foreign_shift():
@@ -527,8 +535,10 @@ def test_classified_psi_paths_match_walk_in_shifted_copy():
         assert live_state(phi) == before
         if step_kind(out) == "path-psi":
             branch, shift, path, _ = out
-            psi = shifted_copy(phi, lc.Chain(shift.edges))
-            alpha, beta = min(available(phi, x)), lc.vizing_fan(phi, e, x)[1]
-            assert path == lc.alternating_path(psi, shift.edges[-1], alpha, beta)
+            g, L = phi.g, phi.lists
+            psi = reference_shift(g, L, phi.color, shift.edges)
+            alpha = min(recompute_available(g, L, phi.color)[x])
+            (_, beta, _), _ = reference_vizing_fan(g, L, phi.color, e, x)
+            assert path == reference_path(g, L, psi, shift.edges[-1], alpha, beta)
             branches.append(branch)
     assert len(branches) > 20 and set(branches) == {"path-psi-full", "path-psi-prefix"}

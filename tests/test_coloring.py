@@ -88,23 +88,10 @@ def test_assign_requires_blank_unassign_requires_colored(triangle):
 def test_assign_unassign_roundtrip(triangle):
     g, L = triangle
     phi = lc.PartialColoring(g, L)
-    before = (
-        list(phi.color),
-        [dict(d) for d in phi.used_edge],
-        [available(phi, x) for x in range(phi.g.n)],
-        phi.blanks,
-        phi.potential(),
-    )
+    before = live_state(phi)
     phi.assign(1, 2)
     phi.unassign(1)
-    after = (
-        list(phi.color),
-        [dict(d) for d in phi.used_edge],
-        [available(phi, x) for x in range(phi.g.n)],
-        phi.blanks,
-        phi.potential(),
-    )
-    assert before == after
+    assert live_state(phi) == before
 
 
 def test_assign_moves_potential_monotonically(rng):
@@ -398,6 +385,7 @@ def chains_to_check(g, phi, rng):
     to a vertex, and those chains with an edge repeated, the start edge
     included; and random edge orders around a pivot, where parallel edges
     may sit next to each other."""
+    avail = recompute_available(g, phi.lists, phi.color)
     for e in blank_edges(phi):
         for x in g.endpoints[e]:
             fan, _, j = lc.vizing_fan(phi, e, x)
@@ -408,8 +396,8 @@ def chains_to_check(g, phi, rng):
         except PreconditionViolatedError as exc:
             assert str(exc).startswith("no available color at vertex ")
         u, v = g.endpoints[e]
-        for alpha in sorted(available(phi, u))[:2]:
-            for beta in sorted(available(phi, v))[:2]:
+        for alpha in sorted(avail[u])[:2]:
+            for beta in sorted(avail[v])[:2]:
                 try:
                     path = lc.alternating_path(phi, e, alpha, beta)
                 except PreconditionViolatedError:

@@ -1,4 +1,3 @@
-import itertools
 import random
 import re
 
@@ -20,11 +19,10 @@ from conftest import (
     ShiftLog,
     adversarial_lists,
     blank_edges,
+    check_certificate,
     random_partial,
     rebuilt,
-    recompute_potential,
     setup_partial,
-    trace_counters,
 )
 
 S6 = frozenset(range(1, 7))
@@ -151,6 +149,33 @@ MISUSE = {
                      InputError, "vertex 1.0 is not an int"),
     "str-vertex": (lambda phi: lc.Multigraph(3, [("0", 1)]),
                    InputError, "vertex '0' is not an int"),
+    "bool-vertex-count": (lambda phi: lc.Multigraph(True, []),
+                          InputError, "vertex count True is not an int"),
+    "float-vertex-count": (lambda phi: lc.Multigraph(2.0, []),
+                           InputError, "vertex count 2.0 is not an int"),
+    "str-vertex-count": (lambda phi: lc.Multigraph("3", []),
+                         InputError, "vertex count '3' is not an int"),
+    "edge-triple": (lambda phi: lc.Multigraph(3, [(0, 1, 2)]),
+                    InputError, "edge 0 is not a vertex pair: (0, 1, 2)"),
+    "edge-not-a-pair": (lambda phi: lc.Multigraph(3, [(0, 1), 0]),
+                        InputError, "edge 1 is not a vertex pair: 0"),
+    # a negative id would index from the end; one past the end, past it
+    "assign-negative-edge": (lambda phi: phi.assign(-1, 2),
+                             PreconditionViolatedError, "edge -1 out of range [0, 2)"),
+    "assign-past-the-end": (lambda phi: phi.assign(2, 2),
+                            PreconditionViolatedError, "edge 2 out of range [0, 2)"),
+    "unassign-negative-edge": (lambda phi: phi.unassign(-2),
+                               PreconditionViolatedError, "edge -2 out of range [0, 2)"),
+    "check_shift-negative-edge": (lambda phi: phi.check_shift((-1,)),
+                                  PreconditionViolatedError, "edge -1 out of range [0, 2)"),
+    "check_shift-past-the-end": (lambda phi: phi.check_shift((1, 0, 2)),
+                                 PreconditionViolatedError, "edge 2 out of range [0, 2)"),
+    "augment_once-negative-edge": (
+        lambda phi: lc.augment_once(phi, -1, "vizing", lc.RunStats()),
+        PreconditionViolatedError, "edge -1 out of range [0, 2)"),
+    "augment_once-past-the-end": (
+        lambda phi: lc.augment_once(phi, 2, "shannon", lc.RunStats()),
+        PreconditionViolatedError, "edge 2 out of range [0, 2)"),
 }
 
 
@@ -171,16 +196,7 @@ def test_potential_strictly_decreases_every_step():
         L = lc.generate_from_bounds(g, "vizing")
         records = []
         phi, stats = lc.color_graph(g, L, "vizing", trace=records.append)
-        # from the empty coloring's potential, each step's records start where
-        # the last step's ended and end strictly lower, at the final coloring's
-        pot, steps = lc.PartialColoring(g, L).potential(), 0
-        for step, recs in itertools.groupby(records, lambda r: r.step):
-            recs = list(recs)
-            assert step == steps and recs[0].phi_before == pot
-            assert recs[-1].phi_after < pot
-            pot, steps = recs[-1].phi_after, steps + 1
-        assert steps == stats.steps
-        assert pot == recompute_potential(g, L, phi.color)
+        check_certificate(g, L, records, stats, phi.color)
 
 
 def test_step_budget_formula():
@@ -270,16 +286,7 @@ def test_trace_records_consistent():
         assert rec.kind in kinds
         assert rec.branch.startswith("vizing-")
         assert rec.chain
-    # the records certify the run: steps chain from the empty coloring's
-    # potential to the final one, each strictly lowering it
-    pot, steps = lc.PartialColoring(g, L).potential(), 0
-    for step, recs in itertools.groupby(records, lambda r: r.step):
-        recs = list(recs)
-        assert step == steps and recs[0].phi_before == pot
-        assert recs[-1].phi_after < pot
-        pot, steps = recs[-1].phi_after, steps + 1
-    assert steps == stats.steps
-    assert pot == recompute_potential(g, L, phi.color)
+    check_certificate(g, L, records, stats, phi.color)
 
 
 @pytest.mark.parametrize("mode, specs, line, stats", [
@@ -323,14 +330,7 @@ def test_tracing_changes_nothing(mode, monkeypatch):
                                        trace=records.append)
         assert traced.color == plain.color
         assert stats == plain_stats
-        pot, steps = lc.PartialColoring(g, L).potential(), 0
-        for step, recs in itertools.groupby(records, lambda r: r.step):
-            recs = list(recs)
-            assert step == steps and recs[0].phi_before == pot
-            assert recs[-1].phi_after < pot
-            pot, steps = recs[-1].phi_after, steps + 1
-        assert steps == stats.steps
-        assert pot == recompute_potential(g, L, traced.color)
+        check_certificate(g, L, records, stats, traced.color)
 
     def no_records(*args):
         raise AssertionError("an untraced run built a trace record")
@@ -355,8 +355,8 @@ def test_run_stats_match_the_trace(mode, assume):
                                edges=rng.randint(2, 30))
         L = adversarial_lists(g, assume, rng) if assume else lc.generate_from_bounds(g, mode)
         records = []
-        _, stats = lc.color_graph(g, L, mode, assume_bound=assume, trace=records.append)
-        assert stats == trace_counters(records, g.m)
+        phi, stats = lc.color_graph(g, L, mode, assume_bound=assume, trace=records.append)
+        check_certificate(g, L, records, stats, phi.color)
         setup += sum(r.branch.endswith("-setup") for r in records)
     assert setup > 0 or "vizing" not in (mode, assume)
 
@@ -373,30 +373,14 @@ def test_run_stats_match_the_trace_from_partial_colorings(mode):
         g = lc.generate_random(rng.randint(4, 12), rng.randint(3, 8), rng.randint(1, 3),
                                bipartite=mode == "koenig", seed=seed,
                                edges=rng.randint(6, 30))
-        phi = random_partial(g, lc.generate_from_bounds(g, mode), rng, fill=0.9)
-        colored, stats, records = phi.blanks, lc.RunStats(), []
+        L = lc.generate_from_bounds(g, mode)
+        phi = random_partial(g, L, rng, fill=0.9)
+        start, stats, records = list(phi.color), lc.RunStats(), []
         while phi.blanks:
             lc.augment_once(phi, blank_edges(phi)[0], mode, stats, records.append)
-        assert stats == trace_counters(records, colored)
+        check_certificate(g, L, records, stats, phi.color, start)
         branches |= {r.branch for r in records}
     assert want in branches
-
-
-def test_explicit_mode_with_adversarial_lists():
-    rng = random.Random(99)
-    g = lc.generate_random(8, 5, 2, seed=9, edges=14)
-    targets = []
-    for x in range(g.n):
-        b = lc.local_bound(g, x, "vizing")
-        lo = rng.randint(1, 4)
-        pool = list(range(lo, lo + b + 3))
-        rng.shuffle(pool)
-        targets.append(frozenset(pool[:b]))
-    lists = [targets[u] | targets[v] for u, v in g.endpoints]
-    L = lc.ListAssignment(g, lists)
-    lc.check_bound(g, L, "vizing")
-    phi, _ = lc.color_graph(g, L, "explicit", assume_bound="vizing")
-    assert phi.verify() == []
 
 
 def _churn(phi, r, rounds):

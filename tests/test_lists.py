@@ -6,8 +6,6 @@ import listcolor as lc
 from listcolor.errors import BoundViolationError, NotBipartiteError
 from listcolor.lists import local_bound
 
-from conftest import recompute_available
-
 
 def test_common_colors_triangle():
     g = lc.Multigraph(3, [(0, 1), (1, 2), (0, 2)])

@@ -1,9 +1,9 @@
-import random
-
 import pytest
 
 import listcolor as lc
-from listcolor.errors import BoundViolationError, InputError
+from listcolor.errors import InputError
+
+from conftest import oracle_bound_instances, oracle_cross_check, oracle_list_instances
 
 
 def test_triangle_two_colors_infeasible():
@@ -43,36 +43,11 @@ def test_oracle_deterministic():
 
 
 def test_agreement_with_engine_on_bound_instances():
-    for seed in range(60):
-        rng = random.Random(seed)
-        g = lc.generate_random(6, 4, 2, seed=seed, edges=rng.randint(1, 8))
-        for mode in ("shannon", "vizing"):
-            L = lc.generate_from_bounds(g, mode)
-            oracle = lc.exhaustive_color(g, L)
-            assert oracle is not None
-            assert not lc.check_edge_colors(g, L, oracle)
-            phi, _ = lc.color_graph(g, L, mode)
-            assert not lc.check_edge_colors(g, L, phi.color)
+    agree, feasible, _ = oracle_cross_check(oracle_bound_instances(), ())
+    assert agree == feasible == 120
 
 
 def test_absence_implies_bound_failure():
     # wherever the oracle finds nothing, no mode's bound held
-    rng = random.Random(5)
-    absent = 0
-    for seed in range(80):
-        g = lc.generate_random(5, 4, 2, seed=seed, edges=rng.randint(2, 7))
-        if g.m == 0:
-            continue
-        lists = [
-            frozenset(rng.sample(range(1, 6), rng.randint(1, 3)))
-            for _ in range(g.m)
-        ]
-        L = lc.ListAssignment(g, lists)
-        if lc.exhaustive_color(g, L) is not None:
-            continue
-        absent += 1
-        modes = ["shannon", "vizing"] + (["koenig"] if g.bipartition() else [])
-        for mode in modes:
-            with pytest.raises(BoundViolationError):
-                lc.check_bound(g, L, mode)
+    _, _, absent = oracle_cross_check((), oracle_list_instances())
     assert absent > 5

@@ -7,15 +7,17 @@ from listcolor import engine
 
 from conftest import (
     ShiftLog,
-    available,
     blank_edges,
+    check_certificate,
     live_state,
     random_partial,
+    recompute_available,
     recompute_potential,
+    recompute_used,
+    reference_path,
+    reference_shift,
     setup_partial,
-    shifted_copy,
     step_kind,
-    trace_counters,
 )
 
 S6 = frozenset(range(1, 7))
@@ -53,12 +55,12 @@ def test_fan_two_edges_derived():
         z_edges=[(8, 1), (9, 2), (10, 3)], z_lists=[S6, S6, S6]
     )
     lc.check_bound(g, L, "shannon")
-    assert available(phi, 1) == {4, 5, 6}
-    assert set(phi.used_edge[0].keys()) == {4, 5, 6}
+    assert recompute_available(g, L, phi.color)[1] == {4, 5, 6}
+    assert recompute_used(g, phi.color)[0] == {4, 5, 6}
     fan = lc.shannon_fan(phi, 0)
     assert fan.edges == (0, 1)
     assert fan.vertices == (0, 1, 2)
-    assert phi.color[fan.edges[1]] == min(available(phi, 1)) == 4
+    assert phi.color[fan.edges[1]] == 4
 
 
 def test_classify_blank_is_happy_edge(triangle):
@@ -155,12 +157,13 @@ def test_classify_final_path_under_current_coloring():
     g, L, phi = final_case_instance(cyclic=False)
     lc.check_bound(g, L, "shannon")
     # claim: the two availability sets intersect
-    assert available(phi, 1) & available(phi, 2) == {5, 6}
+    avail = recompute_available(g, L, phi.color)
+    assert avail[1] & avail[2] == {5, 6}
     out = lc.classify_shannon(phi, 0)
     _, _, path, _ = out
     assert step_kind(out) == "path-phi"
     # the path alternates alpha = 1 and beta = 5 in the current coloring
-    assert path == lc.alternating_path(phi, 0, 1, 5)
+    assert path == reference_path(g, L, phi.color, 0, 1, 5)
     assert path.edges == (0, 4)
     assert path.vertices[0] != path.vertices[-1]
     assert lc.resolve_path(phi, path) == path  # happy: the whole path
@@ -176,8 +179,8 @@ def test_classify_final_path_under_shifted_coloring():
     assert step_kind(out) == "path-psi"
     assert shift.edges == (0, 1)
     # the path alternates alpha = 1 and beta = 5 in the shifted coloring
-    psi = shifted_copy(phi, lc.Chain(shift.edges))
-    assert path == lc.alternating_path(psi, 1, 1, 5)
+    psi = reference_shift(g, L, phi.color, shift.edges)
+    assert path == reference_path(g, L, psi, 1, 1, 5)
     assert path.edges == (1, 7)  # built in the shifted coloring
     a, _ = phi.potential()
     phi.apply_chain_shift(shift)
@@ -190,27 +193,24 @@ def test_classify_final_path_under_shifted_coloring():
 
 def test_final_path_under_shifted_coloring_leaves_phi_untouched():
     # the case-4 fallback walks the shifted coloring through an overlay: it
-    # finds the path a walk in a shifted copy finds, and mutates nothing
+    # finds the path the definition gives in the shifted colors, and
+    # mutates nothing
     g, L, phi = final_case_instance(cyclic=True)
-
-    def state():
-        return (list(phi.color), [dict(d) for d in phi.used_edge],
-                [available(phi, x) for x in range(phi.g.n)], phi.potential(), phi.blanks)
-
-    before = state()
+    before = live_state(phi)
     out = lc.classify_shannon(phi, 0)
     branch, shift, path, _ = out
     assert step_kind(out) == "path-psi" and branch == "final-path-psi"
-    assert state() == before
-    psi = shifted_copy(phi, lc.Chain(shift.edges))
-    assert path == lc.alternating_path(psi, shift.edges[-1], 1, 5)
-    assert psi.color != phi.color
+    assert live_state(phi) == before
+    psi = reference_shift(g, L, phi.color, shift.edges)
+    assert path == reference_path(g, L, psi, shift.edges[-1], 1, 5)
+    assert psi != phi.color
 
 
 def test_classified_final_paths_match_walks():
-    # a final-case verdict carries the path a plain walk finds with the
-    # classifier's alpha and beta: in phi for final-path-phi, and in a
-    # shifted copy for final-path-psi; the live coloring stays unchanged.
+    # a final-case verdict carries the path the definition gives with the
+    # classifier's alpha and beta: in phi's colors for final-path-phi, and
+    # in the shifted colors for final-path-psi; the live coloring stays
+    # unchanged.
     # Near-full partials at Delta = 3 under bound lists reach the final case
     # at about one blank edge in eight
     walks = {"final-path-phi": 0, "final-path-psi": 0}
@@ -225,13 +225,14 @@ def test_classified_final_paths_match_walks():
             if branch not in walks:
                 continue
             x, y, z = lc.shannon_fan(phi, e).vertices
-            alpha = min(available(phi, x))
-            beta = min(available(phi, y) & available(phi, z))
+            avail = recompute_available(g, L, phi.color)
+            alpha = min(avail[x])
+            beta = min(avail[y] & avail[z])
             if shift is None:
-                assert path == lc.alternating_path(phi, e, alpha, beta)
+                assert path == reference_path(g, L, phi.color, e, alpha, beta)
             else:
-                psi = shifted_copy(phi, lc.Chain(shift.edges))
-                assert path == lc.alternating_path(psi, shift.edges[-1], alpha, beta)
+                psi = reference_shift(g, L, phi.color, shift.edges)
+                assert path == reference_path(g, L, psi, shift.edges[-1], alpha, beta)
             walks[branch] += 1
     assert walks["final-path-phi"] >= 5 and walks["final-path-psi"] >= 5
 
@@ -252,11 +253,11 @@ def test_deep_cases_check_each_shift_once(make, branch, commits, monkeypatch):
     # counters match its trace records
     g, L, phi = make()
     log = ShiftLog(monkeypatch)
-    branches, stats, blanks = [], lc.RunStats(), phi.blanks
-    engine.augment_once(phi, 0, "shannon", stats, trace=branches.append)
-    assert branches[-1].branch == f"shannon-{branch}"
+    records, stats, start = [], lc.RunStats(), list(phi.color)
+    engine.augment_once(phi, 0, "shannon", stats, trace=records.append)
+    assert records[-1].branch == f"shannon-{branch}"
     assert log.checks == log.commits == commits
-    assert stats == trace_counters(branches, blanks - phi.blanks)
+    check_certificate(g, L, records, stats, phi.color, start)
     assert phi.verify() == []
 
 
