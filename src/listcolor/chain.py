@@ -90,7 +90,7 @@ def alternating_path(
     if alpha == beta:
         raise PreconditionViolatedError("alternating colors must differ")
     g = phi.g
-    used, common = phi.used_edge, phi.lists.common
+    used, common, ends = phi.used_edge, phi.lists.common, g.endpoints
     over = {}  # (vertex, color) -> edge carrying it in psi, None if absent
     blank = phi.color[e] is None
     if shifted is not None:
@@ -100,14 +100,11 @@ def alternating_path(
     if not blank:
         raise PreconditionViolatedError(f"edge {e} is not blank")
 
-    def free(w, c):
-        return c in common[w] and over.get((w, c), used[w].get(c)) is None
-
-    u, v = g.endpoints[e]
-    if free(u, alpha) and free(v, beta):
-        x, y = u, v
-    elif free(v, alpha) and free(u, beta):
-        x, y = v, u
+    u, v = ends[e]
+    for x, y in ((u, v), (v, u)):  # x misses alpha and y misses beta
+        if (alpha in common[x] and over.get((x, alpha), used[x].get(alpha)) is None
+                and beta in common[y] and over.get((y, beta), used[y].get(beta)) is None):
+            break
     else:
         raise PreconditionViolatedError(
             f"edge {e}: colors {alpha}, {beta} not available at opposite endpoints"
@@ -121,7 +118,8 @@ def alternating_path(
             nxt = over.get((cur, need), nxt)
         if nxt is None:
             break
-        cur = g.other_end(nxt, cur)
+        a, b = ends[nxt]
+        cur = b if a == cur else a
         edges.append(nxt)
         vertices.append(cur)
         need, follow = follow, need

@@ -58,6 +58,7 @@ from .graph import Multigraph
 from .lists import ListAssignment, check_sizes
 
 _STAMPS = itertools.count()  # process-wide: no two coloring states share a stamp
+_INT = frozenset((int,))  # the type of an edge id: a bool is refused, not read as 0 or 1
 # The most bits a mask over the shared palette may take on average before
 # each vertex gets its own palette: the measured crossover of the layouts.
 WIDE = 4096
@@ -201,6 +202,8 @@ class PartialColoring:
     # -- single-edge updates ------------------------------------------------
 
     def assign(self, e: int, c: int) -> None:
+        if type(e) is not int:  # bool is an int subclass
+            raise PreconditionViolatedError(f"edge {e!r} is not an int")
         if not 0 <= e < self.g.m:
             raise PreconditionViolatedError(f"edge {e} out of range [0, {self.g.m})")
         if self.color[e] is not None:
@@ -216,6 +219,8 @@ class PartialColoring:
                      -self.weight[e], -1)
 
     def unassign(self, e: int) -> None:
+        if type(e) is not int:  # bool is an int subclass
+            raise PreconditionViolatedError(f"edge {e!r} is not an int")
         if not 0 <= e < self.g.m:
             raise PreconditionViolatedError(f"edge {e} out of range [0, {self.g.m})")
         c = self.color[e]
@@ -295,8 +300,8 @@ class PartialColoring:
         """Check the shift of a chain once and compute what it would change.
 
         Does not mutate.  A chain is one blank edge followed by colored
-        edges.  An empty chain, or one with an edge id outside 0..m-1,
-        raises PreconditionViolatedError.  A one-edge
+        edges.  An empty chain, or one with an edge id that is not an int
+        or lies outside 0..m-1, raises PreconditionViolatedError.  A one-edge
         chain raises NotShiftableError(0, START_NOT_BLANK) if its edge is
         colored, and otherwise moves no color: its shift is empty, with
         delta (0, 0).  A longer chain is checked by one call of
@@ -309,6 +314,9 @@ class PartialColoring:
         and of the end edge, which goes blank.  The shift is valid only until
         the coloring's stamp next changes.
         """
+        if not _INT.issuperset(map(type, edges)):
+            e = next(e for e in edges if type(e) is not int)
+            raise PreconditionViolatedError(f"edge {e!r} is not an int")
         if edges and not (0 <= min(edges) and max(edges) < self.g.m):
             e = min(edges) if min(edges) < 0 else max(edges)
             raise PreconditionViolatedError(f"edge {e} out of range [0, {self.g.m})")

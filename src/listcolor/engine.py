@@ -29,7 +29,7 @@ from .graph import Multigraph
 from .lists import BOUND_MODES, MODES, ListAssignment, check_bound
 
 
-@dataclass
+@dataclass(slots=True)
 class RunStats:
     happy_steps: int = 0
     content_steps: int = 0
@@ -79,10 +79,13 @@ def augment_once(
     """
     if mode not in BOUND_MODES:
         raise ValueError(f"augment mode must name a guarantee, got {mode!r}")
-    if not 0 <= e < phi.g.m:
-        raise PreconditionViolatedError(f"edge {e} out of range [0, {phi.g.m})")
-    step = stats.steps
-    before = phi.potential()
+    if type(e) is not int:  # bool is an int subclass
+        raise PreconditionViolatedError(f"edge {e!r} is not an int")
+    g = phi.g
+    if not 0 <= e < g.m:
+        raise PreconditionViolatedError(f"edge {e} out of range [0, {g.m})")
+    step = stats.happy_steps + stats.content_steps
+    a0, d0 = phi.a_total, phi.d_total
     blanks = phi.blanks
 
     if mode == "koenig":
@@ -90,8 +93,8 @@ def augment_once(
     elif mode == "shannon":
         branch, shift, path, happy = shannon.classify_shannon(phi, e)
     else:
-        u, v = phi.g.endpoints[e]
-        branch, shift, path, happy = vizing.classify_vizing(phi, e, min(u, v))
+        u, v = g.endpoints[e]
+        branch, shift, path, happy = vizing.classify_vizing(phi, e, u if u < v else v)
 
     chain = fan = (e,) if shift is None else shift.edges
     if shift is not None:
@@ -106,7 +109,7 @@ def augment_once(
     if trace is not None and (shift is not None or happy):
         kind = "happy-edge" if shift is None else "fan-shift"
         label = f"{mode}-{branch}" if path is None else f"{mode}-{branch}-setup"
-        trace(TraceRecord(step, kind, label, fan, before, phi.potential()))
+        trace(TraceRecord(step, kind, label, fan, (a0, d0), phi.potential()))
     if path is not None:
         mid = None if trace is None else phi.potential()
         chain = resolve_path(phi, path).edges  # the whole path if happy, else a prefix
@@ -118,10 +121,13 @@ def augment_once(
                               phi.potential()))
 
     # a path, when there is one, is never shorter than the uncommitted (e,)
-    stats.max_chain_length = max(stats.max_chain_length, len(fan), len(chain))
-    after = phi.potential()
-    if not after < before:
-        raise InternalAssertionError(f"potential did not drop: {before} -> {after}")
+    k = len(chain) if len(chain) > len(fan) else len(fan)
+    if k > stats.max_chain_length:
+        stats.max_chain_length = k
+    a1, d1 = phi.a_total, phi.d_total
+    if not (a1 < a0 or (a1 == a0 and d1 < d0)):
+        raise InternalAssertionError(
+            f"potential did not drop: {(a0, d0)} -> {(a1, d1)}")
     if phi.blanks != blanks - happy:
         raise InternalAssertionError(f"blank count went from {blanks} to {phi.blanks}")
     if happy:
@@ -177,7 +183,7 @@ def color_graph(
     budget = step_budget(phi)
     for e in range(g.m):
         while e is not None:
-            if stats.steps >= budget:
+            if stats.happy_steps + stats.content_steps >= budget:
                 raise InternalAssertionError(f"step {budget + 1} exceeds budget {budget}")
             e = augment_once(phi, e, effective, stats, trace)
     findings = phi.verify()

@@ -35,19 +35,20 @@ def vizing_fan(phi: PartialColoring, e: int, x: int) -> tuple[Chain, int, int]:
     if phi.color[e] is not None:
         raise PreconditionViolatedError(f"edge {e} is not blank")
     g = phi.g
-    if x not in g.endpoints[e]:
-        raise PreconditionViolatedError(f"pivot {x} is not an endpoint of edge {e}")
-    y = g.other_end(e, x)
     used, ends = phi.used_edge[x], g.endpoints
+    if x not in ends[e]:
+        raise PreconditionViolatedError(f"pivot {x} is not an endpoint of edge {e}")
+    u, v = ends[e]
+    y = v if u == x else u
     common, taken, palette = phi.common_mask, phi.used_mask, phi.palette
     working = {}  # leaf -> the bits its polls have not taken yet
     index = {e: 0}
     edges = [e]
     vertices = [x, y]
+    z = y  # the last leaf
     k = 0
     deg = len(g.incidence[x])
     while k < deg:
-        z = vertices[-1]
         w = working.get(z)
         if w is None:
             w = common[z] & ~taken[z]
@@ -65,7 +66,8 @@ def vizing_fan(phi: PartialColoring, e: int, x: int) -> tuple[Chain, int, int]:
         index[ek] = k
         edges.append(ek)
         u, v = ends[ek]
-        vertices.append(v if u == x else u)
+        z = v if u == x else u
+        vertices.append(z)
     raise InternalAssertionError("fan construction exhausted the pivot's degree")
 
 

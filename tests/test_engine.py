@@ -176,6 +176,23 @@ MISUSE = {
     "augment_once-past-the-end": (
         lambda phi: lc.augment_once(phi, 2, "shannon", lc.RunStats()),
         PreconditionViolatedError, "edge 2 out of range [0, 2)"),
+    # an edge id that is not an int: a bool would index as 0 or 1
+    "assign-bool-edge": (lambda phi: phi.assign(True, 2),
+                         PreconditionViolatedError, "edge True is not an int"),
+    "assign-float-edge": (lambda phi: phi.assign(0.0, 2),
+                          PreconditionViolatedError, "edge 0.0 is not an int"),
+    "unassign-bool-edge": (lambda phi: phi.unassign(False),
+                           PreconditionViolatedError, "edge False is not an int"),
+    "check_shift-bool-edge": (lambda phi: phi.check_shift((True,)),
+                              PreconditionViolatedError, "edge True is not an int"),
+    "check_shift-str-edge": (lambda phi: phi.check_shift((1, "0")),
+                             PreconditionViolatedError, "edge '0' is not an int"),
+    "augment_once-bool-edge": (
+        lambda phi: lc.augment_once(phi, True, "vizing", lc.RunStats()),
+        PreconditionViolatedError, "edge True is not an int"),
+    "augment_once-float-edge": (
+        lambda phi: lc.augment_once(phi, 1.0, "shannon", lc.RunStats()),
+        PreconditionViolatedError, "edge 1.0 is not an int"),
 }
 
 
@@ -245,6 +262,33 @@ def test_happy_step_count_is_checked_at_the_end(monkeypatch):
     with pytest.raises(InternalAssertionError,
                        match="^happy step count does not match edge count$"):
         lc.color_graph(g, L, "shannon")
+
+
+def _color_edge_0(phi, e):
+    phi.assign(0, 1)
+    return "content-fan-full", phi.check_shift((e,)), None, False
+
+
+@pytest.mark.parametrize("specs, verdict, message", [
+    # a content verdict whose one-edge shift moves nothing: (a, d) stays
+    ([(0, 1, 1, S6), (1, 2, None, S6)],
+     lambda phi, e: ("content-fan-full", phi.check_shift((e,)), None, False),
+     "potential did not drop: (16, 3) -> (16, 3)"),
+    # the classifier colors edge 0 behind the engine's back: the potential
+    # drops, but a content step must keep the blank count
+    ([(0, 1, None, S6), (1, 2, None, S6)], _color_edge_0, "blank count went from 2 to 1"),
+    # edge 1's one color sits on edge 0 at their shared vertex
+    ([(0, 1, 1, {1}), (1, 2, None, {1})],
+     lambda phi, e: ("happy-fan", phi.check_shift((e,)), None, True),
+     "edge 1 not recolorable after its shift"),
+], ids=["potential", "blank-count", "recolor"])
+def test_step_checks_refuse_a_rigged_verdict(specs, verdict, message, monkeypatch):
+    # each per-step floor check in augment_once, tripped by a classifier
+    # that returns a verdict the theory rules out
+    phi = setup_partial(3, specs)[2]
+    monkeypatch.setattr(engine.vizing, "classify_vizing", lambda phi, e, x: verdict(phi, e))
+    with pytest.raises(InternalAssertionError, match=f"^{re.escape(message)}$"):
+        lc.augment_once(phi, 1, "vizing", lc.RunStats())
 
 
 def test_edge_order_does_not_affect_success():
