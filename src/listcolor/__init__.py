@@ -8,10 +8,8 @@ certified at run time by a lexicographic potential, and an exhaustive
 oracle provides ground truth at desk scale.
 """
 
-from .bipartite import koenig_path
-from .chain import Chain, alternating_path, max_shiftable_prefix, resolve_path
 from .coloring import PartialColoring, check_edge_colors
-from .engine import RunStats, TraceRecord, augment_once, color_graph, step_budget
+from .engine import RunStats, TraceRecord, color_graph, step_budget
 from .graph import Multigraph
 from .io import (
     generate_random,
@@ -20,39 +18,26 @@ from .io import (
     write_coloring,
     write_instance,
 )
-from .lists import ListAssignment, check_bound, generate_from_bounds, local_bound
+from .lists import ListAssignment, check_bound, generate_from_bounds
 from .oracle import exhaustive_color
-from .shannon import classify_shannon, shannon_fan
-from .vizing import classify_vizing, vizing_fan
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Chain",
     "Multigraph",
     "ListAssignment",
     "PartialColoring",
     "RunStats",
     "TraceRecord",
-    "alternating_path",
-    "augment_once",
     "check_bound",
     "check_edge_colors",
-    "classify_shannon",
-    "classify_vizing",
     "color_graph",
     "exhaustive_color",
     "generate_from_bounds",
     "generate_random",
-    "koenig_path",
-    "local_bound",
-    "max_shiftable_prefix",
     "parse_coloring",
     "parse_instance",
-    "resolve_path",
-    "shannon_fan",
     "step_budget",
-    "vizing_fan",
     "write_coloring",
     "write_instance",
 ]

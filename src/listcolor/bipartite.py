@@ -6,6 +6,9 @@ is already extendable; otherwise the alternating path built from them can
 never return to its start vertex, because any edge entering that vertex
 would, by side parity, carry the very color the vertex is missing.  The
 parity argument is asserted on every constructed path.
+
+Internal to the engine, not exported: ``engine.augment_once`` checks an
+edge id's type and range before it reaches this module, which does not.
 """
 
 from __future__ import annotations

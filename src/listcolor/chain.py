@@ -29,6 +29,9 @@ moves nothing and needs no commit); then, if ``happy``, it
 colors the shifted fan's end edge (the blank edge itself when there is
 no shift), or it resolves ``path``, a ``Chain`` walked in the shifted
 coloring, or None.  A shift alone is a content step.
+
+Internal to the engine, not exported: ``engine.augment_once`` checks an
+edge id's type and range before it reaches this module, which does not.
 """
 
 from __future__ import annotations

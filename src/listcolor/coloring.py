@@ -233,7 +233,8 @@ class PartialColoring:
                      self.weight[e], 1)
 
     def is_happy(self, e: int) -> Optional[int]:
-        """Smallest color legally extendable onto blank edge e, or None."""
+        """Smallest color legally extendable onto blank edge e, or None; unlike
+        ``assign``, it takes e's type and range as checked by the engine."""
         if self.color[e] is not None:
             raise PreconditionViolatedError(f"edge {e} is not blank")
         u, v = self.g.endpoints[e]

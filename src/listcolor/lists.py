@@ -33,11 +33,6 @@ def _bound(d: int, mu: int, mode: str) -> int:
     raise ValueError(f"mode must be one of {BOUND_MODES}, got {mode!r}")
 
 
-def local_bound(g: Multigraph, x: int, mode: str) -> int:
-    """The mode's required common-color count at vertex x."""
-    return _bound(g.degree(x), g.mu_vertex(x), mode)
-
-
 def _check_mode(g: Multigraph, mode: str) -> None:
     """Raise unless ``mode`` names a guarantee that can hold on g."""
     if mode not in BOUND_MODES:
@@ -47,8 +42,8 @@ def _check_mode(g: Multigraph, mode: str) -> None:
 
 
 def _bounds(g: Multigraph, mode: str) -> list[int]:
-    """``local_bound`` of every vertex, in one pass over g's incidence and
-    multiplicities."""
+    """The mode's required common-color count at every vertex, in one pass
+    over g's incidence and multiplicities."""
     return [_bound(len(es), mu, mode) for es, mu in zip(g.incidence, g._mu_vertex)]
 
 

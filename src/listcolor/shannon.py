@@ -22,6 +22,9 @@ quick happy check and case 1 look for a color available at the leaf and
 unused at the pivot (``smallest_unused``), the fan's color and alpha are
 lowest bits (``smallest``), and beta is the lowest bit of the two
 leaves' shared availability (``smallest_shared``); none copies a set.
+
+Internal to the engine, not exported: ``engine.augment_once`` checks an
+edge id's type and range before it reaches this module, which does not.
 """
 
 from __future__ import annotations

@@ -20,6 +20,9 @@ path-resolution conditions.  That path is walked in the shifted coloring
 through the checked shift's overlay of changed entries; classification
 never mutates the coloring.  Every returned verdict carries its checked
 shift, which the engine commits without checking it again.
+
+Internal to the engine, not exported: ``engine.augment_once`` checks an
+edge id's type and range before it reaches this module, which does not.
 """
 
 from __future__ import annotations

@@ -16,7 +16,9 @@ for their expected values: no expected value comes from a
 - the Vizing fan: ``reference_vizing_fan``, for the fan ``vizing_fan``
   builds;
 - the alternating path: ``reference_path``, for the walk
-  ``alternating_path`` makes, in phi or in a shifted color vector.
+  ``alternating_path`` makes, in phi or in a shifted color vector;
+- the local bound: ``reference_bound``, for the bound ``check_bound``
+  and ``generate_from_bounds`` apply at each vertex.
 
 ``available`` and ``live_state`` read a coloring's caches only to compare
 one coloring's state with another's.
@@ -34,6 +36,7 @@ import pytest
 
 import listcolor as lc
 from listcolor import engine
+from listcolor.chain import Chain
 from listcolor.errors import (
     COLOR_CLASH,
     COLOR_NOT_IN_LIST,
@@ -43,7 +46,6 @@ from listcolor.errors import (
     NotShiftableError,
     PreconditionViolatedError,
 )
-from listcolor.lists import local_bound
 
 
 def recompute_used(g, colors):
@@ -106,6 +108,13 @@ def multiplicities(g):
         key = (min(u, v), max(u, v))
         mult[key] = mult.get(key, 0) + 1
     return mult
+
+
+def reference_bound(g, x, mode):
+    """The mode's common-color count at vertex x by definition:
+    floor(3 deg / 2), deg + mu or deg."""
+    d = g.degree(x)
+    return {"shannon": 3 * d // 2, "vizing": d + g.mu_vertex(x), "koenig": d}[mode]
 
 
 def blank_edges(phi):
@@ -200,7 +209,7 @@ def reference_path(g, L, colors, e, alpha, beta):
         edges.append(nxt[0])
         vertices.append(g.other_end(nxt[0], vertices[-1]))
         need, follow = follow, need
-    return lc.Chain(tuple(edges), tuple(vertices))
+    return Chain(tuple(edges), tuple(vertices))
 
 
 def reference_vizing_fan(g, L, colors, e, x):
@@ -226,7 +235,7 @@ def reference_vizing_fan(g, L, colors, e, x):
         ek = at_x.get(eta)
         if ek is None or ek in index:  # happy, or closing onto index j
             j = k + 1 if ek is None else index[ek]
-            return (lc.Chain(tuple(edges), tuple(vertices)), eta, j), polls
+            return (Chain(tuple(edges), tuple(vertices)), eta, j), polls
         index[ek] = k + 1
         edges.append(ek)
         vertices.append(g.other_end(ek, x))
@@ -465,7 +474,7 @@ class WorkLog:
             if method is not None:
                 monkeypatch.setattr(lc.PartialColoring, name, counted(method, cost))
                 continue
-            fn = getattr(lc, name)
+            fn = next(getattr(m, name) for m in modules if hasattr(m, name))
             wrapped = counted(fn, cost)
             for mod in modules:
                 if getattr(mod, name, None) is fn:
@@ -508,7 +517,7 @@ def adversarial_lists(g, mode, rng, spread=4, extra=3):
     """Random supersets of per-vertex target sets meeting the mode's bound."""
     targets = []
     for x in range(g.n):
-        b = local_bound(g, x, mode)
+        b = reference_bound(g, x, mode)
         lo = rng.randint(1, spread)
         pool = list(range(lo, lo + b + spread))
         rng.shuffle(pool)
@@ -556,7 +565,7 @@ def random_chain(g, rng, colors, max_len=6, later_blanks=False):
         if not nxt:
             break
         edges.append(rng.choice(nxt))
-    return lc.Chain(tuple(edges))
+    return Chain(tuple(edges))
 
 
 FULL6 = frozenset(range(1, 7))

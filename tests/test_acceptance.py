@@ -17,7 +17,7 @@ from time import perf_counter
 import pytest
 
 import listcolor as lc
-from listcolor.lists import local_bound
+from listcolor.chain import alternating_path
 
 from conftest import (
     WorkLog,
@@ -29,6 +29,7 @@ from conftest import (
     oracle_list_instances,
     random_partial,
     recompute_available,
+    reference_bound,
     reference_path,
     setup_partial,
 )
@@ -89,7 +90,7 @@ def run_batch(mode: str, count: int, adversarial: bool = False) -> BatchSummary:
         if phi.blanks or phi.verify() or lc.check_edge_colors(g, L, phi.color):
             s.verify_failures += 1
         if not adversarial:
-            bounds = [local_bound(g, x, mode) for x in range(g.n)]
+            bounds = [reference_bound(g, x, mode) for x in range(g.n)]
             for e, (u, v) in enumerate(g.endpoints):
                 if phi.color[e] > max(bounds[u], bounds[v]):
                     s.color_bound_violations += 1
@@ -265,7 +266,7 @@ def test_criterion_8_shift_and_path_properties():
             ]
             for alpha, beta in pairs[:10_000 - probes]:
                 probes += 1
-                path = lc.alternating_path(phi, e, alpha, beta)
+                path = alternating_path(phi, e, alpha, beta)
                 violations += path != reference_path(g, L, phi.color, e, alpha, beta)
     verdict(
         8, fig_ok and violations == 0,

@@ -3,6 +3,8 @@ import random
 import pytest
 
 import listcolor as lc
+from listcolor.bipartite import koenig_path
+from listcolor.chain import resolve_path
 from listcolor.errors import NotBipartiteError, PreconditionViolatedError
 
 from conftest import blank_edges, random_partial, recompute_available, setup_partial
@@ -13,9 +15,9 @@ ABC = frozenset({1, 2, 3})
 
 def test_equal_minima_single_edge_path():
     g, L, phi = setup_partial(3, [(0, 1, None, AB), (1, 2, None, AB)])
-    p = lc.koenig_path(phi, 0)
+    p = koenig_path(phi, 0)
     assert p.edges == (0,)
-    assert lc.resolve_path(phi, p) == p  # happy: the whole path
+    assert resolve_path(phi, p) == p  # happy: the whole path
     assert phi.color[p.edges[-1]] is not None
     assert phi.color[0] == 1
 
@@ -24,12 +26,12 @@ def test_four_cycle_path_ends_on_start_side():
     # colors 1 on (1,2) and 2 on (3,0); minima differ, walk stops at 2
     specs = [(0, 1, None, AB), (1, 2, 1, AB), (2, 3, None, AB), (3, 0, 2, AB)]
     g, L, phi = setup_partial(4, specs)
-    p = lc.koenig_path(phi, 0)
+    p = koenig_path(phi, 0)
     assert p.edges == (0, 1)
     assert p.vertices[-1] == 2
     side = g.bipartition()
     assert side[p.vertices[-1]] == side[0] and p.vertices[-1] != 0
-    assert lc.resolve_path(phi, p) == p  # happy: the whole path
+    assert resolve_path(phi, p) == p  # happy: the whole path
     assert phi.color[p.edges[-1]] is not None
     assert phi.verify() == []
 
@@ -39,9 +41,9 @@ def test_star_center_forces_two_edge_path():
     # colors pull the walk through the center
     specs = [(1, 0, None, ABC), (0, 2, 1, ABC), (0, 3, 2, ABC)]
     g, L, phi = setup_partial(4, specs)
-    p = lc.koenig_path(phi, 0)
+    p = koenig_path(phi, 0)
     assert p.edges == (0, 1)
-    assert lc.resolve_path(phi, p) == p  # happy: the whole path
+    assert resolve_path(phi, p) == p  # happy: the whole path
     assert phi.color[p.edges[-1]] is not None
     assert phi.verify() == []
     assert phi.blanks == 0  # the only blank edge got colored
@@ -52,7 +54,7 @@ def test_rejects_non_bipartite():
     L = lc.ListAssignment(g, [ABC] * 3)
     phi = lc.PartialColoring(g, L)
     with pytest.raises(NotBipartiteError):
-        lc.koenig_path(phi, 0)
+        koenig_path(phi, 0)
 
 
 def test_rejects_empty_availability():
@@ -65,7 +67,7 @@ def test_rejects_empty_availability():
     phi.assign(2, 2)
     assert recompute_available(g, L, phi.color)[0] == set()
     with pytest.raises(PreconditionViolatedError, match="^no available color at vertex 0$"):
-        lc.koenig_path(phi, 0)
+        koenig_path(phi, 0)
 
 
 def test_parity_guarantee_random(rng):
@@ -81,7 +83,7 @@ def test_parity_guarantee_random(rng):
             u, v = g.endpoints[e]
             if not avail[u] or not avail[v]:
                 continue
-            p = lc.koenig_path(phi, e)
+            p = koenig_path(phi, e)
             assert p.vertices[0] != p.vertices[-1]
             built += 1
     assert built > 150

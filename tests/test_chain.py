@@ -3,6 +3,8 @@ import random
 import pytest
 
 import listcolor as lc
+from listcolor.chain import Chain, alternating_path, max_shiftable_prefix, resolve_path
+from listcolor.engine import augment_once
 from listcolor.errors import (
     COLOR_NOT_IN_LIST,
     START_NOT_BLANK,
@@ -10,6 +12,8 @@ from listcolor.errors import (
     NotShiftableError,
     PreconditionViolatedError,
 )
+from listcolor.shannon import shannon_fan
+from listcolor.vizing import classify_vizing, vizing_fan
 
 from conftest import (
     blank_edges,
@@ -102,8 +106,8 @@ def test_shift_preserves_colors_away_from_ends(rng):
                 for beta in sorted(avail[v]):
                     if alpha == beta:
                         continue
-                    path = lc.alternating_path(phi, e, alpha, beta)
-                    j = lc.max_shiftable_prefix(phi, path)
+                    path = alternating_path(phi, e, alpha, beta)
+                    j = max_shiftable_prefix(phi, path)
                     pref = path.prefix(j)
                     before = recompute_used(g, phi.color)
                     phi.apply_chain_shift(phi.check_shift(pref.edges))
@@ -138,8 +142,8 @@ def fig_two_a_instance():
 
 def test_alternating_path_two_directions():
     g, L, phi = fig_two_a_instance()
-    p_ab = lc.alternating_path(phi, 4, 1, 2)
-    p_ba = lc.alternating_path(phi, 4, 2, 1)
+    p_ab = alternating_path(phi, 4, 1, 2)
+    p_ba = alternating_path(phi, 4, 2, 1)
     assert p_ab.edges == (4, 5, 6)
     assert p_ab.vertices[0] == 5 and p_ab.vertices[-1] == 8
     assert p_ba.edges == (4, 3, 2)
@@ -149,7 +153,7 @@ def test_alternating_path_two_directions():
 
 def test_alternating_path_no_first_edge():
     g, L, phi = setup_partial(2, [(0, 1, None, AB)])
-    p = lc.alternating_path(phi, 0, 1, 2)
+    p = alternating_path(phi, 0, 1, 2)
     assert p.edges == (0,)
     assert p.vertices[0] == 0 and p.vertices[-1] == 1
 
@@ -166,7 +170,7 @@ def test_alternating_path_cycle_returns_home():
         (6, 0, 2, AB),
     ]
     g, L, phi = setup_partial(7, specs)
-    p = lc.alternating_path(phi, 0, 1, 2)
+    p = alternating_path(phi, 0, 1, 2)
     assert p.edges == (0, 1, 2, 3, 4, 5, 6)
     assert p.vertices[0] == p.vertices[-1] == 0
 
@@ -174,9 +178,9 @@ def test_alternating_path_cycle_returns_home():
 def test_alternating_path_precondition():
     g, L, phi = setup_partial(3, [(0, 1, None, AB), (1, 2, 1, AB)])
     with pytest.raises(PreconditionViolatedError):
-        lc.alternating_path(phi, 0, 1, 1)
+        alternating_path(phi, 0, 1, 1)
     with pytest.raises(PreconditionViolatedError):
-        lc.alternating_path(phi, 0, 5, 6)
+        alternating_path(phi, 0, 5, 6)
 
 
 def five_edge_path_instance():
@@ -194,24 +198,24 @@ def five_edge_path_instance():
 
 def test_max_shiftable_prefix_derived_j3():
     g, L, phi = five_edge_path_instance()
-    path = lc.alternating_path(phi, 0, 1, 2)
+    path = alternating_path(phi, 0, 1, 2)
     assert path.edges == (0, 1, 2, 3, 4)
     expected = brute_max_prefix(g, L, phi.color, list(path.edges))
     assert expected == 3
-    assert lc.max_shiftable_prefix(phi, path) == 3
+    assert max_shiftable_prefix(phi, path) == 3
 
 
 def test_max_shiftable_prefix_full_when_lists_allow():
     g, L, phi = fig_two_a_instance()
-    path = lc.alternating_path(phi, 4, 1, 2)
-    assert lc.max_shiftable_prefix(phi, path) == len(path.edges)
+    path = alternating_path(phi, 4, 1, 2)
+    assert max_shiftable_prefix(phi, path) == len(path.edges)
     assert brute_max_prefix(g, L, phi.color, path.edges) == len(path.edges)
 
 
 def test_max_shiftable_prefix_length_one():
     g, L, phi = setup_partial(2, [(0, 1, None, AB)])
-    path = lc.alternating_path(phi, 0, 1, 2)
-    assert lc.max_shiftable_prefix(phi, path) == 1
+    path = alternating_path(phi, 0, 1, 2)
+    assert max_shiftable_prefix(phi, path) == 1
 
 
 def test_max_shiftable_matches_brute_on_random(rng):
@@ -227,8 +231,8 @@ def test_max_shiftable_matches_brute_on_random(rng):
                 for beta in sorted(avail[v])[:2]:
                     if alpha == beta:
                         continue
-                    path = lc.alternating_path(phi, e, alpha, beta)
-                    got = lc.max_shiftable_prefix(phi, path)
+                    path = alternating_path(phi, e, alpha, beta)
+                    got = max_shiftable_prefix(phi, path)
                     want = brute_max_prefix(g, L, phi.color, list(path.edges))
                     assert got == want
                     checked += 1
@@ -260,8 +264,8 @@ def test_max_shiftable_matches_brute_on_thinned_lists(rng):
                 for beta in sorted(avail[v]):
                     if alpha == beta:
                         continue
-                    path = lc.alternating_path(phi, e, alpha, beta)
-                    got = lc.max_shiftable_prefix(phi, path)
+                    path = alternating_path(phi, e, alpha, beta)
+                    got = max_shiftable_prefix(phi, path)
                     want = brute_max_prefix(g, L, phi.color, list(path.edges))
                     assert got == want
                     checked += 1
@@ -278,23 +282,23 @@ def test_max_shiftable_prefix_rejects_non_alternating_colors():
         (3, 4, 3, S6),
     ]
     g, L, phi = setup_partial(5, specs)
-    path = lc.Chain((0, 1, 2, 3), (0, 1, 2, 3, 4))
+    path = Chain((0, 1, 2, 3), (0, 1, 2, 3, 4))
     with pytest.raises(PreconditionViolatedError):
-        lc.max_shiftable_prefix(phi, path)
+        max_shiftable_prefix(phi, path)
     with pytest.raises(NotShiftableError):
-        lc.max_shiftable_prefix(phi, lc.Chain((1, 2), (1, 2, 3)))
+        max_shiftable_prefix(phi, Chain((1, 2), (1, 2, 3)))
     with pytest.raises(PreconditionViolatedError):  # no start edge to read
-        lc.max_shiftable_prefix(phi, lc.Chain(()))
+        max_shiftable_prefix(phi, Chain(()))
 
 
 def test_resolve_single_edge_happy(monkeypatch):
     # a one-edge path takes is_happy's color with no scan, check or commit
     g, L, phi = setup_partial(2, [(0, 1, None, AB)])
-    path = lc.alternating_path(phi, 0, 1, 2)
+    path = alternating_path(phi, 0, 1, 2)
     for name in ("shift_violation", "check_shift", "apply_chain_shift"):
         monkeypatch.setattr(lc.PartialColoring, name, None)
     monkeypatch.setattr(lc.chain, "max_shiftable_prefix", None)
-    assert lc.resolve_path(phi, path) == path  # happy: the whole path
+    assert resolve_path(phi, path) == path  # happy: the whole path
     assert phi.color[0] == 1
     assert phi.verify() == []
 
@@ -303,7 +307,7 @@ def test_resolve_single_edge_without_a_color_is_a_lemma_violation():
     g, L, phi = setup_partial(3, [(0, 1, None, frozenset({1})), (1, 2, 1, AB)])
     before = live_state(phi)
     with pytest.raises(InternalAssertionError, match="^one-edge path 0 has no color to take$"):
-        lc.resolve_path(phi, lc.Chain((0,), (0, 1)))
+        resolve_path(phi, Chain((0,), (0, 1)))
     assert live_state(phi) == before
 
 
@@ -311,19 +315,19 @@ def test_resolve_two_edge_happy_colors_beta():
     # blank (0,1), then (1,2) colored 1; color 2 missing at the far end,
     # and 1 clashes at vertex 1 after the shift, so 2 is forced
     g, L, phi = setup_partial(3, [(0, 1, None, AB), (1, 2, 1, AB)])
-    path = lc.alternating_path(phi, 0, 1, 2)
+    path = alternating_path(phi, 0, 1, 2)
     assert path.edges == (0, 1)
-    assert lc.resolve_path(phi, path) == path
+    assert resolve_path(phi, path) == path
     assert phi.color[0] == 1 and phi.color[1] == 2
     assert phi.verify() == []
 
 
 def test_resolve_prefix_content_derived():
     g, L, phi = five_edge_path_instance()
-    path = lc.alternating_path(phi, 0, 1, 2)
+    path = alternating_path(phi, 0, 1, 2)
     before = recompute_potential(g, L, phi.color)
     blanks = phi.blanks
-    out = lc.resolve_path(phi, path)
+    out = resolve_path(phi, path)
     assert out == path.prefix(3)  # content: the shifted prefix, its end left blank
     assert phi.color[out.edges[-1]] is None
     after = recompute_potential(g, L, phi.color)
@@ -337,12 +341,12 @@ def test_resolve_refuses_a_colored_start_edge():
     # a colored start is refused before anything changes, by the prefix
     # search or, on a one-edge path, by resolve_path itself
     g, L, phi = five_edge_path_instance()
-    path = lc.alternating_path(phi, 0, 1, 2)
+    path = alternating_path(phi, 0, 1, 2)
     phi.assign(0, 2)
     before = live_state(phi)
     for chain in (path, path.prefix(1)):
         with pytest.raises(NotShiftableError) as exc:
-            lc.resolve_path(phi, chain)
+            resolve_path(phi, chain)
         assert (exc.value.index, exc.value.reason) == (0, START_NOT_BLANK)
         assert live_state(phi) == before
     assert phi.verify() == []
@@ -359,18 +363,18 @@ def test_resolve_requires_distinct_ends():
         (6, 0, 2, AB),
     ]
     g, L, phi = setup_partial(7, specs)
-    path = lc.alternating_path(phi, 0, 1, 2)
+    path = alternating_path(phi, 0, 1, 2)
     with pytest.raises(PreconditionViolatedError):
-        lc.resolve_path(phi, path)
+        resolve_path(phi, path)
 
 
-@pytest.mark.parametrize("path", [lc.Chain((0, 1)), lc.Chain((0,), (0, 1, 2))])
+@pytest.mark.parametrize("path", [Chain((0, 1)), Chain((0,), (0, 1, 2))])
 def test_resolve_refuses_vertices_that_do_not_match_the_edges(path):
     # a path has one more vertex than edges; refused before any change
     g, L, phi = setup_partial(3, [(0, 1, None, AB), (1, 2, 1, AB)])
     before = live_state(phi)
     with pytest.raises(PreconditionViolatedError):
-        lc.resolve_path(phi, path)
+        resolve_path(phi, path)
     assert live_state(phi) == before
 
 
@@ -392,12 +396,12 @@ def test_resolve_random_postconditions(rng):
         beta = min(avail[v])
         if alpha == beta:
             continue
-        path = lc.alternating_path(phi, e, alpha, beta)
+        path = alternating_path(phi, e, alpha, beta)
         if path.vertices[0] == path.vertices[-1]:
             continue
         before = phi.potential()
         count = phi.blanks
-        out = lc.resolve_path(phi, path)
+        out = resolve_path(phi, path)
         assert phi.verify() == []
         assert phi.potential() < before
         if out == path and phi.color[out.edges[-1]] is not None:
@@ -412,12 +416,12 @@ def test_resolve_random_postconditions(rng):
 def shannon_two_edge_fan():
     # only color 1 is available at vertex 1, and the pivot 0 uses it on (0, 2)
     _, _, phi = setup_partial(4, [(0, 1, None, AB), (0, 2, 1, AB), (1, 3, 2, AB)])
-    return lc.shannon_fan(phi, 0)
+    return shannon_fan(phi, 0)
 
 
 def vizing_three_edge_fan():
     _, _, phi = setup_partial(4, [(0, 1, None, S6), (0, 2, 1, S6), (0, 3, 2, S6)])
-    return lc.vizing_fan(phi, 0, 0)[0]
+    return vizing_fan(phi, 0, 0)[0]
 
 
 @pytest.mark.parametrize("make_fan", [shannon_two_edge_fan, vizing_three_edge_fan])
@@ -433,7 +437,7 @@ def test_fan_prefix_keeps_the_pivot_and_its_first_leaves(make_fan):
 
 
 def test_bare_chain_prefix_has_no_vertices():
-    chain = lc.Chain((0, 1, 2))
+    chain = Chain((0, 1, 2))
     assert chain.vertices == ()
     assert chain.prefix(1).edges == (0,)
     assert chain.prefix(1).vertices == ()
@@ -482,12 +486,12 @@ def test_psi_walk_matches_walk_in_shifted_copy():
             expected = reference_path(g, L, psi, e, alpha, beta)
             before = live_state(phi)
             got = walk_or_error(
-                lambda: lc.alternating_path(phi, e, alpha, beta,
-                                            shifted=phi.check_shift(chain.edges))
+                lambda: alternating_path(phi, e, alpha, beta,
+                                         shifted=phi.check_shift(chain.edges))
             )
             assert got == expected
             assert live_state(phi) == before
-            paths += isinstance(got, lc.Chain)
+            paths += isinstance(got, Chain)
             ends = [recompute_available(g, L, psi)[w] for w in g.endpoints[e]]
             both += all({alpha, beta} <= at for at in ends)
     assert paths > 1000 and both > 500
@@ -503,10 +507,10 @@ def test_psi_walk_refuses_a_stale_or_foreign_shift():
     before = live_state(phi)
     for shift in (stale, foreign):
         with pytest.raises(PreconditionViolatedError):
-            lc.alternating_path(phi, 1, 1, 2, shifted=shift)
+            alternating_path(phi, 1, 1, 2, shifted=shift)
         assert live_state(phi) == before
     fresh = phi.check_shift((0, 1))
-    assert lc.alternating_path(phi, 1, 1, 2, shifted=fresh) == lc.Chain((1, 0), (2, 1, 0))
+    assert alternating_path(phi, 1, 1, 2, shifted=fresh) == Chain((1, 0), (2, 1, 0))
     assert live_state(phi) == before
 
 
@@ -523,7 +527,7 @@ def vizing_engine_states(seeds):
         for e in range(g.m):
             while e is not None:
                 yield phi, e
-                e = lc.augment_once(phi, e, "vizing", stats)
+                e = augment_once(phi, e, "vizing", stats)
 
 
 def test_classified_psi_paths_match_walk_in_shifted_copy():
@@ -531,7 +535,7 @@ def test_classified_psi_paths_match_walk_in_shifted_copy():
     for phi, e in vizing_engine_states(range(80)):
         before = live_state(phi)
         x = min(phi.g.endpoints[e])
-        out = lc.classify_vizing(phi, e, x)
+        out = classify_vizing(phi, e, x)
         assert live_state(phi) == before
         if step_kind(out) == "path-psi":
             branch, shift, path, _ = out

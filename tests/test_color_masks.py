@@ -21,11 +21,14 @@ from hypothesis import strategies as st
 
 import listcolor as lc
 from listcolor import coloring
+from listcolor.chain import Chain
 from listcolor.errors import (
     InternalAssertionError,
     NotShiftableError,
     PreconditionViolatedError,
 )
+from listcolor.shannon import shannon_fan
+from listcolor.vizing import vizing_fan
 
 from conftest import (
     adversarial_lists,
@@ -63,13 +66,13 @@ def outcome(fn, *args):
 def reference_shannon_fan(g, avail, used, colors, e):
     x, y = sorted(g.endpoints[e], key=lambda w: (len(g.incidence[w]), w))
     if avail[y] - used[x]:
-        return lc.Chain((e,), (x, y))
+        return Chain((e,), (x, y))
     if not avail[y]:
         return (PreconditionViolatedError,
                 f"no available color at vertex {y}; the degree bound cannot hold")
     eta = min(avail[y])
     f = next(f for f in g.incidence[x] if colors[f] == eta)
-    return lc.Chain((e, f), (x, y, g.other_end(f, x)))
+    return Chain((e, f), (x, y, g.other_end(f, x)))
 
 
 def check_against_sets(phi):
@@ -88,10 +91,10 @@ def check_against_sets(phi):
             continue
         assert phi.is_happy(e) == min((avail[u] - used[v]) | (avail[v] - used[u]),
                                       default=None)
-        assert (outcome(lc.shannon_fan, phi, e)
+        assert (outcome(shannon_fan, phi, e)
                 == reference_shannon_fan(g, avail, used, phi.color, e))
         for x in (u, v):
-            assert (outcome(lc.vizing_fan, phi, e, x)
+            assert (outcome(vizing_fan, phi, e, x)
                     == reference_vizing_fan(g, phi.lists, phi.color, e, x)[0])
     for y in range(g.n):
         for z in range(g.n):
@@ -147,7 +150,7 @@ def test_layouts_color_alike(monkeypatch):
     for seed in range(6):
         rng = random.Random(seed)
         g = lc.generate_random(1200, 6, 2, seed=seed)
-        targets = [frozenset(rng.sample(range(1, 10**6), lc.local_bound(g, x, "vizing")))
+        targets = [frozenset(rng.sample(range(1, 10**6), g.degree(x) + g.mu_vertex(x)))
                    for x in range(g.n)]
         wide = lc.ListAssignment(g, [targets[u] | targets[v] for u, v in g.endpoints])
         runs += [(g, wide, "explicit", "vizing"),

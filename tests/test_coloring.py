@@ -5,8 +5,11 @@ import pytest
 
 import listcolor as lc
 from listcolor import coloring
+from listcolor.chain import Chain, alternating_path
 from listcolor.coloring import Shift
 from listcolor.errors import COLOR_CLASH, NotShiftableError, PreconditionViolatedError
+from listcolor.shannon import shannon_fan
+from listcolor.vizing import vizing_fan
 
 from conftest import (
     FULL6,
@@ -388,36 +391,36 @@ def chains_to_check(g, phi, rng):
     avail = recompute_available(g, phi.lists, phi.color)
     for e in blank_edges(phi):
         for x in g.endpoints[e]:
-            fan, _, j = lc.vizing_fan(phi, e, x)
+            fan, _, j = vizing_fan(phi, e, x)
             yield "vizing fan", fan
             yield "vizing fan", fan.prefix(j)
         try:
-            yield "shannon fan", lc.shannon_fan(phi, e)
+            yield "shannon fan", shannon_fan(phi, e)
         except PreconditionViolatedError as exc:
             assert str(exc).startswith("no available color at vertex ")
         u, v = g.endpoints[e]
         for alpha in sorted(avail[u])[:2]:
             for beta in sorted(avail[v])[:2]:
                 try:
-                    path = lc.alternating_path(phi, e, alpha, beta)
+                    path = alternating_path(phi, e, alpha, beta)
                 except PreconditionViolatedError:
                     continue
                 for j in range(1, len(path.edges) + 1):
                     yield "path", path.prefix(j)
-    yield "bare", lc.Chain(())
+    yield "bare", Chain(())
     for e in range(g.m):
-        yield "bare", lc.Chain((e,))
+        yield "bare", Chain((e,))
     for _ in range(40):
         edges = random_chain(g, rng, phi.color, max_len=10,
                              later_blanks=rng.random() < 0.3).edges
         i = rng.randrange(len(edges))
         for bare in (edges, edges + edges[:1], edges[:i] + (rng.choice(edges),) + edges[i:]):
-            yield "bare", lc.Chain(bare)
+            yield "bare", Chain(bare)
     for x in range(g.n):
         inc = g.incidence[x]
         for _ in range(4 if inc else 0):
             edges = tuple(rng.sample(inc, rng.randint(1, len(inc))))
-            yield "pivot", lc.Chain(edges, (x, *(g.other_end(f, x) for f in edges)))
+            yield "pivot", Chain(edges, (x, *(g.other_end(f, x) for f in edges)))
 
 
 def chain_shapes(g, phi, edges):
@@ -441,14 +444,16 @@ def test_check_shift_answers_as_the_three_pass_reference(wide, monkeypatch):
     # on chains of every shape and in both palette layouts, the check leaves
     # the coloring as it was and refuses as reference_shift does (the chain's
     # shape, then its refusal scan, then the shifted colors: three passes),
-    # or gives the potential change the definition gives
+    # or gives the potential change the definition gives, on every vizing
+    # fan and its prefix too, some moving a color outside its leaf's common set
     monkeypatch.setattr(coloring, "WIDE", wide)
     shapes, outcomes = Counter(), Counter()
+    fans = outside = 0
     for g, L, phi in random_vizing_partials(60):
         rng = random.Random(g.m * 5 + g.n)
         before = live_state(phi)
         used = recompute_used(g, phi.color)
-        for _, chain in chains_to_check(g, phi, rng):
+        for kind, chain in chains_to_check(g, phi, rng):
             edges = chain.edges
             expected = reference_shift(g, L, phi.color, edges)
             shift = shift_answer(phi, edges)
@@ -458,6 +463,12 @@ def test_check_shift_answers_as_the_three_pass_reference(wide, monkeypatch):
                 assert isinstance(shift, Shift), (edges, shift)
                 assert shift.delta == shift_change(g, L, phi.color, edges)
                 outcomes["shift" if len(edges) > 1 else "one-edge shift"] += 1
+                if kind == "vizing fan":
+                    fans += 1
+                    outside += any(
+                        phi.color[f] is not None and phi.color[f] not in L.common[z]
+                        for f, z in zip(edges, chain.vertices[1:])
+                    )
                 continue
             assert shift == expected, edges
             cls, i, reason = expected
@@ -472,6 +483,7 @@ def test_check_shift_answers_as_the_three_pass_reference(wide, monkeypatch):
             outcomes[reason or cls.__name__] += 1
     assert min(shapes.values()) >= 20 and len(shapes) == 7, shapes
     assert min(outcomes.values()) >= 20 and len(outcomes) == 7, outcomes
+    assert fans > 1000 and outside > 0, (fans, outside)
 
 
 def test_one_pass_commit_matches_edge_by_edge_replay():

@@ -5,6 +5,9 @@ import pytest
 
 import listcolor as lc
 from listcolor import coloring, engine
+from listcolor.bipartite import koenig_path
+from listcolor.chain import Chain, alternating_path
+from listcolor.engine import augment_once
 from listcolor.errors import (
     BoundViolationError,
     InputError,
@@ -13,6 +16,8 @@ from listcolor.errors import (
     NotShiftableError,
     PreconditionViolatedError,
 )
+from listcolor.shannon import shannon_fan
+from listcolor.vizing import vizing_fan
 
 from conftest import (
     Miscounted,
@@ -43,7 +48,7 @@ def test_first_augment_colors_first_edge():
     L = lc.generate_from_bounds(g, "shannon")
     phi = lc.PartialColoring(g, L)
     stats = lc.RunStats()
-    assert lc.augment_once(phi, 0, "shannon", stats) is None
+    assert augment_once(phi, 0, "shannon", stats) is None
     assert phi.color[0] == 1
 
 
@@ -107,26 +112,26 @@ FOREIGN = "lists are for 3 vertices and 3 edges, the graph has 3 and 2"
 
 # misuse of a public call on the path 0-1-2, edge 0 colored -> (error, message)
 MISUSE = {
-    "koenig_path-colored": (lambda phi: lc.koenig_path(phi, 0),
+    "koenig_path-colored": (lambda phi: koenig_path(phi, 0),
                             PreconditionViolatedError, "edge 0 is not blank"),
-    "shannon_fan-colored": (lambda phi: lc.shannon_fan(phi, 0),
+    "shannon_fan-colored": (lambda phi: shannon_fan(phi, 0),
                             PreconditionViolatedError, "edge 0 is not blank"),
-    "vizing_fan-colored": (lambda phi: lc.vizing_fan(phi, 0, 0),
+    "vizing_fan-colored": (lambda phi: vizing_fan(phi, 0, 0),
                            PreconditionViolatedError, "edge 0 is not blank"),
-    "alternating_path-colored": (lambda phi: lc.alternating_path(phi, 0, 1, 2),
+    "alternating_path-colored": (lambda phi: alternating_path(phi, 0, 1, 2),
                                  PreconditionViolatedError, "edge 0 is not blank"),
-    "vizing_fan-foreign-pivot": (lambda phi: lc.vizing_fan(phi, 1, 0),
+    "vizing_fan-foreign-pivot": (lambda phi: vizing_fan(phi, 1, 0),
                                  PreconditionViolatedError,
                                  "pivot 0 is not an endpoint of edge 1"),
-    "prefix-0": (lambda phi: lc.Chain((0, 1)).prefix(0),
+    "prefix-0": (lambda phi: Chain((0, 1)).prefix(0),
                  ValueError, "prefix length 0 out of range"),
-    "prefix-past-the-end": (lambda phi: lc.Chain((0, 1)).prefix(3),
+    "prefix-past-the-end": (lambda phi: Chain((0, 1)).prefix(3),
                             ValueError, "prefix length 3 out of range"),
     "color_graph-unknown-mode": (
         lambda phi: lc.color_graph(phi.g, phi.lists, "greedy"), ValueError,
         "mode must be one of ('shannon', 'vizing', 'koenig', 'explicit'), got 'greedy'"),
     "augment_once-explicit": (
-        lambda phi: lc.augment_once(phi, 1, "explicit", lc.RunStats()),
+        lambda phi: augment_once(phi, 1, "explicit", lc.RunStats()),
         ValueError, "augment mode must name a guarantee, got 'explicit'"),
     "negative-vertex-count": (lambda phi: lc.Multigraph(-1, []),
                               ValueError, "vertex count must be nonnegative"),
@@ -171,10 +176,10 @@ MISUSE = {
     "check_shift-past-the-end": (lambda phi: phi.check_shift((1, 0, 2)),
                                  PreconditionViolatedError, "edge 2 out of range [0, 2)"),
     "augment_once-negative-edge": (
-        lambda phi: lc.augment_once(phi, -1, "vizing", lc.RunStats()),
+        lambda phi: augment_once(phi, -1, "vizing", lc.RunStats()),
         PreconditionViolatedError, "edge -1 out of range [0, 2)"),
     "augment_once-past-the-end": (
-        lambda phi: lc.augment_once(phi, 2, "shannon", lc.RunStats()),
+        lambda phi: augment_once(phi, 2, "shannon", lc.RunStats()),
         PreconditionViolatedError, "edge 2 out of range [0, 2)"),
     # an edge id that is not an int: a bool would index as 0 or 1
     "assign-bool-edge": (lambda phi: phi.assign(True, 2),
@@ -188,10 +193,10 @@ MISUSE = {
     "check_shift-str-edge": (lambda phi: phi.check_shift((1, "0")),
                              PreconditionViolatedError, "edge '0' is not an int"),
     "augment_once-bool-edge": (
-        lambda phi: lc.augment_once(phi, True, "vizing", lc.RunStats()),
+        lambda phi: augment_once(phi, True, "vizing", lc.RunStats()),
         PreconditionViolatedError, "edge True is not an int"),
     "augment_once-float-edge": (
-        lambda phi: lc.augment_once(phi, 1.0, "shannon", lc.RunStats()),
+        lambda phi: augment_once(phi, 1.0, "shannon", lc.RunStats()),
         PreconditionViolatedError, "edge 1.0 is not an int"),
 }
 
@@ -288,7 +293,7 @@ def test_step_checks_refuse_a_rigged_verdict(specs, verdict, message, monkeypatc
     phi = setup_partial(3, specs)[2]
     monkeypatch.setattr(engine.vizing, "classify_vizing", lambda phi, e, x: verdict(phi, e))
     with pytest.raises(InternalAssertionError, match=f"^{re.escape(message)}$"):
-        lc.augment_once(phi, 1, "vizing", lc.RunStats())
+        augment_once(phi, 1, "vizing", lc.RunStats())
 
 
 def test_edge_order_does_not_affect_success():
@@ -302,7 +307,7 @@ def test_edge_order_does_not_affect_success():
         guard = 0
         while phi.blanks:
             e = rng.choice(blank_edges(phi))
-            lc.augment_once(phi, e, "vizing", stats)
+            augment_once(phi, e, "vizing", stats)
             guard += 1
             assert guard < 10_000
         assert phi.verify() == []
@@ -315,7 +320,7 @@ def test_intermediate_colorings_stay_proper():
     phi = lc.PartialColoring(g, L)
     stats = lc.RunStats()
     while phi.blanks:
-        lc.augment_once(phi, blank_edges(phi)[0], "vizing", stats)
+        augment_once(phi, blank_edges(phi)[0], "vizing", stats)
         assert phi.verify() == []
 
 
@@ -421,7 +426,7 @@ def test_run_stats_match_the_trace_from_partial_colorings(mode):
         phi = random_partial(g, L, rng, fill=0.9)
         start, stats, records = list(phi.color), lc.RunStats(), []
         while phi.blanks:
-            lc.augment_once(phi, blank_edges(phi)[0], mode, stats, records.append)
+            augment_once(phi, blank_edges(phi)[0], mode, stats, records.append)
         check_certificate(g, L, records, stats, phi.color, start)
         branches |= {r.branch for r in records}
     assert want in branches
@@ -478,7 +483,7 @@ def test_first_blank_is_smallest_blank_edge(mode):
             for e in range(g.m):
                 while e is not None:
                     assert e == blank_edges(phi)[0]
-                    e = lc.augment_once(phi, e, mode, stats)
+                    e = augment_once(phi, e, mode, stats)
                     fresh -= {f for f in fresh if phi.color[f] is not None}
                     if e is not None:
                         assert phi.color[e] is None and e < min(fresh, default=g.m)
@@ -499,7 +504,7 @@ def test_augment_repairs_arbitrary_partial_colorings(mode):
         assert phi.verify() == []
         stats = lc.RunStats()
         while phi.blanks:
-            left = lc.augment_once(phi, blank_edges(phi)[0], mode, stats)
+            left = augment_once(phi, blank_edges(phi)[0], mode, stats)
             assert left is None or phi.color[left] is None
         assert phi.verify() == []
 

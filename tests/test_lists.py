@@ -4,7 +4,8 @@ import pytest
 
 import listcolor as lc
 from listcolor.errors import BoundViolationError, NotBipartiteError
-from listcolor.lists import local_bound
+
+from conftest import reference_bound
 
 
 def test_common_colors_triangle():
@@ -56,9 +57,12 @@ def test_common_subset_of_incident_lists():
 
 def test_bound_values():
     g = lc.Multigraph(2, [(0, 1), (0, 1)])
-    assert local_bound(g, 0, "shannon") == 3
-    assert local_bound(g, 0, "vizing") == 4
-    assert local_bound(g, 0, "koenig") == 2
+    for mode, bound in (("shannon", 3), ("vizing", 4), ("koenig", 2)):
+        short = lc.ListAssignment(g, [frozenset(range(1, bound))] * 2)
+        with pytest.raises(BoundViolationError) as info:
+            lc.check_bound(g, short, mode)
+        got = info.value
+        assert (got.vertex, got.required, got.actual) == (0, bound, bound - 1)
 
 
 def test_check_bound_vizing_triangle_passes():
@@ -100,7 +104,6 @@ def test_every_bound_entry_point_rejects_an_unknown_mode():
     g = lc.Multigraph(2, [(0, 1)])
     L = lc.ListAssignment(g, [frozenset({1})])
     calls = (
-        lambda: local_bound(g, 0, "nope"),
         lambda: lc.check_bound(g, L, "nope"),
         lambda: lc.generate_from_bounds(g, "nope"),
     )
@@ -143,7 +146,7 @@ def test_generate_from_bounds_always_passes_check():
 @pytest.mark.parametrize("mode", ["shannon", "vizing", "koenig"])
 def test_bounds_of_all_vertices_are_local_bound_of_each(mode):
     # generate_from_bounds and check_bound find every bound in one pass;
-    # their lists and refusals are those local_bound gives vertex by vertex
+    # their lists and refusals are those the definition gives vertex by vertex
     rng = random.Random(sum(map(ord, mode)))
     isolated = refused = 0
     for seed in range(60):
@@ -152,7 +155,7 @@ def test_bounds_of_all_vertices_are_local_bound_of_each(mode):
                                bipartite=mode == "koenig", seed=seed,
                                edges=rng.randint(0, n))
         isolated += sum(not es for es in g.incidence)
-        bounds = [local_bound(g, x, mode) for x in range(g.n)]
+        bounds = [reference_bound(g, x, mode) for x in range(g.n)]
         lists = [frozenset(range(1, max(bounds[u], bounds[v]) + 1)) for u, v in g.endpoints]
         assert list(lc.generate_from_bounds(g, mode).lists) == lists
         # drop colors at random, so that some vertices fall short of their bound

@@ -2,6 +2,7 @@
 surface.  Its Errors section names every exception class with the exit
 code that class gets."""
 
+import pkgutil
 import re
 from pathlib import Path
 
@@ -44,6 +45,12 @@ def test_readme_names_exactly_the_exported_surface():
     }
     assert all(hasattr(lc, name) for name in lc.__all__)
     assert named == set(lc.__all__)
+
+
+def test_namespace_holds_only_the_exported_surface_and_submodules():
+    public = {name for name in dir(lc) if not name.startswith("_")}
+    submodules = {m.name for m in pkgutil.iter_modules(lc.__path__)}
+    assert public - submodules == set(lc.__all__)
 
 
 def test_readme_errors_name_exactly_the_exception_classes():

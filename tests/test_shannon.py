@@ -4,6 +4,8 @@ import pytest
 
 import listcolor as lc
 from listcolor import engine
+from listcolor.chain import resolve_path
+from listcolor.shannon import classify_shannon, shannon_fan
 
 from conftest import (
     ShiftLog,
@@ -44,7 +46,7 @@ def blocked_pivot_instance(z_edges, z_lists, x_lists=S6, y_colors=(1, 2, 3)):
 def test_fan_single_edge_on_blank(triangle):
     g, L = triangle
     phi = lc.PartialColoring(g, L)
-    fan = lc.shannon_fan(phi, 0)
+    fan = shannon_fan(phi, 0)
     assert fan.edges == (0,)
     assert fan.vertices == (0, 1)  # degree tie broken by index
 
@@ -57,7 +59,7 @@ def test_fan_two_edges_derived():
     lc.check_bound(g, L, "shannon")
     assert recompute_available(g, L, phi.color)[1] == {4, 5, 6}
     assert recompute_used(g, phi.color)[0] == {4, 5, 6}
-    fan = lc.shannon_fan(phi, 0)
+    fan = shannon_fan(phi, 0)
     assert fan.edges == (0, 1)
     assert fan.vertices == (0, 1, 2)
     assert phi.color[fan.edges[1]] == 4
@@ -66,7 +68,7 @@ def test_fan_two_edges_derived():
 def test_classify_blank_is_happy_edge(triangle):
     g, L = triangle
     phi = lc.PartialColoring(g, L)
-    out = lc.classify_shannon(phi, 0)
+    out = classify_shannon(phi, 0)
     assert out == ("happy-edge", None, None, True)
     assert phi.is_happy(0) == 1
 
@@ -77,7 +79,7 @@ def test_classify_case1_happy_fan():
         z_edges=[(8, 1), (9, 2)], z_lists=[S6, S6]
     )
     lc.check_bound(g, L, "shannon")
-    out = lc.classify_shannon(phi, 0)
+    out = classify_shannon(phi, 0)
     branch, shift, _, _ = out
     assert step_kind(out) == "happy-fan"
     assert branch == "case1-happy-fan"
@@ -98,7 +100,7 @@ def test_classify_case2_content():
     )
     lc.check_bound(g, L, "shannon")
     assert 4 not in L.common[2]
-    out = lc.classify_shannon(phi, 0)
+    out = classify_shannon(phi, 0)
     branch, shift, _, _ = out
     assert step_kind(out) == "content-fan"
     assert branch == "case2-content-fan"
@@ -122,7 +124,7 @@ def test_classify_case3_content_degree_drop():
     lc.check_bound(g, L, "shannon")
     assert 4 in L.common[2]
     assert g.degree(2) == 3 < g.degree(1) == 4
-    out = lc.classify_shannon(phi, 0)
+    out = classify_shannon(phi, 0)
     branch, shift, _, _ = out
     assert step_kind(out) == "content-fan"
     assert branch == "case3-content-fan"
@@ -159,51 +161,42 @@ def test_classify_final_path_under_current_coloring():
     # claim: the two availability sets intersect
     avail = recompute_available(g, L, phi.color)
     assert avail[1] & avail[2] == {5, 6}
-    out = lc.classify_shannon(phi, 0)
+    out = classify_shannon(phi, 0)
     _, _, path, _ = out
     assert step_kind(out) == "path-phi"
     # the path alternates alpha = 1 and beta = 5 in the current coloring
     assert path == reference_path(g, L, phi.color, 0, 1, 5)
     assert path.edges == (0, 4)
     assert path.vertices[0] != path.vertices[-1]
-    assert lc.resolve_path(phi, path) == path  # happy: the whole path
+    assert resolve_path(phi, path) == path  # happy: the whole path
     assert phi.color[path.edges[-1]] is not None
     assert phi.verify() == []
 
 
 def test_classify_final_path_under_shifted_coloring():
+    # the case-4 fallback walks the shifted coloring through an overlay: it
+    # finds the path the definition gives in the shifted colors, and
+    # mutates nothing before the shift is committed
     g, L, phi = final_case_instance(cyclic=True)
     lc.check_bound(g, L, "shannon")
-    out = lc.classify_shannon(phi, 0)
-    _, shift, path, _ = out
-    assert step_kind(out) == "path-psi"
+    before = live_state(phi)
+    out = classify_shannon(phi, 0)
+    branch, shift, path, _ = out
+    assert step_kind(out) == "path-psi" and branch == "final-path-psi"
+    assert live_state(phi) == before
     assert shift.edges == (0, 1)
     # the path alternates alpha = 1 and beta = 5 in the shifted coloring
     psi = reference_shift(g, L, phi.color, shift.edges)
-    assert path == reference_path(g, L, psi, 1, 1, 5)
+    assert psi != phi.color
+    assert path == reference_path(g, L, psi, shift.edges[-1], 1, 5)
     assert path.edges == (1, 7)  # built in the shifted coloring
     a, _ = phi.potential()
     phi.apply_chain_shift(shift)
     assert phi.potential()[0] == a
-    assert lc.resolve_path(phi, path) == path  # happy: the whole path
+    assert resolve_path(phi, path) == path  # happy: the whole path
     assert phi.color[path.edges[-1]] is not None
     assert phi.verify() == []
     assert phi.blanks == 0
-
-
-def test_final_path_under_shifted_coloring_leaves_phi_untouched():
-    # the case-4 fallback walks the shifted coloring through an overlay: it
-    # finds the path the definition gives in the shifted colors, and
-    # mutates nothing
-    g, L, phi = final_case_instance(cyclic=True)
-    before = live_state(phi)
-    out = lc.classify_shannon(phi, 0)
-    branch, shift, path, _ = out
-    assert step_kind(out) == "path-psi" and branch == "final-path-psi"
-    assert live_state(phi) == before
-    psi = reference_shift(g, L, phi.color, shift.edges)
-    assert path == reference_path(g, L, psi, shift.edges[-1], 1, 5)
-    assert psi != phi.color
 
 
 def test_classified_final_paths_match_walks():
@@ -220,11 +213,11 @@ def test_classified_final_paths_match_walks():
         phi = random_partial(g, L, random.Random(seed), fill=0.95)
         for e in blank_edges(phi):
             before = live_state(phi)
-            branch, shift, path, _ = lc.classify_shannon(phi, e)
+            branch, shift, path, _ = classify_shannon(phi, e)
             assert live_state(phi) == before
             if branch not in walks:
                 continue
-            x, y, z = lc.shannon_fan(phi, e).vertices
+            x, y, z = shannon_fan(phi, e).vertices
             avail = recompute_available(g, L, phi.color)
             alpha = min(avail[x])
             beta = min(avail[y] & avail[z])
@@ -270,7 +263,7 @@ def test_intersection_claim_on_random_final_cases(rng):
         L = lc.generate_from_bounds(g, "shannon")
         phi = random_partial(g, L, random.Random(seed), fill=0.85)
         for e in blank_edges(phi):
-            out = lc.classify_shannon(phi, e)
+            out = classify_shannon(phi, e)
             dispatched += 1
             assert type(out) is tuple and len(out) == 4
             step_kind(out)  # one of the five kinds

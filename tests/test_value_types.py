@@ -5,10 +5,11 @@ import dataclasses
 import pytest
 
 import listcolor as lc
+from listcolor.chain import Chain
 
 
 def _chain():
-    return lc.Chain((3, 1, 4), (0, 5, 6, 7))
+    return Chain((3, 1, 4), (0, 5, 6, 7))
 
 
 # (constructor of a fresh instance, a field to try to set)
