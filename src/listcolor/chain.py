@@ -6,7 +6,7 @@ colored.  Shifting moves each edge's color one position toward the front,
 so the start edge takes a color and the last edge goes blank.  The fan and
 walk functions that make chains keep that shape, and
 ``PartialColoring.check_shift`` refuses any other.  One ``Chain`` type
-serves fans and paths alike: it may carry vertices x_0..x_k with x_{i+1}
+serves fans and paths alike: it carries vertices x_0..x_k with x_{i+1}
 the far end of edge i, where x_0 is the start vertex of a path or the
 pivot of a fan (whose leaves are then x_1..x_k).  A path walks
 distinct vertices after the first edge (the start vertex may only
@@ -51,20 +51,15 @@ from .errors import (
 class Chain:
     """Edges whose colors a shift moves one place toward the front.
 
-    ``vertices`` is empty for a bare chain; otherwise it is x_0..x_k with
-    ``vertices[i + 1]`` the far end of ``edges[i]``.  On a path x_0 is the
-    start vertex and edge i joins x_i and x_{i+1}; x_1..x_k are distinct,
-    and x_0 may coincide only with a later x_i.  On a fan x_0 is the pivot
-    shared by every edge, so the leaves are ``vertices[1:]``.
+    ``vertices`` is x_0..x_k with ``vertices[i + 1]`` the far end of
+    ``edges[i]``.  On a path x_0 is the start vertex and edge i joins x_i
+    and x_{i+1}; x_1..x_k are distinct, and x_0 may coincide only with a
+    later x_i.  On a fan x_0 is the pivot shared by every edge, so the
+    leaves are ``vertices[1:]``.
     """
 
     edges: tuple[int, ...]
-    vertices: tuple[int, ...] = ()
-
-    def prefix(self, j: int) -> "Chain":
-        if not 1 <= j <= len(self.edges):
-            raise ValueError(f"prefix length {j} out of range")
-        return Chain(self.edges[:j], self.vertices[: j + 1])
+    vertices: tuple[int, ...]
 
 
 # -- operations ----------------------------------------------------------------
@@ -167,7 +162,7 @@ def max_shiftable_prefix(phi: PartialColoring, path: Chain) -> int:
     return len(edges)
 
 
-def resolve_path(phi: PartialColoring, path: Chain) -> Chain:
+def resolve_path(phi: PartialColoring, path: Chain) -> tuple[int, ...]:
     """Apply the happy-or-content dichotomy to an alternating path, in place.
 
     Requires one more vertex than edges and the path's start and end
@@ -177,8 +172,8 @@ def resolve_path(phi: PartialColoring, path: Chain) -> Chain:
     Either the full path shifts and its end edge gets a color, or a proper
     prefix shifts and the potential strictly drops.  A one-edge path is
     colored directly, with no prefix scan, check or commit.  Returns the
-    chain it committed: the full path when happy, the shifted prefix when
-    content, whose end edge is then the one left blank.
+    edges it committed: the full path's when happy, the shifted prefix's
+    when content, whose end edge is then the one left blank.
     """
     edges, vertices = path.edges, path.vertices
     if len(vertices) != len(edges) + 1:
@@ -196,20 +191,20 @@ def resolve_path(phi: PartialColoring, path: Chain) -> Chain:
         if c is None:
             raise InternalAssertionError(f"one-edge path {e} has no color to take")
         phi.assign(e, c)
-        return path
+        return edges
     j = max_shiftable_prefix(phi, path)
     if j < min(3, k):
         raise InternalAssertionError(
             f"shiftable prefix {j} below guaranteed minimum {min(3, k)}"
         )
-    prefix = path if j == k else path.prefix(j)
-    shift = phi.check_shift(prefix.edges)
+    prefix = edges[:j]
+    shift = phi.check_shift(prefix)
     phi.apply_chain_shift(shift)
     if j == k:
         c = phi.is_happy(edges[-1])
         if c is not None:
             phi.assign(edges[-1], c)
-            return path
+            return edges
     # The full shift left the end edge stuck, or a strict prefix was the
     # longest valid shift; the availability total must have dropped.
     if shift.delta < (0, 0):

@@ -112,7 +112,7 @@ def augment_once(
         trace(TraceRecord(step, kind, label, fan, (a0, d0), phi.potential()))
     if path is not None:
         mid = None if trace is None else phi.potential()
-        chain = resolve_path(phi, path).edges  # the whole path if happy, else a prefix
+        chain = resolve_path(phi, path)  # the whole path if happy, else a prefix
         happy = phi.color[chain[-1]] is not None
         stats.path_shifts += 1
         if trace is not None:

@@ -12,6 +12,8 @@ from collections import deque
 
 from .errors import InputError
 
+_UNKNOWN = object()  # the bipartition before its first search
+
 
 class Multigraph:
     """An undirected loopless multigraph on vertices ``0..n-1``.
@@ -28,7 +30,6 @@ class Multigraph:
         "_mu_vertex",
         "_max_degree",
         "_bipartition",
-        "_bipartition_done",
     )
 
     def __init__(self, n: int, edge_list):
@@ -68,8 +69,7 @@ class Multigraph:
                 mu[v] = k
         self._mu_vertex = tuple(mu)
         self._max_degree = max((len(es) for es in self.incidence), default=0)
-        self._bipartition = None
-        self._bipartition_done = False
+        self._bipartition = _UNKNOWN
 
     def _check_vertex(self, x: int) -> None:
         if not 0 <= x < self.n:
@@ -101,7 +101,7 @@ class Multigraph:
         Found by breadth-first 2-coloring of the underlying simple graph;
         the result is validated against every edge before being cached.
         """
-        if self._bipartition_done:
+        if self._bipartition is not _UNKNOWN:
             return self._bipartition
         side = [-1] * self.n
         for root in range(self.n):
@@ -118,5 +118,4 @@ class Multigraph:
                         queue.append(y)
         ok = all(side[u] != side[v] for u, v in self.endpoints)
         self._bipartition = side if ok else None
-        self._bipartition_done = True
         return self._bipartition

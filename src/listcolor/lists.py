@@ -19,23 +19,18 @@ from .errors import BoundViolationError, NotBipartiteError
 from .graph import Multigraph
 
 MODES = ("shannon", "vizing", "koenig", "explicit")
-BOUND_MODES = ("shannon", "vizing", "koenig")
-
-
-def _bound(d: int, mu: int, mode: str) -> int:
-    """The mode's bound at a vertex of degree d and multiplicity mu."""
-    if mode == "shannon":
-        return d + d // 2
-    if mode == "vizing":
-        return d + mu
-    if mode == "koenig":
-        return d
-    raise ValueError(f"mode must be one of {BOUND_MODES}, got {mode!r}")
+# guarantee -> its bound at a vertex of degree d and multiplicity mu
+_RULES = {
+    "shannon": lambda d, mu: d + d // 2,
+    "vizing": lambda d, mu: d + mu,
+    "koenig": lambda d, mu: d,
+}
+BOUND_MODES = tuple(_RULES)
 
 
 def _check_mode(g: Multigraph, mode: str) -> None:
     """Raise unless ``mode`` names a guarantee that can hold on g."""
-    if mode not in BOUND_MODES:
+    if mode not in BOUND_MODES:  # not _RULES: an unhashable mode gets this ValueError too
         raise ValueError(f"mode must be one of {BOUND_MODES}, got {mode!r}")
     if mode == "koenig" and g.bipartition() is None:
         raise NotBipartiteError("koenig bound requires a bipartite graph")
@@ -44,7 +39,8 @@ def _check_mode(g: Multigraph, mode: str) -> None:
 def _bounds(g: Multigraph, mode: str) -> list[int]:
     """The mode's required common-color count at every vertex, in one pass
     over g's incidence and multiplicities."""
-    return [_bound(len(es), mu, mode) for es, mu in zip(g.incidence, g._mu_vertex)]
+    rule = _RULES[mode]
+    return [rule(len(es), mu) for es, mu in zip(g.incidence, g._mu_vertex)]
 
 
 class ListAssignment:

@@ -34,7 +34,8 @@ from .errors import InternalAssertionError, PreconditionViolatedError
 
 def vizing_fan(phi: PartialColoring, e: int, x: int) -> tuple[Chain, int, int]:
     """(fan, beta, j): beta is available at the end leaves of both fan and
-    ``fan.prefix(j)``, and j == len(fan.edges) exactly when the fan is happy."""
+    its first j edges, ``fan.vertices[-1]`` and ``fan.vertices[j]``, and
+    j == len(fan.edges) exactly when the fan is happy."""
     if phi.color[e] is not None:
         raise PreconditionViolatedError(f"edge {e} is not blank")
     g = phi.g
@@ -92,9 +93,9 @@ def classify_vizing(
     if j == len(fan.edges):
         return "happy-fan", phi.check_shift(fan.edges), None, True
     shifts = []
-    for cand, branch in ((fan, "content-fan-full"),
-                         (fan.prefix(j), "content-fan-prefix")):
-        shift = phi.check_shift(cand.edges)
+    for cand, branch in ((fan.edges, "content-fan-full"),
+                         (fan.edges[:j], "content-fan-prefix")):
+        shift = phi.check_shift(cand)
         if shift.delta < (0, 0):
             return branch, shift, None, False
         shifts.append(shift)

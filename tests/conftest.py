@@ -20,6 +20,9 @@ for their expected values: no expected value comes from a
 - the local bound: ``reference_bound``, for the bound ``check_bound``
   and ``generate_from_bounds`` apply at each vertex.
 
+``StepLog`` groups the calls a repair step makes at layer boundaries, for
+the per-step shift rules and the work counts of acceptance criterion 9.
+
 ``available`` and ``live_state`` read a coloring's caches only to compare
 one coloring's state with another's.
 """
@@ -31,6 +34,7 @@ import itertools
 import random
 import sys
 from collections import Counter
+from dataclasses import dataclass, field
 
 import pytest
 
@@ -270,58 +274,6 @@ class Miscounted(lc.PartialColoring):
         self.blanks += 1
 
 
-class ShiftLog:
-    """Records shift checks and commits while ``engine.augment_once`` runs.
-
-    ``steps`` holds one ``(checked, committed)`` pair per step: the chains
-    passed to ``PartialColoring.shift_violation`` and those committed by
-    ``PartialColoring.apply_chain_shift``, in call order.  A step fails if
-    it checked or committed one chain twice, committed a chain it did not
-    check, or let a one-edge chain reach either call: such a chain moves
-    no color.
-    """
-
-    def __init__(self, monkeypatch):
-        self.steps = []
-        check = lc.PartialColoring.shift_violation
-        commit = lc.PartialColoring.apply_chain_shift
-        augment = engine.augment_once
-
-        def logged_check(phi, edges, *args):
-            self.steps[-1][0].append(tuple(edges))
-            return check(phi, edges, *args)
-
-        def logged_commit(phi, shift):
-            self.steps[-1][1].append(shift.edges)
-            return commit(phi, shift)
-
-        def one_step(*args, **kwargs):
-            checked, committed = [], []
-            self.steps.append((checked, committed))
-            left = augment(*args, **kwargs)
-            assert len(set(checked)) == len(checked), checked
-            assert len(set(committed)) == len(committed), committed
-            assert set(committed) <= set(checked), (checked, committed)
-            assert min(map(len, checked), default=2) > 1, checked
-            return left
-
-        monkeypatch.setattr(lc.PartialColoring, "shift_violation", logged_check)
-        monkeypatch.setattr(lc.PartialColoring, "apply_chain_shift", logged_commit)
-        monkeypatch.setattr(engine, "augment_once", one_step)
-
-    @property
-    def checks(self) -> int:
-        return sum(len(checked) for checked, _ in self.steps)
-
-    @property
-    def commits(self) -> int:
-        return sum(len(committed) for _, committed in self.steps)
-
-    def passed_over(self) -> list[int]:
-        """Per step, how many checked chains it did not commit."""
-        return [len(checked) - len(committed) for checked, committed in self.steps]
-
-
 def trace_counters(records, colored):
     """The ``RunStats`` a traced run must end with, recomputed from its
     records alone.  ``colored`` is how many edges the run colored, one per
@@ -337,17 +289,25 @@ def trace_counters(records, colored):
     )
 
 
+# the four kinds of trace record README names
+TRACE_KINDS = {"happy-edge", "fan-shift", "path-shift-happy", "path-shift-content"}
+
+
 def check_certificate(g, L, records, stats, colors, start=None):
     """Assert that a traced run's records certify it.
 
     ``start`` is the color vector the run began from, blank by default,
-    and ``colors`` the one it ended with.  The records number the steps
-    0, 1, ... in order; each record starts at the potential the previous
-    one ended at, the first at ``start``'s, inside a step too; each step
-    ends strictly below where it started, and the last at ``colors``'s
-    potential.  ``stats`` counts those steps and equals ``trace_counters``.
+    and ``colors`` the one it ended with.  Each record is of one of the
+    ``TRACE_KINDS`` and names a non-empty chain.  The records number the
+    steps 0, 1, ... in order; each record starts at the potential the
+    previous one ended at, the first at ``start``'s, inside a step too;
+    each step ends strictly below where it started, and the last at
+    ``colors``'s potential.  ``stats`` counts those steps and equals
+    ``trace_counters``.
     """
     start = [None] * g.m if start is None else start
+    for r in records:
+        assert r.kind in TRACE_KINDS and r.chain, r
     pot, steps = recompute_potential(g, L, start), 0
     for step, recs in itertools.groupby(records, lambda r: r.step):
         assert step == steps, (step, steps)
@@ -421,7 +381,10 @@ def _fan_leaves(phi, fan):
     return sum(phi.available_mask(z).bit_count() for z in fan.vertices[1:])
 
 
-# layer boundary -> the work one call did, from (result, *args)
+# layer boundary -> the work one call did, from (result, *args): the
+# availability entries ``is_happy`` reads at both ends, one per ``assign``,
+# the edges of each checked shift, committed shift, walked path and prefix
+# search, and the availability entries at each fan leaf
 WORK = {
     "is_happy": lambda _, phi, e: sum(phi.available_mask(w).bit_count()
                                       for w in phi.g.endpoints[e]),
@@ -435,47 +398,70 @@ WORK = {
 }
 
 
-class WorkLog:
-    """Counts the work of each ``engine.augment_once`` step at layer boundaries.
+@dataclass
+class Step:
+    """One ``engine.augment_once`` step's calls at the ``WORK`` boundaries."""
 
-    A step's count adds, per call made inside it: the availability entries
-    at both ends that ``is_happy`` reads, one per ``assign``, the edges of
-    every checked shift, committed shift, walked alternating path and
-    prefix search, and the availability entries at every leaf of each fan
-    built.  ``steps`` holds one count per finished step.  Module-level
-    functions are patched in every listcolor module that imported them by
-    name, methods on ``PartialColoring``.
+    checked: list = field(default_factory=list)
+    committed: list = field(default_factory=list)
+    work: int = 0
+
+
+class StepLog:
+    """Logs each ``engine.augment_once`` step's calls at the ``WORK`` boundaries.
+
+    ``steps`` holds one ``Step`` per step, in order: ``checked`` and
+    ``committed`` are the chains passed to ``PartialColoring.shift_violation``
+    and ``PartialColoring.apply_chain_shift``, in call order, and ``work``
+    adds up each call's ``WORK`` count.  Calls outside a step are not logged.
+    A step fails if it checked or committed one chain twice, committed a
+    chain it did not check, or let a one-edge chain reach either call: such
+    a chain moves no color.  Module-level functions are patched in every
+    listcolor module that holds them, methods on ``PartialColoring``.
     """
 
     def __init__(self, monkeypatch):
         self.steps = []
-        self.count = 0
+        self.open = None  # the step under way
         augment = engine.augment_once
 
-        def counted(fn, cost):
+        def logged(fn, name):
+            cost = WORK[name]
+
             @functools.wraps(fn)
             def wrapper(*args, **kwargs):
                 result = fn(*args, **kwargs)
-                self.count += cost(result, *args)
+                step = self.open
+                if step is not None:
+                    step.work += cost(result, *args)
+                    if name == "shift_violation":
+                        step.checked.append(tuple(args[1]))
+                    elif name == "apply_chain_shift":
+                        step.committed.append(args[1].edges)
                 return result
 
             return wrapper
 
         def one_step(*args, **kwargs):
-            self.count = 0
+            self.open = step = Step()
+            self.steps.append(step)
             left = augment(*args, **kwargs)
-            self.steps.append(self.count)
+            self.open = None
+            assert len(set(step.checked)) == len(step.checked), step
+            assert len(set(step.committed)) == len(step.committed), step
+            assert set(step.committed) <= set(step.checked), step
+            assert min(map(len, step.checked), default=2) > 1, step
             return left
 
         modules = [m for name, m in sys.modules.items()
                    if name == "listcolor" or name.startswith("listcolor.")]
-        for name, cost in WORK.items():
+        for name in WORK:
             method = getattr(lc.PartialColoring, name, None)
             if method is not None:
-                monkeypatch.setattr(lc.PartialColoring, name, counted(method, cost))
+                monkeypatch.setattr(lc.PartialColoring, name, logged(method, name))
                 continue
             fn = next(getattr(m, name) for m in modules if hasattr(m, name))
-            wrapped = counted(fn, cost)
+            wrapped = logged(fn, name)
             for mod in modules:
                 if getattr(mod, name, None) is fn:
                     monkeypatch.setattr(mod, name, wrapped)
@@ -545,7 +531,7 @@ def random_vizing_partials(count):
 
 
 def random_chain(g, rng, colors, max_len=6, later_blanks=False):
-    """A random bare chain from a mostly blank start edge.
+    """The edges of a random chain from a mostly blank start edge.
 
     Every edge after the start is colored, unless ``later_blanks`` lets
     them be blank too, a shape ``check_shift`` refuses.  Edges may be
@@ -565,7 +551,7 @@ def random_chain(g, rng, colors, max_len=6, later_blanks=False):
         if not nxt:
             break
         edges.append(rng.choice(nxt))
-    return Chain(tuple(edges))
+    return tuple(edges)
 
 
 FULL6 = frozenset(range(1, 7))

@@ -17,7 +17,7 @@ def test_equal_minima_single_edge_path():
     g, L, phi = setup_partial(3, [(0, 1, None, AB), (1, 2, None, AB)])
     p = koenig_path(phi, 0)
     assert p.edges == (0,)
-    assert resolve_path(phi, p) == p  # happy: the whole path
+    assert resolve_path(phi, p) == p.edges  # happy: the whole path
     assert phi.color[p.edges[-1]] is not None
     assert phi.color[0] == 1
 
@@ -31,7 +31,7 @@ def test_four_cycle_path_ends_on_start_side():
     assert p.vertices[-1] == 2
     side = g.bipartition()
     assert side[p.vertices[-1]] == side[0] and p.vertices[-1] != 0
-    assert resolve_path(phi, p) == p  # happy: the whole path
+    assert resolve_path(phi, p) == p.edges  # happy: the whole path
     assert phi.color[p.edges[-1]] is not None
     assert phi.verify() == []
 
@@ -43,7 +43,7 @@ def test_star_center_forces_two_edge_path():
     g, L, phi = setup_partial(4, specs)
     p = koenig_path(phi, 0)
     assert p.edges == (0, 1)
-    assert resolve_path(phi, p) == p  # happy: the whole path
+    assert resolve_path(phi, p) == p.edges  # happy: the whole path
     assert phi.color[p.edges[-1]] is not None
     assert phi.verify() == []
     assert phi.blanks == 0  # the only blank edge got colored

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -12,8 +13,7 @@ from listcolor.errors import (
     NotShiftableError,
     PreconditionViolatedError,
 )
-from listcolor.shannon import shannon_fan
-from listcolor.vizing import classify_vizing, vizing_fan
+from listcolor.vizing import classify_vizing
 
 from conftest import (
     blank_edges,
@@ -108,11 +108,11 @@ def test_shift_preserves_colors_away_from_ends(rng):
                         continue
                     path = alternating_path(phi, e, alpha, beta)
                     j = max_shiftable_prefix(phi, path)
-                    pref = path.prefix(j)
+                    pref = path.edges[:j]
                     before = recompute_used(g, phi.color)
-                    phi.apply_chain_shift(phi.check_shift(pref.edges))
+                    phi.apply_chain_shift(phi.check_shift(pref))
                     after = recompute_used(g, phi.color)
-                    ends = set(g.endpoints[pref.edges[0]]) | set(g.endpoints[pref.edges[-1]])
+                    ends = set(g.endpoints[pref[0]]) | set(g.endpoints[pref[-1]])
                     for z in range(g.n):
                         if z not in ends:
                             assert before[z] == after[z]
@@ -288,7 +288,7 @@ def test_max_shiftable_prefix_rejects_non_alternating_colors():
     with pytest.raises(NotShiftableError):
         max_shiftable_prefix(phi, Chain((1, 2), (1, 2, 3)))
     with pytest.raises(PreconditionViolatedError):  # no start edge to read
-        max_shiftable_prefix(phi, Chain(()))
+        max_shiftable_prefix(phi, Chain((), ()))
 
 
 def test_resolve_single_edge_happy(monkeypatch):
@@ -298,7 +298,7 @@ def test_resolve_single_edge_happy(monkeypatch):
     for name in ("shift_violation", "check_shift", "apply_chain_shift"):
         monkeypatch.setattr(lc.PartialColoring, name, None)
     monkeypatch.setattr(lc.chain, "max_shiftable_prefix", None)
-    assert resolve_path(phi, path) == path  # happy: the whole path
+    assert resolve_path(phi, path) == path.edges  # happy: the whole path
     assert phi.color[0] == 1
     assert phi.verify() == []
 
@@ -317,7 +317,7 @@ def test_resolve_two_edge_happy_colors_beta():
     g, L, phi = setup_partial(3, [(0, 1, None, AB), (1, 2, 1, AB)])
     path = alternating_path(phi, 0, 1, 2)
     assert path.edges == (0, 1)
-    assert resolve_path(phi, path) == path
+    assert resolve_path(phi, path) == path.edges
     assert phi.color[0] == 1 and phi.color[1] == 2
     assert phi.verify() == []
 
@@ -328,8 +328,8 @@ def test_resolve_prefix_content_derived():
     before = recompute_potential(g, L, phi.color)
     blanks = phi.blanks
     out = resolve_path(phi, path)
-    assert out == path.prefix(3)  # content: the shifted prefix, its end left blank
-    assert phi.color[out.edges[-1]] is None
+    assert out == path.edges[:3]  # content: the shifted prefix, its end left blank
+    assert phi.color[out[-1]] is None
     after = recompute_potential(g, L, phi.color)
     assert after < before
     assert after[0] <= before[0] - 1  # availability total drops
@@ -344,7 +344,7 @@ def test_resolve_refuses_a_colored_start_edge():
     path = alternating_path(phi, 0, 1, 2)
     phi.assign(0, 2)
     before = live_state(phi)
-    for chain in (path, path.prefix(1)):
+    for chain in (path, Chain(path.edges[:1], path.vertices[:2])):
         with pytest.raises(NotShiftableError) as exc:
             resolve_path(phi, chain)
         assert (exc.value.index, exc.value.reason) == (0, START_NOT_BLANK)
@@ -368,7 +368,7 @@ def test_resolve_requires_distinct_ends():
         resolve_path(phi, path)
 
 
-@pytest.mark.parametrize("path", [Chain((0, 1)), Chain((0,), (0, 1, 2))])
+@pytest.mark.parametrize("path", [Chain((0, 1), ()), Chain((0,), (0, 1, 2))])
 def test_resolve_refuses_vertices_that_do_not_match_the_edges(path):
     # a path has one more vertex than edges; refused before any change
     g, L, phi = setup_partial(3, [(0, 1, None, AB), (1, 2, 1, AB)])
@@ -404,43 +404,24 @@ def test_resolve_random_postconditions(rng):
         out = resolve_path(phi, path)
         assert phi.verify() == []
         assert phi.potential() < before
-        if out == path and phi.color[out.edges[-1]] is not None:
+        if out == path.edges and phi.color[out[-1]] is not None:
             assert phi.blanks == count - 1
         else:
-            assert out == path.prefix(len(out.edges)) and phi.color[out.edges[-1]] is None
+            assert out == path.edges[:len(out)] and phi.color[out[-1]] is None
             assert phi.blanks == count
         resolved += 1
     assert resolved > 20
 
 
-def shannon_two_edge_fan():
-    # only color 1 is available at vertex 1, and the pivot 0 uses it on (0, 2)
-    _, _, phi = setup_partial(4, [(0, 1, None, AB), (0, 2, 1, AB), (1, 3, 2, AB)])
-    return shannon_fan(phi, 0)
-
-
-def vizing_three_edge_fan():
-    _, _, phi = setup_partial(4, [(0, 1, None, S6), (0, 2, 1, S6), (0, 3, 2, S6)])
-    return vizing_fan(phi, 0, 0)[0]
-
-
-@pytest.mark.parametrize("make_fan", [shannon_two_edge_fan, vizing_three_edge_fan])
-def test_fan_prefix_keeps_the_pivot_and_its_first_leaves(make_fan):
-    fan = make_fan()
-    pivot, leaves = fan.vertices[0], fan.vertices[1:]
-    assert len(fan.edges) == len(leaves) >= 2
-    for j in range(1, len(fan.edges) + 1):
-        pre = fan.prefix(j)
-        assert pre.edges == fan.edges[:j]
-        assert pre.vertices == (pivot, *leaves[:j])
-        assert pre.vertices[-1] == leaves[j - 1]
-
-
-def test_bare_chain_prefix_has_no_vertices():
-    chain = Chain((0, 1, 2))
-    assert chain.vertices == ()
-    assert chain.prefix(1).edges == (0,)
-    assert chain.prefix(1).vertices == ()
+def test_chain_is_frozen_slotted_and_compared_by_value():
+    a, b = Chain((3, 1, 4), (0, 5, 6, 7)), Chain((3, 1, 4), (0, 5, 6, 7))
+    assert a is not b
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.edges = b.edges
+    assert a == b
+    assert hash(a) == hash(b)
+    assert not hasattr(a, "__dict__")
+    assert Chain.__slots__ == tuple(f.name for f in dataclasses.fields(a))
 
 
 def walk_or_error(walk):
@@ -451,7 +432,7 @@ def walk_or_error(walk):
 
 
 def psi_walks(g, L, phi, rng):
-    """(chain, psi, alpha, beta): each vizing fan candidate, from the
+    """(edges, psi, alpha, beta): each vizing fan candidate, from the
     reference fan, with the colors the classifier would walk, and random
     shiftable chains with colors free at the ends of their end edge after
     the shift; psi is the shifted color vector, by ``reference_shift``."""
@@ -461,18 +442,18 @@ def psi_walks(g, L, phi, rng):
             (fan, beta, j), _ = reference_vizing_fan(g, L, phi.color, e, x)
             if j == len(fan.edges) or not avail[x]:
                 continue
-            for cand in (fan, fan.prefix(j)):
-                yield cand, reference_shift(g, L, phi.color, cand.edges), min(avail[x]), beta
+            for cand in (fan.edges, fan.edges[:j]):
+                yield cand, reference_shift(g, L, phi.color, cand), min(avail[x]), beta
     for _ in range(10):
-        chain = random_chain(g, rng, phi.color)
-        psi = reference_shift(g, L, phi.color, chain.edges)
+        edges = random_chain(g, rng, phi.color)
+        psi = reference_shift(g, L, phi.color, edges)
         if not isinstance(psi, list):
             continue
         shifted = recompute_available(g, L, psi)
-        u, v = g.endpoints[chain.edges[-1]]
+        u, v = g.endpoints[edges[-1]]
         for alpha in sorted(shifted[u])[:2]:
             for beta in sorted(shifted[v])[:2]:
-                yield chain, psi, alpha, beta
+                yield edges, psi, alpha, beta
 
 
 def test_psi_walk_matches_walk_in_shifted_copy():
@@ -481,13 +462,13 @@ def test_psi_walk_matches_walk_in_shifted_copy():
     # count alone; many of these walks could start from either endpoint
     paths = both = 0
     for g, L, phi in random_vizing_partials(50):
-        for chain, psi, alpha, beta in psi_walks(g, L, phi, random.Random(g.m)):
-            e = chain.edges[-1]
+        for edges, psi, alpha, beta in psi_walks(g, L, phi, random.Random(g.m)):
+            e = edges[-1]
             expected = reference_path(g, L, psi, e, alpha, beta)
             before = live_state(phi)
             got = walk_or_error(
                 lambda: alternating_path(phi, e, alpha, beta,
-                                         shifted=phi.check_shift(chain.edges))
+                                         shifted=phi.check_shift(edges))
             )
             assert got == expected
             assert live_state(phi) == before

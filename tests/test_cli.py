@@ -54,19 +54,71 @@ def test_color_and_verify_roundtrip(tmp_path, capsys, monkeypatch, mode):
         0, f"ok: {m} edges properly colored\n", "")
 
 
-def test_verify_rejects_clash(tmp_path, capsys):
-    inst = write(tmp_path, "tri.txt", TRIANGLE)
-    bad = write(tmp_path, "clash.col", "0 1\n1 1\n2 2\n")  # edges 0 and 1 share vertex 1
-    assert run(capsys, "verify", inst, bad, "--mode", "vizing") == (
-        1, "", "ImproperAssignment: color 1 on edges 0 and 1 at vertex 1\n")
+# The files a single-command row may name, written to the working directory.
+FILES = {
+    "tri.txt": TRIANGLE,
+    "p.txt": PATH2,
+    "clash.col": "0 1\n1 1\n2 2\n",  # edges 0 and 1 share vertex 1
+    "partial.col": "0 1\n1 -\n2 2\n",
+    "empty.col": "",
+    "bad.txt": "garbage\n",
+    "weak.txt": "p edge 2 1\ne 0 1 1\n",
+    "tight.txt": "p edge 3 3\ne 0 1 1 2\ne 1 2 1 2\ne 0 2 1 2\n",
+    "path.txt": "p edge 13 12\n" + "".join(f"e {i} {i + 1}\n" for i in range(12)),
+}
+
+# row -> (argv, exit code, stdout, stderr)
+ONE_COMMAND = {
+    "verify-rejects-clash": ("verify tri.txt clash.col --mode vizing", 1, "",
+                             "ImproperAssignment: color 1 on edges 0 and 1 at vertex 1\n"),
+    "verify-rejects-incomplete": ("verify tri.txt partial.col --mode vizing", 1, "",
+                                  "incomplete: 1 edges blank\n"),
+    "empty-coloring-file-at-line-one": (
+        "verify tri.txt empty.col --mode vizing", 2, "",
+        "error: line 1: expected 3 lines '<i> <color|->' in index order\n"),
+    "explicit-mode-flow": ("color p.txt --mode explicit --assume-bound koenig", 0,
+                           "0 1\n1 2\n", ""),
+    "explicit-needs-assume-bound": ("color p.txt --mode explicit", 2, "",
+                                    "error: --mode explicit requires --assume-bound\n"),
+    "explicit-needs-lists": ("color tri.txt --mode explicit --assume-bound vizing", 2, "",
+                             "error: tri.txt: explicit mode needs lists in the instance\n"),
+    "assume-bound-refused-outside-explicit-mode": (
+        "color tri.txt --mode vizing --assume-bound shannon", 2, "",
+        "error: --assume-bound applies only to --mode explicit\n"),
+    "bound-mode-rejects-explicit-instance": (
+        "color p.txt --mode vizing", 2, "",
+        "error: p.txt: instance carries explicit lists; --mode vizing is only for"
+        " instances without them\n"),
+    "koenig-on-triangle-exits-one": ("color tri.txt --mode koenig", 1, "",
+                                     "bound violation: koenig bound requires a bipartite graph\n"),
+    "parse-error-exits-two": ("color bad.txt --mode vizing", 2, "",
+                              "error: line 1: unknown line type 'garbage'\n"),
+    "insufficient-explicit-lists-exit-one": (
+        "color weak.txt --mode explicit --assume-bound vizing", 1, "",
+        "bound violation: vertex 0: common colors 1 below required 2\n"),
+    # standard streams may be shared: three trace lines, then three colors
+    "trace-and-output-may-share-stdout": (
+        "color tri.txt --mode vizing --trace - -o -", 0,
+        "0 fan-shift vizing-happy-fan 0 9:12 7:8\n1 fan-shift vizing-happy-fan 1,0 7:8 5:4\n"
+        "2 fan-shift vizing-happy-fan 2,0 5:4 3:0\n0 3\n1 1\n2 2\n", ""),
+    "oracle-reports-infeasible": ("oracle tight.txt", 0, "no coloring\n", ""),
+    "oracle-needs-lists-or-mode": ("oracle tri.txt", 2, "",
+                                   "error: instance has no lists; pass --mode to derive them\n"),
+    "oracle-past-its-limit-exits-two": (
+        "oracle path.txt --mode vizing", 2, "",
+        "error: instance has 12 edges, exhaustive search capped at 10\n"),
+    "gen-rejects-negative-edge-count": ("gen -n 5 --max-degree 2 --edges -3", 2, "",
+                                        "error: counts and caps must be nonnegative\n"),
+}
 
 
-def test_verify_rejects_incomplete(tmp_path, capsys):
-    inst = write(tmp_path, "tri.txt", TRIANGLE)
-    bad = write(tmp_path, "partial.txt", "0 1\n1 -\n2 2\n")
-    code, out, err = run(capsys, "verify", inst, bad, "--mode", "vizing")
-    assert code == 1
-    assert "incomplete" in err
+@pytest.mark.parametrize("row", list(ONE_COMMAND))
+def test_one_command(tmp_path, capsys, monkeypatch, row):
+    argv, code, out, err = ONE_COMMAND[row]
+    monkeypatch.chdir(tmp_path)
+    for name, text in FILES.items():
+        (tmp_path / name).write_text(text)
+    assert run(capsys, *argv.split()) == (code, out, err)
 
 
 def test_verify_prints_one_line_per_finding(tmp_path, capsys):
@@ -83,55 +135,6 @@ def test_verify_prints_one_line_per_finding(tmp_path, capsys):
     )
 
 
-def test_empty_coloring_file_is_reported_at_line_one(tmp_path, capsys):
-    inst = write(tmp_path, "tri.txt", TRIANGLE)
-    empty = write(tmp_path, "empty.col", "")
-    code, out, err = run(capsys, "verify", inst, empty, "--mode", "vizing")
-    assert code == 2
-    assert "line 1:" in err
-
-
-def test_explicit_mode_flow(tmp_path, capsys):
-    inst = write(tmp_path, "p.txt", PATH2)
-    code, out, err = run(
-        capsys, "color", inst, "--mode", "explicit", "--assume-bound", "koenig"
-    )
-    assert code == 0
-    colors = lio.parse_coloring(out, 2)
-    assert None not in colors
-
-
-def test_explicit_needs_assume_bound(tmp_path, capsys):
-    inst = write(tmp_path, "p.txt", PATH2)
-    code, _, err = run(capsys, "color", inst, "--mode", "explicit")
-    assert code == 2
-
-
-def test_assume_bound_refused_outside_explicit_mode(tmp_path, capsys):
-    inst = write(tmp_path, "tri.txt", TRIANGLE)
-    code, out, err = run(capsys, "color", inst, "--mode", "vizing", "--assume-bound", "shannon")
-    assert code == 2 and out == ""
-    assert "--assume-bound applies only to --mode explicit" in err
-
-
-def test_bound_mode_rejects_explicit_instance(tmp_path, capsys):
-    inst = write(tmp_path, "p.txt", PATH2)
-    code, _, err = run(capsys, "color", inst, "--mode", "vizing")
-    assert code == 2
-
-
-def test_koenig_on_triangle_exits_one(tmp_path, capsys):
-    inst = write(tmp_path, "tri.txt", TRIANGLE)
-    code, _, err = run(capsys, "color", inst, "--mode", "koenig")
-    assert code == 1
-
-
-def test_parse_error_exits_two(tmp_path, capsys):
-    inst = write(tmp_path, "bad.txt", "garbage\n")
-    code, _, err = run(capsys, "color", inst, "--mode", "vizing")
-    assert code == 2
-
-
 @pytest.mark.parametrize("data, code, out, err", [
     # numbers are plain ASCII decimals: int() alone would read 1_0 as 10
     (b"p edge 11 1\ne 0 1_0\n", 2, "", "error: line 2: numbers must be plain ASCII decimals\n"),
@@ -145,14 +148,6 @@ def test_parse_error_exits_two(tmp_path, capsys):
 def test_color_reads_stdin_by_the_grammar(capsys, monkeypatch, data, code, out, err):
     stdin_bytes(monkeypatch, data)
     assert run(capsys, "color", "-", "--mode", "vizing") == (code, out, err)
-
-
-def test_insufficient_explicit_lists_exit_one(tmp_path, capsys):
-    inst = write(tmp_path, "weak.txt", "p edge 2 1\ne 0 1 1\n")
-    code, _, err = run(
-        capsys, "color", inst, "--mode", "explicit", "--assume-bound", "vizing"
-    )
-    assert code == 1
 
 
 @pytest.mark.parametrize("error", [
@@ -204,16 +199,6 @@ def test_oracle_agrees_with_color(tmp_path, capsys):
     assert not lc.check_edge_colors(g, L, colors)
 
 
-def test_oracle_reports_infeasible(tmp_path, capsys):
-    inst = write(
-        tmp_path, "tight.txt",
-        "p edge 3 3\ne 0 1 1 2\ne 1 2 1 2\ne 0 2 1 2\n",
-    )
-    code, out, _ = run(capsys, "oracle", inst)
-    assert code == 0
-    assert "no coloring" in out
-
-
 def test_oracle_without_a_coloring_empties_the_output(tmp_path, capsys):
     # -o opens before the search, so a stale coloring there cannot survive
     # to be verified later
@@ -224,14 +209,6 @@ def test_oracle_without_a_coloring_empties_the_output(tmp_path, capsys):
     assert code == 0
     assert "no coloring" in out
     assert colf.read_text() == ""
-
-
-def test_oracle_past_its_limit_exits_two(tmp_path, capsys):
-    path = "".join(f"e {i} {i + 1}\n" for i in range(12))
-    inst = write(tmp_path, "path.txt", f"p edge 13 12\n{path}")
-    code, out, err = run(capsys, "oracle", inst, "--mode", "vizing")
-    assert (code, out) == (2, "")
-    assert err == "error: instance has 12 edges, exhaustive search capped at 10\n"
 
 
 def test_oracle_unwritable_output_exits_two_before_the_search(tmp_path, capsys, monkeypatch):
@@ -288,13 +265,6 @@ def test_gen_writes_parseable_instance(tmp_path, capsys):
     assert code == 0
     g, L = lio.parse_instance(Path(out_path).read_text())
     assert g.n == 8 and L is None
-
-
-def test_gen_rejects_negative_edge_count(capsys):
-    code, out, err = run(capsys, "gen", "-n", "5", "--max-degree", "2", "--edges", "-3")
-    assert code == 2
-    assert out == ""
-    assert "nonnegative" in err
 
 
 def run_capped(argv, limit=1500 * 2**20):
@@ -468,8 +438,6 @@ def test_trace_and_output_must_differ(tmp_path, capsys):
     )
     assert code == 2 and out == "" and not same.exists()
     assert "--trace and -o name the same file" in err
-    code, out, _ = run(capsys, "color", inst, "--mode", "vizing", "--trace", "-", "-o", "-")
-    assert code == 0 and len(out.splitlines()) == 6  # three trace lines, three colors
 
 
 @pytest.mark.parametrize("spelling", ["dot-slash", "symlink", "hard-link"])

@@ -131,9 +131,8 @@ def masks_answer_as_sets_do(instance, seed, steps):
             colored = [e for e, c in enumerate(phi.color) if c is not None]
             phi.unassign(rng.choice(colored))
         else:
-            chain = random_chain(g, rng, phi.color)
             try:
-                phi.apply_chain_shift(phi.check_shift(chain.edges))
+                phi.apply_chain_shift(phi.check_shift(random_chain(g, rng, phi.color)))
             except NotShiftableError:
                 continue
         check_against_sets(phi)

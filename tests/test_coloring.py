@@ -5,7 +5,7 @@ import pytest
 
 import listcolor as lc
 from listcolor import coloring
-from listcolor.chain import Chain, alternating_path
+from listcolor.chain import alternating_path
 from listcolor.coloring import Shift
 from listcolor.errors import COLOR_CLASH, NotShiftableError, PreconditionViolatedError
 from listcolor.shannon import shannon_fan
@@ -234,7 +234,7 @@ def test_cache_coherence_under_shift_churn(rng):
             else:
                 before = phi.blanks
                 try:
-                    phi.apply_chain_shift(phi.check_shift(random_chain(g, r, phi.color).edges))
+                    phi.apply_chain_shift(phi.check_shift(random_chain(g, r, phi.color)))
                 except NotShiftableError:
                     continue
                 assert phi.blanks == before
@@ -350,7 +350,7 @@ def test_check_shift_refuses_empty_and_repeating_chains():
         rng = random.Random(g.m)
         before = live_state(phi)
         for _ in range(10):
-            edges = list(random_chain(g, rng, phi.color).edges)
+            edges = list(random_chain(g, rng, phi.color))
             edges.insert(rng.randint(0, len(edges)), rng.choice(edges))
             with pytest.raises(PreconditionViolatedError):
                 phi.check_shift(edges)
@@ -381,8 +381,9 @@ def test_check_shift_refuses_a_blank_edge_after_the_start():
 
 
 def chains_to_check(g, phi, rng):
-    """Chains of every shape a shift check must answer or refuse, each with
-    its kind: vizing fans and their prefixes, shannon fans, prefixes of
+    """Chains of every shape a shift check must answer or refuse, as
+    ``(kind, edges, leaves)``, where only a vizing fan has leaves: vizing
+    fans and their prefixes, shannon fans, prefixes of
     alternating paths; the empty chain and each edge alone; random chains
     that may start colored or hold later blanks, long enough to come back
     to a vertex, and those chains with an edge repeated, the start edge
@@ -392,10 +393,10 @@ def chains_to_check(g, phi, rng):
     for e in blank_edges(phi):
         for x in g.endpoints[e]:
             fan, _, j = vizing_fan(phi, e, x)
-            yield "vizing fan", fan
-            yield "vizing fan", fan.prefix(j)
+            yield "vizing fan", fan.edges, fan.vertices[1:]
+            yield "vizing fan", fan.edges[:j], fan.vertices[1:j + 1]
         try:
-            yield "shannon fan", shannon_fan(phi, e)
+            yield "shannon fan", shannon_fan(phi, e).edges, ()
         except PreconditionViolatedError as exc:
             assert str(exc).startswith("no available color at vertex ")
         u, v = g.endpoints[e]
@@ -406,21 +407,20 @@ def chains_to_check(g, phi, rng):
                 except PreconditionViolatedError:
                     continue
                 for j in range(1, len(path.edges) + 1):
-                    yield "path", path.prefix(j)
-    yield "bare", Chain(())
+                    yield "path", path.edges[:j], ()
+    yield "bare", (), ()
     for e in range(g.m):
-        yield "bare", Chain((e,))
+        yield "bare", (e,), ()
     for _ in range(40):
-        edges = random_chain(g, rng, phi.color, max_len=10,
-                             later_blanks=rng.random() < 0.3).edges
+        edges = random_chain(g, rng, phi.color, max_len=10, later_blanks=rng.random() < 0.3)
         i = rng.randrange(len(edges))
         for bare in (edges, edges + edges[:1], edges[:i] + (rng.choice(edges),) + edges[i:]):
-            yield "bare", Chain(bare)
+            yield "bare", bare, ()
     for x in range(g.n):
         inc = g.incidence[x]
         for _ in range(4 if inc else 0):
             edges = tuple(rng.sample(inc, rng.randint(1, len(inc))))
-            yield "pivot", Chain(edges, (x, *(g.other_end(f, x) for f in edges)))
+            yield "pivot", edges, ()
 
 
 def chain_shapes(g, phi, edges):
@@ -453,8 +453,7 @@ def test_check_shift_answers_as_the_three_pass_reference(wide, monkeypatch):
         rng = random.Random(g.m * 5 + g.n)
         before = live_state(phi)
         used = recompute_used(g, phi.color)
-        for kind, chain in chains_to_check(g, phi, rng):
-            edges = chain.edges
+        for kind, edges, leaves in chains_to_check(g, phi, rng):
             expected = reference_shift(g, L, phi.color, edges)
             shift = shift_answer(phi, edges)
             assert live_state(phi) == before
@@ -467,7 +466,7 @@ def test_check_shift_answers_as_the_three_pass_reference(wide, monkeypatch):
                     fans += 1
                     outside += any(
                         phi.color[f] is not None and phi.color[f] not in L.common[z]
-                        for f, z in zip(edges, chain.vertices[1:])
+                        for f, z in zip(edges, leaves)
                     )
                 continue
             assert shift == expected, edges
@@ -492,8 +491,7 @@ def test_one_pass_commit_matches_edge_by_edge_replay():
     committed = parallel = 0
     for g, L, phi in random_vizing_partials(60):
         rng = random.Random(g.m * 5 + g.n)
-        for _, chain in chains_to_check(g, phi, rng):
-            edges = chain.edges
+        for _, edges, _ in chains_to_check(g, phi, rng):
             expected = reference_shift(g, L, phi.color, edges)
             if not isinstance(expected, list):
                 continue

@@ -6,7 +6,7 @@ import pytest
 import listcolor as lc
 from listcolor import coloring, engine
 from listcolor.bipartite import koenig_path
-from listcolor.chain import Chain, alternating_path
+from listcolor.chain import alternating_path
 from listcolor.engine import augment_once
 from listcolor.errors import (
     BoundViolationError,
@@ -21,7 +21,7 @@ from listcolor.vizing import vizing_fan
 
 from conftest import (
     Miscounted,
-    ShiftLog,
+    StepLog,
     adversarial_lists,
     blank_edges,
     check_certificate,
@@ -123,10 +123,6 @@ MISUSE = {
     "vizing_fan-foreign-pivot": (lambda phi: vizing_fan(phi, 1, 0),
                                  PreconditionViolatedError,
                                  "pivot 0 is not an endpoint of edge 1"),
-    "prefix-0": (lambda phi: Chain((0, 1)).prefix(0),
-                 ValueError, "prefix length 0 out of range"),
-    "prefix-past-the-end": (lambda phi: Chain((0, 1)).prefix(3),
-                            ValueError, "prefix length 3 out of range"),
     "color_graph-unknown-mode": (
         lambda phi: lc.color_graph(phi.g, phi.lists, "greedy"), ValueError,
         "mode must be one of ('shannon', 'vizing', 'koenig', 'explicit'), got 'greedy'"),
@@ -209,16 +205,6 @@ def test_public_calls_refuse_misuse(case):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call(phi)
     assert (list(phi.color), phi.potential(), phi.stamp) == before
-
-
-def test_potential_strictly_decreases_every_step():
-    for seed in range(40):
-        rng = random.Random(seed)
-        g = lc.generate_random(12, 6, 3, seed=seed, edges=rng.randint(4, 24))
-        L = lc.generate_from_bounds(g, "vizing")
-        records = []
-        phi, stats = lc.color_graph(g, L, "vizing", trace=records.append)
-        check_certificate(g, L, records, stats, phi.color)
 
 
 def test_step_budget_formula():
@@ -324,20 +310,6 @@ def test_intermediate_colorings_stay_proper():
         assert phi.verify() == []
 
 
-def test_trace_records_consistent():
-    g = lc.generate_random(10, 6, 3, seed=8, edges=20)
-    L = lc.generate_from_bounds(g, "vizing")
-    records = []
-    phi, stats = lc.color_graph(g, L, "vizing", trace=records.append)
-    assert records, "expected at least one trace record"
-    kinds = {"happy-edge", "fan-shift", "path-shift-happy", "path-shift-content"}
-    for rec in records:
-        assert rec.kind in kinds
-        assert rec.branch.startswith("vizing-")
-        assert rec.chain
-    check_certificate(g, L, records, stats, phi.color)
-
-
 @pytest.mark.parametrize("mode, specs, line, stats", [
     # vizing's fan is the blank edge alone (j = 1): a happy-fan step
     ("vizing", [(0, 1, None, AB), (1, 2, 1, AB)],
@@ -351,12 +323,12 @@ def test_one_edge_chain_is_colored_without_a_shift(mode, specs, line, stats,
     # a one-edge chain moves no color: the step neither checks nor commits
     # a shift, yet keeps its trace record and counters
     g, L, phi = setup_partial(3, specs)
-    log = ShiftLog(monkeypatch)
+    log = StepLog(monkeypatch)
     records, run = [], lc.RunStats()
     assert engine.augment_once(phi, 0, mode, run, trace=records.append) is None
     assert [lc.io.format_trace_record(r) for r in records] == [line]
     assert run == stats
-    assert log.steps == [([], [])]
+    assert [(s.checked, s.committed) for s in log.steps] == [([], [])]
     assert phi.color[0] == 2 - (mode == "koenig") and phi.verify() == []
 
 
@@ -389,6 +361,21 @@ def test_tracing_changes_nothing(mode, monkeypatch):
     assert phi.color == plain.color
 
 
+def stats_instances(mode, assume):
+    """(g, L): 40 random shapes under bound lists, or adversarial ones when
+    ``assume`` is set; vizing adds 41 with Delta 6 and mu 3."""
+    for seed in range(40):
+        rng = random.Random(seed)
+        g = lc.generate_random(rng.randint(3, 10), rng.randint(2, 10), rng.randint(1, 5),
+                               bipartite=mode == "koenig", seed=seed,
+                               edges=rng.randint(2, 30))
+        yield g, adversarial_lists(g, assume, rng) if assume else lc.generate_from_bounds(g, mode)
+    shapes = [(12, s, random.Random(s).randint(4, 24)) for s in range(40)] + [(10, 8, 20)]
+    for n, seed, m in shapes if mode == "vizing" else ():
+        g = lc.generate_random(n, 6, 3, seed=seed, edges=m)
+        yield g, lc.generate_from_bounds(g, mode)
+
+
 @pytest.mark.parametrize("mode, assume", [
     ("shannon", None), ("vizing", None), ("koenig", None),
     ("explicit", "shannon"), ("explicit", "vizing"),
@@ -397,15 +384,11 @@ def test_run_stats_match_the_trace(mode, assume):
     # every RunStats counter, recomputed from the trace records alone; the
     # vizing runs, explicit ones included, reach psi steps (-setup records)
     setup = 0
-    for seed in range(40):
-        rng = random.Random(seed)
-        g = lc.generate_random(rng.randint(3, 10), rng.randint(2, 10), rng.randint(1, 5),
-                               bipartite=mode == "koenig", seed=seed,
-                               edges=rng.randint(2, 30))
-        L = adversarial_lists(g, assume, rng) if assume else lc.generate_from_bounds(g, mode)
+    for g, L in stats_instances(mode, assume):
         records = []
         phi, stats = lc.color_graph(g, L, mode, assume_bound=assume, trace=records.append)
         check_certificate(g, L, records, stats, phi.color)
+        assert all(r.branch.startswith(f"{assume or mode}-") for r in records)
         setup += sum(r.branch.endswith("-setup") for r in records)
     assert setup > 0 or "vizing" not in (mode, assume)
 
@@ -521,7 +504,7 @@ def test_each_shift_is_checked_once(mode, assume, monkeypatch):
     # committed); random shannon runs take the happy-edge branch, and
     # test_shannon covers its deeper cases; koenig checks only the path
     # prefixes resolve_path commits
-    log = ShiftLog(monkeypatch)
+    log = StepLog(monkeypatch)
     branch = {}  # step index in the log -> the branch of its last record
     bound = assume or mode
     for seed in range(600):
@@ -535,14 +518,13 @@ def test_each_shift_is_checked_once(mode, assume, monkeypatch):
             L = lc.generate_from_bounds(g, mode)
         lc.color_graph(g, L, mode, assume_bound=assume,
                        trace=lambda r: branch.__setitem__(len(log.steps) - 1, r.branch))
-    passed_over = log.passed_over()
+    passed_over = [len(s.checked) - len(s.committed) for s in log.steps]
     for i in (i for i, n in enumerate(passed_over) if n):
         assert passed_over[i] == 1
         assert branch[i] in (f"{bound}-content-fan-prefix", f"{bound}-path-psi-full",
                              f"{bound}-path-psi-prefix")
-    assert log.checks == log.commits + sum(passed_over)
     if bound != "shannon":
-        assert log.commits > 1000
+        assert sum(len(s.committed) for s in log.steps) > 1000
     if bound == "vizing":
         assert sum(passed_over) > 20
 

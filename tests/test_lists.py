@@ -105,6 +105,7 @@ def test_every_bound_entry_point_rejects_an_unknown_mode():
     L = lc.ListAssignment(g, [frozenset({1})])
     calls = (
         lambda: lc.check_bound(g, L, "nope"),
+        lambda: lc.check_bound(g, L, ["vizing"]),
         lambda: lc.generate_from_bounds(g, "nope"),
     )
     for call in calls:

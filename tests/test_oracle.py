@@ -3,8 +3,6 @@ import pytest
 import listcolor as lc
 from listcolor.errors import InputError
 
-from conftest import oracle_bound_instances, oracle_cross_check, oracle_list_instances
-
 
 def test_triangle_two_colors_infeasible():
     g = lc.Multigraph(3, [(0, 1), (1, 2), (0, 2)])
@@ -41,13 +39,3 @@ def test_oracle_deterministic():
     L = lc.generate_from_bounds(g, "koenig")
     assert lc.exhaustive_color(g, L) == lc.exhaustive_color(g, L)
 
-
-def test_agreement_with_engine_on_bound_instances():
-    agree, feasible, _ = oracle_cross_check(oracle_bound_instances(), ())
-    assert agree == feasible == 120
-
-
-def test_absence_implies_bound_failure():
-    # wherever the oracle finds nothing, no mode's bound held
-    _, _, absent = oracle_cross_check((), oracle_list_instances())
-    assert absent > 5

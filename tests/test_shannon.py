@@ -8,7 +8,7 @@ from listcolor.chain import resolve_path
 from listcolor.shannon import classify_shannon, shannon_fan
 
 from conftest import (
-    ShiftLog,
+    StepLog,
     blank_edges,
     check_certificate,
     live_state,
@@ -168,7 +168,7 @@ def test_classify_final_path_under_current_coloring():
     assert path == reference_path(g, L, phi.color, 0, 1, 5)
     assert path.edges == (0, 4)
     assert path.vertices[0] != path.vertices[-1]
-    assert resolve_path(phi, path) == path  # happy: the whole path
+    assert resolve_path(phi, path) == path.edges  # happy: the whole path
     assert phi.color[path.edges[-1]] is not None
     assert phi.verify() == []
 
@@ -193,7 +193,7 @@ def test_classify_final_path_under_shifted_coloring():
     a, _ = phi.potential()
     phi.apply_chain_shift(shift)
     assert phi.potential()[0] == a
-    assert resolve_path(phi, path) == path  # happy: the whole path
+    assert resolve_path(phi, path) == path.edges  # happy: the whole path
     assert phi.color[path.edges[-1]] is not None
     assert phi.verify() == []
     assert phi.blanks == 0
@@ -245,11 +245,11 @@ def test_deep_cases_check_each_shift_once(make, branch, commits, monkeypatch):
     # or by resolve_path, and committed without a second check; the step's
     # counters match its trace records
     g, L, phi = make()
-    log = ShiftLog(monkeypatch)
+    log = StepLog(monkeypatch)
     records, stats, start = [], lc.RunStats(), list(phi.color)
     engine.augment_once(phi, 0, "shannon", stats, trace=records.append)
     assert records[-1].branch == f"shannon-{branch}"
-    assert log.checks == log.commits == commits
+    assert [(len(s.checked), len(s.committed)) for s in log.steps] == [(commits, commits)]
     check_certificate(g, L, records, stats, phi.color, start)
     assert phi.verify() == []
 
