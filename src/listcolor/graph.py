@@ -103,19 +103,25 @@ class Multigraph:
         """
         if self._bipartition is not _UNKNOWN:
             return self._bipartition
+        endpoints, incidence = self.endpoints, self.incidence
         side = [-1] * self.n
-        for root in range(self.n):
+        for root, inc in enumerate(incidence):
             if side[root] != -1:
                 continue
             side[root] = 0
+            if not inc:  # nothing to walk from a vertex without edges
+                continue
             queue = deque([root])
             while queue:
                 x = queue.popleft()
-                for e in self.incidence[x]:
-                    y = self.other_end(e, x)
+                sy = 1 - side[x]
+                for e in incidence[x]:
+                    u, y = endpoints[e]
+                    if y == x:
+                        y = u
                     if side[y] == -1:
-                        side[y] = 1 - side[x]
+                        side[y] = sy
                         queue.append(y)
-        ok = all(side[u] != side[v] for u, v in self.endpoints)
+        ok = all(side[u] != side[v] for u, v in endpoints)
         self._bipartition = side if ok else None
         return self._bipartition

@@ -26,6 +26,8 @@ _RULES = {
     "koenig": lambda d, mu: d,
 }
 BOUND_MODES = tuple(_RULES)
+_INT = frozenset((int,))  # the type of a color: a bool is refused, not read as 0 or 1
+_EMPTY = frozenset()  # the common set of every vertex without edges
 
 
 def _check_mode(g: Multigraph, mode: str) -> None:
@@ -44,7 +46,12 @@ def _bounds(g: Multigraph, mode: str) -> list[int]:
 
 
 class ListAssignment:
-    """Immutable per-edge color sets plus cached per-vertex common sets."""
+    """Immutable per-edge color sets plus cached per-vertex common sets.
+
+    Vertices with equal common sets share one frozenset, and a vertex
+    without edges costs no set of its own: every such vertex holds the same
+    empty frozenset.
+    """
 
     __slots__ = ("lists", "common")
 
@@ -57,18 +64,19 @@ class ListAssignment:
             if id(s) in checked:
                 continue
             checked.add(id(s))
-            for c in s:
-                if type(c) is not int or c < 1:  # bool is an int subclass
-                    raise ValueError(f"edge {e}: colors must be integers >= 1")
+            # type first, so min never compares an int with another type
+            if not _INT.issuperset(map(type, s)) or (s and min(s) < 1):
+                raise ValueError(f"edge {e}: colors must be integers >= 1")
         common = []
-        for x in range(g.n):
-            inc = g.incidence[x]
+        seen = {_EMPTY: _EMPTY}  # each distinct common set, kept once
+        for inc in g.incidence:
             if not inc:
-                common.append(frozenset())
+                common.append(_EMPTY)
                 continue
             # edges sharing one list object intersect it once
             distinct = {id(lists[e]): lists[e] for e in inc}.values()
-            common.append(frozenset.intersection(*distinct))
+            s = frozenset.intersection(*distinct)
+            common.append(seen.setdefault(s, s))
         self.lists = tuple(lists)
         self.common = tuple(common)
 

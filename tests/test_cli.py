@@ -340,6 +340,20 @@ def test_huge_colors_color_in_bounded_memory(tmp_path):
     assert proc.stdout == "0 2\n1 1\n"
 
 
+@pytest.mark.parametrize("edge, argv", [
+    ("e 0 1", ["--mode", "vizing"]),
+    ("e 0 1", ["--mode", "koenig"]),
+    ("e 0 1 1 2", ["--mode", "explicit", "--assume-bound", "vizing"]),
+])
+def test_one_edge_at_the_vertex_cap_colors_in_350_mib(tmp_path, edge, argv):
+    # the isolated vertices share one empty common set, so the run stays
+    # well under the address space that a frozenset per vertex needs
+    inst = write(tmp_path, "cap.txt", f"p edge {lio.MAX_VERTICES} 1\n{edge}\n")
+    proc = run_capped(["color", inst, *argv], limit=350 * 2**20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 1\n"
+
+
 def test_gen_with_lists_then_color(tmp_path, capsys):
     out_path = str(tmp_path / "gen.txt")
     colf = str(tmp_path / "col.txt")

@@ -71,10 +71,9 @@ def test_bipartition_digon():
 
 
 def test_bipartition_disconnected():
-    g = lc.Multigraph(5, [(0, 1), (3, 4)])
-    side = g.bipartition()
-    assert side is not None
-    assert side[0] != side[1] and side[3] != side[4]
+    g = lc.Multigraph(6, [(1, 0), (3, 4), (5, 4)])
+    # each component's lowest vertex is on side 0, and so is isolated 2
+    assert g.bipartition() == [0, 1, 0, 0, 1, 0]
 
 
 def test_random_graph_invariants():

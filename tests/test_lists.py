@@ -35,10 +35,37 @@ def test_common_sets_alike_from_shared_and_distinct_list_objects():
     assert lc.ListAssignment(g, shared).common == lc.ListAssignment(g, copies).common
 
 
+def test_equal_common_sets_share_one_frozenset():
+    # isolated vertices, empty intersections, list objects shared by
+    # several edges, and equal lists that are distinct objects
+    rng = random.Random(11)
+    for seed in range(20):
+        g = lc.generate_random(30, 4, 2, seed=seed, edges=25)
+        pool = [frozenset(rng.sample(range(1, 7), 3)) for _ in range(3)]
+        lists = [frozenset(set(rng.choice(pool))) if rng.random() < 0.5 else rng.choice(pool)
+                 for _ in range(g.m)]
+        L = lc.ListAssignment(g, lists)
+        assert any(not es for es in g.incidence)
+        by_value = {}
+        for x, es in enumerate(g.incidence):
+            expected = frozenset.intersection(*(lists[e] for e in es)) if es else frozenset()
+            assert L.common[x] == expected
+            assert by_value.setdefault(expected, L.common[x]) is L.common[x]
+        assert len({id(s) for s in L.common}) == len(by_value)
+
+
+def test_generate_from_bounds_holds_one_common_set_per_value():
+    # bound-mode common sets follow degree and multiplicity: few values
+    g = lc.generate_random(200, 8, 1, seed=4)
+    L = lc.generate_from_bounds(g, "vizing")
+    assert len({id(s) for s in L.common}) == len(set(L.common)) < g.n // 10
+
+
 def test_common_colors_isolated_empty():
     g = lc.Multigraph(2, [])
     L = lc.ListAssignment(g, [])
     assert L.common[0] == frozenset()
+    assert L.common[0] is L.common[1]
 
 
 def test_common_subset_of_incident_lists():
