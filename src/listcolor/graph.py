@@ -18,8 +18,9 @@ _UNKNOWN = object()  # the bipartition before its first search
 class Multigraph:
     """An undirected loopless multigraph on vertices ``0..n-1``.
 
-    ``endpoints[e]`` is the (u, v) pair of edge ``e`` in input order and
-    ``incidence[x]`` lists the edge ids incident to ``x``.
+    ``endpoints[e]`` is the (u, v) pair of edge ``e`` in input order, the
+    caller's own object when it passed a tuple, and ``incidence[x]`` lists
+    the edge ids incident to ``x``.
     """
 
     __slots__ = (
@@ -53,10 +54,12 @@ class Multigraph:
                     raise InputError(f"vertex {w} out of range [0, {n})")
             if u == v:
                 raise InputError(f"loop edge at vertex {u}")
-            endpoints.append((u, v))
+            if type(pair) is not tuple:  # keep the caller's own tuple
+                pair = (u, v)
+            endpoints.append(pair)
             incidence[u].append(e)
             incidence[v].append(e)
-            key = (u, v) if u < v else (v, u)
+            key = pair if u < v else (v, u)
             pair_mult[key] = pair_mult.get(key, 0) + 1
         self.m = len(endpoints)
         self.endpoints = tuple(endpoints)

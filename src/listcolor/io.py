@@ -7,8 +7,9 @@ Instance format (text, DIMACS-flavored):
 
 Vertices are 0-based; the optional trailing integers are the edge's color
 list.  Either every edge line carries a list (explicit instance) or none
-does (bound-mode instance).  Lines starting with ``c`` are comments.  The
-writer is canonical (lists ascending, one space between tokens), so
+does (bound-mode instance); a mix is refused at the first edge line that
+differs from the first edge line.  Lines starting with ``c`` are comments.
+The writer is canonical (lists ascending, one space between tokens), so
 write-then-parse round-trips byte-identically; it refuses an empty list,
 which an edge line cannot express, with ValueError.
 
@@ -18,6 +19,10 @@ are ASCII decimals.  In both formats a line ends at a newline (``\n``)
 alone: other ASCII whitespace, ``\r`` included, only separates tokens,
 non-ASCII whitespace such as U+00A0 is refused outside a comment, and a
 comment is free text.
+
+The instance parser converts each distinct number token to an int once, so
+vertex ids and colours hold one object per value, and it frees the file's
+lines before it builds the graph and the lists.
 
 Trace format: one line per record, space-separated fields in fixed order:
 ``<step> <kind> <branch> <edge,edge,...> <A>:<D> <A>:<D>`` (potential
@@ -67,16 +72,30 @@ def _lines(text: str) -> list[str]:
     return lines
 
 
-def parse_instance(text: str) -> tuple[Multigraph, Optional[ListAssignment]]:
-    """Graph and, for an explicit instance, its lists.
+class _Ints(dict):
+    """Decimal token -> its int, each distinct token converted once, so that
+    every vertex id and colour of one value is one object.  CPython caches
+    only the ints -5..256, and a vertex id appears once per incident edge."""
 
-    Each distinct list text is converted and checked once; every edge line
-    that carries the same text shares one frozenset.
-    """
+    __slots__ = ()
+
+    def __missing__(self, token: str) -> int:
+        value = self[token] = int(token)  # a ValueError stores nothing
+        return value
+
+
+def _read_edges(
+    text: str,
+) -> tuple[int, list[tuple[int, int]], Optional[list[frozenset[int]]]]:
+    """``(n, edges, lists)`` of an instance file, with ``lists`` None when
+    its edge lines carry none.  The lines, the list texts and the token
+    table die with this call, before the caller builds anything on them."""
     n = m = None
     line_no = 0
     edges: list[tuple[int, int]] = []
     lists: list[frozenset[int]] = []
+    explicit = False  # the first edge line carries a list
+    ints = _Ints()
     shared: dict[str, frozenset[int]] = {}  # list text -> its checked set
     for line_no, raw in enumerate(_lines(text), start=1):
         parts = raw.split(None, 3)  # kind, u, v and the raw list text
@@ -112,10 +131,10 @@ def parse_instance(text: str) -> tuple[Multigraph, Optional[ListAssignment]]:
             tail = parts[3] if len(parts) == 4 else ""
             colors = shared.get(tail)
             try:
-                u, v = int(parts[1]), int(parts[2])
+                u, v = ints[parts[1]], ints[parts[2]]
                 fresh = colors is None
                 if fresh:
-                    colors = frozenset(map(int, tail.split()))
+                    colors = frozenset(map(ints.__getitem__, tail.split()))
             except ValueError:
                 raise ParseError(line_no, "non-integer token on edge line")
             if not (0 <= u < n and 0 <= v < n):
@@ -126,8 +145,14 @@ def parse_instance(text: str) -> tuple[Multigraph, Optional[ListAssignment]]:
                 if colors and min(colors) < 1:
                     raise ParseError(line_no, "colors must be positive integers")
                 shared[tail] = colors  # only a checked text is shared
+            if not edges:
+                explicit = bool(colors)
+            elif explicit != bool(colors):
+                which = "with" if colors else "without"
+                raise ParseError(line_no, f"edge line {which} a list, unlike the first edge line")
             edges.append((u, v))
-            lists.append(colors)
+            if explicit:
+                lists.append(colors)
         else:
             raise ParseError(line_no, f"unknown line type {parts[0]!r}")
     if n is None:
@@ -135,14 +160,21 @@ def parse_instance(text: str) -> tuple[Multigraph, Optional[ListAssignment]]:
     if len(edges) != m:
         raise ParseError(line_no if edges or m else 1,
                          f"header promises {m} edges, found {len(edges)}")
-    without_lists = lists.count(frozenset())
-    with_lists = m - without_lists
-    if with_lists and without_lists:
-        raise InputError(f"{with_lists} edges carry lists, {without_lists} do not")
+    return n, edges, lists if explicit else None
+
+
+def parse_instance(text: str) -> tuple[Multigraph, Optional[ListAssignment]]:
+    """Graph and, for an explicit instance, its lists.
+
+    Each distinct decimal token is converted to an int once, so the graph
+    and the lists hold one int object per value.  Each distinct list text
+    is converted and checked once; every edge line that carries the same
+    text shares one frozenset.  The lines and the list texts are freed
+    before the graph and the lists are built.
+    """
+    n, edges, lists = _read_edges(text)
     g = Multigraph(n, edges)
-    if with_lists:
-        return g, ListAssignment(g, lists)
-    return g, None
+    return g, None if lists is None else ListAssignment(g, lists)
 
 
 def write_instance(g: Multigraph, lists: Optional[ListAssignment] = None) -> str:

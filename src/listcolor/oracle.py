@@ -20,8 +20,11 @@ def exhaustive_color(
     g: Multigraph, lists: ListAssignment, limit: int = DEFAULT_LIMIT
 ) -> Optional[list[int]]:
     """Some proper list edge-coloring if one exists, else None.  Raises
-    ValueError if ``lists`` was built for a graph of another size."""
+    ValueError if ``lists`` was built for a graph of another size, and
+    InputError for a negative ``limit`` or more than ``limit`` edges."""
     check_sizes(g, lists)
+    if limit < 0:
+        raise InputError(f"exhaustive search limit {limit} is negative")
     if g.m > limit:
         raise InputError(f"instance has {g.m} edges, exhaustive search capped at {limit}")
     order = [sorted(lists.lists[e]) for e in range(g.m)]

@@ -65,6 +65,7 @@ FILES = {
     "weak.txt": "p edge 2 1\ne 0 1 1\n",
     "tight.txt": "p edge 3 3\ne 0 1 1 2\ne 1 2 1 2\ne 0 2 1 2\n",
     "path.txt": "p edge 13 12\n" + "".join(f"e {i} {i + 1}\n" for i in range(12)),
+    "e.txt": "p edge 2 0\n",
 }
 
 # row -> (argv, exit code, stdout, stderr)
@@ -107,6 +108,9 @@ ONE_COMMAND = {
     "oracle-past-its-limit-exits-two": (
         "oracle path.txt --mode vizing", 2, "",
         "error: instance has 12 edges, exhaustive search capped at 10\n"),
+    # a bad flag is named, not the instance that its cap would refuse
+    "oracle-refuses-a-negative-limit": ("oracle e.txt --mode vizing --limit -1", 2, "",
+                                        "error: exhaustive search limit -1 is negative\n"),
     "gen-rejects-negative-edge-count": ("gen -n 5 --max-degree 2 --edges -3", 2, "",
                                         "error: counts and caps must be nonnegative\n"),
 }
@@ -267,17 +271,17 @@ def test_gen_writes_parseable_instance(tmp_path, capsys):
     assert g.n == 8 and L is None
 
 
-def run_capped(argv, limit=1500 * 2**20):
+def run_capped(argv, limit=1500 * 2**20, cwd=None):
     """``listcolor argv`` in a child whose address space is capped at
     ``limit`` bytes, so a regression that allocates without bound fails
-    fast instead of taking the host."""
+    fast instead of taking the host; relative paths are under ``cwd``."""
     def limit_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     env = {**os.environ, "PYTHONPATH": str(Path(lc.__file__).parents[1])}
     return subprocess.run(
         [sys.executable, "-m", "listcolor.cli", *argv], capture_output=True,
-        text=True, env=env, timeout=60, preexec_fn=limit_address_space,
+        text=True, env=env, timeout=60, preexec_fn=limit_address_space, cwd=cwd,
     )
 
 
@@ -341,17 +345,21 @@ def test_huge_colors_color_in_bounded_memory(tmp_path):
 
 
 @pytest.mark.parametrize("edge, argv", [
-    ("e 0 1", ["--mode", "vizing"]),
-    ("e 0 1", ["--mode", "koenig"]),
-    ("e 0 1 1 2", ["--mode", "explicit", "--assume-bound", "vizing"]),
+    ("e 0 1", ["color", "cap.txt", "--mode", "vizing"]),
+    ("e 0 1", ["color", "cap.txt", "--mode", "koenig"]),
+    ("e 0 1 1 2", ["color", "cap.txt", "--mode", "explicit", "--assume-bound", "vizing"]),
+    ("e 0 1", ["verify", "cap.txt", "cap.col", "--mode", "vizing"]),
+    ("e 0 1 1 2", ["verify", "cap.txt", "cap.col"]),
 ])
 def test_one_edge_at_the_vertex_cap_colors_in_350_mib(tmp_path, edge, argv):
     # the isolated vertices share one empty common set, so the run stays
-    # well under the address space that a frozenset per vertex needs
-    inst = write(tmp_path, "cap.txt", f"p edge {lio.MAX_VERTICES} 1\n{edge}\n")
-    proc = run_capped(["color", inst, *argv], limit=350 * 2**20)
+    # well under the address space that a frozenset per vertex needs;
+    # verify parses the instance as color does, and checks the coloring
+    write(tmp_path, "cap.txt", f"p edge {lio.MAX_VERTICES} 1\n{edge}\n")
+    write(tmp_path, "cap.col", "0 1\n")
+    proc = run_capped(argv, limit=350 * 2**20, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0 1\n"
+    assert proc.stdout == ("0 1\n" if argv[0] == "color" else "ok: 1 edges properly colored\n")
 
 
 def test_gen_with_lists_then_color(tmp_path, capsys):

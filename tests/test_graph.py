@@ -52,6 +52,17 @@ def test_edge_order_is_identity():
     assert sorted(g.incidence[0]) == [0, 1, 3]
 
 
+def test_tuple_pairs_are_kept_and_other_pairs_stored_as_plain_tuples():
+    class Pair(tuple):
+        pass
+
+    pairs = [(0, 1), (1000, 2), [2, 0], Pair((0, 2)), iter((1, 0))]
+    g = lc.Multigraph(1001, pairs)
+    assert g.endpoints[0] is pairs[0] and g.endpoints[1] is pairs[1]
+    assert g.endpoints[2:] == ((2, 0), (0, 2), (1, 0))
+    assert {type(pair) for pair in g.endpoints} == {tuple}
+
+
 def test_bipartition_even_cycle():
     g = lc.Multigraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     side = g.bipartition()

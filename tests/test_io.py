@@ -27,9 +27,27 @@ def test_parse_bound_instance_has_no_lists():
 
 
 def test_mixed_lists_rejected():
-    text = "p edge 3 3\ne 0 1 1 2\ne 1 2\ne 0 2 1 2\n"
-    with pytest.raises(InputError, match="^2 edges carry lists, 1 do not$"):
-        lio.parse_instance(text)
+    # refused at the first edge line that differs from the first edge line,
+    # before a later line's own fault or the edge count is looked at
+    for text, line_no, which in [
+        ("p edge 3 3\ne 0 1 1 2\ne 1 2\ne 0 2 1 2\n", 3, "without"),
+        ("p edge 3 4\nc e 0 1 1\ne 0 1\n\ne 1 2\ne 0 2 1 2\ne 0 0 1\n", 6, "with"),
+    ]:
+        with pytest.raises(ParseError) as info:
+            lio.parse_instance(text)
+        assert (info.value.line_no, info.value.reason) == (
+            line_no, f"edge line {which} a list, unlike the first edge line")
+
+
+def test_equal_numbers_are_one_object():
+    # past CPython's cache of small ints, every vertex id and colour of one
+    # value is still one object, in the graph and the lists alike
+    text = "p edge 1000 3\ne 300 700 300 500\ne 700 999 500 600\ne 300 999 600 300\n"
+    g, L = lio.parse_instance(text)
+    first = {}
+    for number in [x for pair in g.endpoints for x in pair] + [c for s in L.lists for c in s]:
+        assert first.setdefault(number, number) is number
+    assert sorted(first) == [300, 500, 600, 700, 999]
 
 
 @pytest.mark.parametrize(
