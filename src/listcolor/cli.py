@@ -2,7 +2,8 @@
 
 Subcommands: color, verify, oracle, gen.  Exit codes: 0 success,
 1 bound violation or failed verification, 2 malformed input (non-UTF-8
-text included), input too large for memory or an infeasible request,
+text included), input too large for memory, an infeasible request or an
+output that cannot be written (named in the message, stdout as ``-``),
 3 a bug in this package, never the input: an internal assertion or any
 other package error, such as a misused shift or assignment.
 
@@ -50,16 +51,68 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}")
 
 
+def _drop(stream) -> None:
+    """Point this process's own stdout or stderr at the null device after a
+    write to it failed, so that the interpreter's flush at exit neither
+    fails again on the bytes still buffered nor turns the exit code into
+    120.  A stream that a caller put in their place is left to them."""
+    if stream is sys.__stdout__ or stream is sys.__stderr__:
+        with contextlib.suppress(OSError, ValueError):
+            fd = stream.fileno()
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, fd)
+            os.close(null)
+
+
+def _cannot_write(name: str, stream, exc: OSError) -> InputError:
+    """The error for a failed open, write or flush of the output ``name``;
+    ``stream`` is the stream that failed, if it is open."""
+    _drop(stream)
+    return InputError(f"cannot write {name}: {exc}")
+
+
+@contextlib.contextmanager
+def _naming(name: str, stream=None):
+    """An OSError inside becomes ``_cannot_write``'s InputError."""
+    try:
+        yield
+    except OSError as exc:
+        raise _cannot_write(name, stream, exc)
+
+
+def _say(line: str, err: bool = False) -> None:
+    """Print ``line`` on stdout (named ``-``), or on stderr for ``err``,
+    and flush it, so that a failure is reported here and named."""
+    stream, name = (sys.stderr, "stderr") if err else (sys.stdout, "-")
+    with _naming(name, stream):
+        print(line, file=stream, flush=True)
+
+
 @contextlib.contextmanager
 def _output(path):
-    """``path`` opened for writing (stdout for None or ``-``); opened on
-    entry, so a bad path fails before any work done inside."""
-    std = path is None or path == "-"
+    """A ``write(text)`` to ``path``, stdout for None or ``-``, opened on
+    entry, so a bad path fails before any work done inside.  Its open,
+    writes and final flush raise InputError naming this output alone,
+    stdout as ``-``; whatever else the body raises passes through."""
+    name = "-" if path is None else path
+    std = name == "-"
+    with _naming(name):
+        f = sys.stdout if std else open(path, "w")
+
+    def write(text: str) -> None:
+        try:
+            f.write(text)
+        except OSError as exc:
+            raise _cannot_write(name, f, exc)
+
     try:
-        with contextlib.nullcontext(sys.stdout) if std else open(path, "w") as f:
-            yield f
-    except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}")
+        yield write
+        with _naming(name, f):
+            f.flush()
+    finally:
+        if not std:
+            with contextlib.suppress(OSError):  # flushed above, or the body failed
+                f.close()
 
 
 def _refuse_shared_files(*named) -> None:
@@ -115,16 +168,16 @@ def cmd_color(args) -> int:
     # the trace opens first, then -o, both before the run: a bad path fails
     # before any work and leaves no coloring file behind a bad trace path
     with (
-        _output(args.trace) if args.trace else contextlib.nullcontext() as tf,
+        _output(args.trace) if args.trace else contextlib.nullcontext() as trace,
         _output(args.output) as out,
     ):
-        sink = tf and (lambda rec: tf.write(lio.format_trace_record(rec) + "\n"))
+        sink = trace and (lambda rec: trace(lio.format_trace_record(rec) + "\n"))
         phi, stats = color_graph(
             g, lists, args.mode, assume_bound=args.assume_bound, trace=sink
         )
-        out.write(lio.write_coloring(phi.color))
+        out(lio.write_coloring(phi.color))
     if args.stats:
-        print(json.dumps({"edges": g.m, **dataclasses.asdict(stats)}), file=sys.stderr)
+        _say(json.dumps({"edges": g.m, **dataclasses.asdict(stats)}), err=True)
     return EXIT_OK
 
 
@@ -135,12 +188,12 @@ def cmd_verify(args) -> int:
     findings = check_edge_colors(g, lists, colors)
     blanks = sum(1 for c in colors if c is None)
     for kind, detail in findings:
-        print(f"{kind}: {detail}", file=sys.stderr)
+        _say(f"{kind}: {detail}", err=True)
     if blanks:
-        print(f"incomplete: {blanks} edges blank", file=sys.stderr)
+        _say(f"incomplete: {blanks} edges blank", err=True)
     if findings or blanks:
         return EXIT_BOUND
-    print(f"ok: {g.m} edges properly colored")
+    _say(f"ok: {g.m} edges properly colored")
     return EXIT_OK
 
 
@@ -155,9 +208,9 @@ def cmd_oracle(args) -> int:
     with _output(args.output) as out:
         colors = exhaustive_color(g, lists, limit=args.limit)
         if colors is None:
-            print("no coloring")
+            _say("no coloring")
         else:
-            out.write(lio.write_coloring(colors))
+            out(lio.write_coloring(colors))
     return EXIT_OK
 
 
@@ -172,7 +225,7 @@ def cmd_gen(args) -> int:
     )
     lists = generate_from_bounds(g, args.lists) if args.lists else None
     with _output(args.output) as out:
-        out.write(lio.write_instance(g, lists))
+        out(lio.write_instance(g, lists))
     return EXIT_OK
 
 
@@ -226,26 +279,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report(code: int, message: str) -> int:
+    """Print ``message`` on stderr and return ``code``.  A stderr that
+    cannot take it is dropped: the exit code still says what went wrong."""
+    try:
+        print(message, file=sys.stderr, flush=True)
+    except OSError:
+        _drop(sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _report(EXIT_INPUT, f"error: {exc}")
     except MemoryError:
-        print("error: out of memory: the input is too large for this run", file=sys.stderr)
-        return EXIT_INPUT
+        return _report(EXIT_INPUT, "error: out of memory: the input is too large for this run")
     except (BoundViolationError, NotBipartiteError) as exc:
-        print(f"bound violation: {exc}", file=sys.stderr)
-        return EXIT_BOUND
+        return _report(EXIT_BOUND, f"bound violation: {exc}")
     except InternalAssertionError as exc:
-        print(f"internal assertion: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return _report(EXIT_INTERNAL, f"internal assertion: {exc}")
     except ListColorError as exc:
         # engine misuse (shift, assign, precondition) is a bug here too
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return _report(EXIT_INTERNAL, f"internal error: {type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":

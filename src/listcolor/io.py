@@ -21,8 +21,9 @@ non-ASCII whitespace such as U+00A0 is refused outside a comment, and a
 comment is free text.
 
 The instance parser converts each distinct number token to an int once, so
-vertex ids and colours hold one object per value, and it frees the file's
-lines before it builds the graph and the lists.
+vertex ids and colours hold one object per value, keeps each distinct list
+text's colours as one frozenset in the smaller of its two possible hash
+tables, and frees the file's lines before it builds the graph and the lists.
 
 Trace format: one line per record, space-separated fields in fixed order:
 ``<step> <kind> <branch> <edge,edge,...> <A>:<D> <A>:<D>`` (potential
@@ -36,7 +37,7 @@ from typing import Optional
 
 from .errors import InputError, ParseError
 from .graph import Multigraph
-from .lists import ListAssignment, check_sizes
+from .lists import ListAssignment, check_sizes, smaller_table
 
 MAX_VERTICES = 1_000_000
 MAX_EDGES = 1_000_000  # the most edges generate_random will sample
@@ -134,7 +135,7 @@ def _read_edges(
                 u, v = ints[parts[1]], ints[parts[2]]
                 fresh = colors is None
                 if fresh:
-                    colors = frozenset(map(ints.__getitem__, tail.split()))
+                    colors = smaller_table(map(ints.__getitem__, tail.split()))
             except ValueError:
                 raise ParseError(line_no, "non-integer token on edge line")
             if not (0 <= u < n and 0 <= v < n):
@@ -168,8 +169,9 @@ def parse_instance(text: str) -> tuple[Multigraph, Optional[ListAssignment]]:
 
     Each distinct decimal token is converted to an int once, so the graph
     and the lists hold one int object per value.  Each distinct list text
-    is converted and checked once; every edge line that carries the same
-    text shares one frozenset.  The lines and the list texts are freed
+    is converted and checked once and kept in the smaller hash table
+    (``lists.smaller_table``); every edge line that carries the same text
+    shares that frozenset.  The lines and the list texts are freed
     before the graph and the lists are built.
     """
     n, edges, lists = _read_edges(text)

@@ -11,9 +11,16 @@ modes require, per vertex:
 
 ``explicit`` means the caller supplies the lists and states separately
 which of the three guarantees they satisfy.
+
+Every colour set this package builds and keeps, a parsed or generated list,
+a list the caller passes as some other iterable and a common set, is kept
+in the smaller of the two hash tables CPython can give it
+(``smaller_table``); a frozenset the caller passes is kept as it is.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .errors import BoundViolationError, NotBipartiteError
 from .graph import Multigraph
@@ -28,6 +35,34 @@ _RULES = {
 BOUND_MODES = tuple(_RULES)
 _INT = frozenset((int,))  # the type of a color: a bool is refused, not read as 0 or 1
 _EMPTY = frozenset()  # the common set of every vertex without edges
+
+
+@functools.cache
+def _table_sizes(count: int) -> tuple[int, int]:
+    """``__sizeof__`` of a frozenset of ``count`` colours grown one colour
+    at a time, and of one sized once for its count, each built from a dict
+    as ``smaller_table`` builds it.  Both depend on the count alone, so the
+    interpreter is asked once per count."""
+    keys = dict.fromkeys(range(count))
+    return frozenset(iter(keys)).__sizeof__(), frozenset(keys).__sizeof__()
+
+
+def smaller_table(colors) -> frozenset:
+    """The frozenset of ``colors`` in the smaller of the two hash tables
+    CPython can give it: grown one colour at a time, or sized once for its
+    count (grown on a tie).  At 19-31 colours the first takes 128 slots
+    where the second takes 64.
+
+    A frozenset no larger than that is returned as it is.  Otherwise only
+    the smaller table is built, from a dict of the colours: the dict knows
+    the count first and is smaller than a grown set, so no larger set is
+    made and freed on the way.
+    """
+    if type(colors) is frozenset and colors.__sizeof__() <= min(_table_sizes(len(colors))):
+        return colors
+    keys = dict.fromkeys(colors)
+    grown, once = _table_sizes(len(keys))
+    return frozenset(keys) if once < grown else frozenset(iter(keys))
 
 
 def _check_mode(g: Multigraph, mode: str) -> None:
@@ -48,7 +83,10 @@ def _bounds(g: Multigraph, mode: str) -> list[int]:
 class ListAssignment:
     """Immutable per-edge color sets plus cached per-vertex common sets.
 
-    Vertices with equal common sets share one frozenset, and a vertex
+    A frozenset in ``lists`` is kept as the caller's object, and any other
+    iterable is built into the smaller table.  Vertices with equal common
+    sets share one frozenset, kept in the smaller table; a vertex whose
+    edges all carry one list object costs no intersection, and a vertex
     without edges costs no set of its own: every such vertex holds the same
     empty frozenset.
     """
@@ -56,7 +94,7 @@ class ListAssignment:
     __slots__ = ("lists", "common")
 
     def __init__(self, g: Multigraph, lists):
-        lists = [frozenset(s) for s in lists]
+        lists = [s if type(s) is frozenset else smaller_table(s) for s in lists]
         if len(lists) != g.m:
             raise ValueError(f"expected {g.m} lists, got {len(lists)}")
         checked = set()  # ids of list objects already validated
@@ -73,10 +111,14 @@ class ListAssignment:
             if not inc:
                 common.append(_EMPTY)
                 continue
-            # edges sharing one list object intersect it once
-            distinct = {id(lists[e]): lists[e] for e in inc}.values()
-            s = frozenset.intersection(*distinct)
-            common.append(seen.setdefault(s, s))
+            # edges sharing one list object intersect it once, and a vertex
+            # that meets one list object takes its value as it is
+            first, *rest = {id(lists[e]): lists[e] for e in inc}.values()
+            s = first.intersection(*rest) if rest else first
+            kept = seen.get(s)
+            if kept is None:
+                kept = seen[s] = smaller_table(s)
+            common.append(kept)
         self.lists = tuple(lists)
         self.common = tuple(common)
 
@@ -106,7 +148,8 @@ def check_bound(g: Multigraph, L: ListAssignment, mode: str) -> None:
 def generate_from_bounds(g: Multigraph, mode: str) -> ListAssignment:
     """Lists {1..max(bound(u), bound(v))} per edge; always passes check_bound.
 
-    Edges with the same list length share one frozenset.
+    Edges with the same list length share one frozenset, kept in the
+    smaller table.
     """
     _check_mode(g, mode)
     bounds = _bounds(g, mode)
@@ -116,6 +159,6 @@ def generate_from_bounds(g: Multigraph, mode: str) -> ListAssignment:
         b = max(bounds[u], bounds[v])
         s = by_length.get(b)
         if s is None:
-            s = by_length[b] = frozenset(range(1, b + 1))
+            s = by_length[b] = smaller_table(range(1, b + 1))
         lists.append(s)
     return ListAssignment(g, lists)

@@ -18,7 +18,9 @@ for their expected values: no expected value comes from a
 - the alternating path: ``reference_path``, for the walk
   ``alternating_path`` makes, in phi or in a shifted color vector;
 - the local bound: ``reference_bound``, for the bound ``check_bound``
-  and ``generate_from_bounds`` apply at each vertex.
+  and ``generate_from_bounds`` apply at each vertex;
+- the table a kept colour set sits in: ``assert_smaller_table``, against
+  both tables CPython can give its value.
 
 ``StepLog`` groups the calls a repair step makes at layer boundaries, for
 the per-step shift rules and the work counts of acceptance criterion 9.
@@ -119,6 +121,14 @@ def reference_bound(g, x, mode):
     floor(3 deg / 2), deg + mu or deg."""
     d = g.degree(x)
     return {"shannon": 3 * d // 2, "vizing": d + g.mu_vertex(x), "koenig": d}[mode]
+
+
+def assert_smaller_table(s):
+    """s takes no more room than either table CPython can give its value:
+    grown one colour at a time, or sized once for its count."""
+    grown = frozenset(iter(sorted(s)))
+    once = frozenset(set(grown))
+    assert sys.getsizeof(s) <= min(sys.getsizeof(grown), sys.getsizeof(once)), len(s)
 
 
 def blank_edges(phi):

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import io
 import json
@@ -258,6 +259,73 @@ def test_unwritable_output_exits_two(tmp_path, capsys, command):
     code, _, err = run(capsys, *argv, "-o", missing)
     assert code == 2
     assert "cannot write" in err
+
+
+ENOSPC = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+EPIPE = f"[Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}"
+
+# row -> (argv, the standard stream that fails, exit code, the other
+# stream's text); a full trace or stdout fails during the run on big.txt,
+# whose trace and coloring outrun a write buffer
+FAILED_OUTPUT = {
+    "full-trace-is-named-not-o": (
+        "color big.txt --mode vizing --trace /dev/full -o out.col", None, 2,
+        ("", f"error: cannot write /dev/full: {ENOSPC}\n")),
+    "full-trace-beside-stdout": (
+        "color big.txt --mode vizing --trace /dev/full", None, 2,
+        ("", f"error: cannot write /dev/full: {ENOSPC}\n")),
+    "full-stdout-is-named-dash": ("color big.txt --mode vizing", "full stdout", 2,
+                                  f"error: cannot write -: {ENOSPC}\n"),
+    "closed-pipe-on-stdout-is-named-dash": (
+        "color big.txt --mode vizing", "closed stdout", 2, f"error: cannot write -: {EPIPE}\n"),
+    "trace-on-a-closed-stdout-is-named-not-o": (
+        "color big.txt --mode vizing --trace - -o /dev/null", "closed stdout", 2,
+        f"error: cannot write -: {EPIPE}\n"),
+    "oracle-no-coloring-line-on-full-stdout": (
+        "oracle tight.txt -o /dev/null", "full stdout", 2, f"error: cannot write -: {ENOSPC}\n"),
+    "verify-ok-line-on-full-stdout": (
+        "verify tri.txt good.col --mode vizing", "full stdout", 2,
+        f"error: cannot write -: {ENOSPC}\n"),
+    "verify-findings-on-full-stderr": (
+        "verify tri.txt clash.col --mode vizing", "full stderr", 2, ""),
+    "stats-on-full-stderr": ("color tri.txt --mode vizing --stats", "full stderr", 2,
+                             "0 3\n1 1\n2 2\n"),
+}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+@pytest.mark.parametrize("row", list(FAILED_OUTPUT))
+def test_a_failed_output_is_named_and_exits_two(tmp_path, row, buffering):
+    # a child process, so that the interpreter's own flush of the standard
+    # streams at exit is part of what is checked
+    argv, failing, code, other = FAILED_OUTPUT[row]
+    for name, text in FILES.items():
+        (tmp_path / name).write_text(text)
+    (tmp_path / "good.col").write_text("0 1\n1 2\n2 3\n")
+    big = lc.generate_random(300, 10, 1, seed=1)
+    (tmp_path / "big.txt").write_text(lio.write_instance(big))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(lc.__file__).parents[1])
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+    if failing:
+        how, which = failing.split()
+        if how == "full":
+            streams[which] = os.open("/dev/full", os.O_WRONLY)
+        else:  # a pipe whose reader has gone
+            reader, streams[which] = os.pipe()
+            os.close(reader)
+    flags = ["-u"] if buffering == "unbuffered" else []
+    try:
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "listcolor.cli", *argv.split()], text=True,
+            env=env, timeout=60, cwd=tmp_path, **streams)
+    finally:
+        if failing:
+            os.close(streams[which])
+    got = (proc.stdout, proc.stderr) if failing is None else (
+        proc.stderr if which == "stdout" else proc.stdout)
+    assert (proc.returncode, got) == (code, other)
 
 
 def test_gen_writes_parseable_instance(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -8,7 +9,7 @@ import listcolor as lc
 from listcolor import io as lio
 from listcolor.errors import InputError, ParseError
 
-from conftest import multiplicities
+from conftest import assert_smaller_table, multiplicities
 
 SEPARATORS = "tokens must be separated by ASCII whitespace"
 
@@ -123,6 +124,46 @@ def test_shared_parse_matches_a_per_line_reference():
         for e, tail in enumerate(tails):
             assert L.lists[e] is L.lists[first.setdefault(tail, e)]
         assert len({id(s) for s in L.lists}) == len(set(tails))
+
+
+def test_parsed_lists_sit_in_the_smaller_table_and_share_by_text():
+    # lengths 1-130; each text on two edges, and its value once more under
+    # another text, so the common set of vertex 2k is an intersection
+    lines = ["p edge 262 390"]
+    for k in range(1, 131):
+        text = " ".join(map(str, range(1, k + 1)))
+        lines += [f"e {2 * k} {2 * k + 1} {text}"] * 2
+        lines.append(f"e {2 * k} {2 * k + 1} {k} {text}")
+    g, L = lio.parse_instance("\n".join(lines) + "\n")
+    for k in range(1, 131):
+        first, again, other = L.lists[3 * k - 3:3 * k]
+        assert first is again and first == other == frozenset(range(1, k + 1))
+        assert other is not first
+        for s in (first, other, L.common[2 * k]):
+            assert_smaller_table(s)
+        assert L.common[2 * k] is L.common[2 * k + 1]
+
+
+def test_parse_keeps_a_19_to_31_colour_list_in_1800_bytes():
+    # 2000 edges between two vertices, each with its own list of 19-31
+    # colours out of 64.  Retained under tracemalloc per distinct list,
+    # CPython 3.11: 2372 B with each list grown one colour at a time (128
+    # slots), 1350 B in the smaller table (64 slots)
+    rng = random.Random(36)
+    lines = ["p edge 2 2000"]
+    for _ in range(2000):
+        colors = rng.sample(range(1, 65), rng.randint(19, 31))
+        lines.append("e 0 1 " + " ".join(map(str, colors)))
+    text = "\n".join(lines) + "\n"
+    tracemalloc.start()
+    try:
+        g, L = lio.parse_instance(text)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    distinct = len({id(s) for s in L.lists})
+    assert distinct == 2000
+    assert retained / distinct < 1800
 
 
 @pytest.mark.parametrize("mark", ["\x0c", "\x0b", "\x1c", "\x85", "\u2028", "\r"])

@@ -4,8 +4,9 @@ import pytest
 
 import listcolor as lc
 from listcolor.errors import BoundViolationError, NotBipartiteError
+from listcolor.lists import smaller_table
 
-from conftest import reference_bound
+from conftest import assert_smaller_table, reference_bound
 
 
 def test_common_colors_triangle():
@@ -238,3 +239,57 @@ def test_bad_color_names_first_edge_of_a_shared_list(bad):
     with pytest.raises(ValueError, match="^edge 1: "):
         lc.ListAssignment(g, [good, bad, good, bad])
 
+
+def test_smaller_table_is_never_larger_than_either_build():
+    # lengths 1-130 cross every size at which one build is the larger:
+    # 5-7, 19-31 and 77-127 grown one colour at a time, 16-18 and 64-76
+    # sized once
+    for k in range(1, 131):
+        grown = frozenset(iter(range(1, k + 1)))
+        once = frozenset(set(grown))
+        smallest = min(grown.__sizeof__(), once.__sizeof__())
+        # a frozenset no larger is returned as it is
+        assert (smaller_table(grown) is grown) == (grown.__sizeof__() == smallest)
+        # from a frozenset, from colours with a repeat and from an iterator
+        for colors in (grown, [*range(k, 0, -1), 1], iter(once)):
+            s = smaller_table(colors)
+            assert s == grown and type(s) is frozenset
+            assert s.__sizeof__() == smallest, k
+
+
+def test_built_lists_and_common_sets_sit_in_the_smaller_table():
+    # vertex 3k+1 meets two distinct lists, so its common set of k colours
+    # is an intersection; vertex 3k+2 repeats that common set elsewhere
+    lists, edges = [], []
+    for k in range(1, 131):
+        wide = list(range(1, k + 2))
+        lists += [wide, set(range(2, k + 3)), frozenset(wide)]
+        edges += [(3 * k, 3 * k + 1), (3 * k + 1, 3 * k + 2), (3 * k + 1, 3 * k + 2)]
+    g = lc.Multigraph(3 * 131, edges)
+    L = lc.ListAssignment(g, lists)
+    assert all(L.lists[e] is lists[e] for e in range(2, g.m, 3))  # the caller's own
+    for e in range(g.m):
+        assert L.lists[e] == frozenset(lists[e])
+        if e % 3 != 2:  # built from the caller's list or set
+            assert_smaller_table(L.lists[e])
+    for k in range(1, 131):
+        assert L.common[3 * k + 1] == frozenset(range(2, k + 2))
+        assert_smaller_table(L.common[3 * k + 1])
+
+
+def test_bound_lists_sit_in_the_smaller_table_and_share_by_length():
+    # disjoint stars of 1-130 leaves: koenig lists of every length 1-130
+    edges, start = [], 0
+    for k in range(1, 131):
+        edges += [(start, start + leaf) for leaf in range(1, k + 1)]
+        start += k + 1
+    g = lc.Multigraph(start, edges)
+    L = lc.generate_from_bounds(g, "koenig")
+    by_length = {}
+    for s in L.lists:
+        assert by_length.setdefault(len(s), s) is s
+        assert_smaller_table(s)
+    assert sorted(by_length) == list(range(1, 131))
+    for s in L.common:
+        assert_smaller_table(s)
+    assert len({id(s) for s in L.common}) == len(set(L.common)) == 130
