@@ -1,17 +1,15 @@
-"""Chains, alternating path chains, and their resolution.
+"""Alternating path chains and their resolution.
 
-A chain is a sequence of distinct edges in which consecutive edges share
-exactly one vertex; its first edge is blank and every later edge is
+A shift works on a sequence of distinct edges in which consecutive edges
+share exactly one vertex; its first edge is blank and every later edge is
 colored.  Shifting moves each edge's color one position toward the front,
-so the start edge takes a color and the last edge goes blank.  The fan and
-walk functions that make chains keep that shape, and
-``PartialColoring.check_shift`` refuses any other.  One ``Chain`` type
-serves fans and paths alike: it carries vertices x_0..x_k with x_{i+1}
-the far end of edge i, where x_0 is the start vertex of a path or the
-pivot of a fan (whose leaves are then x_1..x_k).  A path walks
-distinct vertices after the first edge (the start vertex may only
-reappear as the final vertex), and two-colored alternating paths are the
-repair tool of the whole engine:
+so the start edge takes a color and the last edge goes blank.  A fan is
+such a sequence around one pivot and travels as its plain edge tuple;
+``PartialColoring.check_shift`` refuses any sequence of another shape.
+A ``Chain`` is a path: its vertices x_0..x_k have x_0 the start vertex
+and x_{i+1} the far end of edge i, and x_1..x_k are distinct (the start
+vertex may only reappear as the final vertex).  Two-colored alternating
+paths are the repair tool of the whole engine:
 
 ``resolve_path`` takes an alternating path whose start edge misses one
 path color at each endpoint and whose end vertex differs from its start
@@ -49,13 +47,11 @@ from .errors import (
 
 @dataclass(frozen=True, slots=True)
 class Chain:
-    """Edges whose colors a shift moves one place toward the front.
+    """A path whose edge colors a shift moves one place toward the front.
 
-    ``vertices`` is x_0..x_k with ``vertices[i + 1]`` the far end of
-    ``edges[i]``.  On a path x_0 is the start vertex and edge i joins x_i
-    and x_{i+1}; x_1..x_k are distinct, and x_0 may coincide only with a
-    later x_i.  On a fan x_0 is the pivot shared by every edge, so the
-    leaves are ``vertices[1:]``.
+    ``vertices`` is x_0..x_k: x_0 is the start vertex and edge i joins
+    x_i and x_{i+1}; x_1..x_k are distinct, and x_0 may coincide only
+    with a later x_i.
     """
 
     edges: tuple[int, ...]

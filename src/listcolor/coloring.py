@@ -55,10 +55,9 @@ from .errors import (
     PreconditionViolatedError,
 )
 from .graph import Multigraph
-from .lists import ListAssignment, check_sizes
+from .lists import _INT, ListAssignment, check_sizes
 
 _STAMPS = itertools.count()  # process-wide: no two coloring states share a stamp
-_INT = frozenset((int,))  # the type of an edge id: a bool is refused, not read as 0 or 1
 # The most bits a mask over the shared palette may take on average before
 # each vertex gets its own palette: the measured crossover of the layouts.
 WIDE = 4096
@@ -208,6 +207,8 @@ class PartialColoring:
             raise PreconditionViolatedError(f"edge {e} out of range [0, {self.g.m})")
         if self.color[e] is not None:
             raise PreconditionViolatedError(f"edge {e} already colored")
+        if type(c) is not int:  # True or 2.0 would match a listed 1 or 2
+            raise PreconditionViolatedError(f"color {c!r} is not an int")
         if c not in self.lists.lists[e]:
             raise PreconditionViolatedError(f"color {c} not in list of edge {e}")
         u, v = self.g.endpoints[e]
@@ -433,12 +434,16 @@ def check_edge_colors(g: Multigraph, lists, colors) -> list[tuple[str, str]]:
     Reports (kind, detail) pairs: kind "ColorNotInList" for a color outside
     its edge's list, "ImproperAssignment" for a color twice at a vertex.
     ``lists`` may be None to skip list-membership checks.  Raises
-    ValueError if ``colors`` does not hold one entry per edge of g.  Used by
-    the CLI verifier, the oracle tests and ``PartialColoring.verify``, so it
-    shares no code with the engine's incremental bookkeeping.
+    ValueError if ``colors`` does not hold one entry per edge of g, or holds
+    an entry that is neither None nor an int (a bool included).  Its walk is
+    ``PartialColoring.verify``'s too, so it shares no code with the engine's
+    incremental bookkeeping.
     """
     if len(colors) != g.m:
         raise ValueError(f"expected {g.m} colors, got {len(colors)}")
+    for e, c in enumerate(colors):
+        if c is not None and type(c) is not int:  # bool is an int subclass
+            raise ValueError(f"edge {e}: color {c!r} is not an int")
     return _walk_colors(g, lists, colors)[0]
 
 

@@ -20,8 +20,6 @@ in the smaller of the two hash tables CPython can give it
 
 from __future__ import annotations
 
-import functools
-
 from .errors import BoundViolationError, NotBipartiteError
 from .graph import Multigraph
 
@@ -33,18 +31,25 @@ _RULES = {
     "koenig": lambda d, mu: d,
 }
 BOUND_MODES = tuple(_RULES)
-_INT = frozenset((int,))  # the type of a color: a bool is refused, not read as 0 or 1
+_INT = frozenset((int,))  # type of a color or edge id: a bool is refused, not read as 0 or 1
 _EMPTY = frozenset()  # the common set of every vertex without edges
 
 
-@functools.cache
-def _table_sizes(count: int) -> tuple[int, int]:
-    """``__sizeof__`` of a frozenset of ``count`` colours grown one colour
-    at a time, and of one sized once for its count, each built from a dict
-    as ``smaller_table`` builds it.  Both depend on the count alone, so the
-    interpreter is asked once per count."""
-    keys = dict.fromkeys(range(count))
-    return frozenset(iter(keys)).__sizeof__(), frozenset(keys).__sizeof__()
+_SIZES: dict[int, tuple[int, int]] = {}  # colour count -> ``_table_sizes``
+
+
+def _table_sizes(colors) -> tuple[int, int]:
+    """``__sizeof__`` of a frozenset of the distinct ``colors`` grown one
+    colour at a time, and of one sized once for its count, each built from
+    a dict as ``smaller_table`` builds it.  Both depend on the count alone,
+    so the interpreter is asked once per count, with the colours at hand."""
+    sizes = _SIZES.get(len(colors))
+    if sizes is None:
+        # a dict as it is; not frozenset(colors), which is colors itself
+        keys = colors if type(colors) is dict else dict.fromkeys(colors)
+        sizes = _SIZES[len(keys)] = (frozenset(iter(keys)).__sizeof__(),
+                                     frozenset(keys).__sizeof__())
+    return sizes
 
 
 def smaller_table(colors) -> frozenset:
@@ -58,10 +63,10 @@ def smaller_table(colors) -> frozenset:
     the count first and is smaller than a grown set, so no larger set is
     made and freed on the way.
     """
-    if type(colors) is frozenset and colors.__sizeof__() <= min(_table_sizes(len(colors))):
+    if type(colors) is frozenset and colors.__sizeof__() <= min(_table_sizes(colors)):
         return colors
     keys = dict.fromkeys(colors)
-    grown, once = _table_sizes(len(keys))
+    grown, once = _table_sizes(keys)
     return frozenset(keys) if once < grown else frozenset(iter(keys))
 
 

@@ -45,14 +45,16 @@ def _orient(phi: PartialColoring, e: int) -> tuple[int, int]:
     return v, u
 
 
-def shannon_fan(phi: PartialColoring, e: int) -> Chain:
-    """The fan the dispatcher works on: (e) if the quick happy check fires,
-    else (e, f) with f the pivot's edge colored min available at y."""
+def shannon_fan(phi: PartialColoring, e: int) -> tuple[int, int, int | None]:
+    """(x, y, f): e's endpoints with deg(x) <= deg(y), and f the pivot x's
+    edge colored min available at y, or None when the quick happy check
+    fires (a color available at y is unused at x).  The fan is (e,) or
+    (e, f), and its far leaf is f's other end."""
     if phi.color[e] is not None:
         raise PreconditionViolatedError(f"edge {e} is not blank")
     x, y = _orient(phi, e)
     if phi.smallest_unused(y, x) is not None:
-        return Chain((e,), (x, y))
+        return x, y, None
     avail_y = phi.available_mask(y)
     if not avail_y:
         raise PreconditionViolatedError(
@@ -61,8 +63,7 @@ def shannon_fan(phi: PartialColoring, e: int) -> Chain:
     f = phi.used_edge[x].get(phi.smallest(y, avail_y))
     if f is None:
         raise InternalAssertionError("available color at y not used at x after check")
-    z = phi.g.other_end(f, x)
-    return Chain((e, f), (x, y, z))
+    return x, y, f
 
 
 def classify_shannon(
@@ -78,20 +79,18 @@ def classify_shannon(
     checking it again; the case-4 fallback path is walked in the coloring
     that checked shift would give, through its overlay of changed entries.
     """
-    fan = shannon_fan(phi, e)
-    x, y = fan.vertices[:2]
-    if len(fan.edges) == 1:
+    x, y, f = shannon_fan(phi, e)
+    if f is None:
         return HAPPY_EDGE
-    f = fan.edges[1]
-    z = fan.vertices[2]
-    eta = phi.color[f]
+    fan = (e, f)
+    z = phi.g.other_end(f, x)
     if phi.smallest_unused(z, x) is not None:
-        return "case1-happy-fan", phi.check_shift(fan.edges), None, True
-    if eta not in phi.lists.common[z]:
-        return "case2-content-fan", phi.check_shift(fan.edges), None, False
+        return "case1-happy-fan", phi.check_shift(fan), None, True
+    if phi.color[f] not in phi.lists.common[z]:
+        return "case2-content-fan", phi.check_shift(fan), None, False
     inc = phi.g.incidence
     if len(inc[z]) < len(inc[y]):
-        return "case3-content-fan", phi.check_shift(fan.edges), None, False
+        return "case3-content-fan", phi.check_shift(fan), None, False
     # Final case: both availabilities inside used(x), so they intersect.
     beta = phi.smallest_shared(y, z)
     if beta is None:
@@ -102,7 +101,7 @@ def classify_shannon(
     p1 = alternating_path(phi, e, alpha, beta)
     if p1.vertices[0] != p1.vertices[-1]:
         return "final-path-phi", None, p1, False
-    shift = phi.check_shift(fan.edges)
+    shift = phi.check_shift(fan)
     da, _ = shift.delta
     if da != 0:
         raise InternalAssertionError("fan shift changed the availability total")

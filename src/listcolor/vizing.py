@@ -32,10 +32,10 @@ from .coloring import PartialColoring, Shift
 from .errors import InternalAssertionError, PreconditionViolatedError
 
 
-def vizing_fan(phi: PartialColoring, e: int, x: int) -> tuple[Chain, int, int]:
-    """(fan, beta, j): beta is available at the end leaves of both fan and
-    its first j edges, ``fan.vertices[-1]`` and ``fan.vertices[j]``, and
-    j == len(fan.edges) exactly when the fan is happy."""
+def vizing_fan(phi: PartialColoring, e: int, x: int) -> tuple[tuple[int, ...], int, int]:
+    """(edges, beta, j): the fan's edges around pivot x, e first, and beta
+    available at the far ends of both its last edge and ``edges[j - 1]``;
+    j == len(edges) exactly when the fan is happy."""
     if phi.color[e] is not None:
         raise PreconditionViolatedError(f"edge {e} is not blank")
     g = phi.g
@@ -43,16 +43,12 @@ def vizing_fan(phi: PartialColoring, e: int, x: int) -> tuple[Chain, int, int]:
     if x not in ends[e]:
         raise PreconditionViolatedError(f"pivot {x} is not an endpoint of edge {e}")
     u, v = ends[e]
-    y = v if u == x else u
+    z = v if u == x else u  # the last leaf
     common, taken, palette = phi.common_mask, phi.used_mask, phi.palette
     working = {}  # leaf -> the bits its polls have not taken yet
-    index = {e: 0}
-    edges = [e]
-    vertices = [x, y]
-    z = y  # the last leaf
-    k = 0
+    index = {e: 0}  # the fan's edges in fan order -> their positions
     deg = len(g.incidence[x])
-    while k < deg:
+    while len(index) <= deg:
         w = working.get(z)
         if w is None:
             w = common[z] & ~taken[z]
@@ -63,15 +59,13 @@ def vizing_fan(phi: PartialColoring, e: int, x: int) -> tuple[Chain, int, int]:
         working[z] = w ^ low
         ek = used.get(eta)
         if ek is None:
-            return Chain(tuple(edges), tuple(vertices)), eta, k + 1
-        k += 1
-        if ek in index:
-            return Chain(tuple(edges), tuple(vertices)), eta, index[ek]
-        index[ek] = k
-        edges.append(ek)
+            return tuple(index), eta, len(index)
+        j = index.get(ek)
+        if j is not None:
+            return tuple(index), eta, j
+        index[ek] = len(index)
         u, v = ends[ek]
         z = v if u == x else u
-        vertices.append(z)
     raise InternalAssertionError("fan construction exhausted the pivot's degree")
 
 
@@ -90,11 +84,11 @@ def classify_vizing(
     the live coloring is never touched.
     """
     fan, beta, j = vizing_fan(phi, e, x)
-    if j == len(fan.edges):
-        return "happy-fan", phi.check_shift(fan.edges), None, True
+    if j == len(fan):
+        return "happy-fan", phi.check_shift(fan), None, True
     shifts = []
-    for cand, branch in ((fan.edges, "content-fan-full"),
-                         (fan.edges[:j], "content-fan-prefix")):
+    for cand, branch in ((fan, "content-fan-full"),
+                         (fan[:j], "content-fan-prefix")):
         shift = phi.check_shift(cand)
         if shift.delta < (0, 0):
             return branch, shift, None, False

@@ -238,9 +238,8 @@ def reference_vizing_fan(g, L, colors, e, x):
     polls = Counter()
     index = {e: 0}
     edges = [e]
-    vertices = [x, g.other_end(e, x)]
     for k in range(len(g.incidence[x])):
-        z = vertices[-1]
+        z = g.other_end(edges[-1], x)
         ranked = sorted(avail[z])
         if polls[z] == len(ranked):
             return (InternalAssertionError, f"working set of leaf {z} ran out"), polls
@@ -249,10 +248,9 @@ def reference_vizing_fan(g, L, colors, e, x):
         ek = at_x.get(eta)
         if ek is None or ek in index:  # happy, or closing onto index j
             j = k + 1 if ek is None else index[ek]
-            return (Chain(tuple(edges), tuple(vertices)), eta, j), polls
+            return (tuple(edges), eta, j), polls
         index[ek] = k + 1
         edges.append(ek)
-        vertices.append(g.other_end(ek, x))
     return (InternalAssertionError, "fan construction exhausted the pivot's degree"), polls
 
 
@@ -386,9 +384,15 @@ def oracle_list_instances(rng=None, seeds=range(80)):
             yield g, lc.ListAssignment(g, lists)
 
 
-def _fan_leaves(phi, fan):
-    """Availability entries at a fan's leaves, one term per leaf position."""
-    return sum(phi.available_mask(z).bit_count() for z in fan.vertices[1:])
+def _fan_leaves(phi, fan, x):
+    """Availability entries at the leaves of a fan around pivot x, one term
+    per leaf position."""
+    return sum(phi.available_mask(phi.g.other_end(f, x)).bit_count() for f in fan)
+
+
+def shannon_fan_edges(e, fan):
+    """The edges of the fan that ``shannon_fan(phi, e)`` returned as fan."""
+    return (e,) if fan[2] is None else (e, fan[2])
 
 
 # layer boundary -> the work one call did, from (result, *args): the
@@ -403,8 +407,8 @@ WORK = {
     "apply_chain_shift": lambda _, phi, shift: len(shift.edges),
     "alternating_path": lambda path, *_: len(path.edges),
     "max_shiftable_prefix": lambda _, phi, path: len(path.edges),
-    "vizing_fan": lambda res, phi, *_: _fan_leaves(phi, res[0]),
-    "shannon_fan": lambda fan, phi, *_: _fan_leaves(phi, fan),
+    "vizing_fan": lambda res, phi, e, x: _fan_leaves(phi, res[0], x),
+    "shannon_fan": lambda fan, phi, e: _fan_leaves(phi, shannon_fan_edges(e, fan), fan[0]),
 }
 
 

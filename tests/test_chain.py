@@ -424,7 +424,33 @@ def test_chain_is_frozen_slotted_and_compared_by_value():
     assert Chain.__slots__ == tuple(f.name for f in dataclasses.fields(a))
 
 
+@pytest.mark.parametrize("mode", ["shannon", "vizing", "koenig"])
+def test_only_paths_are_chains(mode, monkeypatch):
+    # a fan travels as its edge tuple: shannon builds no Chain, vizing builds
+    # only the paths it walks (at most two candidates per path shift), and
+    # koenig builds the one path of each step (800 edges: 0, 63 and 803
+    # Chains here, where fans as Chains made 800, 919 and 803)
+    built = []
+    init = Chain.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Chain, "__init__", counting)
+    g = lc.generate_random(300, 8, 1, bipartite=mode == "koenig", seed=1)
+    _, stats = lc.color_graph(g, lc.generate_from_bounds(g, mode), mode)
+    assert g.m == 800
+    if mode == "shannon":
+        assert len(built) == 0
+    elif mode == "vizing":
+        assert 0 < len(built) <= 2 * stats.path_shifts
+    else:
+        assert len(built) == stats.steps
+
+
 def walk_or_error(walk):
+
     try:
         return walk()
     except (InternalAssertionError, PreconditionViolatedError) as exc:
@@ -440,9 +466,9 @@ def psi_walks(g, L, phi, rng):
     for e in blank_edges(phi):
         for x in g.endpoints[e]:
             (fan, beta, j), _ = reference_vizing_fan(g, L, phi.color, e, x)
-            if j == len(fan.edges) or not avail[x]:
+            if j == len(fan) or not avail[x]:
                 continue
-            for cand in (fan.edges, fan.edges[:j]):
+            for cand in (fan, fan[:j]):
                 yield cand, reference_shift(g, L, phi.color, cand), min(avail[x]), beta
     for _ in range(10):
         edges = random_chain(g, rng, phi.color)

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 import listcolor as lc
 from listcolor import coloring
-from listcolor.chain import Chain
 from listcolor.errors import (
     InternalAssertionError,
     NotShiftableError,
@@ -66,13 +65,12 @@ def outcome(fn, *args):
 def reference_shannon_fan(g, avail, used, colors, e):
     x, y = sorted(g.endpoints[e], key=lambda w: (len(g.incidence[w]), w))
     if avail[y] - used[x]:
-        return Chain((e,), (x, y))
+        return x, y, None
     if not avail[y]:
         return (PreconditionViolatedError,
                 f"no available color at vertex {y}; the degree bound cannot hold")
     eta = min(avail[y])
-    f = next(f for f in g.incidence[x] if colors[f] == eta)
-    return Chain((e, f), (x, y, g.other_end(f, x)))
+    return x, y, next(f for f in g.incidence[x] if colors[f] == eta)
 
 
 def check_against_sets(phi):

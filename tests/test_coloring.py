@@ -26,6 +26,7 @@ from conftest import (
     setup_partial,
     shift_answer,
     shift_change,
+    shannon_fan_edges,
     shifted_colors,
     live_state,
 )
@@ -393,10 +394,11 @@ def chains_to_check(g, phi, rng):
     for e in blank_edges(phi):
         for x in g.endpoints[e]:
             fan, _, j = vizing_fan(phi, e, x)
-            yield "vizing fan", fan.edges, fan.vertices[1:]
-            yield "vizing fan", fan.edges[:j], fan.vertices[1:j + 1]
+            leaves = tuple(g.other_end(f, x) for f in fan)
+            yield "vizing fan", fan, leaves
+            yield "vizing fan", fan[:j], leaves[:j]
         try:
-            yield "shannon fan", shannon_fan(phi, e).edges, ()
+            yield "shannon fan", shannon_fan_edges(e, shannon_fan(phi, e)), ()
         except PreconditionViolatedError as exc:
             assert str(exc).startswith("no available color at vertex ")
         u, v = g.endpoints[e]

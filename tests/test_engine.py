@@ -138,6 +138,16 @@ MISUSE = {
     "check_edge_colors-long": (
         lambda phi: lc.check_edge_colors(phi.g, phi.lists, [1, None, 2]),
         ValueError, "expected 2 colors, got 3"),
+    # a color that is not an int: True and 2.0 would match a listed 1 and 2
+    "check_edge_colors-bool-color": (
+        lambda phi: lc.check_edge_colors(phi.g, phi.lists, [True, None]),
+        ValueError, "edge 0: color True is not an int"),
+    "check_edge_colors-float-color": (
+        lambda phi: lc.check_edge_colors(phi.g, phi.lists, [1, 2.0]),
+        ValueError, "edge 1: color 2.0 is not an int"),
+    "check_edge_colors-integral-float-color": (
+        lambda phi: lc.check_edge_colors(phi.g, phi.lists, [None, 1.0]),
+        ValueError, "edge 1: color 1.0 is not an int"),
     "PartialColoring-foreign-lists": (lambda phi: lc.PartialColoring(phi.g, TRIANGLE_LISTS),
                                       ValueError, FOREIGN),
     "exhaustive_color-foreign-lists": (
@@ -182,6 +192,12 @@ MISUSE = {
                          PreconditionViolatedError, "edge True is not an int"),
     "assign-float-edge": (lambda phi: phi.assign(0.0, 2),
                           PreconditionViolatedError, "edge 0.0 is not an int"),
+    "assign-bool-color": (lambda phi: phi.assign(1, True),
+                          PreconditionViolatedError, "color True is not an int"),
+    "assign-float-color": (lambda phi: phi.assign(1, 2.0),
+                           PreconditionViolatedError, "color 2.0 is not an int"),
+    "assign-integral-float-color": (lambda phi: phi.assign(1, 1.0),
+                                    PreconditionViolatedError, "color 1.0 is not an int"),
     "unassign-bool-edge": (lambda phi: phi.unassign(False),
                            PreconditionViolatedError, "edge False is not an int"),
     "check_shift-bool-edge": (lambda phi: phi.check_shift((True,)),

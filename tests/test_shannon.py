@@ -46,9 +46,9 @@ def blocked_pivot_instance(z_edges, z_lists, x_lists=S6, y_colors=(1, 2, 3)):
 def test_fan_single_edge_on_blank(triangle):
     g, L = triangle
     phi = lc.PartialColoring(g, L)
-    fan = shannon_fan(phi, 0)
-    assert fan.edges == (0,)
-    assert fan.vertices == (0, 1)  # degree tie broken by index
+    x, y, f = shannon_fan(phi, 0)
+    assert f is None  # the fan is (0,)
+    assert (x, y) == (0, 1)  # degree tie broken by index
 
 
 def test_fan_two_edges_derived():
@@ -59,10 +59,10 @@ def test_fan_two_edges_derived():
     lc.check_bound(g, L, "shannon")
     assert recompute_available(g, L, phi.color)[1] == {4, 5, 6}
     assert recompute_used(g, phi.color)[0] == {4, 5, 6}
-    fan = shannon_fan(phi, 0)
-    assert fan.edges == (0, 1)
-    assert fan.vertices == (0, 1, 2)
-    assert phi.color[fan.edges[1]] == 4
+    x, y, f = shannon_fan(phi, 0)
+    assert f == 1  # the fan is (0, 1)
+    assert (x, y, g.other_end(f, x)) == (0, 1, 2)
+    assert phi.color[f] == 4
 
 
 def test_classify_blank_is_happy_edge(triangle):
@@ -217,7 +217,8 @@ def test_classified_final_paths_match_walks():
             assert live_state(phi) == before
             if branch not in walks:
                 continue
-            x, y, z = shannon_fan(phi, e).vertices
+            x, y, f = shannon_fan(phi, e)
+            z = g.other_end(f, x)
             avail = recompute_available(g, L, phi.color)
             alpha = min(avail[x])
             beta = min(avail[y] & avail[z])

@@ -29,9 +29,9 @@ def test_blank_digon_single_edge_happy(digon):
     g, L = digon
     phi = lc.PartialColoring(g, L)
     fan, beta, j = vizing_fan(phi, 0, 0)
-    assert fan.edges == (0,)
+    assert fan == (0,)
     assert beta == 1
-    assert j == 1 == len(fan.edges)
+    assert j == 1 == len(fan)
 
 
 def test_fan_closes_on_earlier_index():
@@ -41,14 +41,14 @@ def test_fan_closes_on_earlier_index():
     )
     lc.check_bound(g, L, "vizing")
     fan, beta, j = vizing_fan(phi, 0, 0)
-    assert fan.edges == (0, 1, 2)
-    assert fan.vertices == (0, 1, 2, 3)
+    assert fan == (0, 1, 2)
+    assert [g.other_end(f, 0) for f in fan] == [1, 2, 3]
     assert beta == 1
     assert j == 1
     # output contract: beta available at the end leaf of both fan and prefix
     avail = recompute_available(g, L, phi.color)
-    assert beta in avail[fan.vertices[-1]]
-    assert beta in avail[fan.vertices[j]]
+    assert beta in avail[g.other_end(fan[-1], 0)]
+    assert beta in avail[g.other_end(fan[j - 1], 0)]
 
 
 def test_fan_never_returns_index_zero(rng):
@@ -60,10 +60,10 @@ def test_fan_never_returns_index_zero(rng):
         for e in blank_edges(phi):
             u, _ = g.endpoints[e]
             fan, beta, j = vizing_fan(phi, e, u)
-            assert 1 <= j <= len(fan.edges)
-            assert len(fan.edges) <= g.degree(u)
-            assert beta in avail[fan.vertices[-1]]
-            assert beta in avail[fan.vertices[j]]
+            assert 1 <= j <= len(fan)
+            assert len(fan) <= g.degree(u)
+            assert beta in avail[g.other_end(fan[-1], u)]
+            assert beta in avail[g.other_end(fan[j - 1], u)]
 
 
 def test_classify_happy_two_edge_fan():
@@ -154,7 +154,7 @@ def fan_shifts(n, delta, m, fill, seeds):
         for e in blank_edges(phi):
             u, _ = g.endpoints[e]
             fan, _, j = vizing_fan(phi, e, u)
-            for cand in (fan.edges, fan.edges[:j]):
+            for cand in (fan, fan[:j]):
                 shifted = reference_shift(g, L, phi.color, cand)
                 assert isinstance(shifted, list), (cand, shifted)
                 assert recompute_potential(g, L, shifted)[0] <= a
