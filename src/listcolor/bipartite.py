@@ -8,7 +8,8 @@ would, by side parity, carry the very color the vertex is missing.  The
 parity argument is asserted on every constructed path.
 
 Internal to the engine, not exported: ``engine.augment_once`` checks an
-edge id's type and range before it reaches this module, which does not.
+edge id's type, its range and that the edge is blank before it reaches
+this module, which does not.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ def koenig_path(phi: PartialColoring, e: int) -> Chain:
     g = phi.g
     if g.bipartition() is None:
         raise NotBipartiteError("koenig augmentation requires a bipartite graph")
-    if phi.color[e] is not None:
-        raise PreconditionViolatedError(f"edge {e} is not blank")
     u, v = g.endpoints[e]
     alpha = phi.smallest(u, phi.available_mask(u))
     beta = phi.smallest(v, phi.available_mask(v))
@@ -35,8 +34,8 @@ def koenig_path(phi: PartialColoring, e: int) -> Chain:
         if c is None:
             raise PreconditionViolatedError(f"no available color at vertex {w}")
     if alpha == beta:
-        return Chain((e,), (u, v))
+        return Chain((e,), False)
     path = alternating_path(phi, e, alpha, beta)
-    if path.vertices[0] == path.vertices[-1]:
+    if path.closed:
         raise InternalAssertionError("bipartite parity violated: path returned home")
     return path

@@ -6,18 +6,17 @@ colored.  Shifting moves each edge's color one position toward the front,
 so the start edge takes a color and the last edge goes blank.  A fan is
 such a sequence around one pivot and travels as its plain edge tuple;
 ``PartialColoring.check_shift`` refuses any sequence of another shape.
-A ``Chain`` is a path: its vertices x_0..x_k have x_0 the start vertex
-and x_{i+1} the far end of edge i, and x_1..x_k are distinct (the start
-vertex may only reappear as the final vertex).  Two-colored alternating
-paths are the repair tool of the whole engine:
+A ``Chain`` is a path: its edges, and whether it is ``closed``, its walk
+ended back at its start vertex.  Two-colored alternating paths are the
+repair tool of the whole engine:
 
-``resolve_path`` takes an alternating path whose start edge misses one
-path color at each endpoint and whose end vertex differs from its start
-vertex, finds the longest prefix whose shift stays proper and inside the
-lists, and then either colors the path's last edge (a happy outcome,
-one more edge colored) or commits the prefix shift (a content outcome,
-strictly smaller potential).  One of the two must apply; anything else
-raises an internal assertion.  A one-edge path moves no color when
+``resolve_path`` takes an alternating path that is not closed and whose
+start edge misses one path color at each endpoint, finds the longest
+prefix whose shift stays proper and inside the lists, and then either
+colors the path's last edge (a happy outcome, one more edge colored) or
+commits the prefix shift (a content outcome, strictly smaller
+potential).  One of the two must apply; anything else raises an internal
+assertion.  A one-edge path moves no color when
 shifted, so it is the happy outcome itself: its edge is colored directly.
 
 A classifier's verdict on one step is the plain tuple
@@ -29,7 +28,9 @@ no shift), or it resolves ``path``, a ``Chain`` walked in the shifted
 coloring, or None.  A shift alone is a content step.
 
 Internal to the engine, not exported: ``engine.augment_once`` checks an
-edge id's type and range before it reaches this module, which does not.
+edge id's type, its range and that the edge is blank before it reaches
+this module, which does not.  ``alternating_path`` checks the shape of its
+walk, and ``PartialColoring.check_shift`` each chain before its commit.
 """
 
 from __future__ import annotations
@@ -37,25 +38,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coloring import PartialColoring, Shift
-from .errors import (
-    START_NOT_BLANK,
-    InternalAssertionError,
-    NotShiftableError,
-    PreconditionViolatedError,
-)
+from .errors import InternalAssertionError, PreconditionViolatedError
 
 
 @dataclass(frozen=True, slots=True)
 class Chain:
     """A path whose edge colors a shift moves one place toward the front.
 
-    ``vertices`` is x_0..x_k: x_0 is the start vertex and edge i joins
-    x_i and x_{i+1}; x_1..x_k are distinct, and x_0 may coincide only
-    with a later x_i.
+    Its vertices x_0..x_k (x_0 the start vertex, edge i joining x_i and
+    x_{i+1}) are distinct, except that x_k is x_0 when ``closed``.
     """
 
     edges: tuple[int, ...]
-    vertices: tuple[int, ...]
+    closed: bool
 
 
 # -- operations ----------------------------------------------------------------
@@ -69,9 +64,14 @@ def alternating_path(
     The endpoint missing ``alpha`` is the start vertex; the walk leaves the
     other endpoint along its alpha-colored edge and then alternates beta,
     alpha, ... for as long as the next color is present.  Properness makes
-    every continuation unique and keeps the walked vertices distinct
-    (checked, not assumed); the walk can return to the start vertex only as
-    its final stop, since the start vertex has no alpha-colored edge.
+    every continuation unique and keeps the walked vertices distinct; the
+    walk can return to the start vertex only as its final stop, since the
+    start vertex has no alpha-colored edge, and the path is then closed.
+    Each step refuses a vertex already walked (the start vertex once) with
+    InternalAssertionError, so the walk ends on any state.  e must be blank
+    (in psi, given ``shifted``) and alpha and beta must differ, as every
+    caller's are; PreconditionViolatedError if the two colors are not
+    available at opposite endpoints of e.
 
     Given as ``shifted`` a shift that ``PartialColoring.check_shift`` checked
     at phi's current stamp (else PreconditionViolatedError), the walk reads
@@ -79,21 +79,12 @@ def alternating_path(
     phi's live colors moved one place along the chain, with used maps that
     differ only in the at most 2k entries of the overlay ``shifted.changes``.
     """
-    if shifted is not None and shifted.stamp != phi.stamp:
-        raise PreconditionViolatedError("stale shift: the coloring changed since")
-    if alpha == beta:
-        raise PreconditionViolatedError("alternating colors must differ")
-    g = phi.g
-    used, common, ends = phi.used_edge, phi.lists.common, g.endpoints
     over = {}  # (vertex, color) -> edge carrying it in psi, None if absent
-    blank = phi.color[e] is None
     if shifted is not None:
+        if shifted.stamp != phi.stamp:
+            raise PreconditionViolatedError("stale shift: the coloring changed since")
         over = shifted.changes
-        if e in shifted.edges:  # blank in psi only at the chain's end edge
-            blank = e == shifted.edges[-1]
-    if not blank:
-        raise PreconditionViolatedError(f"edge {e} is not blank")
-
+    used, common, ends = phi.used_edge, phi.lists.common, phi.g.endpoints
     u, v = ends[e]
     for x, y in ((u, v), (v, u)):  # x misses alpha and y misses beta
         if (alpha in common[x] and over.get((x, alpha), used[x].get(alpha)) is None
@@ -104,25 +95,21 @@ def alternating_path(
             f"edge {e}: colors {alpha}, {beta} not available at opposite endpoints"
         )
     edges = [e]
-    vertices = [x, y]
+    seen = {y}  # the walked vertices after the start vertex
     cur, need, follow = y, alpha, beta
     while True:
         nxt = used[cur].get(need)
         if over:
             nxt = over.get((cur, need), nxt)
         if nxt is None:
-            break
+            return Chain(tuple(edges), cur == x)
         a, b = ends[nxt]
         cur = b if a == cur else a
+        if cur in seen:
+            raise InternalAssertionError(f"alternating walk revisited vertex {cur}")
+        seen.add(cur)
         edges.append(nxt)
-        vertices.append(cur)
         need, follow = follow, need
-        if len(edges) > g.m:
-            raise InternalAssertionError("alternating walk revisited an edge")
-    interior = vertices[1:]
-    if len(set(interior)) != len(interior):
-        raise InternalAssertionError("alternating walk revisited a vertex")
-    return Chain(tuple(edges), tuple(vertices))
 
 
 def max_shiftable_prefix(phi: PartialColoring, path: Chain) -> int:
@@ -135,54 +122,35 @@ def max_shiftable_prefix(phi: PartialColoring, path: Chain) -> int:
     other.  So a prefix fails only where edge i would take the color of
     edge i + 1 outside its own list, and one scan finds the first such i;
     the answer is i + 1, or the whole length when every list admits its new
-    color.  ``resolve_path`` checks the prefix once, with
-    ``PartialColoring.check_shift``, before committing it.
-
-    Raises NotShiftableError for a colored start edge, and
-    PreconditionViolatedError for an empty path or non-alternating colors.
+    color.  Nothing else is checked here: ``resolve_path`` checks the prefix
+    once, with ``PartialColoring.check_shift``, before committing it.
     """
-    edges = path.edges
-    if not edges:
-        raise PreconditionViolatedError("path has no edges")
-    color = phi.color
-    if color[edges[0]] is not None:
-        raise NotShiftableError(0, START_NOT_BLANK)
-    shifted = [color[e] for e in edges[1:]]  # edge i's color after the shift
-    head = shifted[:2]
-    if None in head or len(set(head)) != len(head) or shifted[2:] != shifted[:-2]:
-        raise PreconditionViolatedError("path colors do not alternate between two")
-    lists = phi.lists.lists
-    for i, c in enumerate(shifted):
-        if c not in lists[edges[i]]:
-            return i + 1
+    edges, color, lists = path.edges, phi.color, phi.lists.lists
+    for j, (e, f) in enumerate(zip(edges, edges[1:]), 1):
+        if color[f] not in lists[e]:  # e would take f's color
+            return j
     return len(edges)
 
 
 def resolve_path(phi: PartialColoring, path: Chain) -> tuple[int, ...]:
     """Apply the happy-or-content dichotomy to an alternating path, in place.
 
-    Requires one more vertex than edges and the path's start and end
-    vertices distinct (else PreconditionViolatedError), and its start edge
-    blank (else NotShiftableError), all before any change; the callers
-    establish the availability conditions when they build the path.
-    Either the full path shifts and its end edge gets a color, or a proper
-    prefix shifts and the potential strictly drops.  A one-edge path is
-    colored directly, with no prefix scan, check or commit.  Returns the
-    edges it committed: the full path's when happy, the shifted prefix's
-    when content, whose end edge is then the one left blank.
+    Refuses a closed path (PreconditionViolatedError) before any change;
+    ``alternating_path`` vouches for the rest of its shape, and the callers
+    for the availability conditions.  Either the full path shifts and its
+    end edge gets a color, or a proper prefix shifts and the potential
+    strictly drops.  A one-edge path is colored directly, with no prefix
+    scan, check or commit (``is_happy`` refuses a colored edge); a longer
+    path's prefix is checked by ``PartialColoring.check_shift``.  Returns
+    the edges it committed: the full path's when happy, the shifted
+    prefix's when content, whose end edge is then the one left blank.
     """
-    edges, vertices = path.edges, path.vertices
-    if len(vertices) != len(edges) + 1:
-        raise PreconditionViolatedError(
-            f"path has {len(edges)} edges but {len(vertices)} vertices"
-        )
-    if vertices[0] == vertices[-1]:
+    if path.closed:
         raise PreconditionViolatedError("path start and end vertices coincide")
+    edges = path.edges
     k = len(edges)
     if k == 1:  # shifting one edge moves no color: the edge is the happy outcome
         e = edges[0]
-        if phi.color[e] is not None:
-            raise NotShiftableError(0, START_NOT_BLANK)
         c = phi.is_happy(e)
         if c is None:
             raise InternalAssertionError(f"one-edge path {e} has no color to take")

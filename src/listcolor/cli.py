@@ -182,6 +182,8 @@ def cmd_color(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.instance == args.coloring == "-":  # stdin holds one of them at most
+        raise InputError("the instance and the coloring cannot both be read from stdin")
     g, file_lists = lio.parse_instance(_read(args.instance))
     colors = lio.parse_coloring(_read(args.coloring), g.m)
     lists = _resolve_lists(g, file_lists, args.mode, args.instance)

@@ -93,6 +93,15 @@ def _palettes(common) -> tuple[list, list, list]:
     return [palette] * n, [rank] * n, list(map(masks.__getitem__, common))
 
 
+def check_edge(e, m: int) -> None:
+    """Refuse an edge id that is not an int, a bool included, or lies
+    outside 0..m-1, with PreconditionViolatedError."""
+    if type(e) is not int:  # a bool would index as 0 or 1
+        raise PreconditionViolatedError(f"edge {e!r} is not an int")
+    if not 0 <= e < m:  # a negative id would index from the end
+        raise PreconditionViolatedError(f"edge {e} out of range [0, {m})")
+
+
 def _not_a_chain(edges) -> PreconditionViolatedError:
     return PreconditionViolatedError(
         f"chain {tuple(edges)} is empty, repeats an edge or has a blank edge after its start"
@@ -201,10 +210,7 @@ class PartialColoring:
     # -- single-edge updates ------------------------------------------------
 
     def assign(self, e: int, c: int) -> None:
-        if type(e) is not int:  # bool is an int subclass
-            raise PreconditionViolatedError(f"edge {e!r} is not an int")
-        if not 0 <= e < self.g.m:
-            raise PreconditionViolatedError(f"edge {e} out of range [0, {self.g.m})")
+        check_edge(e, self.g.m)
         if self.color[e] is not None:
             raise PreconditionViolatedError(f"edge {e} already colored")
         if type(c) is not int:  # True or 2.0 would match a listed 1 or 2
@@ -220,10 +226,7 @@ class PartialColoring:
                      -self.weight[e], -1)
 
     def unassign(self, e: int) -> None:
-        if type(e) is not int:  # bool is an int subclass
-            raise PreconditionViolatedError(f"edge {e!r} is not an int")
-        if not 0 <= e < self.g.m:
-            raise PreconditionViolatedError(f"edge {e} out of range [0, {self.g.m})")
+        check_edge(e, self.g.m)
         c = self.color[e]
         if c is None:
             raise PreconditionViolatedError(f"edge {e} already blank")

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Optional
 from . import shannon, vizing
 from .bipartite import koenig_path
 from .chain import resolve_path
-from .coloring import PartialColoring
+from .coloring import PartialColoring, check_edge
 from .errors import InternalAssertionError, PreconditionViolatedError
 from .graph import Multigraph
 from .lists import BOUND_MODES, MODES, ListAssignment, check_bound
@@ -76,14 +76,15 @@ def augment_once(
     Postcondition, asserted here for the whole step: either one more edge
     is colored, or the blank count is unchanged and that end edge is
     blank.  Either way the potential strictly drops.
+    Refuses with PreconditionViolatedError, before any change, an edge id
+    that is not an int, is out of range or is colored; nothing below does.
     """
     if mode not in BOUND_MODES:
         raise ValueError(f"augment mode must name a guarantee, got {mode!r}")
-    if type(e) is not int:  # bool is an int subclass
-        raise PreconditionViolatedError(f"edge {e!r} is not an int")
     g = phi.g
-    if not 0 <= e < g.m:
-        raise PreconditionViolatedError(f"edge {e} out of range [0, {g.m})")
+    check_edge(e, g.m)
+    if phi.color[e] is not None:
+        raise PreconditionViolatedError(f"edge {e} is not blank")
     step = stats.happy_steps + stats.content_steps
     a0, d0 = phi.a_total, phi.d_total
     blanks = phi.blanks

@@ -75,6 +75,8 @@ class Multigraph:
         self._bipartition = _UNKNOWN
 
     def _check_vertex(self, x: int) -> None:
+        if type(x) is not int:  # bool is an int subclass
+            raise InputError(f"vertex {x!r} is not an int")
         if not 0 <= x < self.n:
             raise InputError(f"vertex {x} out of range [0, {self.n})")
 

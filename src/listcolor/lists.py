@@ -35,21 +35,7 @@ _INT = frozenset((int,))  # type of a color or edge id: a bool is refused, not r
 _EMPTY = frozenset()  # the common set of every vertex without edges
 
 
-_SIZES: dict[int, tuple[int, int]] = {}  # colour count -> ``_table_sizes``
-
-
-def _table_sizes(colors) -> tuple[int, int]:
-    """``__sizeof__`` of a frozenset of the distinct ``colors`` grown one
-    colour at a time, and of one sized once for its count, each built from
-    a dict as ``smaller_table`` builds it.  Both depend on the count alone,
-    so the interpreter is asked once per count, with the colours at hand."""
-    sizes = _SIZES.get(len(colors))
-    if sizes is None:
-        # a dict as it is; not frozenset(colors), which is colors itself
-        keys = colors if type(colors) is dict else dict.fromkeys(colors)
-        sizes = _SIZES[len(keys)] = (frozenset(iter(keys)).__sizeof__(),
-                                     frozenset(keys).__sizeof__())
-    return sizes
+_SIZES: dict[int, tuple[int, int]] = {}  # colour count -> sizes of its grown and sized-once tables
 
 
 def smaller_table(colors) -> frozenset:
@@ -58,16 +44,28 @@ def smaller_table(colors) -> frozenset:
     count (grown on a tie).  At 19-31 colours the first takes 128 slots
     where the second takes 64.
 
-    A frozenset no larger than that is returned as it is.  Otherwise only
-    the smaller table is built, from a dict of the colours: the dict knows
-    the count first and is smaller than a grown set, so no larger set is
-    made and freed on the way.
+    A frozenset no larger than that is returned as it is.  Otherwise the
+    table is built from a dict of the colours: the dict knows the count
+    first and is smaller than a grown set.  Both sizes depend on the count
+    alone, so the first colours of each count are built into both tables
+    to ask them, one freed before the other is built, and the grown one is
+    returned when it is the smaller rather than built again.
     """
-    if type(colors) is frozenset and colors.__sizeof__() <= min(_table_sizes(colors)):
+    given = type(colors) is frozenset
+    sizes = _SIZES.get(len(colors)) if given else None
+    if sizes is not None and colors.__sizeof__() <= min(sizes):
         return colors
-    keys = dict.fromkeys(colors)
-    grown, once = _table_sizes(keys)
-    return frozenset(keys) if once < grown else frozenset(iter(keys))
+    keys = dict.fromkeys(colors)  # not frozenset(colors), which is colors itself
+    sizes = _SIZES.get(len(keys))
+    if sizes is None:
+        once = frozenset(keys).__sizeof__()
+        grown = frozenset(iter(keys))
+        sizes = _SIZES[len(keys)] = grown.__sizeof__(), once
+        if given and colors.__sizeof__() <= min(sizes):
+            return colors
+        if sizes[0] <= once:
+            return grown
+    return frozenset(keys) if sizes[1] < sizes[0] else frozenset(iter(keys))
 
 
 def _check_mode(g: Multigraph, mode: str) -> None:

@@ -24,7 +24,8 @@ lowest bits (``smallest``), and beta is the lowest bit of the two
 leaves' shared availability (``smallest_shared``); none copies a set.
 
 Internal to the engine, not exported: ``engine.augment_once`` checks an
-edge id's type and range before it reaches this module, which does not.
+edge id's type, its range and that the edge is blank before it reaches
+this module, which does not.
 """
 
 from __future__ import annotations
@@ -50,8 +51,6 @@ def shannon_fan(phi: PartialColoring, e: int) -> tuple[int, int, int | None]:
     edge colored min available at y, or None when the quick happy check
     fires (a color available at y is unused at x).  The fan is (e,) or
     (e, f), and its far leaf is f's other end."""
-    if phi.color[e] is not None:
-        raise PreconditionViolatedError(f"edge {e} is not blank")
     x, y = _orient(phi, e)
     if phi.smallest_unused(y, x) is not None:
         return x, y, None
@@ -99,13 +98,13 @@ def classify_shannon(
     if alpha is None:
         raise InternalAssertionError("no available color at the pivot")
     p1 = alternating_path(phi, e, alpha, beta)
-    if p1.vertices[0] != p1.vertices[-1]:
+    if not p1.closed:
         return "final-path-phi", None, p1, False
     shift = phi.check_shift(fan)
     da, _ = shift.delta
     if da != 0:
         raise InternalAssertionError("fan shift changed the availability total")
     p2 = alternating_path(phi, f, alpha, beta, shifted=shift)
-    if p2.vertices[0] == p2.vertices[-1]:
+    if p2.closed:
         raise InternalAssertionError("both fallback path candidates are circular")
     return "final-path-psi", shift, p2, False

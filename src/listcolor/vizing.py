@@ -22,26 +22,23 @@ never mutates the coloring.  Every returned verdict carries its checked
 shift, which the engine commits without checking it again.
 
 Internal to the engine, not exported: ``engine.augment_once`` checks an
-edge id's type and range before it reaches this module, which does not.
+edge id's type, its range and that the edge is blank, and picks the pivot
+among its endpoints, before it reaches this module, which does not.
 """
 
 from __future__ import annotations
 
 from .chain import Chain, alternating_path
 from .coloring import PartialColoring, Shift
-from .errors import InternalAssertionError, PreconditionViolatedError
+from .errors import InternalAssertionError
 
 
 def vizing_fan(phi: PartialColoring, e: int, x: int) -> tuple[tuple[int, ...], int, int]:
     """(edges, beta, j): the fan's edges around pivot x, e first, and beta
     available at the far ends of both its last edge and ``edges[j - 1]``;
     j == len(edges) exactly when the fan is happy."""
-    if phi.color[e] is not None:
-        raise PreconditionViolatedError(f"edge {e} is not blank")
     g = phi.g
     used, ends = phi.used_edge[x], g.endpoints
-    if x not in ends[e]:
-        raise PreconditionViolatedError(f"pivot {x} is not an endpoint of edge {e}")
     u, v = ends[e]
     z = v if u == x else u  # the last leaf
     common, taken, palette = phi.common_mask, phi.used_mask, phi.palette
@@ -101,7 +98,7 @@ def classify_vizing(
         if da != 0:
             raise InternalAssertionError("fan shift changed the availability total")
         path = alternating_path(phi, shift.edges[-1], alpha, beta, shifted=shift)
-        if path.vertices[0] != path.vertices[-1]:
+        if not path.closed:
             return branch, shift, path, False
     raise InternalAssertionError(
         "both fan path candidates are circular (last tried path-psi-prefix)"

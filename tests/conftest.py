@@ -204,13 +204,10 @@ def reference_path(g, L, colors, e, alpha, beta):
     The start vertex is the endpoint where alpha is available, u before v
     when both orientations fit; the walk leaves the other endpoint along
     its alpha edge and alternates beta, alpha, ... while the next color is
-    at the vertex reached.  ``colors`` is proper, so each color is at a
-    vertex at most once and the walk never comes back on itself.
+    at the vertex reached, and the path is closed if it stops at its start
+    vertex.  ``colors`` is proper, so each color is at a vertex at most
+    once and the walk never comes back on itself.
     """
-    if alpha == beta:
-        return PreconditionViolatedError, "alternating colors must differ"
-    if colors[e] is not None:
-        return PreconditionViolatedError, f"edge {e} is not blank"
     avail = recompute_available(g, L, colors)
     u, v = g.endpoints[e]
     ends = [(x, y) for x, y in ((u, v), (v, u)) if alpha in avail[x] and beta in avail[y]]
@@ -223,7 +220,7 @@ def reference_path(g, L, colors, e, alpha, beta):
         edges.append(nxt[0])
         vertices.append(g.other_end(nxt[0], vertices[-1]))
         need, follow = follow, need
-    return Chain(tuple(edges), tuple(vertices))
+    return Chain(tuple(edges), vertices[-1] == vertices[0])
 
 
 def reference_vizing_fan(g, L, colors, e, x):

@@ -78,6 +78,10 @@ ONE_COMMAND = {
     "empty-coloring-file-at-line-one": (
         "verify tri.txt empty.col --mode vizing", 2, "",
         "error: line 1: expected 3 lines '<i> <color|->' in index order\n"),
+    # stdin can hold one of the two inputs: refused before either is read
+    "verify-refuses-both-inputs-on-stdin": (
+        "verify - -", 2, "",
+        "error: the instance and the coloring cannot both be read from stdin\n"),
     "explicit-mode-flow": ("color p.txt --mode explicit --assume-bound koenig", 0,
                            "0 1\n1 2\n", ""),
     "explicit-needs-assume-bound": ("color p.txt --mode explicit", 2, "",

@@ -5,8 +5,6 @@ import pytest
 
 import listcolor as lc
 from listcolor import coloring, engine
-from listcolor.bipartite import koenig_path
-from listcolor.chain import alternating_path
 from listcolor.engine import augment_once
 from listcolor.errors import (
     BoundViolationError,
@@ -16,8 +14,6 @@ from listcolor.errors import (
     NotShiftableError,
     PreconditionViolatedError,
 )
-from listcolor.shannon import shannon_fan
-from listcolor.vizing import vizing_fan
 
 from conftest import (
     Miscounted,
@@ -112,17 +108,14 @@ FOREIGN = "lists are for 3 vertices and 3 edges, the graph has 3 and 2"
 
 # misuse of a public call on the path 0-1-2, edge 0 colored -> (error, message)
 MISUSE = {
-    "koenig_path-colored": (lambda phi: koenig_path(phi, 0),
+    # a colored edge bound for each mode's helper: the step refuses it
+    # before the helper runs, and the helpers do not check it again
+    "koenig_path-colored": (lambda phi: augment_once(phi, 0, "koenig", lc.RunStats()),
                             PreconditionViolatedError, "edge 0 is not blank"),
-    "shannon_fan-colored": (lambda phi: shannon_fan(phi, 0),
+    "shannon_fan-colored": (lambda phi: augment_once(phi, 0, "shannon", lc.RunStats()),
                             PreconditionViolatedError, "edge 0 is not blank"),
-    "vizing_fan-colored": (lambda phi: vizing_fan(phi, 0, 0),
+    "vizing_fan-colored": (lambda phi: augment_once(phi, 0, "vizing", lc.RunStats()),
                            PreconditionViolatedError, "edge 0 is not blank"),
-    "alternating_path-colored": (lambda phi: alternating_path(phi, 0, 1, 2),
-                                 PreconditionViolatedError, "edge 0 is not blank"),
-    "vizing_fan-foreign-pivot": (lambda phi: vizing_fan(phi, 1, 0),
-                                 PreconditionViolatedError,
-                                 "pivot 0 is not an endpoint of edge 1"),
     "color_graph-unknown-mode": (
         lambda phi: lc.color_graph(phi.g, phi.lists, "greedy"), ValueError,
         "mode must be one of ('shannon', 'vizing', 'koenig', 'explicit'), got 'greedy'"),
@@ -160,6 +153,15 @@ MISUSE = {
                      InputError, "vertex 1.0 is not an int"),
     "str-vertex": (lambda phi: lc.Multigraph(3, [("0", 1)]),
                    InputError, "vertex '0' is not an int"),
+    # a bool would read as vertex 1, and a float would raise a bare TypeError
+    "degree-bool-vertex": (lambda phi: phi.g.degree(True),
+                           InputError, "vertex True is not an int"),
+    "degree-float-vertex": (lambda phi: phi.g.degree(1.0),
+                            InputError, "vertex 1.0 is not an int"),
+    "mu_vertex-bool-vertex": (lambda phi: phi.g.mu_vertex(False),
+                              InputError, "vertex False is not an int"),
+    "mu_vertex-str-vertex": (lambda phi: phi.g.mu_vertex("1"),
+                             InputError, "vertex '1' is not an int"),
     "bool-vertex-count": (lambda phi: lc.Multigraph(True, []),
                           InputError, "vertex count True is not an int"),
     "float-vertex-count": (lambda phi: lc.Multigraph(2.0, []),

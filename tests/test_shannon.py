@@ -167,7 +167,7 @@ def test_classify_final_path_under_current_coloring():
     # the path alternates alpha = 1 and beta = 5 in the current coloring
     assert path == reference_path(g, L, phi.color, 0, 1, 5)
     assert path.edges == (0, 4)
-    assert path.vertices[0] != path.vertices[-1]
+    assert not path.closed
     assert resolve_path(phi, path) == path.edges  # happy: the whole path
     assert phi.color[path.edges[-1]] is not None
     assert phi.verify() == []
